@@ -3,9 +3,9 @@
 from .adaptation import (AdaptationConfig, TraceRow, adapt, forward_batch,
                          grad_check, rule_loss, total_loss)
 from .bounds import (BoundJob, Interval, compute_bounds, jaccard,
-                     learn_and_select, percentile)
+                     learn_and_select)
 from .dataset import (Dataset, FeatureSpec, Minibatch, bucket_edges,
-                      load_table, sample_minibatches, split)
+                      load_table, percentile, sample_minibatches, split)
 from .errors import (DivergenceError, EmptyStatisticError, ParseError,
                      QuantrulesError, ResolutionError, TypeMismatchError)
 from .model import SoftmaxModel
@@ -14,8 +14,7 @@ from .schema import (AbstractRule, ConcreteRule, Literal, RuleSchema,
                      TemplateSpec, enumerate_abstract_rules, parse_schema,
                      rule_signature)
 from .statistics import (BoxRecord, Statistic, StatisticRegistry,
-                         eval_statistic, f1_score, formula_surrogate_f1,
-                         load_boxes, surrogate_f1)
+                         eval_statistic, f1_score, load_boxes, surrogate_f1)
 from .violations import (ViolationReport, check_rule, evaluate, read_report,
                          write_report)
 
@@ -27,7 +26,7 @@ __all__ = [
     "StatisticRegistry", "TemplateSpec", "TraceRow", "TypeMismatchError",
     "ViolationReport", "adapt", "bucket_edges", "check_rule", "compute_bounds",
     "enumerate_abstract_rules", "eval_statistic", "evaluate", "f1_score",
-    "formula_surrogate_f1", "forward_batch", "grad_check", "jaccard",
+    "forward_batch", "grad_check", "jaccard",
     "learn_and_select", "load_boxes",
     "load_rules", "load_table", "parse_schema", "percentile", "read_report",
     "rule_loss", "rule_signature", "sample_minibatches", "save_rules", "split",

@@ -19,13 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds_mod
-from .bounds import _guard_mask, _paired_mask
 from .dataset import Minibatch
 from .errors import DivergenceError
-from .schema import LOGIC, PAIRED, rule_signature
-from .statistics import (PER_SAMPLE, StatisticRegistry, antecedent_values,
-                         batch_value, sample_values_aligned, surrogate_f1_grad)
-from .violations import batch_violation_count
+from .rule_eval import evaluate_rule
+from .schema import LOGIC, rule_signature
+from .statistics import StatisticRegistry, surrogate_f1_grad
 
 LOSS_CLIP = 1.0
 
@@ -127,110 +125,97 @@ def _check_finite(value, rule):
 
 
 def _rule_loss_grad(crule, out, temperature, registry, clip):
-    """Loss of one rule on a batch and d loss / d probs (None when flat)."""
+    """Loss of one rule on a batch, d loss / d probs (None when flat), and
+    the rule's member-attributed violation count on the predicted labels."""
     rule = crule.rule
-    ds = out.dataset
-    rows = np.arange(ds.n_rows)
+    ev = evaluate_rule(rule, out.dataset, np.arange(out.dataset.n_rows), "pred",
+                       registry, (crule.s1_lo, crule.s1_hi))
+    violations = ev.violations(crule.lo, crule.hi)
 
     if rule.kind == LOGIC:
-        antecedent, usable = antecedent_values(rule, ds, rows)
         j = out.model.class_names.index(rule.consequent)
-        a, s = antecedent[usable], out.probs[usable, j]
+        a, s = ev.samples[ev.mask], out.probs[ev.mask, j]
         if a.size == 0:
-            return 0.0, None
+            return 0.0, None, violations
         value, dvalue_ds = surrogate_f1_grad(a, s, temperature)
         _check_finite(value, rule)
         loss, slope = hinge(value, crule.lo, crule.hi, clip)
         if slope == 0.0:
-            return loss, None
+            return loss, None, violations
         dprobs = np.zeros_like(out.probs)
-        dprobs[usable, j] = slope * dvalue_ds
-        return loss, dprobs
+        dprobs[ev.mask, j] = slope * dvalue_ds
+        return loss, dprobs, violations
 
-    keep = _guard_mask(rule, ds, rows, "pred")
-    if rule.kind == PAIRED:
-        keep &= _paired_mask(rule.s1, ds, rows, registry, crule.s1_lo, crule.s1_hi)
-
+    # soft is None for a statistic of fixed data columns: a loss but no gradient
     soft = _soft_statistic(out.model, rule.statistic)
-    if soft is not None:
-        mode, j = soft
-        if not keep.any():
-            return 0.0, None
-        vals = out.probs[keep, j]
-        n = vals.size
-        if mode == "sample":
-            pair = [hinge(v, crule.lo, crule.hi, clip) for v in vals]
-            losses = np.array([p[0] for p in pair])
-            slopes = np.array([p[1] for p in pair])
-            loss = float(losses.mean())
-            if not slopes.any():
-                return loss, None
-            dprobs = np.zeros_like(out.probs)
-            dprobs[keep, j] = slopes / n
-            return loss, dprobs
-        if mode == "mean":
-            value = float(vals.mean())
-            dvalue = np.full(n, 1.0 / n)
-        else:  # std
-            value = float(vals.std())
-            dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
-        _check_finite(value, rule)
-        loss, slope = hinge(value, crule.lo, crule.hi, clip)
-        if slope == 0.0:
-            return loss, None
+    if ev.per_sample:
+        if not ev.mask.any():
+            return 0.0, None, violations
+        vals = ev.samples[ev.mask]
+        pair = [hinge(v, crule.lo, crule.hi, clip) for v in vals]
+        losses = np.array([p[0] for p in pair])
+        slopes = np.array([p[1] for p in pair])
+        loss = float(losses.mean())
+        if soft is None or not slopes.any():
+            return loss, None, violations
         dprobs = np.zeros_like(out.probs)
-        dprobs[keep, j] = slope * dvalue
-        return loss, dprobs
+        dprobs[ev.mask, soft[1]] = slopes / vals.size
+        return loss, dprobs, violations
 
-    # statistic over fixed data columns: well-defined loss, zero gradient
-    stat = registry.resolve(rule.statistic)
-    if stat.arity == PER_SAMPLE:
-        vals, valid = sample_values_aligned(stat, ds, rows)
-        keep &= valid
-        if not keep.any():
-            return 0.0, None
-        losses = [hinge(v, crule.lo, crule.hi, clip)[0] for v in vals[keep]]
-        return float(np.mean(losses)), None
-    if not keep.any():
-        return 0.0, None
-    value = batch_value(stat, ds, rows[keep])
-    if value is None:
-        return 0.0, None
+    if ev.value is None:
+        return 0.0, None, violations
+    value = ev.value
     _check_finite(value, rule)
-    return hinge(value, crule.lo, crule.hi, clip)[0], None
+    loss, slope = hinge(value, crule.lo, crule.hi, clip)
+    if soft is None or slope == 0.0:
+        return loss, None, violations
+    mode, j = soft
+    vals = out.probs[ev.mask, j]
+    n = vals.size
+    if mode == "mean":
+        dvalue = np.full(n, 1.0 / n)
+    else:  # std
+        dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
+    dprobs = np.zeros_like(out.probs)
+    dprobs[ev.mask, j] = slope * dvalue
+    return loss, dprobs, violations
 
 
 def rule_loss(crule, batch_output, temperature=1.0, clip=LOSS_CLIP) -> float:
     """Violation loss of one rule on a model's batch output, in [0, clip]."""
     registry = StatisticRegistry.from_dataset(batch_output.dataset)
-    loss, _ = _rule_loss_grad(crule, batch_output, temperature, registry, clip)
+    loss, _, _ = _rule_loss_grad(crule, batch_output, temperature, registry, clip)
     return loss
 
 
 def total_loss(rules, batch_output, temperature=1.0, clip=LOSS_CLIP) -> float:
     """Mean rule loss over a nonempty rule list."""
-    loss, _, _ = total_loss_grad(rules, batch_output, temperature, clip)
+    loss, _, _, _ = total_loss_grad(rules, batch_output, temperature, clip)
     return loss
 
 
 def total_loss_grad(rules, batch_output, temperature=1.0, clip=LOSS_CLIP):
-    """(mean loss, d loss / d scale, d loss / d shift) over all rules."""
+    """(mean loss, d loss / d scale, d loss / d shift, batch violations) over
+    all rules; the violations are member-attributed, as in ``evaluate``."""
     if not rules:
         raise ValueError("total_loss needs at least one rule")
     registry = StatisticRegistry.from_dataset(batch_output.dataset)
     total = 0.0
+    violations = 0
     dprobs_sum = None
     for crule in rules:
-        loss, dprobs = _rule_loss_grad(crule, batch_output, temperature, registry, clip)
+        loss, dprobs, count = _rule_loss_grad(crule, batch_output, temperature,
+                                              registry, clip)
         total += loss
+        violations += count
         if dprobs is not None:
             dprobs_sum = dprobs if dprobs_sum is None else dprobs_sum + dprobs
     n = len(rules)
     if dprobs_sum is None:
         d = len(batch_output.model.feature_names)
-        return total / n, np.zeros(d), np.zeros(d)
+        return total / n, np.zeros(d), np.zeros(d), violations
     dscale, dshift = batch_output.model.backward(batch_output.cache, dprobs_sum / n)
-    return total / n, dscale, dshift
+    return total / n, dscale, dshift, violations
 
 
 def adapt(model, rules, test, config: AdaptationConfig):
@@ -257,15 +242,12 @@ def adapt(model, rules, test, config: AdaptationConfig):
         rows = rng.choice(n, size=config.batch_size, replace=replace)
         try:
             out = forward_batch(work, test, rows)
-            loss, dscale, dshift = total_loss_grad(rules, out, config.temperature,
-                                                   config.loss_clip)
+            loss, dscale, dshift, violations = total_loss_grad(
+                rules, out, config.temperature, config.loss_clip)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), trace=trace)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at iteration {it}", trace=trace)
-        violations = batch_violation_count(rules, out.dataset,
-                                           np.arange(out.dataset.n_rows),
-                                           label_column="pred")
         update_norm = 0.0
         if loss > 0.0:
             grad = np.concatenate([dscale, dshift])
@@ -299,7 +281,7 @@ def grad_check(model, rules, batch: Minibatch, step=1e-5, temperature=1.0) -> fl
     if not 0.0 < step <= 1e-2:
         raise ValueError(f"step must lie in (0, 1e-2], got {step}")
     out = forward_batch(model, batch.dataset, batch.rows)
-    loss0, dscale, dshift = total_loss_grad(rules, out, temperature)
+    loss0, dscale, dshift, _ = total_loss_grad(rules, out, temperature)
     if loss0 <= 0.0:
         raise ValueError("grad_check needs a batch with positive total loss")
     analytic = np.concatenate([dscale, dshift])

@@ -8,18 +8,17 @@ under the interval Jaccard index.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import schema as schema_mod
-from .dataset import sample_minibatches
 from .dataset import bucket_edges as fit_bucket_edges
+from .dataset import percentile, sample_minibatches
 from .errors import EmptyStatisticError
-from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
-from .statistics import (PER_SAMPLE, StatisticRegistry, batch_value, f1_score,
-                         match_class, sample_values, sample_values_aligned)
+from .rule_eval import evaluate_rule, is_per_sample, s1_values
+from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
+from .statistics import StatisticRegistry
 
 INF = float("inf")
 
@@ -66,28 +65,6 @@ class BoundJob:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
-def percentile(values, q) -> float:
-    """Linear-interpolation percentile of a value list.
-
-    Sorts ascending and evaluates at rank h = q*(n-1): the value is
-    v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)]), so q=0
-    gives the minimum and q=1 the maximum.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("percentile of an empty value list")
-    if np.isnan(v).any():
-        raise ValueError("percentile input contains NaN")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    v = np.sort(v)
-    h = q * (v.size - 1)
-    i = int(math.floor(h))
-    if i + 1 >= v.size:
-        return float(v[-1])
-    return float(v[i] + (h - i) * (v[i + 1] - v[i]))
-
-
 def interval_from_values(values, delta, sided) -> Interval:
     if sided == TWO_SIDED:
         return Interval(percentile(values, delta / 2.0),
@@ -99,20 +76,6 @@ def interval_from_values(values, delta, sided) -> Interval:
     raise ValueError(f"unknown sidedness {sided!r}")
 
 
-def _guard_mask(rule, dataset, rows, label_column):
-    if rule.guard is None:
-        return np.ones(len(rows), dtype=bool)
-    return match_class(dataset, rows, label_column, rule.guard).astype(bool)
-
-
-def _paired_mask(s1_name, dataset, rows, registry, s1_lo, s1_hi):
-    stat = registry.resolve(s1_name)
-    vals, valid = sample_values_aligned(stat, dataset, rows)
-    mask = valid.copy()
-    mask[valid] = (vals[valid] > s1_lo) & (vals[valid] <= s1_hi)
-    return mask
-
-
 def s1_bucket_interval(rule, dataset, registry, label_column):
     """Learned first-statistic interval for a paired rule's bucket.
 
@@ -120,10 +83,9 @@ def s1_bucket_interval(rule, dataset, registry, label_column):
     class's rows of the whole dataset; bucket j covers (edge[j-1], edge[j]]
     with open ends at the extremes.
     """
-    rows = np.arange(dataset.n_rows)
-    guard = _guard_mask(rule, dataset, rows, label_column)
-    stat = registry.resolve(rule.s1)
-    vals, _ = sample_values(stat, dataset, rows[guard])
+    vals, present = s1_values(rule, dataset, np.arange(dataset.n_rows),
+                              label_column, registry)
+    vals = vals[present]
     if vals.size == 0:
         raise EmptyStatisticError(
             f"rule {schema_mod.rule_signature(rule)}: no rows for bucket edges")
@@ -137,42 +99,31 @@ def collect_statistics(rule, batches, registry, label_column, s1_interval=None):
     """One value per batch for minibatch statistics, or per-sample values
     pooled across batches, matching the rule's structure."""
     dataset = batches[0].dataset
-    if rule.kind == LOGIC:
-        values = []
-        for batch in batches:
-            v = f1_score(rule, dataset, batch.rows, label_column)
-            if v is not None:
-                values.append(v)
-        return np.asarray(values, dtype=float)
+    if is_per_sample(rule, registry):
+        rows = np.concatenate([batch.rows for batch in batches])
+        ev = evaluate_rule(rule, dataset, rows, label_column, registry, s1_interval)
+        return ev.samples[ev.mask]
+    values = [evaluate_rule(rule, dataset, batch.rows, label_column, registry,
+                            s1_interval).value for batch in batches]
+    return np.asarray([v for v in values if v is not None], dtype=float)
 
-    stat = registry.resolve(rule.statistic)
-    if stat.arity == PER_SAMPLE:
-        pooled = []
-        for batch in batches:
-            rows = batch.rows
-            keep = _guard_mask(rule, dataset, rows, label_column)
-            if rule.kind == PAIRED:
-                if s1_interval is None:
-                    raise ValueError("paired rules need a learned s1 interval")
-                keep &= _paired_mask(rule.s1, dataset, rows, registry, *s1_interval)
-            if not keep.any():
-                continue
-            vals, _ = sample_values(stat, dataset, rows[keep])
-            pooled.append(vals)
-        if not pooled:
-            return np.asarray([], dtype=float)
-        return np.concatenate(pooled)
 
-    values = []
-    for batch in batches:
-        rows = batch.rows
-        keep = _guard_mask(rule, dataset, rows, label_column)
-        if not keep.any():
-            continue
-        v = batch_value(stat, dataset, rows[keep])
-        if v is not None:
-            values.append(v)
-    return np.asarray(values, dtype=float)
+def _collect(rule, dataset, batch_sets, registry, label_column, s1_interval=None):
+    """(s1 interval, statistic values of each batch set) for one rule.
+
+    A paired rule's s1 interval is learned on ``dataset`` unless given.
+    Raises EmptyStatisticError naming the rule when a set yields no value.
+    """
+    if rule.kind == PAIRED and s1_interval is None:
+        s1_interval = s1_bucket_interval(rule, dataset, registry, label_column)
+    collected = []
+    for batches in batch_sets:
+        values = collect_statistics(rule, batches, registry, label_column, s1_interval)
+        if values.size == 0:
+            raise EmptyStatisticError(
+                f"rule {schema_mod.rule_signature(rule)}: no statistic values collected")
+        collected.append(values)
+    return s1_interval, collected
 
 
 def compute_bounds(rule, batches, delta=None, sided=None, *, registry=None,
@@ -189,15 +140,9 @@ def compute_bounds(rule, batches, delta=None, sided=None, *, registry=None,
         registry = StatisticRegistry.from_dataset(dataset)
     if label_column is None:
         label_column = dataset.label_column
-    delta = rule.delta if delta is None else delta
-    sided = rule.sided if sided is None else sided
-    if rule.kind == PAIRED and s1_interval is None:
-        s1_interval = s1_bucket_interval(rule, dataset, registry, label_column)
-    values = collect_statistics(rule, batches, registry, label_column, s1_interval)
-    if values.size == 0:
-        raise EmptyStatisticError(
-            f"rule {schema_mod.rule_signature(rule)}: no statistic values collected")
-    return interval_from_values(values, delta, sided)
+    _, (values,) = _collect(rule, dataset, [batches], registry, label_column, s1_interval)
+    return interval_from_values(values, rule.delta if delta is None else delta,
+                                rule.sided if sided is None else sided)
 
 
 def jaccard(train: Interval, valid: Interval, stat_range: Interval) -> float:
@@ -239,14 +184,13 @@ def _group_batches(rules, train, valid, job):
 
 
 def learn_and_select(rules, train, valid, job, *, registry=None,
-                     label_column=None, threads=1, log=None):
+                     label_column=None, log=None):
     """Learn train bounds for each rule and keep the consistent ones.
 
     A rule passes when Jaccard(train bounds, valid bounds) > 1 - epsilon;
     its training-side bounds become the ConcreteRule. Rules whose statistic
     collapses to nothing are skipped and reported through ``log`` (a list
-    receiving dict entries), never raised. Output preserves input order and
-    is invariant to ``threads``.
+    receiving dict entries), never raised. Output preserves input order.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(train)
@@ -258,54 +202,36 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
 
-    def run(rule):
-        size = job.batch_size or rule.batch_size
-        train_batches, valid_batches = groups[size]
+    selected = []
+    for rule in rules:
         delta = job.delta if job.delta is not None else rule.delta
         try:
-            s1_interval = None
-            if rule.kind == PAIRED:
-                s1_interval = s1_bucket_interval(rule, train, registry, label_column)
-            t_vals = collect_statistics(rule, train_batches, registry, label_column,
-                                        s1_interval)
-            v_vals = collect_statistics(rule, valid_batches, registry, label_column,
-                                        s1_interval)
-            if t_vals.size == 0 or v_vals.size == 0:
-                raise EmptyStatisticError(
-                    f"rule {schema_mod.rule_signature(rule)}: no statistic values collected")
+            s1_interval, (t_vals, v_vals) = _collect(
+                rule, train, groups[job.batch_size or rule.batch_size], registry,
+                label_column)
         except EmptyStatisticError as exc:
-            return ("skip", rule, str(exc))
+            if log is not None:
+                log.append({"event": "skipped", "signature": schema_mod.rule_signature(rule),
+                            "reason": str(exc)})
+            continue
         t_int = interval_from_values(t_vals, delta, rule.sided)
         v_int = interval_from_values(v_vals, delta, rule.sided)
         pooled = np.concatenate([t_vals, v_vals])
         stat_range = Interval(float(pooled.min()), float(pooled.max()))
         score = jaccard(t_int, v_int, stat_range)
-        if score > 1.0 - job.epsilon:
-            concrete = ConcreteRule(
-                rule=rule, lo=t_int.lo, hi=t_int.hi, delta=delta,
-                s1_lo=None if s1_interval is None else s1_interval[0],
-                s1_hi=None if s1_interval is None else s1_interval[1],
-                provenance=dict(provenance),
-            )
-            return ("keep", concrete, score)
-        return ("drop", rule, score)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, rules))
-    else:
-        outcomes = [run(rule) for rule in rules]
-
-    selected = []
-    for status, payload, detail in outcomes:
-        if status == "keep":
-            selected.append(payload)
+        if score <= 1.0 - job.epsilon:
             if log is not None:
-                log.append({"event": "selected", "signature": payload.signature,
-                            "jaccard": detail})
-        elif log is not None:
-            sig = schema_mod.rule_signature(payload)
-            key = "reason" if status == "skip" else "jaccard"
-            log.append({"event": "skipped" if status == "skip" else "rejected",
-                        "signature": sig, key: detail})
+                log.append({"event": "rejected", "signature": schema_mod.rule_signature(rule),
+                            "jaccard": score})
+            continue
+        concrete = ConcreteRule(
+            rule=rule, lo=t_int.lo, hi=t_int.hi, delta=delta,
+            s1_lo=None if s1_interval is None else s1_interval[0],
+            s1_hi=None if s1_interval is None else s1_interval[1],
+            provenance=dict(provenance),
+        )
+        selected.append(concrete)
+        if log is not None:
+            log.append({"event": "selected", "signature": concrete.signature,
+                        "jaccard": score})
     return selected

@@ -8,7 +8,6 @@ oriented ``key=value`` so scripts can scrape counts. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -109,7 +108,7 @@ def cmd_mine(cfg, args) -> int:
     events = []
     selected = bounds.learn_and_select(rules, train, valid, job,
                                        registry=registry, label_column=label_column,
-                                       threads=args.threads, log=events)
+                                       log=events)
     rules_io.save_rules(mine_cfg["rules_out"], selected, train.bucket_edges)
 
     log = _Logger(mine_cfg.get("log_out"))
@@ -262,7 +261,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--seeds", default=None,
                        help="comma-separated seed list (evaluate only)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--format", choices=("json", "csv"), default="json")
     p = sub.add_parser("report")
     p.add_argument("--report", required=True)

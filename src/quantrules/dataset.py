@@ -8,6 +8,7 @@ statistic that reads the column but stays in the dataset.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,8 +56,8 @@ class Dataset:
     def __init__(self, columns, values, missing=None, bucket_edges=None,
                  sources=None, origin=None):
         self._columns = [(str(n), str(k)) for n, k in columns]
-        names = [n for n, _ in self._columns]
-        if len(set(names)) != len(names):
+        self._kinds = dict(self._columns)
+        if len(self._kinds) != len(self._columns):
             raise ValueError("duplicate column names")
         for name, kind in self._columns:
             if kind not in KINDS:
@@ -107,10 +108,7 @@ class Dataset:
         return [n for n, _ in self._columns]
 
     def kind(self, name) -> str:
-        for n, k in self._columns:
-            if n == name:
-                return k
-        raise KeyError(name)
+        return self._kinds[name]
 
     def has_column(self, name) -> bool:
         return name in self._values
@@ -181,10 +179,30 @@ class Minibatch:
         return int(self.rows.size)
 
 
+def percentile(values, q) -> float:
+    """Linear-interpolation percentile of a value list.
+
+    Sorts ascending and evaluates at rank h = q*(n-1): the value is
+    v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)]), so q=0
+    gives the minimum and q=1 the maximum.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError("percentile of an empty value list")
+    if np.isnan(v).any():
+        raise ValueError("percentile input contains NaN")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    v = np.sort(v)
+    h = q * (v.size - 1)
+    i = int(math.floor(h))
+    if i + 1 >= v.size:
+        return float(v[-1])
+    return float(v[i] + (h - i) * (v[i + 1] - v[i]))
+
+
 def bucket_edges(values, count) -> list:
     """Equal-frequency bucket edges: the j/count quantiles for j = 1..count-1."""
-    from .bounds import percentile
-
     if count < 2:
         raise ValueError(f"bucket count must be >= 2, got {count}")
     vals = np.asarray(values, dtype=float)

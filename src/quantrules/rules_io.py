@@ -106,6 +106,6 @@ def load_rules(path):
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             rules.append(rule_from_obj(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ParseError(f"{path}: bad rule object: {exc}", line=lineno)
     return rules, header

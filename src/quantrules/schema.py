@@ -188,6 +188,9 @@ def _finish_stanza(kind, fields, lineno, known_statistics):
             raise ParseError("logic_implication supports only the 'f1' statistic", line=lineno)
     elif not statistics:
         raise ParseError(f"template {kind!r} requires a nonempty 'statistics' list", line=lineno)
+    elif "f1" in statistics:
+        raise ParseError("the 'f1' statistic is only valid for logic_implication",
+                         line=lineno)
     if kind == PAIRED and len(set(statistics)) < 2:
         raise ParseError("paired_bucketed needs at least two distinct statistics", line=lineno)
 

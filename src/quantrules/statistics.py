@@ -149,7 +149,7 @@ def sample_values(stat, dataset, rows):
     return vals[valid], rows[valid]
 
 
-def batch_value(stat, dataset, rows, formula=None, label_column=None):
+def batch_value(stat, dataset, rows):
     """Scalar minibatch statistic, or None when no row was usable."""
     rows = np.asarray(rows, dtype=int)
     if stat.arity != PER_BATCH:
@@ -160,14 +160,10 @@ def batch_value(stat, dataset, rows, formula=None, label_column=None):
         if vals.size == 0:
             return None
         return float(vals.mean()) if stat.summary == "mean" else float(vals.std())
-    if stat.kind == "formula":
-        if formula is None or label_column is None:
-            raise ValueError("formula statistics need a formula and a label column")
-        return f1_score(formula, dataset, rows, label_column)
     raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
 
 
-def eval_statistic(stat, batch: Minibatch, formula=None, label_column=None):
+def eval_statistic(stat, batch: Minibatch):
     """Evaluate a statistic on a minibatch.
 
     Per-sample statistics return one value per usable row; minibatch
@@ -179,7 +175,7 @@ def eval_statistic(stat, batch: Minibatch, formula=None, label_column=None):
         if vals.size == 0:
             raise EmptyStatisticError(f"statistic {stat.name!r}: every row was missing")
         return vals
-    value = batch_value(stat, batch.dataset, batch.rows, formula, label_column)
+    value = batch_value(stat, batch.dataset, batch.rows)
     if value is None:
         raise EmptyStatisticError(f"statistic {stat.name!r}: every row was missing")
     return float(value)
@@ -220,22 +216,30 @@ def antecedent_values(formula, dataset, rows):
 
 
 def formula_parts(formula, dataset, rows, label_column):
-    """Hard antecedent/consequent vectors over the usable rows of a batch."""
+    """Hard antecedent and consequent vectors aligned with ``rows``, plus the
+    usable mask: rows missing a literal or label cell are unusable."""
     rows = np.asarray(rows, dtype=int)
     antecedent, usable = antecedent_values(formula, dataset, rows)
     usable &= ~dataset.missing(label_column)[rows]
     consequent = match_class(dataset, rows, label_column, formula.consequent)
-    return antecedent[usable], consequent[usable]
+    return antecedent, consequent, usable
 
 
 def f1_score(formula, dataset, rows, label_column):
     """Exact F1 of an implication over a batch; 0 on a zero denominator.
 
-    The antecedent is the predicted-positive set and the consequent the
-    actual-positive set: tp counts rows where both hold. Returns None when
-    every row of the batch is missing a required cell.
+    Returns None when every row of the batch is missing a required cell.
     """
-    antecedent, consequent = formula_parts(formula, dataset, rows, label_column)
+    antecedent, consequent, usable = formula_parts(formula, dataset, rows, label_column)
+    return exact_f1(antecedent[usable], consequent[usable])
+
+
+def exact_f1(antecedent, consequent):
+    """F1 of hard 0/1 vectors; 0 on a zero denominator, None when empty.
+
+    The antecedent is the predicted-positive set and the consequent the
+    actual-positive set: tp counts rows where both hold.
+    """
     if antecedent.size == 0:
         return None
     tp = float((antecedent * consequent).sum())
@@ -281,19 +285,6 @@ def surrogate_f1(antecedent, scores, temperature=1.0):
     """
     value, _ = surrogate_f1_grad(antecedent, scores, temperature)
     return value
-
-
-def formula_surrogate_f1(formula, batch, scores, temperature=1.0):
-    """Surrogate F1 of an implication whose consequent is a soft score vector.
-
-    ``scores`` aligns with the batch rows; rows missing a literal cell are
-    dropped from both sides.
-    """
-    antecedent, usable = antecedent_values(formula, batch.dataset, batch.rows)
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != (batch.size,):
-        raise ValueError(f"expected {batch.size} scores, got shape {scores.shape}")
-    return surrogate_f1(antecedent[usable], scores[usable], temperature)
 
 
 def surrogate_f1_grad(antecedent, scores, temperature=1.0):

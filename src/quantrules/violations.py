@@ -16,12 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import _guard_mask, _paired_mask
 from .dataset import Minibatch, sample_minibatches
 from .errors import EmptyStatisticError, ResolutionError
-from .schema import LOGIC, PAIRED
-from .statistics import (PER_SAMPLE, StatisticRegistry, batch_value, f1_score,
-                         sample_values_aligned)
+from .rule_eval import evaluate_rule, is_per_sample
+from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
 
@@ -65,59 +63,28 @@ def check_rule(crule, batch: Minibatch, *, registry=None, label_column=None) -> 
         registry = StatisticRegistry.from_dataset(dataset)
     if label_column is None:
         label_column = dataset.label_column
-    rule = crule.rule
-    if rule.kind == LOGIC:
-        value = f1_score(rule, dataset, batch.rows, label_column)
-        if value is None:
+    ev = evaluate_rule(crule.rule, dataset, batch.rows, label_column, registry,
+                       (crule.s1_lo, crule.s1_hi))
+    if ev.per_sample:
+        if not ev.mask.any():
             return CheckResult(evaluated=False)
-        inside = crule.lo <= value <= crule.hi
-        return CheckResult(evaluated=True, violated=not inside, value=value)
-
-    stat = registry.resolve(rule.statistic)
-    rows = batch.rows
-    keep = _guard_mask(rule, dataset, rows, label_column)
-    if rule.kind == PAIRED:
-        keep &= _paired_mask(rule.s1, dataset, rows, registry, crule.s1_lo, crule.s1_hi)
-    if stat.arity == PER_SAMPLE:
-        vals, valid = sample_values_aligned(stat, dataset, rows)
-        keep &= valid
-        if not keep.any():
-            return CheckResult(evaluated=False)
-        vals = vals[keep]
-        outside = (vals < crule.lo) | (vals > crule.hi)
+        outside = ev.outside(crule.lo, crule.hi)
         if outside.any():
             return CheckResult(evaluated=True, violated=True,
-                               value=float(vals[outside][0]))
+                               value=float(ev.samples[outside][0]))
         return CheckResult(evaluated=True, violated=False)
-
-    if not keep.any():
+    if ev.value is None:
         return CheckResult(evaluated=False)
-    value = batch_value(stat, dataset, rows[keep])
-    if value is None:
-        return CheckResult(evaluated=False)
-    inside = crule.lo <= value <= crule.hi
-    return CheckResult(evaluated=True, violated=not inside, value=value)
-
-
-def _is_per_sample(crule, registry):
-    rule = crule.rule
-    if rule.kind == LOGIC:
-        return False
-    return registry.resolve(rule.statistic).arity == PER_SAMPLE
+    inside = crule.lo <= ev.value <= crule.hi
+    return CheckResult(evaluated=True, violated=not inside, value=ev.value)
 
 
 def _scan_sample_rule(crule, dataset, registry, label_column, sample_counts):
-    rule = crule.rule
-    rows = np.arange(dataset.n_rows)
-    keep = _guard_mask(rule, dataset, rows, label_column)
-    if rule.kind == PAIRED:
-        keep &= _paired_mask(rule.s1, dataset, rows, registry, crule.s1_lo, crule.s1_hi)
-    stat = registry.resolve(rule.statistic)
-    vals, valid = sample_values_aligned(stat, dataset, rows)
-    keep &= valid
-    outside = keep & ((vals < crule.lo) | (vals > crule.hi))
+    ev = evaluate_rule(crule.rule, dataset, np.arange(dataset.n_rows), label_column,
+                       registry, (crule.s1_lo, crule.s1_hi))
+    outside = ev.outside(crule.lo, crule.hi)
     sample_counts[outside] += 1
-    return int(outside.sum()), int(keep.sum())
+    return int(outside.sum()), int(ev.mask.sum())
 
 
 def _scan_batch_rule(crule, dataset, batches, registry, label_column, sample_counts):
@@ -161,7 +128,7 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
 
     for crule in rules:
         try:
-            if _is_per_sample(crule, registry):
+            if is_per_sample(crule.rule, registry):
                 v, n = _scan_sample_rule(crule, test, registry, label_column, sample_counts)
             else:
                 size = crule.rule.batch_size if crule.rule.batch_size > 1 else None
@@ -180,31 +147,6 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     )
     report.validate()
     return report
-
-
-def batch_violation_count(rules, dataset, rows, *, registry=None, label_column=None) -> int:
-    """Member-attributed violation count of a rule set on one batch of rows."""
-    batch = Minibatch(dataset, rows)
-    if registry is None:
-        registry = StatisticRegistry.from_dataset(dataset)
-    total = 0
-    for crule in rules:
-        result = check_rule(crule, batch, registry=registry, label_column=label_column)
-        if not (result.evaluated and result.violated):
-            continue
-        if _is_per_sample(crule, registry):
-            rule = crule.rule
-            keep = _guard_mask(rule, dataset, batch.rows, label_column)
-            if rule.kind == PAIRED:
-                keep &= _paired_mask(rule.s1, dataset, batch.rows, registry,
-                                     crule.s1_lo, crule.s1_hi)
-            stat = registry.resolve(rule.statistic)
-            vals, valid = sample_values_aligned(stat, dataset, batch.rows)
-            keep &= valid
-            total += int((keep & ((vals < crule.lo) | (vals > crule.hi))).sum())
-        else:
-            total += batch.size
-    return total
 
 
 def report_to_obj(report: ViolationReport) -> dict:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from quantrules.adaptation import (AdaptationConfig, adapt, forward_batch,
                                    grad_check, hinge, iterations_for_epochs,
-                                   rule_loss, total_loss, write_trace)
+                                   rule_loss, total_loss, total_loss_grad,
+                                   write_trace)
 from quantrules.dataset import BOOLEAN, NUMERIC, Minibatch
 from quantrules.errors import DivergenceError
 from quantrules.model import SoftmaxModel
@@ -106,6 +109,64 @@ def test_loss_zero_iff_check_satisfied_randomized():
         loss = rule_loss(rule, out)
         result = check_rule(rule, batch, label_column="pred")
         assert (loss == 0.0) == (result.evaluated and not result.violated)
+
+
+PER_SAMPLE_STATS = ("score_a", "v", "x1")
+
+
+def recount_rules(lo, hi, s1_lo, s1_hi):
+    """One rule of each shape: guarded and unguarded, per-sample and
+    minibatch, soft model scores and data columns, paired and logic."""
+    def rule(stat, guard=None, s1=None):
+        kind = "conditional" if s1 is None else "paired"
+        abstract = AbstractRule(kind=kind, guard=guard, statistic=stat, s1=s1,
+                                s1_bucket=None if s1 is None else 0,
+                                s1_bucket_count=None if s1 is None else 2)
+        paired = s1 is not None
+        return ConcreteRule(rule=abstract, lo=lo, hi=hi, delta=0.02,
+                            s1_lo=s1_lo if paired else None,
+                            s1_hi=s1_hi if paired else None)
+
+    logic = ConcreteRule(rule=AbstractRule(kind="logic", statistic="f1", consequent="a",
+                                           literals=(Literal("flag"),)),
+                         lo=lo, hi=hi, delta=0.02)
+    return [rule("score_a", guard="a"), rule("v", guard="b"), rule("mean(score_b)"),
+            rule("std(score_a)", guard="a"), rule("mean(v)"),
+            rule("x1", guard="a", s1="v"), rule("mean(score_a)", guard="b", s1="v"),
+            logic]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40),
+       st.floats(-0.5, 1.0), st.floats(0.0, 1.0),
+       st.floats(-1.0, 0.5), st.floats(0.0, 1.0))
+def test_in_pass_violations_match_check_rule_recount(seed, size, lo, width, s1_lo, s1_width):
+    rng = np.random.default_rng(seed)
+    n = 12
+    ds = make_dataset({
+        "x0": (NUMERIC, rng.normal(0, 1, n)),
+        "x1": (NUMERIC, rng.normal(0, 1, n)),
+        "flag": (BOOLEAN, (rng.random(n) < 0.5).astype(float)),
+        "v": (NUMERIC, rng.uniform(-1, 1, n)),
+    }, missing={"flag": rng.random(n) < 0.2, "v": rng.random(n) < 0.3})
+    model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
+                         rng.normal(0, 1, (2, 2)), rng.normal(0, 0.1, 2))
+    rows = rng.choice(n, size=size, replace=True)  # rows may repeat
+    out = forward_batch(model, ds, rows)
+    rules = recount_rules(lo, lo + width, s1_lo, s1_lo + s1_width)
+    _, _, _, violations = total_loss_grad(rules, out)
+
+    recount = 0
+    for crule in rules:
+        if crule.rule.statistic in PER_SAMPLE_STATS:
+            for i in range(size):
+                one = check_rule(crule, Minibatch(out.dataset, [i]), label_column="pred")
+                recount += one.evaluated and one.violated
+        else:
+            whole = check_rule(crule, Minibatch(out.dataset, np.arange(size)),
+                               label_column="pred")
+            recount += size if whole.evaluated and whole.violated else 0
+    assert violations == recount
 
 
 # -- gradient checks ------------------------------------------------------------------

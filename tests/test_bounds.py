@@ -234,12 +234,12 @@ def test_zero_rules_in_zero_out():
                             job, label_column="y") == []
 
 
-def test_selection_deterministic_and_thread_invariant():
+def test_selection_deterministic():
     rules = enumerate_abstract_rules(SCHEMA)
     train, valid = gaussian_dataset(2000, 3), gaussian_dataset(2000, 4)
     job = BoundJob(n_train_batches=30, n_valid_batches=15, train_seed=5, valid_seed=6)
-    runs = [learn_and_select(rules, train, valid, job, label_column="y", threads=t)
-            for t in (1, 4, 1)]
+    runs = [learn_and_select(rules, train, valid, job, label_column="y")
+            for _ in range(3)]
     baseline = [(c.signature, c.lo, c.hi) for c in runs[0]]
     for run in runs[1:]:
         assert [(c.signature, c.lo, c.hi) for c in run] == baseline
@@ -267,7 +267,7 @@ def test_selection_preserves_enumeration_order():
     assert [order[s] for s in enumerated] == sorted(order[s] for s in enumerated)
 
 
-def test_paired_rule_bounds_respect_bucket():
+def bucket_dependent_batches():
     rng = np.random.default_rng(0)
     n = 4000
     s1 = rng.uniform(0, 1, n)
@@ -276,8 +276,21 @@ def test_paired_rule_bounds_respect_bucket():
         "s1": (NUMERIC, s1), "s2": (NUMERIC, s2),
         "y": (LABEL, np.array(["c"] * n, dtype=object)),
     }, origin="paired")
+    return sample_minibatches(ds, 512, 20, seed=9)
+
+
+def test_paired_rule_bounds_respect_bucket():
     rule = AbstractRule(kind="paired", guard="c", statistic="s2", s1="s1",
                         s1_bucket=0, s1_bucket_count=2)
-    batches = sample_minibatches(ds, 512, 20, seed=9)
-    iv = compute_bounds(rule, batches, delta=0.02, sided="two", label_column="y")
+    iv = compute_bounds(rule, bucket_dependent_batches(), delta=0.02, sided="two",
+                        label_column="y")
     assert iv.hi < 5.0  # bucket 0 holds the low-branch values only
+
+
+def test_paired_minibatch_statistic_bounds_respect_bucket():
+    # mining reads the bucket's rows, as violation counting and adaptation do
+    rule = AbstractRule(kind="paired", guard="c", statistic="mean(s2)", s1="s1",
+                        s1_bucket=0, s1_bucket_count=2, batch_size=512)
+    iv = compute_bounds(rule, bucket_dependent_batches(), delta=0.02, sided="two",
+                        label_column="y")
+    assert iv.hi < 1.0

@@ -57,7 +57,7 @@ def write_workspace(root, n=600, seed=0, test_shift=0.0):
 
 def test_mine_writes_rules_and_counts(tmp_path, capsys):
     cfg = write_workspace(tmp_path)
-    assert main(["mine", "--config", str(cfg), "--threads", "1"]) == 0
+    assert main(["mine", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     # closed form: 2 labels x 2 statistics + 2 classes x 1 feature x 2 signs
     expected = 2 * 2 + 2 * 1 * 2
@@ -91,6 +91,19 @@ def test_mine_unknown_statistic_exits_2(tmp_path, capsys):
         encoding="utf-8")
     assert main(["mine", "--config", str(cfg)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_evaluate_malformed_rule_line_exits_2(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    assert main(["mine", "--config", str(cfg)]) == 0
+    path = tmp_path / "rules.jsonl"
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    rule = json.loads(first)
+    rule["literals"] = 5
+    path.write_text("\n".join([header, json.dumps(rule)] + rest) + "\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "rules.jsonl" in err
 
 
 def test_evaluate_roundtrip_and_seeds(tmp_path, capsys):

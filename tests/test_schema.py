@@ -55,6 +55,13 @@ def test_parse_error_carries_line_number():
         parse_schema(text)
 
 
+@pytest.mark.parametrize("template", ["conditional_statistic", "paired_bucketed"])
+def test_parse_rejects_f1_outside_logic(template):
+    text = f"# f1 scores implications only\ntemplate {template}\nlabels: a\nstatistics: f1 s\n"
+    with pytest.raises(ParseError, match="line 2: .*'f1'.*logic_implication"):
+        parse_schema(text, known_statistics=["f1", "s"])
+
+
 def test_parse_resolves_statistics_against_known_names():
     text = "template conditional_statistic\nlabels: a\nstatistics: nope\n"
     with pytest.raises(ResolutionError, match="known statistics"):

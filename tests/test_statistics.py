@@ -200,19 +200,6 @@ def test_surrogate_monotone_in_true_positive_scores(n, seed):
     assert surrogate_f1(a, bumped, 1.0) >= base - 1e-12
 
 
-def test_formula_surrogate_skips_rows_missing_literal_cells():
-    from quantrules.statistics import formula_surrogate_f1
-    ds = make_dataset({"A": (BOOLEAN, [1.0, 1.0, 0.0, 1.0])},
-                      missing={"A": [False, True, False, False]})
-    batch = Minibatch(ds, [0, 1, 2, 3])
-    scores = np.array([1.0, 1.0, 0.0, 0.0])
-    # row 1 is dropped: a = (1, 0, 1), c = (1, 0, 0) -> tp=1, denom=2+1
-    got = formula_surrogate_f1(formula([Literal("A")], "x"), batch, scores)
-    assert got == pytest.approx(2 / 3, abs=1e-12)
-    with pytest.raises(ValueError, match="scores"):
-        formula_surrogate_f1(formula([Literal("A")], "x"), batch, scores[:2])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 16), st.integers(0, 10_000),
        st.sampled_from([0.5, 1.0, 2.0]))
