@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset as ds_mod
 from .dataset import Minibatch
 from .errors import DivergenceError
 from .rule_eval import evaluate_rule
@@ -79,43 +78,28 @@ def forward_batch(model, dataset, rows) -> BatchOutput:
     probs, cache = model.forward(X)
     if not np.isfinite(probs).all():
         raise DivergenceError("model produced non-finite output probabilities")
-    pred = np.array([model.class_names[j] for j in probs.argmax(axis=1)], dtype=object)
-    cols = [(model.score_column(c), ds_mod.NUMERIC, probs[:, j])
-            for j, c in enumerate(model.class_names)]
-    cols.append(("pred", ds_mod.LABEL, pred))
+    cols = model.output_columns(probs)
     return BatchOutput(dataset.take(rows).with_columns(cols), probs, cache, model)
 
 
-def hinge(value, lo, hi, clip=LOSS_CLIP):
-    """Clipped violation loss and its slope d loss / d value.
+def hinge(values, lo, hi, clip=LOSS_CLIP):
+    """Clipped violation losses and slopes d loss / d value, element-wise.
 
     0 inside the closed interval; at or past the clip the slope is 0 (the
-    plateau subgradient).
+    plateau subgradient). A raw loss that overflows to inf is past the clip.
     """
-    if lo <= value <= hi:
-        return 0.0, 0.0
-    if math.isinf(hi):
-        raw, slope = lo - value, -1.0
-    elif math.isinf(lo):
-        raw, slope = value - hi, 1.0
-    else:
-        raw, slope = (lo - value) * (hi - value), 2.0 * value - lo - hi
-    if raw >= clip:
-        return clip, 0.0
-    return raw, slope
-
-
-def _soft_statistic(model, name):
-    """(mode, class index) when ``name`` reads the model's own scores."""
-    for j, c in enumerate(model.class_names):
-        score = model.score_column(c)
-        if name == score:
-            return "sample", j
-        if name == f"mean({score})":
-            return "mean", j
-        if name == f"std({score})":
-            return "std", j
-    return None
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inside positions are discarded
+        if math.isinf(hi):
+            raw, slope = lo - v, np.full(v.shape, -1.0)
+        elif math.isinf(lo):
+            raw, slope = v - hi, np.ones(v.shape)
+        else:
+            raw, slope = (lo - v) * (hi - v), 2.0 * v - lo - hi
+    inside = (lo <= v) & (v <= hi)
+    plateau = raw >= clip
+    return (np.where(inside, 0.0, np.where(plateau, clip, raw)),
+            np.where(inside | plateau, 0.0, slope))
 
 
 def _check_finite(value, rule):
@@ -131,54 +115,44 @@ def _rule_loss_grad(crule, out, temperature, registry, clip):
     ev = evaluate_rule(rule, out.dataset, np.arange(out.dataset.n_rows), "pred",
                        registry, (crule.s1_lo, crule.s1_hi))
     violations = ev.violations(crule.lo, crule.hi)
+    if not ev.mask.any():
+        return 0.0, None, violations
 
     if rule.kind == LOGIC:
         j = out.model.class_names.index(rule.consequent)
-        a, s = ev.samples[ev.mask], out.probs[ev.mask, j]
-        if a.size == 0:
-            return 0.0, None, violations
-        value, dvalue_ds = surrogate_f1_grad(a, s, temperature)
+        value, dvalue = surrogate_f1_grad(ev.samples[ev.mask], out.probs[ev.mask, j],
+                                          temperature)
         _check_finite(value, rule)
-        loss, slope = hinge(value, crule.lo, crule.hi, clip)
-        if slope == 0.0:
-            return loss, None, violations
-        dprobs = np.zeros_like(out.probs)
-        dprobs[ev.mask, j] = slope * dvalue_ds
-        return loss, dprobs, violations
-
-    # soft is None for a statistic of fixed data columns: a loss but no gradient
-    soft = _soft_statistic(out.model, rule.statistic)
-    if ev.per_sample:
-        if not ev.mask.any():
+    else:
+        # j is None for a statistic of fixed data columns: a loss but no gradient
+        stat = registry.resolve(rule.statistic)
+        scores = [out.model.score_column(c) for c in out.model.class_names]
+        j = scores.index(stat.column) if stat.column in scores else None
+        if ev.per_sample:
+            losses, slopes = hinge(ev.samples[ev.mask], crule.lo, crule.hi, clip)
+            if j is None or not slopes.any():
+                return float(losses.mean()), None, violations
+            dprobs = np.zeros_like(out.probs)
+            dprobs[ev.mask, j] = slopes / slopes.size
+            return float(losses.mean()), dprobs, violations
+        if ev.value is None:
             return 0.0, None, violations
-        vals = ev.samples[ev.mask]
-        pair = [hinge(v, crule.lo, crule.hi, clip) for v in vals]
-        losses = np.array([p[0] for p in pair])
-        slopes = np.array([p[1] for p in pair])
-        loss = float(losses.mean())
-        if soft is None or not slopes.any():
-            return loss, None, violations
-        dprobs = np.zeros_like(out.probs)
-        dprobs[ev.mask, soft[1]] = slopes / vals.size
-        return loss, dprobs, violations
+        value = ev.value
+        _check_finite(value, rule)
+        if j is not None:
+            vals = out.probs[ev.mask, j]
+            n = vals.size
+            if stat.summary == "mean":
+                dvalue = np.full(n, 1.0 / n)
+            else:  # std
+                dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
 
-    if ev.value is None:
-        return 0.0, None, violations
-    value = ev.value
-    _check_finite(value, rule)
     loss, slope = hinge(value, crule.lo, crule.hi, clip)
-    if soft is None or slope == 0.0:
-        return loss, None, violations
-    mode, j = soft
-    vals = out.probs[ev.mask, j]
-    n = vals.size
-    if mode == "mean":
-        dvalue = np.full(n, 1.0 / n)
-    else:  # std
-        dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
+    if j is None or slope == 0.0:
+        return float(loss), None, violations
     dprobs = np.zeros_like(out.probs)
     dprobs[ev.mask, j] = slope * dvalue
-    return loss, dprobs, violations
+    return float(loss), dprobs, violations
 
 
 def rule_loss(crule, batch_output, temperature=1.0, clip=LOSS_CLIP) -> float:

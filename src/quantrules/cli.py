@@ -73,10 +73,6 @@ def _load_with_model(path, specs, edges, model):
     return ds
 
 
-def _logic_features(dataset):
-    return dataset.boolean_columns(), dict(dataset.sources)
-
-
 def cmd_mine(cfg, args) -> int:
     data_cfg = _section(cfg, "data")
     mine_cfg = _section(cfg, "mine")
@@ -92,8 +88,7 @@ def cmd_mine(cfg, args) -> int:
     registry = StatisticRegistry.from_dataset(train)
     schema_text = Path(mine_cfg["schema"]).read_text(encoding="utf-8")
     schema = parse_schema(schema_text, known_statistics=registry.names)
-    features, groups = _logic_features(train)
-    rules = enumerate_abstract_rules(schema, features, groups)
+    rules = enumerate_abstract_rules(schema, train.boolean_columns(), dict(train.sources))
 
     job = bounds.BoundJob(
         n_train_batches=mine_cfg.get("n_train_batches", 200),
@@ -117,10 +112,6 @@ def cmd_mine(cfg, args) -> int:
              selected=len(selected), rules_out=mine_cfg["rules_out"], seed=seed)
     log.flush()
     return 0
-
-
-def _evaluate_once(rules, test, batching, label_column):
-    return violations.evaluate(rules, test, batching, label_column=label_column)
 
 
 def cmd_evaluate(cfg, args) -> int:
@@ -150,7 +141,8 @@ def cmd_evaluate(cfg, args) -> int:
     totals = []
     primary = None
     for seed in seeds:
-        report = _evaluate_once(rules, test, (batch, count, seed), label_column)
+        report = violations.evaluate(rules, test, (batch, count, seed),
+                                     label_column=label_column)
         totals.append(report.total_violations)
         if primary is None:
             primary = report

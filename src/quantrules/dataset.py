@@ -1,9 +1,10 @@
 """Tabular datasets: typed columns, bucket-derived boolean features, splits, minibatches.
 
 Columns come in three kinds: ``boolean`` (values in {0, 1}), ``numeric``
-(finite reals), and ``label`` (categorical strings). Missing cells are
-tracked per column in a boolean mask; a missing row is excluded from any
-statistic that reads the column but stays in the dataset.
+(finite reals), and ``label`` (categorical strings, stored as a numpy ``str``
+array whatever the input dtype). Missing cells are tracked per column in a
+boolean mask; a missing row is excluded from any statistic that reads the
+column but stays in the dataset.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ class Dataset:
             if name not in values:
                 raise ValueError(f"no values for column {name!r}")
             if kind == LABEL:
-                arr = np.asarray(values[name])
+                arr = np.asarray(values[name], dtype=str)
             else:
                 arr = np.asarray(values[name], dtype=float)
             if arr.ndim != 1:
@@ -280,7 +281,7 @@ def load_table(path, specs=None, edges=None) -> Dataset:
         if spec.buckets is None:
             kind, parsed = _infer_kind([c for c in cells if c != ""])
             if kind == LABEL:
-                arr = np.array([c for c in cells], dtype=object)
+                arr = np.array(cells, dtype=str)
             else:
                 arr = np.zeros(n)
                 it = iter(parsed)

@@ -106,14 +106,19 @@ class SoftmaxModel:
     def score_column(self, class_name) -> str:
         return f"score_{class_name}"
 
-    def predict_columns(self, dataset):
-        """Column tuples (score per class plus argmax prediction) for appending."""
-        probs, _ = self.forward(self.feature_matrix(dataset))
+    def output_columns(self, probs):
+        """Column tuples for appending: a score per class from ``probs`` plus
+        the argmax prediction ``pred``."""
         out = [(self.score_column(c), ds_mod.NUMERIC, probs[:, j])
                for j, c in enumerate(self.class_names)]
-        pred = np.array([self.class_names[j] for j in probs.argmax(axis=1)], dtype=object)
+        pred = np.asarray(self.class_names, dtype=str)[probs.argmax(axis=1)]
         out.append(("pred", ds_mod.LABEL, pred))
         return out
+
+    def predict_columns(self, dataset):
+        """``output_columns`` of the model's probabilities on every row."""
+        probs, _ = self.forward(self.feature_matrix(dataset))
+        return self.output_columns(probs)
 
     # -- persistence -------------------------------------------------------------
 

@@ -56,7 +56,7 @@ def is_per_sample(rule, registry) -> bool:
 def guard_mask(rule, dataset, rows, label_column):
     if rule.guard is None:
         return np.ones(len(rows), dtype=bool)
-    return match_class(dataset, rows, label_column, rule.guard).astype(bool)
+    return match_class(dataset, rows, label_column, rule.guard)
 
 
 def s1_values(rule, dataset, rows, label_column, registry):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from .dataset import Dataset, Minibatch
-from .errors import EmptyStatisticError, ResolutionError, TypeMismatchError
+from .errors import EmptyStatisticError, ParseError, ResolutionError, TypeMismatchError
 
 PER_SAMPLE = "sample"
 PER_BATCH = "batch"
@@ -182,17 +182,18 @@ def eval_statistic(stat, batch: Minibatch):
 
 
 def match_class(dataset, rows, column, class_value):
-    """0/1 vector marking rows whose ``column`` equals ``class_value``."""
+    """Bool mask of the ``rows`` whose ``column`` equals ``class_value``, read
+    as a string for a label column and as a number for any other column."""
     _require_column(dataset, column)
-    vals = dataset.values(column)[rows]
     if dataset.kind(column) == ds_mod.LABEL:
-        return (vals.astype(str) == str(class_value)).astype(float)
-    try:
-        target = float(class_value)
-    except (TypeError, ValueError):
-        raise TypeMismatchError(
-            f"class value {class_value!r} does not match numeric column {column!r}")
-    return (vals == target).astype(float)
+        target = str(class_value)
+    else:
+        try:
+            target = float(class_value)
+        except (TypeError, ValueError):
+            raise TypeMismatchError(
+                f"class value {class_value!r} does not match numeric column {column!r}")
+    return dataset.values(column)[rows] == target
 
 
 def antecedent_values(formula, dataset, rows):
@@ -314,27 +315,29 @@ def load_boxes(path) -> Dataset:
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        records = json.load(fh)
+        try:
+            records = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=exc.lineno)
     if not isinstance(records, list):
-        raise TypeMismatchError(f"{path}: expected a JSON array of box objects")
+        raise ParseError(f"{path}: expected a JSON array of box objects")
     labels, coords, scores, score_missing = [], [], [], []
     for i, rec in enumerate(records):
         try:
             box = BoxRecord(str(rec["label"]), float(rec["x_min"]), float(rec["y_min"]),
                             float(rec["x_max"]), float(rec["y_max"]))
-        except (KeyError, TypeError) as exc:
-            raise TypeMismatchError(f"{path}: bad box object at index {i}: {exc}")
+            score = rec.get("score")
+            scores.append(0.0 if score is None else float(score))
+        except KeyError as exc:
+            raise ParseError(f"{path}: box object at index {i} has no key {exc}")
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad box object at index {i}: {exc}")
         labels.append(box.label)
         coords.append((box.x_min, box.y_min, box.x_max, box.y_max))
-        if "score" in rec and rec["score"] is not None:
-            scores.append(float(rec["score"]))
-            score_missing.append(False)
-        else:
-            scores.append(0.0)
-            score_missing.append(True)
+        score_missing.append(score is None)
     coords = np.asarray(coords, dtype=float).reshape(len(records), 4)
     columns = [("label", ds_mod.LABEL)] + [(c, ds_mod.NUMERIC) for c in BOX_COLUMNS]
-    values = {"label": np.array(labels, dtype=object)}
+    values = {"label": np.array(labels, dtype=str)}
     for j, c in enumerate(BOX_COLUMNS):
         values[c] = coords[:, j]
     missing = {}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,56 @@ def test_hinge_slope_signs():
     loss, slope = hinge(1.5, 0.0, 1.0)
     assert loss == 0.75 and slope == pytest.approx(2 * 1.5 - 0.0 - 1.0)
     assert hinge(0.5, 0.0, 1.0) == (0.0, 0.0)
+
+
+def scalar_hinge(value, lo, hi, clip=1.0):
+    """The scalar hinge the array version replaced, kept as its oracle."""
+    if lo <= value <= hi:
+        return 0.0, 0.0
+    if math.isinf(hi):
+        raw, slope = lo - value, -1.0
+    elif math.isinf(lo):
+        raw, slope = value - hi, 1.0
+    else:
+        raw, slope = (lo - value) * (hi - value), 2.0 * value - lo - hi
+    if raw >= clip:
+        return clip, 0.0
+    return raw, slope
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["lower", "upper", "two"]), _FLOATS, st.floats(0.0, 1e6),
+       st.lists(st.one_of(_FLOATS, st.sampled_from([-INF, INF])), max_size=8),
+       st.integers(0, 8), st.sampled_from([1.0, 0.5, 3.0]))
+def test_array_hinge_equals_scalar_oracle(sided, lo, width, extra, clip_at, clip):
+    hi = lo + width
+    if sided == "lower":
+        hi = INF
+    elif sided == "upper":
+        lo = -INF
+    finite = [b for b in (lo, hi) if math.isfinite(b)]
+    # values exactly at the bounds and one clip distance past each of them
+    values = extra + finite + [b + d for b in finite for d in (-clip, clip)]
+    if clip_at < len(values):  # a clip equal to that value's raw loss
+        raw = scalar_hinge(values[clip_at], lo, hi, INF)[0]
+        clip = raw if 0.0 < raw < INF else clip
+    losses, slopes = hinge(np.array(values), lo, hi, clip)
+    expected = [scalar_hinge(v, lo, hi, clip) for v in values]
+    assert losses.tolist() == [e[0] for e in expected]
+    assert slopes.tolist() == [e[1] for e in expected]
+
+
+def test_forward_batch_columns_equal_predict_columns():
+    ds, model = tiny_setup(n=24, seed=4)
+    rows = np.array([5, 0, 5, 23, 11])
+    out = forward_batch(model, ds, rows)
+    for name, kind, vals in model.predict_columns(ds.take(rows)):
+        assert out.dataset.kind(name) == kind
+        assert out.dataset.values(name).dtype == vals.dtype
+        assert out.dataset.values(name).tolist() == vals.tolist()
 
 
 def test_loss_zero_iff_check_satisfied_randomized():

@@ -2,6 +2,7 @@ import json
 from math import comb
 
 import numpy as np
+import pytest
 import yaml
 
 from quantrules.cli import main
@@ -291,6 +292,31 @@ def test_box_prediction_pipeline(tmp_path, capsys):
               if "y=car" in s and "phi=aspect_ratio" in s]
     # cars kept the training geometry: only the ~2% quantile tail violates
     assert car_ar and car_ar[0] <= 0.05 * 300
+
+
+BOX = {"label": "car", "x_min": 0, "y_min": 0, "x_max": 4, "y_max": 2}
+
+
+@pytest.mark.parametrize("payload, expected", [
+    ([BOX, {k: v for k, v in BOX.items() if k != "y_max"}], "index 1 has no key 'y_max'"),
+    (BOX, "expected a JSON array"),
+    ([BOX, dict(BOX, x_max=0)], "index 1: degenerate box"),
+    ([BOX, dict(BOX, y_min="low")], "index 1: could not convert"),
+    ([BOX, dict(BOX, score="high")], "index 1: could not convert"),
+    ([BOX, 7], "index 1: "),
+    ('[{"label": "car",', "line 1: "),
+])
+def test_bad_box_file_exits_2_naming_file_and_index(tmp_path, capsys, payload, expected):
+    cfg_path = write_workspace(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                   encoding="utf-8")
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    cfg["data"]["train"] = str(bad)
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["mine", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and expected in err
 
 
 def test_adapt_divergence_exits_3_with_partial_trace(tmp_path, capsys):

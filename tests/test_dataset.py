@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from quantrules.dataset import (BOOLEAN, LABEL, NUMERIC, Dataset, FeatureSpec,
                                 Minibatch, bucket_edges, bucket_indicators,
                                 load_table, sample_minibatches, split)
 from quantrules.errors import ParseError, TypeMismatchError
+from quantrules.statistics import load_boxes, match_class
 
 
 # -- load_table ---------------------------------------------------------------
@@ -217,3 +220,50 @@ def test_take_and_with_columns():
     ext = sub.with_columns([("z", NUMERIC, np.array([9.0, 8.0]))])
     assert ext.names == ["x", "y", "z"]
     assert ext.values("z").tolist() == [9.0, 8.0]
+
+
+# -- label columns ------------------------------------------------------------
+
+# numeric-looking and empty cells next to plain words
+_LABEL_CELLS = st.one_of(st.sampled_from(["", "a", "b", "1", "1.0", "01", " 1", "nan"]),
+                         st.text(max_size=3))
+_CLASS_VALUES = st.one_of(_LABEL_CELLS, st.integers(-2, 2), st.sampled_from([1.0, 0.5]))
+
+
+@st.composite
+def _label_arrays(draw):
+    """A label column as an object, str or int array."""
+    flavour = draw(st.sampled_from(["object", "str", "int"]))
+    if flavour == "int":
+        return np.array(draw(st.lists(st.integers(-3, 12), min_size=1, max_size=12)))
+    if flavour == "str":
+        return np.array(draw(st.lists(_LABEL_CELLS, min_size=1, max_size=12)), dtype=str)
+    cells = st.one_of(_LABEL_CELLS, st.integers(-3, 12))
+    return np.array(draw(st.lists(cells, min_size=1, max_size=12)), dtype=object)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_arrays(), st.data())
+def test_labels_are_str_and_match_class_agrees_with_string_oracle(vals, data):
+    ds = make_dataset({"x": (NUMERIC, np.arange(vals.size, dtype=float)),
+                       "y": (LABEL, vals)})
+    class_value = data.draw(st.one_of(_CLASS_VALUES, st.sampled_from(vals.tolist())))
+    rows = np.array(data.draw(st.lists(st.integers(0, vals.size - 1), max_size=20)),
+                    dtype=int)
+    got = match_class(ds, rows, "y", class_value)
+    assert got.dtype == bool
+    assert got.tolist() == (vals.astype(str) == str(class_value))[rows].tolist()
+    derived = [ds, ds.take(rows), ds.with_columns([("z", LABEL, vals[::-1].copy())])]
+    for d in derived:
+        assert all(d.values(n).dtype.kind == "U" for n, k in d.columns if k == LABEL)
+
+
+def test_loaded_label_columns_are_str(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ["x", "y"], [[1, "a"], [2, ""], [3, "7"]])
+    table = load_table(path)
+    assert table.values("y").dtype.kind == "U"
+    assert table.values("y").tolist() == ["a", "", "7"]
+    boxes = tmp_path / "b.json"
+    boxes.write_text(json.dumps([{"label": 3, "x_min": 0, "y_min": 0,
+                                  "x_max": 1, "y_max": 1}]), encoding="utf-8")
+    assert load_boxes(boxes).values("label").dtype.kind == "U"

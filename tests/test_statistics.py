@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, Minibatch
-from quantrules.errors import (EmptyStatisticError, ResolutionError,
+from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
                                TypeMismatchError)
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BoxRecord, Statistic, StatisticRegistry,
@@ -239,7 +239,7 @@ def test_load_boxes_rejects_degenerate_geometry(tmp_path):
     path.write_text(json.dumps([
         {"label": "car", "x_min": 5, "y_min": 0, "x_max": 5, "y_max": 20},
     ]), encoding="utf-8")
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ParseError, match="degenerate"):
         load_boxes(path)
 
 
