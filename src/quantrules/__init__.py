@@ -13,13 +13,13 @@ from .rules_io import load_rules, save_rules
 from .schema import (AbstractRule, ConcreteRule, Literal, RuleSchema,
                      TemplateSpec, enumerate_abstract_rules, parse_schema,
                      rule_signature)
-from .statistics import (BoxRecord, Statistic, StatisticRegistry,
-                         eval_statistic, f1_score, load_boxes, surrogate_f1)
+from .statistics import (Statistic, StatisticRegistry, eval_statistic,
+                         f1_score, load_boxes, surrogate_f1)
 from .violations import (ViolationReport, check_rule, evaluate, read_report,
                          write_report)
 
 __all__ = [
-    "AbstractRule", "AdaptationConfig", "BoundJob", "BoxRecord", "ConcreteRule",
+    "AbstractRule", "AdaptationConfig", "BoundJob", "ConcreteRule",
     "Dataset", "DivergenceError", "EmptyStatisticError", "FeatureSpec",
     "Interval", "Literal", "Minibatch", "ParseError", "QuantrulesError",
     "ResolutionError", "RuleSchema", "SoftmaxModel", "Statistic",

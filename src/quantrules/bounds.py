@@ -76,20 +76,26 @@ def interval_from_values(values, delta, sided) -> Interval:
     raise ValueError(f"unknown sidedness {sided!r}")
 
 
-def s1_bucket_interval(rule, dataset, registry, label_column):
-    """Learned first-statistic interval for a paired rule's bucket.
+def s1_bucket_edges(rule, dataset, registry, label_column):
+    """Equal-frequency edges of a paired rule's first statistic, fitted on the
+    guard class's rows of the whole dataset; None when no row has a value.
 
-    Bucket edges are fitted with equal-frequency quantiles on the guard
-    class's rows of the whole dataset; bucket j covers (edge[j-1], edge[j]]
-    with open ends at the extremes.
+    The edges depend only on the rule's guard, s1 and s1_bucket_count.
     """
     vals, present = s1_values(rule, dataset, np.arange(dataset.n_rows),
                               label_column, registry)
     vals = vals[present]
-    if vals.size == 0:
+    return fit_bucket_edges(vals, rule.s1_bucket_count) if vals.size else None
+
+
+def s1_bucket_interval(rule, edges):
+    """Learned first-statistic interval for a paired rule's bucket.
+
+    Bucket j covers (edge[j-1], edge[j]] with open ends at the extremes.
+    """
+    if edges is None:
         raise EmptyStatisticError(
             f"rule {schema_mod.rule_signature(rule)}: no rows for bucket edges")
-    edges = fit_bucket_edges(vals, rule.s1_bucket_count)
     lo = -INF if rule.s1_bucket == 0 else edges[rule.s1_bucket - 1]
     hi = INF if rule.s1_bucket == rule.s1_bucket_count - 1 else edges[rule.s1_bucket]
     return float(lo), float(hi)
@@ -109,13 +115,14 @@ def collect_statistics(rule, batches, registry, label_column, s1_interval=None):
 
 
 def _collect(rule, dataset, batch_sets, registry, label_column, s1_interval=None):
-    """(s1 interval, statistic values of each batch set) for one rule.
+    """Statistic values of each batch set for one rule.
 
     A paired rule's s1 interval is learned on ``dataset`` unless given.
     Raises EmptyStatisticError naming the rule when a set yields no value.
     """
     if rule.kind == PAIRED and s1_interval is None:
-        s1_interval = s1_bucket_interval(rule, dataset, registry, label_column)
+        s1_interval = s1_bucket_interval(
+            rule, s1_bucket_edges(rule, dataset, registry, label_column))
     collected = []
     for batches in batch_sets:
         values = collect_statistics(rule, batches, registry, label_column, s1_interval)
@@ -123,7 +130,7 @@ def _collect(rule, dataset, batch_sets, registry, label_column, s1_interval=None
             raise EmptyStatisticError(
                 f"rule {schema_mod.rule_signature(rule)}: no statistic values collected")
         collected.append(values)
-    return s1_interval, collected
+    return collected
 
 
 def compute_bounds(rule, batches, delta=None, sided=None, *, registry=None,
@@ -140,7 +147,7 @@ def compute_bounds(rule, batches, delta=None, sided=None, *, registry=None,
         registry = StatisticRegistry.from_dataset(dataset)
     if label_column is None:
         label_column = dataset.label_column
-    _, (values,) = _collect(rule, dataset, [batches], registry, label_column, s1_interval)
+    (values,) = _collect(rule, dataset, [batches], registry, label_column, s1_interval)
     return interval_from_values(values, rule.delta if delta is None else delta,
                                 rule.sided if sided is None else sided)
 
@@ -202,13 +209,20 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
 
+    s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
     selected = []
     for rule in rules:
         delta = job.delta if job.delta is not None else rule.delta
         try:
-            s1_interval, (t_vals, v_vals) = _collect(
+            s1_interval = None
+            if rule.kind == PAIRED:
+                key = (rule.guard, rule.s1, rule.s1_bucket_count)
+                if key not in s1_edges:
+                    s1_edges[key] = s1_bucket_edges(rule, train, registry, label_column)
+                s1_interval = s1_bucket_interval(rule, s1_edges[key])
+            t_vals, v_vals = _collect(
                 rule, train, groups[job.batch_size or rule.batch_size], registry,
-                label_column)
+                label_column, s1_interval)
         except EmptyStatisticError as exc:
             if log is not None:
                 log.append({"event": "skipped", "signature": schema_mod.rule_signature(rule),

@@ -167,7 +167,7 @@ def cmd_adapt(cfg, args) -> int:
     specs = _feature_specs(data_cfg)
     rules, header = rules_io.load_rules(adapt_cfg["rules"])
     model = SoftmaxModel.load(adapt_cfg["model_in"])
-    test = load_table(data_cfg["test"], specs, header.get("bucket_edges"))
+    test = _load_with_model(data_cfg["test"], specs, header.get("bucket_edges"), None)
 
     seed = args.seed if args.seed is not None else adapt_cfg.get("seed", 0)
     batch_size = adapt_cfg.get("batch_size", 128)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, TypeMismatchError
+from .errors import ParseError
 
 BOOLEAN = "boolean"
 NUMERIC = "numeric"
@@ -94,6 +94,8 @@ class Dataset:
                     raise ValueError(f"boolean column {name!r} contains values outside {{0, 1}}")
             self._values[name] = arr
         self.n_rows = n_rows if n_rows is not None else 0
+        self._none_missing = np.zeros(self.n_rows, dtype=bool)
+        self._none_missing.flags.writeable = False
         self.bucket_edges = dict(bucket_edges) if bucket_edges else {}
         self.sources = dict(sources) if sources else {}
         self.origin = origin
@@ -118,10 +120,8 @@ class Dataset:
         return self._values[name]
 
     def missing(self, name) -> np.ndarray:
-        mask = self._missing.get(name)
-        if mask is None:
-            return np.zeros(self.n_rows, dtype=bool)
-        return mask
+        """Missing-cell mask of a column; read-only when no cell is missing."""
+        return self._missing.get(name, self._none_missing)
 
     def boolean_columns(self):
         return [n for n, k in self._columns if k == BOOLEAN]
@@ -227,14 +227,13 @@ def bucket_indicators(values, edges, count) -> np.ndarray:
 
 
 def _infer_kind(cells):
-    """numeric unless a cell fails to parse; boolean when all values are 0/1."""
-    parsed = []
-    for cell in cells:
-        try:
-            parsed.append(float(cell))
-        except ValueError:
-            return LABEL, None
-    if all(v in (0.0, 1.0) for v in parsed):
+    """(kind, float array or None): numeric unless a cell fails to parse,
+    boolean when all values are 0/1."""
+    try:
+        parsed = np.array(cells, dtype=float)
+    except ValueError:
+        return LABEL, None
+    if np.isin(parsed, (0.0, 1.0)).all():
         return BOOLEAN, parsed
     return NUMERIC, parsed
 
@@ -277,44 +276,34 @@ def load_table(path, specs=None, edges=None) -> Dataset:
     for spec in specs:
         cells = [row[col_idx[spec.source]].strip() for row in raw_rows]
         present = np.array([c != "" for c in cells], dtype=bool)
+        kind, parsed = _infer_kind([c for c in cells if c != ""])
+        if kind == LABEL:
+            if spec.buckets is not None:
+                i = next(i for i, c in enumerate(cells)
+                         if c != "" and _infer_kind([c])[0] == LABEL)
+                raise ParseError(f"{path}: non-numeric value {cells[i]!r} in bucketed "
+                                 f"column {spec.source!r}", line=i + 2)
+            arr = np.array(cells, dtype=str)
+        else:
+            arr = np.zeros(n)
+            arr[present] = parsed
 
         if spec.buckets is None:
-            kind, parsed = _infer_kind([c for c in cells if c != ""])
-            if kind == LABEL:
-                arr = np.array(cells, dtype=str)
-            else:
-                arr = np.zeros(n)
-                it = iter(parsed)
-                for i in range(n):
-                    if present[i]:
-                        arr[i] = next(it)
             columns.append((spec.source, kind))
             values[spec.source] = arr
             if not present.all():
                 missing[spec.source] = ~present
             continue
 
-        # bucket derivation requires a numeric source
-        raw = np.zeros(n)
-        for i, cell in enumerate(cells):
-            if not present[i]:
-                continue
-            try:
-                raw[i] = float(cell)
-            except ValueError:
-                raise TypeMismatchError(
-                    f"{path}: non-numeric value {cell!r} in bucketed column "
-                    f"{spec.source!r} (line {i + 2})"
-                )
         if edges and spec.source in edges:
             col_edges = list(edges[spec.source])
         else:
             if not present.any():
-                raise TypeMismatchError(
-                    f"{path}: cannot fit bucket edges for all-missing column {spec.source!r}")
-            col_edges = bucket_edges(raw[present], spec.buckets)
+                raise ParseError(f"{path}: cannot fit bucket edges for column "
+                                 f"{spec.source!r}: every cell is empty")
+            col_edges = bucket_edges(parsed, spec.buckets)
         fitted[spec.source] = col_edges
-        indicators = bucket_indicators(raw, col_edges, spec.buckets)
+        indicators = bucket_indicators(arr, col_edges, spec.buckets)
         indicators[~present] = 0.0
         for j, name in enumerate(spec.derived_names()):
             columns.append((name, BOOLEAN))

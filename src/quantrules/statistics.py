@@ -34,26 +34,8 @@ class Statistic:
     box_field: str | None = None
 
 
-@dataclass(frozen=True)
-class BoxRecord:
-    """One labelled bounding box in pixel coordinates."""
-
-    label: str
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(np.isfinite(c) and c >= 0 for c in coords):
-            raise ValueError(f"box coordinates must be finite and >= 0, got {coords}")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"degenerate box {coords}")
-
-
 class StatisticRegistry:
-    """Immutable name -> Statistic mapping, shareable across workers."""
+    """Immutable name -> Statistic mapping."""
 
     def __init__(self, statistics):
         self._stats = {}
@@ -311,7 +293,9 @@ def load_boxes(path) -> Dataset:
     """Read a JSON array of box predictions into a dataset.
 
     Each object carries label, x_min, y_min, x_max, y_max and an optional
-    score; geometry is validated via BoxRecord.
+    score. Coordinates must be finite and >= 0 with x_min < x_max and
+    y_min < y_max. An object that cannot be read is reported before any
+    bad geometry; among the rest, the first box with bad geometry is named.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -324,18 +308,25 @@ def load_boxes(path) -> Dataset:
     labels, coords, scores, score_missing = [], [], [], []
     for i, rec in enumerate(records):
         try:
-            box = BoxRecord(str(rec["label"]), float(rec["x_min"]), float(rec["y_min"]),
-                            float(rec["x_max"]), float(rec["y_max"]))
+            labels.append(str(rec["label"]))
+            coords.append([float(rec[c]) for c in BOX_COLUMNS])
             score = rec.get("score")
             scores.append(0.0 if score is None else float(score))
         except KeyError as exc:
             raise ParseError(f"{path}: box object at index {i} has no key {exc}")
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad box object at index {i}: {exc}")
-        labels.append(box.label)
-        coords.append((box.x_min, box.y_min, box.x_max, box.y_max))
         score_missing.append(score is None)
     coords = np.asarray(coords, dtype=float).reshape(len(records), 4)
+    in_range = (np.isfinite(coords) & (coords >= 0)).all(axis=1)
+    proper = (coords[:, 0] < coords[:, 2]) & (coords[:, 1] < coords[:, 3])
+    bad = np.flatnonzero(~(in_range & proper))
+    if bad.size:
+        i = int(bad[0])
+        box = tuple(coords[i].tolist())
+        reason = (f"degenerate box {box}" if in_range[i]
+                  else f"box coordinates must be finite and >= 0, got {box}")
+        raise ParseError(f"{path}: bad box object at index {i}: {reason}")
     columns = [("label", ds_mod.LABEL)] + [(c, ds_mod.NUMERIC) for c in BOX_COLUMNS]
     values = {"label": np.array(labels, dtype=str)}
     for j, c in enumerate(BOX_COLUMNS):

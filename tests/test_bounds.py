@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
+from quantrules import bounds
 from quantrules.bounds import (BoundJob, Interval, compute_bounds,
                                interval_from_values, jaccard, learn_and_select,
                                percentile)
@@ -265,6 +266,39 @@ def test_selection_preserves_enumeration_order():
     order = {s: i for i, s in enumerate(r.statistic + str(r.guard) for r in rules)}
     enumerated = [c.rule.statistic + str(c.rule.guard) for c in selected]
     assert [order[s] for s in enumerated] == sorted(order[s] for s in enumerated)
+
+
+PAIRED_SCHEMA = parse_schema("""
+template paired_bucketed
+labels: a b no_such_class
+statistics: x0 x1
+pair_buckets: 3
+batch: 128
+""")
+
+
+def test_paired_edges_fitted_once_per_key(monkeypatch):
+    rules = enumerate_abstract_rules(PAIRED_SCHEMA)
+    train, valid = gaussian_dataset(2000, 3), gaussian_dataset(2000, 4)
+    job = BoundJob(n_train_batches=20, n_valid_batches=10, train_seed=5, valid_seed=6)
+    # reference: each rule selected on its own fits its own edges
+    single, single_log = [], []
+    for rule in rules:
+        single += learn_and_select([rule], train, valid, job, label_column="y",
+                                   log=single_log)
+    fit, keys = bounds.s1_bucket_edges, []
+
+    def counted(rule, *args):
+        keys.append((rule.guard, rule.s1, rule.s1_bucket_count))
+        return fit(rule, *args)
+
+    monkeypatch.setattr(bounds, "s1_bucket_edges", counted)
+    log = []
+    selected = learn_and_select(rules, train, valid, job, label_column="y", log=log)
+    assert len(rules) == 3 * 2 * 3 and len(keys) == len(set(keys)) == 3 * 2
+    assert selected == single and any(c.rule.kind == "paired" for c in selected)
+    assert log == single_log
+    assert sum(e["event"] == "skipped" for e in log) == 2 * 3  # no_such_class rules
 
 
 def bucket_dependent_batches():

@@ -319,6 +319,46 @@ def test_bad_box_file_exits_2_naming_file_and_index(tmp_path, capsys, payload, e
     assert str(bad) in err and expected in err
 
 
+@pytest.mark.parametrize("x0_cells, expected", [
+    (["0.5", "oops", "1.5"], "line 3: "),
+    (["", "", ""], "every cell is empty"),
+], ids=["non-numeric", "all-missing"])
+def test_bad_bucketed_column_exits_2_naming_file_and_column(tmp_path, capsys,
+                                                            x0_cells, expected):
+    cfg_path = write_workspace(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x0,x1,flag,label\n" + "".join(
+        f"{x0},1.0,0,a\n" for x0 in x0_cells), encoding="utf-8")
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    cfg["data"]["train"] = str(bad)
+    cfg["data"]["features"] = [{"column": "x0", "buckets": 2}, {"column": "label"}]
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["mine", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'x0'" in err and expected in err
+
+
+def test_adapt_reads_box_json_test_set(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    boxes = (write_boxes(None, rng, 100, "car", (80, 200), (40, 90))
+             + write_boxes(None, rng, 100, "person", (20, 45), (60, 170)))
+    (tmp_path / "test.json").write_text(json.dumps(boxes), encoding="utf-8")
+    X = np.array([[b["x_max"], b["y_max"]] for b in boxes])
+    model = SoftmaxModel.standardized(["x_max", "y_max"], ["car", "person"], X)
+    model.save(tmp_path / "model.json")
+    rule = ConcreteRule(rule=AbstractRule(kind="conditional", statistic="mean(score_car)"),
+                        lo=0.9, hi=1.0, delta=0.02)
+    save_rules(tmp_path / "rules.jsonl", [rule])
+    cfg = {"data": {"test": str(tmp_path / "test.json"), "label_column": "label"}}
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    _add_adapt_section(config, tmp_path, iterations=5)
+    assert main(["adapt", "--config", str(config)]) == 0
+    assert "command=adapt" in capsys.readouterr().out
+    trace_lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert len(trace_lines) == 1 + 5
+
+
 def test_adapt_divergence_exits_3_with_partial_trace(tmp_path, capsys):
     rng = np.random.default_rng(11)
     n = 32

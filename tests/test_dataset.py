@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,8 +45,16 @@ def test_load_wrong_arity_names_line(tmp_path):
 
 def test_load_non_numeric_in_bucket_source(tmp_path):
     path = write_csv(tmp_path / "t.csv", ["x"], [[1], ["oops"], [3]])
-    with pytest.raises(TypeMismatchError, match="oops"):
+    with pytest.raises(ParseError, match="line 3: .*'oops'.*'x'"):
         load_table(path, [FeatureSpec("x", buckets=2)])
+
+
+def test_load_all_missing_bucket_source(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ["x", "y"], [["", 1], ["", 2]])
+    with pytest.raises(ParseError, match="'x'.*every cell is empty"):
+        load_table(path, [FeatureSpec("x", buckets=2)])
+    ds = load_table(path, [FeatureSpec("x", buckets=2)], edges={"x": [0.5]})
+    assert ds.missing("x__b0").tolist() == [True, True]
 
 
 def test_load_missing_cells_masked(tmp_path):
@@ -75,6 +85,140 @@ def test_bucket_edges_reused_for_other_split(tmp_path):
     ds_test = load_table(test, [FeatureSpec("v", buckets=4)], edges=ds_train.bucket_edges)
     assert ds_test.values("v__b3").tolist() == [1.0, 0.0]
     assert ds_test.values("v__b0").tolist() == [0.0, 1.0]
+
+
+def _infer_kind_oracle(cells):
+    """The per-cell kind inference that load_table replaced."""
+    parsed = []
+    for cell in cells:
+        try:
+            parsed.append(float(cell))
+        except ValueError:
+            return LABEL, None
+    if all(v in (0.0, 1.0) for v in parsed):
+        return BOOLEAN, parsed
+    return NUMERIC, parsed
+
+
+def _load_table_oracle(path, specs=None, edges=None):
+    """The per-cell load_table that the column-wise one replaced."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        raw_rows = list(reader)
+    if specs is None:
+        specs = [FeatureSpec(name) for name in header]
+    col_idx = {name: i for i, name in enumerate(header)}
+    n = len(raw_rows)
+    columns, values, missing, fitted, sources = [], {}, {}, {}, {}
+    for spec in specs:
+        cells = [row[col_idx[spec.source]].strip() for row in raw_rows]
+        present = np.array([c != "" for c in cells], dtype=bool)
+        if spec.buckets is None:
+            kind, parsed = _infer_kind_oracle([c for c in cells if c != ""])
+            if kind == LABEL:
+                arr = np.array(cells, dtype=str)
+            else:
+                arr = np.zeros(n)
+                it = iter(parsed)
+                for i in range(n):
+                    if present[i]:
+                        arr[i] = next(it)
+            columns.append((spec.source, kind))
+            values[spec.source] = arr
+            if not present.all():
+                missing[spec.source] = ~present
+            continue
+        raw = np.zeros(n)
+        for i, cell in enumerate(cells):
+            if not present[i]:
+                continue
+            try:
+                raw[i] = float(cell)
+            except ValueError:
+                raise TypeMismatchError(
+                    f"non-numeric value {cell!r} in bucketed column {spec.source!r}"
+                    f" (line {i + 2})")
+        if edges and spec.source in edges:
+            col_edges = list(edges[spec.source])
+        else:
+            if not present.any():
+                raise TypeMismatchError(
+                    f"cannot fit bucket edges for all-missing column {spec.source!r}")
+            col_edges = bucket_edges(raw[present], spec.buckets)
+        fitted[spec.source] = col_edges
+        indicators = bucket_indicators(raw, col_edges, spec.buckets)
+        indicators[~present] = 0.0
+        for j, name in enumerate(spec.derived_names()):
+            columns.append((name, BOOLEAN))
+            values[name] = indicators[:, j]
+            sources[name] = spec.source
+            if not present.all():
+                missing[name] = ~present
+    return Dataset(columns, values, missing, fitted, sources, origin=str(path))
+
+
+def _outcome(load, path, specs, edges):
+    """Everything a loaded table exposes, bit for bit, or the error raised."""
+    try:
+        ds = load(path, specs, edges)
+    except Exception as exc:  # the oracle's errors are part of its behaviour
+        return type(exc), str(exc)
+    return (ds.columns,
+            {n: ds.values(n).tolist() if k == LABEL else ds.values(n).tobytes()
+             for n, k in ds.columns},
+            {n: ds.missing(n).tolist() for n in ds.names},
+            ds.bucket_edges, ds.sources)
+
+
+# empty and whitespace cells, 0/1 spellings, -0.0, 1_000, non-finite and
+# non-numeric cells next to ordinary floats
+_CELLS = st.one_of(
+    st.sampled_from(["", " ", "0", "1", "1.0", " 1 ", "-0.0", "0e5", "1_000", "nan",
+                     "inf", "-Infinity", "1e400", "0x10", "abc", "١٢"]),
+    st.floats(-1e3, 1e3).map(repr))
+
+
+@st.composite
+def _tables(draw):
+    n_cols = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=n_cols, max_size=n_cols),
+                         max_size=8))
+    if draw(st.integers(0, 3)) == 0:  # an all-missing column
+        rows = [[""] + row[1:] for row in rows]
+    header = [f"c{j}" for j in range(n_cols)]
+    specs = None
+    if draw(st.booleans()):
+        specs = [FeatureSpec(h, draw(st.sampled_from([None, 2, 3]))) for h in header]
+    edges = None
+    if draw(st.booleans()):
+        edges = {h: sorted(draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2)))
+                 for h in header}
+    return header, rows, specs, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_load_table_matches_per_cell_oracle(tmp_path_factory, table):
+    header, rows, specs, edges = table
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    if edges is not None and specs is not None:
+        edges = {s.source: edges[s.source][:s.buckets - 1] for s in specs if s.buckets}
+    expect = _outcome(_load_table_oracle, path, specs, edges)
+    got = _outcome(load_table, path, specs, edges)
+    if expect[0] is TypeMismatchError:
+        # a bucketed column the loader cannot parse is now a ParseError
+        assert got[0] is ParseError
+        column = re.search(r"column '(c\d)'", expect[1]).group(1)
+        assert f"'{column}'" in got[1]
+        line = re.search(r"\(line (\d+)\)", expect[1])
+        if line:
+            assert got[1].startswith(f"line {line.group(1)}: ")
+            assert expect[1].split(" in bucketed")[0] in got[1]
+    else:
+        assert got == expect
 
 
 # -- bucket_edges -------------------------------------------------------------

@@ -10,7 +10,7 @@ from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, Minibatch
 from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
                                TypeMismatchError)
 from quantrules.schema import AbstractRule, Literal
-from quantrules.statistics import (BoxRecord, Statistic, StatisticRegistry,
+from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
                                    eval_statistic, f1_score, load_boxes,
                                    soften_scores, surrogate_f1,
                                    surrogate_f1_grad)
@@ -243,9 +243,105 @@ def test_load_boxes_rejects_degenerate_geometry(tmp_path):
         load_boxes(path)
 
 
-def test_box_record_validates_coordinates():
-    with pytest.raises(ValueError):
-        BoxRecord("car", -1, 0, 10, 10)
-    with pytest.raises(ValueError):
-        BoxRecord("car", 0, 5, 10, 4)
-    BoxRecord("car", 0, 0, 1, 1)
+@pytest.mark.parametrize("coords, expected", [
+    ((-1, 0, 10, 10), "finite and >= 0"),
+    ((float("nan"), 0, 10, 10), "finite and >= 0"),
+    ((0, 0, float("inf"), 10), "finite and >= 0"),
+    ((0, 5, 10, 4), "degenerate box"),
+], ids=["negative", "nan", "infinity", "degenerate"])
+def test_load_boxes_validates_coordinates(tmp_path, coords, expected):
+    good = {"label": "car", "x_min": 0, "y_min": 0, "x_max": 1, "y_max": 1}
+    path = tmp_path / "boxes.json"
+    path.write_text(json.dumps([good, dict(zip(BOX_COLUMNS, coords), label="car")]),
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=f"index 1: .*{expected}"):
+        load_boxes(path)
+    path.write_text(json.dumps([good]), encoding="utf-8")
+    assert load_boxes(path).n_rows == 1
+
+
+def _boxes_oracle(records):
+    """The per-box validation loop that load_boxes replaced: each object is
+    read and its geometry checked before the next; returns the first fault's
+    message or the (labels, coords, scores, score_missing) columns."""
+    labels, coords, scores, score_missing = [], [], [], []
+    for i, rec in enumerate(records):
+        try:
+            label = str(rec["label"])
+            box = (float(rec["x_min"]), float(rec["y_min"]),
+                   float(rec["x_max"]), float(rec["y_max"]))
+            if not all(np.isfinite(c) and c >= 0 for c in box):
+                raise ValueError(f"box coordinates must be finite and >= 0, got {box}")
+            if not (box[0] < box[2] and box[1] < box[3]):
+                raise ValueError(f"degenerate box {box}")
+            score = rec.get("score")
+            scores.append(0.0 if score is None else float(score))
+        except KeyError as exc:
+            return f"box object at index {i} has no key {exc}"
+        except (TypeError, ValueError) as exc:
+            return f"bad box object at index {i}: {exc}"
+        labels.append(label)
+        coords.append(box)
+        score_missing.append(score is None)
+    return labels, coords, scores, score_missing
+
+
+def _unreadable(rec):
+    try:
+        str(rec["label"])
+        [float(rec[c]) for c in BOX_COLUMNS]
+        if rec.get("score") is not None:
+            float(rec["score"])
+    except (KeyError, TypeError, ValueError):
+        return True
+    return False
+
+
+# "missing" leaves the key out
+_COORDINATES = [0, -0.0, 1, 5, 10.5, -1, float("nan"), float("inf"), "3", "low", None,
+                "missing"]
+
+
+@st.composite
+def _box_object(draw):
+    rec = {"label": draw(st.sampled_from(["car", "person", 1]))}
+    for c in BOX_COLUMNS:
+        rec[c] = draw(st.one_of(st.sampled_from(_COORDINATES), st.floats(-2, 50)))
+    rec["score"] = draw(st.sampled_from([None, 0.5, "high", "missing"]))
+    return {k: v for k, v in rec.items() if v != "missing"}
+
+
+_valid_box = st.builds(
+    lambda x, y, w, h, score: {"label": "car", "x_min": x, "y_min": y,
+                               "x_max": x + w, "y_max": y + h, "score": score},
+    st.floats(0, 100), st.floats(0, 100), st.floats(0.5, 10), st.floats(0.5, 10),
+    st.one_of(st.none(), st.floats(0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(st.one_of(_valid_box, _box_object(), st.just(7)),
+                        max_size=6))
+def test_load_boxes_matches_per_box_oracle(tmp_path_factory, records):
+    """Differential test: identical columns, and for a faulty file the README's
+    order: the first object that cannot be read, else the first bad box."""
+    path = tmp_path_factory.mktemp("boxes") / "boxes.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    expect = _boxes_oracle(records)
+    unreadable = [i for i, rec in enumerate(records) if _unreadable(rec)]
+    try:
+        ds = load_boxes(path)
+    except ParseError as exc:
+        assert isinstance(expect, str)
+        if unreadable:
+            assert f"index {unreadable[0]}" in str(exc)
+            assert "finite" not in str(exc) and "degenerate" not in str(exc)
+        else:
+            assert str(exc) == f"{path}: {expect}"
+        return
+    assert not unreadable
+    labels, coords, scores, score_missing = expect
+    assert ds.values("label").tolist() == labels
+    got = np.stack([ds.values(c) for c in BOX_COLUMNS], axis=1)
+    assert got.tobytes() == np.asarray(coords, dtype=float).reshape(-1, 4).tobytes()
+    assert ds.values("score").tobytes() == np.asarray(scores, dtype=float).tobytes()
+    assert ds.missing("score").tolist() == score_missing
