@@ -4,7 +4,7 @@ from .adaptation import (AdaptationConfig, TraceRow, adapt, forward_batch,
                          grad_check, rule_loss, total_loss)
 from .bounds import (BoundJob, Interval, compute_bounds, jaccard,
                      learn_and_select)
-from .dataset import (Dataset, FeatureSpec, Minibatch, bucket_edges,
+from .dataset import (Dataset, FeatureSpec, bucket_edges,
                       load_table, percentile, sample_minibatches, split)
 from .errors import (DivergenceError, EmptyStatisticError, ParseError,
                      QuantrulesError, ResolutionError, TypeMismatchError)
@@ -13,19 +13,17 @@ from .rules_io import load_rules, save_rules
 from .schema import (AbstractRule, ConcreteRule, Literal, RuleSchema,
                      TemplateSpec, enumerate_abstract_rules, parse_schema,
                      rule_signature)
-from .statistics import (Statistic, StatisticRegistry, eval_statistic,
-                         f1_score, load_boxes, surrogate_f1)
-from .violations import (ViolationReport, check_rule, evaluate, read_report,
-                         write_report)
+from .statistics import Statistic, StatisticRegistry, load_boxes, surrogate_f1
+from .violations import ViolationReport, evaluate, read_report, write_report
 
 __all__ = [
     "AbstractRule", "AdaptationConfig", "BoundJob", "ConcreteRule",
     "Dataset", "DivergenceError", "EmptyStatisticError", "FeatureSpec",
-    "Interval", "Literal", "Minibatch", "ParseError", "QuantrulesError",
+    "Interval", "Literal", "ParseError", "QuantrulesError",
     "ResolutionError", "RuleSchema", "SoftmaxModel", "Statistic",
     "StatisticRegistry", "TemplateSpec", "TraceRow", "TypeMismatchError",
-    "ViolationReport", "adapt", "bucket_edges", "check_rule", "compute_bounds",
-    "enumerate_abstract_rules", "eval_statistic", "evaluate", "f1_score",
+    "ViolationReport", "adapt", "bucket_edges", "compute_bounds",
+    "enumerate_abstract_rules", "evaluate",
     "forward_batch", "grad_check", "jaccard",
     "learn_and_select", "load_boxes",
     "load_rules", "load_table", "parse_schema", "percentile", "read_report",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Minibatch
+from .dataset import checked_rows
 from .errors import DivergenceError
 from .rule_eval import evaluate_rule
 from .schema import LOGIC, rule_signature
@@ -35,7 +35,6 @@ class AdaptationConfig:
     seed: int = 0
     grad_clip: float | None = None
     temperature: float = 1.0
-    loss_clip: float = LOSS_CLIP
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -108,13 +107,13 @@ def _check_finite(value, rule):
             f"rule {rule_signature(rule)}: non-finite statistic value {value}")
 
 
-def _rule_loss_grad(crule, out, temperature, registry, clip):
+def _rule_loss_grad(crule, out, temperature, registry):
     """Loss of one rule on a batch, d loss / d probs (None when flat), and
     the rule's member-attributed violation count on the predicted labels."""
     rule = crule.rule
     ev = evaluate_rule(rule, out.dataset, np.arange(out.dataset.n_rows), "pred",
                        registry, (crule.s1_lo, crule.s1_hi))
-    violations = ev.violations(crule.lo, crule.hi)
+    violations = np.count_nonzero(ev.violated(crule.lo, crule.hi))
     if not ev.mask.any():
         return 0.0, None, violations
 
@@ -129,15 +128,13 @@ def _rule_loss_grad(crule, out, temperature, registry, clip):
         scores = [out.model.score_column(c) for c in out.model.class_names]
         j = scores.index(stat.column) if stat.column in scores else None
         if ev.per_sample:
-            losses, slopes = hinge(ev.samples[ev.mask], crule.lo, crule.hi, clip)
+            losses, slopes = hinge(ev.samples[ev.mask], crule.lo, crule.hi)
             if j is None or not slopes.any():
                 return float(losses.mean()), None, violations
             dprobs = np.zeros_like(out.probs)
             dprobs[ev.mask, j] = slopes / slopes.size
             return float(losses.mean()), dprobs, violations
-        if ev.value is None:
-            return 0.0, None, violations
-        value = ev.value
+        value = float(ev.value)
         _check_finite(value, rule)
         if j is not None:
             vals = out.probs[ev.mask, j]
@@ -147,7 +144,7 @@ def _rule_loss_grad(crule, out, temperature, registry, clip):
             else:  # std
                 dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
 
-    loss, slope = hinge(value, crule.lo, crule.hi, clip)
+    loss, slope = hinge(value, crule.lo, crule.hi)
     if j is None or slope == 0.0:
         return float(loss), None, violations
     dprobs = np.zeros_like(out.probs)
@@ -155,20 +152,20 @@ def _rule_loss_grad(crule, out, temperature, registry, clip):
     return float(loss), dprobs, violations
 
 
-def rule_loss(crule, batch_output, temperature=1.0, clip=LOSS_CLIP) -> float:
-    """Violation loss of one rule on a model's batch output, in [0, clip]."""
+def rule_loss(crule, batch_output, temperature=1.0) -> float:
+    """Violation loss of one rule on a model's batch output, in [0, 1]."""
     registry = StatisticRegistry.from_dataset(batch_output.dataset)
-    loss, _, _ = _rule_loss_grad(crule, batch_output, temperature, registry, clip)
+    loss, _, _ = _rule_loss_grad(crule, batch_output, temperature, registry)
     return loss
 
 
-def total_loss(rules, batch_output, temperature=1.0, clip=LOSS_CLIP) -> float:
+def total_loss(rules, batch_output, temperature=1.0) -> float:
     """Mean rule loss over a nonempty rule list."""
-    loss, _, _, _ = total_loss_grad(rules, batch_output, temperature, clip)
+    loss, _, _, _ = total_loss_grad(rules, batch_output, temperature)
     return loss
 
 
-def total_loss_grad(rules, batch_output, temperature=1.0, clip=LOSS_CLIP):
+def total_loss_grad(rules, batch_output, temperature=1.0):
     """(mean loss, d loss / d scale, d loss / d shift, batch violations) over
     all rules; the violations are member-attributed, as in ``evaluate``."""
     if not rules:
@@ -178,8 +175,7 @@ def total_loss_grad(rules, batch_output, temperature=1.0, clip=LOSS_CLIP):
     violations = 0
     dprobs_sum = None
     for crule in rules:
-        loss, dprobs, count = _rule_loss_grad(crule, batch_output, temperature,
-                                              registry, clip)
+        loss, dprobs, count = _rule_loss_grad(crule, batch_output, temperature, registry)
         total += loss
         violations += count
         if dprobs is not None:
@@ -217,7 +213,7 @@ def adapt(model, rules, test, config: AdaptationConfig):
         try:
             out = forward_batch(work, test, rows)
             loss, dscale, dshift, violations = total_loss_grad(
-                rules, out, config.temperature, config.loss_clip)
+                rules, out, config.temperature)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), trace=trace)
         if not math.isfinite(loss):
@@ -246,15 +242,17 @@ def adapt(model, rules, test, config: AdaptationConfig):
     return work, trace
 
 
-def grad_check(model, rules, batch: Minibatch, step=1e-5, temperature=1.0) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def grad_check(model, rules, dataset, rows, step=1e-5, temperature=1.0) -> float:
+    """Max relative error between analytic and central-difference gradients
+    on the minibatch ``rows`` of ``dataset``.
 
     Requires a positive loss on the batch (otherwise both gradients vanish
     and the check is vacuous).
     """
     if not 0.0 < step <= 1e-2:
         raise ValueError(f"step must lie in (0, 1e-2], got {step}")
-    out = forward_batch(model, batch.dataset, batch.rows)
+    rows = checked_rows(dataset, rows)
+    out = forward_batch(model, dataset, rows)
     loss0, dscale, dshift, _ = total_loss_grad(rules, out, temperature)
     if loss0 <= 0.0:
         raise ValueError("grad_check needs a batch with positive total loss")
@@ -264,7 +262,7 @@ def grad_check(model, rules, batch: Minibatch, step=1e-5, temperature=1.0) -> fl
         probe = model.copy()
         probe.scale = scale
         probe.shift = shift
-        probed = forward_batch(probe, batch.dataset, batch.rows)
+        probed = forward_batch(probe, dataset, rows)
         return total_loss(rules, probed, temperature)
 
     d = len(model.feature_names)

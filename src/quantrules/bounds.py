@@ -14,9 +14,9 @@ import numpy as np
 
 from . import schema as schema_mod
 from .dataset import bucket_edges as fit_bucket_edges
-from .dataset import percentile, sample_minibatches
+from .dataset import checked_rows, percentile, sample_minibatches
 from .errors import EmptyStatisticError
-from .rule_eval import evaluate_rule, is_per_sample, s1_values
+from .rule_eval import evaluate_rule, s1_values
 from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import StatisticRegistry
 
@@ -101,31 +101,23 @@ def s1_bucket_interval(rule, edges):
     return float(lo), float(hi)
 
 
-def collect_statistics(rule, batches, registry, label_column, s1_interval=None):
-    """One value per batch for minibatch statistics, or per-sample values
-    pooled across batches, matching the rule's structure."""
-    dataset = batches[0].dataset
-    if is_per_sample(rule, registry):
-        rows = np.concatenate([batch.rows for batch in batches])
-        ev = evaluate_rule(rule, dataset, rows, label_column, registry, s1_interval)
-        return ev.samples[ev.mask]
-    values = [evaluate_rule(rule, dataset, batch.rows, label_column, registry,
-                            s1_interval).value for batch in batches]
-    return np.asarray([v for v in values if v is not None], dtype=float)
+def collect_statistics(rule, dataset, rows, registry, label_column, s1_interval=None):
+    """A rule's statistic values over the minibatches of ``rows``, a (count,
+    size) matrix: per-sample values pooled across batches in row-major
+    order, or one value per batch with a usable row, matching the rule's
+    structure."""
+    ev = evaluate_rule(rule, dataset, rows, label_column, registry, s1_interval)
+    return ev.samples[ev.mask] if ev.per_sample else ev.value[ev.valued]
 
 
-def _collect(rule, dataset, batch_sets, registry, label_column, s1_interval=None):
-    """Statistic values of each batch set for one rule.
+def _collect(rule, batch_sets, registry, label_column, s1_interval):
+    """Statistic values of each (dataset, rows) batch set for one rule.
 
-    A paired rule's s1 interval is learned on ``dataset`` unless given.
     Raises EmptyStatisticError naming the rule when a set yields no value.
     """
-    if rule.kind == PAIRED and s1_interval is None:
-        s1_interval = s1_bucket_interval(
-            rule, s1_bucket_edges(rule, dataset, registry, label_column))
     collected = []
-    for batches in batch_sets:
-        values = collect_statistics(rule, batches, registry, label_column, s1_interval)
+    for dataset, rows in batch_sets:
+        values = collect_statistics(rule, dataset, rows, registry, label_column, s1_interval)
         if values.size == 0:
             raise EmptyStatisticError(
                 f"rule {schema_mod.rule_signature(rule)}: no statistic values collected")
@@ -133,21 +125,25 @@ def _collect(rule, dataset, batch_sets, registry, label_column, s1_interval=None
     return collected
 
 
-def compute_bounds(rule, batches, delta=None, sided=None, *, registry=None,
+def compute_bounds(rule, dataset, rows, delta=None, sided=None, *, registry=None,
                    label_column=None, s1_interval=None) -> Interval:
-    """Quantile bounds for one rule over pre-sampled minibatches.
+    """Quantile bounds for one rule over pre-sampled minibatches of ``dataset``.
 
-    delta and sidedness default to the rule's own schema values. Raises
-    EmptyStatisticError naming the rule when no statistic value survives.
+    ``rows`` is a (count, size) matrix of row indices, one minibatch per
+    matrix row, as ``sample_minibatches`` draws them. delta and sidedness
+    default to the rule's own schema values. A paired rule's s1 interval is
+    learned on ``dataset`` unless given. Raises EmptyStatisticError naming
+    the rule when no statistic value survives.
     """
-    if not batches:
-        raise ValueError("compute_bounds needs at least one minibatch")
-    dataset = batches[0].dataset
+    rows = checked_rows(dataset, rows)
     if registry is None:
         registry = StatisticRegistry.from_dataset(dataset)
     if label_column is None:
         label_column = dataset.label_column
-    (values,) = _collect(rule, dataset, [batches], registry, label_column, s1_interval)
+    if rule.kind == PAIRED and s1_interval is None:
+        s1_interval = s1_bucket_interval(
+            rule, s1_bucket_edges(rule, dataset, registry, label_column))
+    (values,) = _collect(rule, [(dataset, rows)], registry, label_column, s1_interval)
     return interval_from_values(values, rule.delta if delta is None else delta,
                                 rule.sided if sided is None else sided)
 
@@ -184,8 +180,8 @@ def _group_batches(rules, train, valid, job):
     groups = {}
     for size in sizes:
         groups[size] = (
-            sample_minibatches(train, size, job.n_train_batches, job.train_seed),
-            sample_minibatches(valid, size, job.n_valid_batches, job.valid_seed),
+            (train, sample_minibatches(train, size, job.n_train_batches, job.train_seed)),
+            (valid, sample_minibatches(valid, size, job.n_valid_batches, job.valid_seed)),
         )
     return groups
 
@@ -221,7 +217,7 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                     s1_edges[key] = s1_bucket_edges(rule, train, registry, label_column)
                 s1_interval = s1_bucket_interval(rule, s1_edges[key])
             t_vals, v_vals = _collect(
-                rule, train, groups[job.batch_size or rule.batch_size], registry,
+                rule, groups[job.batch_size or rule.batch_size], registry,
                 label_column, s1_interval)
         except EmptyStatisticError as exc:
             if log is not None:

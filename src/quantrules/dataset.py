@@ -160,24 +160,15 @@ class Dataset:
                        self.sources, self.origin)
 
 
-@dataclass(frozen=True)
-class Minibatch:
-    """A view of ``size`` rows of a parent dataset."""
-
-    dataset: Dataset
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=int)
-        object.__setattr__(self, "rows", rows)
-        if rows.ndim != 1 or rows.size == 0:
-            raise ValueError("minibatch rows must be a nonempty 1-d index array")
-        if rows.min() < 0 or rows.max() >= self.dataset.n_rows:
-            raise ValueError("minibatch row index out of range")
-
-    @property
-    def size(self) -> int:
-        return int(self.rows.size)
+def checked_rows(dataset, rows):
+    """``rows`` as an int index array; raises ValueError unless it is
+    nonempty and every index is a row of ``dataset``."""
+    rows = np.asarray(rows, dtype=int)
+    if rows.size == 0:
+        raise ValueError("rows must be a nonempty index array")
+    if rows.min() < 0 or rows.max() >= dataset.n_rows:
+        raise ValueError("row index out of range")
+    return rows
 
 
 def percentile(values, q) -> float:
@@ -242,9 +233,10 @@ def load_table(path, specs=None, edges=None) -> Dataset:
     """Load a comma-separated table with a header row.
 
     ``specs`` selects and derives columns; None passes every column through.
-    Empty cells are missing. ``edges`` supplies pre-fitted bucket edges
-    (e.g. from the training set) keyed by source column; without them edges
-    are fitted on the file's own values.
+    Empty cells are missing; a cell of a numeric, boolean or bucketed column
+    that parses to nan or +-inf is rejected. ``edges`` supplies pre-fitted
+    bucket edges (e.g. from the training set) keyed by source column;
+    without them edges are fitted on the file's own values.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -285,6 +277,11 @@ def load_table(path, specs=None, edges=None) -> Dataset:
                                  f"column {spec.source!r}", line=i + 2)
             arr = np.array(cells, dtype=str)
         else:
+            bad = np.flatnonzero(~np.isfinite(parsed))
+            if bad.size:
+                i = int(np.flatnonzero(present)[bad[0]])
+                raise ParseError(f"{path}: non-finite value {cells[i]!r} in column "
+                                 f"{spec.source!r}", line=i + 2)
             arr = np.zeros(n)
             arr[present] = parsed
 
@@ -337,7 +334,8 @@ def split(dataset, fractions, seed):
 
 
 def sample_minibatches(dataset, batch_size, count, seed):
-    """Draw ``count`` seeded minibatches of ``batch_size`` rows.
+    """Draw ``count`` seeded minibatches of ``batch_size`` rows as a
+    (count, batch_size) int matrix: row b holds the row indices of batch b.
 
     Rows within a batch are drawn without replacement when the dataset is
     large enough, with replacement otherwise; batches are independent draws.
@@ -348,7 +346,5 @@ def sample_minibatches(dataset, batch_size, count, seed):
         raise ValueError("cannot sample from an empty dataset")
     rng = np.random.default_rng(seed)
     replace = batch_size > dataset.n_rows
-    return [
-        Minibatch(dataset, rng.choice(dataset.n_rows, size=batch_size, replace=replace))
-        for _ in range(count)
-    ]
+    return np.stack([rng.choice(dataset.n_rows, size=batch_size, replace=replace)
+                     for _ in range(count)])

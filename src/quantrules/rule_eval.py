@@ -12,41 +12,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TypeMismatchError
 from .schema import LOGIC, PAIRED
-from .statistics import (PER_SAMPLE, batch_value, exact_f1, formula_parts,
-                         match_class, sample_values_aligned)
+from .statistics import (PER_SAMPLE, exact_f1, formula_parts, match_class,
+                         sample_values_aligned, summarize)
 
 
 @dataclass(frozen=True)
 class RuleValues:
-    """A rule evaluated on an index array ``rows``, which may repeat rows.
+    """A rule evaluated on an index array ``rows`` of shape (..., m): one
+    minibatch of m rows, or a (count, m) matrix of minibatches as
+    ``sample_minibatches`` draws them. Rows may repeat within and across
+    batches.
 
-    ``mask`` marks the positions of ``rows`` the rule applies to; a
-    minibatch summary such as ``mean(col)`` also skips the masked rows whose
-    cell is missing. For a per-sample rule ``samples`` holds the statistic
-    aligned with ``rows``; for a logic rule it holds the antecedent's 0/1
-    truth. Only masked positions are meaningful. ``value`` is the minibatch
-    statistic over the masked rows (the exact F1 for a logic rule); it is
-    None for per-sample rules and when no row is usable.
+    ``mask`` marks the positions of ``rows`` the rule applies to, without
+    the rows missing a cell it reads. For a per-sample rule ``samples``
+    holds the statistic aligned with ``rows``; for a logic rule it holds the
+    antecedent's 0/1 truth. Only masked positions are meaningful. For a
+    minibatch rule ``value`` holds one statistic per batch, of shape (...),
+    over the batch's masked positions (the exact F1 for a logic rule); it
+    is meaningful only where ``valued``. It is None for per-sample rules.
     """
 
     per_sample: bool
     mask: np.ndarray
     samples: np.ndarray | None = None
-    value: float | None = None
+    value: np.ndarray | None = None
 
-    def outside(self, lo, hi):
-        """Mask of the applicable positions whose sample lies outside [lo, hi]."""
-        return self.mask & ((self.samples < lo) | (self.samples > hi))
+    @property
+    def valued(self):
+        """Per batch, whether the rule applies to any of its positions."""
+        return self.mask.any(-1)
 
-    def violations(self, lo, hi) -> int:
-        """Member-attributed violations of [lo, hi]: each per-sample position
-        outside it, or every position when the minibatch value is outside."""
+    def violated(self, lo, hi):
+        """Mask of the positions charged a violation of [lo, hi]: each
+        applicable per-sample position outside it, or every position of a
+        valued batch whose value is outside it (a NaN value is outside)."""
         if self.per_sample:
-            return int(self.outside(lo, hi).sum())
-        if self.value is None or lo <= self.value <= hi:
-            return 0
-        return self.mask.size
+            return self.mask & ((self.samples < lo) | (self.samples > hi))
+        inside = (lo <= self.value) & (self.value <= hi)
+        return (self.valued & ~inside)[..., None].repeat(self.mask.shape[-1], -1)
 
 
 def is_per_sample(rule, registry) -> bool:
@@ -55,7 +60,7 @@ def is_per_sample(rule, registry) -> bool:
 
 def guard_mask(rule, dataset, rows, label_column):
     if rule.guard is None:
-        return np.ones(len(rows), dtype=bool)
+        return np.ones(np.shape(rows), dtype=bool)
     return match_class(dataset, rows, label_column, rule.guard)
 
 
@@ -68,7 +73,7 @@ def s1_values(rule, dataset, rows, label_column, registry):
 
 def evaluate_rule(rule, dataset, rows, label_column, registry,
                   s1_interval=None) -> RuleValues:
-    """Evaluate an abstract rule on ``rows`` of ``dataset``.
+    """Evaluate an abstract rule on ``rows`` of ``dataset``, of shape (..., m).
 
     Guard and consequent classes are read from ``label_column``. A paired
     rule needs its learned first-statistic interval ``s1_interval``.
@@ -77,7 +82,7 @@ def evaluate_rule(rule, dataset, rows, label_column, registry,
     if rule.kind == LOGIC:
         antecedent, consequent, usable = formula_parts(rule, dataset, rows, label_column)
         return RuleValues(False, usable, antecedent,
-                          exact_f1(antecedent[usable], consequent[usable]))
+                          exact_f1(antecedent * usable, consequent & usable))
     stat = registry.resolve(rule.statistic)
     if rule.kind == PAIRED:
         if s1_interval is None:
@@ -89,5 +94,14 @@ def evaluate_rule(rule, dataset, rows, label_column, registry,
     if stat.arity == PER_SAMPLE:
         samples, valid = sample_values_aligned(stat, dataset, rows)
         return RuleValues(True, mask & valid, samples)
-    value = batch_value(stat, dataset, rows[mask]) if mask.any() else None
+    if stat.kind != "summary":
+        raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
+    samples, valid = sample_values_aligned(registry.resolve(stat.column), dataset, rows)
+    mask &= valid
+    value = np.zeros(mask.shape[:-1])
+    # one reduction per batch over its compacted values: a masked reduction
+    # over the whole matrix would sum in another order
+    for b in np.ndindex(value.shape):
+        if mask[b].any():
+            value[b] = summarize(stat, samples[b][mask[b]])
     return RuleValues(False, mask, value=value)

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds_mod
-from .dataset import Dataset, Minibatch
-from .errors import EmptyStatisticError, ParseError, ResolutionError, TypeMismatchError
+from .dataset import Dataset
+from .errors import ParseError, ResolutionError, TypeMismatchError
 
 PER_SAMPLE = "sample"
 PER_BATCH = "batch"
@@ -103,8 +103,10 @@ def _box_values(dataset, rows, field):
 def sample_values_aligned(stat, dataset, rows):
     """Per-sample values aligned with ``rows`` plus a validity mask.
 
-    Invalid positions (missing cells) hold zeros and are marked False;
-    ``rows`` may contain duplicates, so alignment is positional.
+    ``rows`` is an index array of any shape, e.g. one minibatch or a
+    (count, size) matrix of them, and may repeat rows: both results have
+    its shape. Invalid positions (missing cells) hold zeros and are marked
+    False.
     """
     rows = np.asarray(rows, dtype=int)
     if stat.arity != PER_SAMPLE:
@@ -114,53 +116,19 @@ def sample_values_aligned(stat, dataset, rows):
         valid = ~dataset.missing(stat.column)[rows]
         return dataset.values(stat.column)[rows], valid
     if stat.kind == "box":
-        valid = np.ones(rows.size, dtype=bool)
+        valid = np.ones(rows.shape, dtype=bool)
         for c in BOX_COLUMNS:
             _require_column(dataset, c)
             valid &= ~dataset.missing(c)[rows]
-        vals = np.zeros(rows.size)
+        vals = np.zeros(rows.shape)
         vals[valid] = _box_values(dataset, rows[valid], stat.box_field)
         return vals, valid
     raise TypeMismatchError(f"statistic {stat.name!r} has no per-sample evaluator")
 
 
-def sample_values(stat, dataset, rows):
-    """Per-sample values over ``rows`` plus the row ids that were usable."""
-    rows = np.asarray(rows, dtype=int)
-    vals, valid = sample_values_aligned(stat, dataset, rows)
-    return vals[valid], rows[valid]
-
-
-def batch_value(stat, dataset, rows):
-    """Scalar minibatch statistic, or None when no row was usable."""
-    rows = np.asarray(rows, dtype=int)
-    if stat.arity != PER_BATCH:
-        raise TypeMismatchError(f"statistic {stat.name!r} is not per-minibatch")
-    if stat.kind == "summary":
-        base = Statistic(stat.column, PER_SAMPLE, "column", column=stat.column)
-        vals, _ = sample_values(base, dataset, rows)
-        if vals.size == 0:
-            return None
-        return float(vals.mean()) if stat.summary == "mean" else float(vals.std())
-    raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
-
-
-def eval_statistic(stat, batch: Minibatch):
-    """Evaluate a statistic on a minibatch.
-
-    Per-sample statistics return one value per usable row; minibatch
-    statistics return a single float. Raises EmptyStatisticError when no
-    row is usable.
-    """
-    if stat.arity == PER_SAMPLE:
-        vals, _ = sample_values(stat, batch.dataset, batch.rows)
-        if vals.size == 0:
-            raise EmptyStatisticError(f"statistic {stat.name!r}: every row was missing")
-        return vals
-    value = batch_value(stat, batch.dataset, batch.rows)
-    if value is None:
-        raise EmptyStatisticError(f"statistic {stat.name!r}: every row was missing")
-    return float(value)
+def summarize(stat, values):
+    """A summary statistic (mean or std) of a nonempty 1-d value array."""
+    return float(values.mean()) if stat.summary == "mean" else float(values.std())
 
 
 def match_class(dataset, rows, column, class_value):
@@ -181,12 +149,12 @@ def match_class(dataset, rows, column, class_value):
 def antecedent_values(formula, dataset, rows):
     """Conjunction truth of a formula's literals, aligned with ``rows``.
 
-    Returns (antecedent 0/1 vector, usable mask); rows missing any literal
-    cell are unusable.
+    Returns (antecedent 0/1 array, usable mask), both of the shape of
+    ``rows``; rows missing any literal cell are unusable.
     """
     rows = np.asarray(rows, dtype=int)
-    usable = np.ones(rows.size, dtype=bool)
-    antecedent = np.ones(rows.size)
+    usable = np.ones(rows.shape, dtype=bool)
+    antecedent = np.ones(rows.shape)
     for lit in formula.literals:
         _require_column(dataset, lit.feature)
         if dataset.kind(lit.feature) != ds_mod.BOOLEAN:
@@ -199,7 +167,7 @@ def antecedent_values(formula, dataset, rows):
 
 
 def formula_parts(formula, dataset, rows, label_column):
-    """Hard antecedent and consequent vectors aligned with ``rows``, plus the
+    """Hard antecedent and consequent arrays aligned with ``rows``, plus the
     usable mask: rows missing a literal or label cell are unusable."""
     rows = np.asarray(rows, dtype=int)
     antecedent, usable = antecedent_values(formula, dataset, rows)
@@ -208,28 +176,18 @@ def formula_parts(formula, dataset, rows, label_column):
     return antecedent, consequent, usable
 
 
-def f1_score(formula, dataset, rows, label_column):
-    """Exact F1 of an implication over a batch; 0 on a zero denominator.
-
-    Returns None when every row of the batch is missing a required cell.
-    """
-    antecedent, consequent, usable = formula_parts(formula, dataset, rows, label_column)
-    return exact_f1(antecedent[usable], consequent[usable])
-
-
 def exact_f1(antecedent, consequent):
-    """F1 of hard 0/1 vectors; 0 on a zero denominator, None when empty.
+    """F1 along the last axis of hard 0/1 arrays; 0 on a zero denominator.
 
     The antecedent is the predicted-positive set and the consequent the
-    actual-positive set: tp counts rows where both hold.
+    actual-positive set: tp counts positions where both hold, so a position
+    that is 0 in both does not count. The counts are integers, so the F1
+    does not depend on the order of the positions.
     """
-    if antecedent.size == 0:
-        return None
-    tp = float((antecedent * consequent).sum())
-    denom = float(antecedent.sum() + consequent.sum())  # == 2tp + fp + fn
-    if denom == 0.0:
-        return 0.0
-    return 2.0 * tp / denom
+    predicted = antecedent == 1.0
+    tp = (predicted & consequent).sum(-1)
+    denom = predicted.sum(-1) + consequent.sum(-1)  # == 2tp + fp + fn
+    return 2.0 * tp / np.maximum(denom, 1)  # tp is 0 where denom is
 
 
 def sigmoid(x):

@@ -16,19 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Minibatch, sample_minibatches
+from .dataset import sample_minibatches
 from .errors import EmptyStatisticError, ResolutionError
 from .rule_eval import evaluate_rule, is_per_sample
 from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    evaluated: bool
-    violated: bool = False
-    value: float | None = None
 
 
 @dataclass
@@ -51,54 +44,17 @@ class ViolationReport:
                 raise AssertionError(f"rule {sig}: count {v} outside [0, {n}]")
 
 
-def check_rule(crule, batch: Minibatch, *, registry=None, label_column=None) -> CheckResult:
-    """Check one concrete rule on a sample or minibatch.
-
-    Per-sample statistics over a batch violate if any applicable row falls
-    outside the bounds; the offending value is reported. A batch with no
-    applicable row is recorded as not evaluated.
-    """
-    dataset = batch.dataset
-    if registry is None:
-        registry = StatisticRegistry.from_dataset(dataset)
-    if label_column is None:
-        label_column = dataset.label_column
-    ev = evaluate_rule(crule.rule, dataset, batch.rows, label_column, registry,
+def _scan_rule(crule, dataset, rows, registry, label_column, sample_counts):
+    """(violations, evaluations) of one rule on ``rows``: the whole table for
+    a per-sample rule, a (count, size) batch matrix for a minibatch rule. A
+    minibatch rule evaluates every position of each batch it applies to."""
+    ev = evaluate_rule(crule.rule, dataset, rows, label_column, registry,
                        (crule.s1_lo, crule.s1_hi))
+    violated = ev.violated(crule.lo, crule.hi)
+    np.add.at(sample_counts, rows[violated], 1)
     if ev.per_sample:
-        if not ev.mask.any():
-            return CheckResult(evaluated=False)
-        outside = ev.outside(crule.lo, crule.hi)
-        if outside.any():
-            return CheckResult(evaluated=True, violated=True,
-                               value=float(ev.samples[outside][0]))
-        return CheckResult(evaluated=True, violated=False)
-    if ev.value is None:
-        return CheckResult(evaluated=False)
-    inside = crule.lo <= ev.value <= crule.hi
-    return CheckResult(evaluated=True, violated=not inside, value=ev.value)
-
-
-def _scan_sample_rule(crule, dataset, registry, label_column, sample_counts):
-    ev = evaluate_rule(crule.rule, dataset, np.arange(dataset.n_rows), label_column,
-                       registry, (crule.s1_lo, crule.s1_hi))
-    outside = ev.outside(crule.lo, crule.hi)
-    sample_counts[outside] += 1
-    return int(outside.sum()), int(ev.mask.sum())
-
-
-def _scan_batch_rule(crule, dataset, batches, registry, label_column, sample_counts):
-    violations = 0
-    evaluations = 0
-    for batch in batches:
-        result = check_rule(crule, batch, registry=registry, label_column=label_column)
-        if not result.evaluated:
-            continue
-        evaluations += batch.size
-        if result.violated:
-            violations += batch.size
-            np.add.at(sample_counts, batch.rows, 1)
-    return violations, evaluations
+        return int(violated.sum()), int(ev.mask.sum())
+    return int(violated.sum()), int(ev.valued.sum()) * rows.shape[-1]
 
 
 def evaluate(rules, test, batching=None, *, label_column=None, registry=None) -> ViolationReport:
@@ -129,11 +85,10 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     for crule in rules:
         try:
             if is_per_sample(crule.rule, registry):
-                v, n = _scan_sample_rule(crule, test, registry, label_column, sample_counts)
+                rows = np.arange(test.n_rows)
             else:
-                size = crule.rule.batch_size if crule.rule.batch_size > 1 else None
-                v, n = _scan_batch_rule(crule, test, batches_for(size), registry,
-                                        label_column, sample_counts)
+                rows = batches_for(crule.rule.batch_size if crule.rule.batch_size > 1 else None)
+            v, n = _scan_rule(crule, test, rows, registry, label_column, sample_counts)
         except (ResolutionError, EmptyStatisticError):
             v, n = 0, 0  # rule not evaluable on this dataset; recorded as skipped
         per_rule.append((crule.signature, v, n))

@@ -14,17 +14,17 @@ import numpy as np
 import yaml
 
 from conftest import make_dataset
+from scalar_oracle import check_rule
 from quantrules.adaptation import AdaptationConfig, adapt, forward_batch, grad_check
 from quantrules.bounds import BoundJob, Interval, compute_bounds, jaccard, \
     learn_and_select, percentile
-from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, Minibatch, \
-    sample_minibatches
+from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, \
     enumerate_abstract_rules, parse_schema
 from quantrules.statistics import antecedent_values, surrogate_f1
 from quantrules.adaptation import rule_loss
-from quantrules.violations import check_rule, evaluate
+from quantrules.violations import evaluate
 
 INF = float("inf")
 
@@ -43,7 +43,7 @@ def test_c01_quantile_validity_by_construction():
     ds = make_dataset({"u": (NUMERIC, values)})
     rule = AbstractRule(kind="conditional", statistic="u")
     batches = sample_minibatches(ds, 10_000, 1, seed=0)
-    interval = compute_bounds(rule, batches, delta=0.02, sided="two")
+    interval = compute_bounds(rule, ds, batches, delta=0.02, sided="two")
     assert abs(interval.lo - 0.01) <= 0.01
     assert abs(interval.hi - 0.99) <= 0.01
     inside = np.mean((values >= interval.lo) & (values <= interval.hi))
@@ -238,7 +238,7 @@ def test_c06_loss_arithmetic():
         ds, model, out = _saturated_setup(seed=trial % 25)
         crule = _random_rule(rng, out)
         loss = rule_loss(crule, out)
-        result = check_rule(crule, Minibatch(out.dataset, np.arange(out.dataset.n_rows)),
+        result = check_rule(crule, out.dataset, np.arange(out.dataset.n_rows),
                             label_column="pred")
         satisfied = not (result.evaluated and result.violated)
         assert (loss == 0.0) == satisfied, (crule.signature, loss, result)
@@ -276,8 +276,7 @@ def test_c07_gradient_fidelity():
         phi_f1 = surrogate_f1(antecedent, out.probs[:, 1], 1.0)
         f1_rule = ConcreteRule(rule=formula, lo=phi_f1 + 0.05, hi=phi_f1 + 0.45,
                                delta=0.02)
-        error = grad_check(model, [mean_rule, f1_rule], Minibatch(ds, np.arange(n)),
-                           step=1e-5)
+        error = grad_check(model, [mean_rule, f1_rule], ds, np.arange(n), step=1e-5)
         worst = max(worst, error)
         assert error <= 1e-4, (config_id, error)
     elapsed = time.perf_counter() - start

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
+from scalar_oracle import check_rule
 from quantrules.adaptation import (AdaptationConfig, adapt, forward_batch,
                                    grad_check, hinge, iterations_for_epochs,
                                    rule_loss, total_loss, total_loss_grad,
                                    write_trace)
-from quantrules.dataset import BOOLEAN, NUMERIC, Minibatch
+from quantrules.dataset import BOOLEAN, NUMERIC
 from quantrules.errors import DivergenceError
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
-from quantrules.violations import check_rule
 
 INF = float("inf")
 
@@ -153,13 +153,12 @@ def test_loss_zero_iff_check_satisfied_randomized():
     rng = np.random.default_rng(7)
     ds, model = tiny_setup(n=32, seed=1)
     out = forward_batch(model, ds, np.arange(32))
-    batch = Minibatch(out.dataset, np.arange(32))
     for _ in range(200):
         lo = rng.uniform(-0.5, 1.0)
         hi = lo + rng.uniform(0.05, 1.0)
         rule = data_rule(lo, hi)
         loss = rule_loss(rule, out)
-        result = check_rule(rule, batch, label_column="pred")
+        result = check_rule(rule, out.dataset, np.arange(32), label_column="pred")
         assert (loss == 0.0) == (result.evaluated and not result.violated)
 
 
@@ -212,20 +211,15 @@ def test_in_pass_violations_match_check_rule_recount(seed, size, lo, width, s1_l
     for crule in rules:
         if crule.rule.statistic in PER_SAMPLE_STATS:
             for i in range(size):
-                one = check_rule(crule, Minibatch(out.dataset, [i]), label_column="pred")
+                one = check_rule(crule, out.dataset, [i], label_column="pred")
                 recount += one.evaluated and one.violated
         else:
-            whole = check_rule(crule, Minibatch(out.dataset, np.arange(size)),
-                               label_column="pred")
+            whole = check_rule(crule, out.dataset, np.arange(size), label_column="pred")
             recount += size if whole.evaluated and whole.violated else 0
     assert violations == recount
 
 
 # -- gradient checks ------------------------------------------------------------------
-
-def batch_of(ds, n):
-    return Minibatch(ds, np.arange(n))
-
 
 def mean_score_rule(lo, hi, sided="two", cls="b"):
     return ConcreteRule(rule=AbstractRule(kind="conditional", sided=sided,
@@ -238,7 +232,7 @@ def test_grad_check_quadratic_region():
     out = forward_batch(model, ds, np.arange(24))
     phi = float(out.probs[:, 1].mean())
     rule = mean_score_rule(phi + 0.05, phi + 0.3)  # violated below lower bound
-    err = grad_check(model, [rule], batch_of(ds, 24), step=1e-5)
+    err = grad_check(model, [rule], ds, np.arange(24), step=1e-5)
     assert err <= 1e-4
 
 
@@ -247,7 +241,7 @@ def test_grad_check_linear_one_sided_region():
     out = forward_batch(model, ds, np.arange(24))
     phi = float(out.probs[:, 1].mean())
     rule = mean_score_rule(phi + 0.2, INF, sided="lower")
-    err = grad_check(model, [rule], batch_of(ds, 24), step=1e-5)
+    err = grad_check(model, [rule], ds, np.arange(24), step=1e-5)
     assert err <= 1e-5
 
 
@@ -263,7 +257,7 @@ def test_grad_check_surrogate_f1_rule():
         rule=AbstractRule(kind="logic", statistic="f1", consequent="b",
                           literals=(Literal("flag"),)),
         lo=phi + 0.1, hi=phi + 0.4, delta=0.02)
-    err = grad_check(model, [rule], batch_of(ds, 40), step=1e-5)
+    err = grad_check(model, [rule], ds, np.arange(40), step=1e-5)
     assert err <= 1e-4
 
 
@@ -273,7 +267,7 @@ def test_grad_check_flat_at_clip_plateau():
     phi = float(out.probs[:, 1].mean())
     rule = mean_score_rule(phi + 2.0, phi + 3.0)  # loss pinned at the clip
     assert total_loss([rule], out) == 1.0
-    err = grad_check(model, [rule], batch_of(ds, 24), step=1e-5)
+    err = grad_check(model, [rule], ds, np.arange(24), step=1e-5)
     assert err == 0.0
 
 
@@ -283,16 +277,20 @@ def test_grad_check_per_sample_score_rule():
     top = float(out.probs[:, 1].max())
     rule = ConcreteRule(rule=AbstractRule(kind="conditional", statistic="score_b"),
                         lo=top + 0.05, hi=top + 0.35, delta=0.02)
-    err = grad_check(model, [rule], batch_of(ds, 24), step=1e-5)
+    err = grad_check(model, [rule], ds, np.arange(24), step=1e-5)
     assert err <= 1e-4
 
 
 def test_grad_check_requires_positive_loss():
     ds, model = tiny_setup()
     with pytest.raises(ValueError, match="positive"):
-        grad_check(model, [data_rule(-10.0, 10.0)], batch_of(ds, 16))
+        grad_check(model, [data_rule(-10.0, 10.0)], ds, np.arange(16))
     with pytest.raises(ValueError, match="step"):
-        grad_check(model, [data_rule(-10.0, 10.0)], batch_of(ds, 16), step=0.5)
+        grad_check(model, [data_rule(-10.0, 10.0)], ds, np.arange(16), step=0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        grad_check(model, [data_rule(-10.0, 10.0)], ds, [0, 16])
+    with pytest.raises(ValueError, match="nonempty"):
+        grad_check(model, [data_rule(-10.0, 10.0)], ds, [])
 
 
 # -- adapt loop ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ from quantrules import bounds
 from quantrules.bounds import (BoundJob, Interval, compute_bounds,
                                interval_from_values, jaccard, learn_and_select,
                                percentile)
-from quantrules.dataset import LABEL, NUMERIC, Minibatch, sample_minibatches
+from quantrules.dataset import LABEL, NUMERIC, sample_minibatches
 from quantrules.errors import EmptyStatisticError
 from quantrules.schema import AbstractRule, parse_schema, enumerate_abstract_rules
 
@@ -85,33 +85,33 @@ def identity_rule(**kw):
 
 
 def full_batch(ds):
-    return [Minibatch(ds, np.arange(ds.n_rows))]
+    return np.arange(ds.n_rows)[None, :]
 
 
 def test_two_sided_bounds_on_uniform_1_to_1000():
     # oracle: percentiles at 0.01 and 0.99 of sorted 1..1000
     ds = uniform_dataset(1000)
-    iv = compute_bounds(identity_rule(), full_batch(ds), delta=0.02, sided="two")
+    iv = compute_bounds(identity_rule(), ds, full_batch(ds), delta=0.02, sided="two")
     assert iv.lo == pytest.approx(10.99, abs=1e-9)
     assert iv.hi == pytest.approx(990.01, abs=1e-9)
 
 
 def test_constant_statistic_degenerate_interval():
     ds = make_dataset({"v": (NUMERIC, np.full(10, 3.25))})
-    iv = compute_bounds(identity_rule(), full_batch(ds))
+    iv = compute_bounds(identity_rule(), ds, full_batch(ds))
     assert (iv.lo, iv.hi) == (3.25, 3.25)
 
 
 def test_delta_zero_limit_is_min_max():
     ds = uniform_dataset(50)
-    iv = compute_bounds(identity_rule(), full_batch(ds), delta=0.0, sided="two")
+    iv = compute_bounds(identity_rule(), ds, full_batch(ds), delta=0.0, sided="two")
     assert (iv.lo, iv.hi) == (1.0, 50.0)
 
 
 def test_one_sided_bounds():
     ds = uniform_dataset(100)
-    lo_iv = compute_bounds(identity_rule(sided="lower"), full_batch(ds), delta=0.02)
-    hi_iv = compute_bounds(identity_rule(sided="upper"), full_batch(ds), delta=0.02)
+    lo_iv = compute_bounds(identity_rule(sided="lower"), ds, full_batch(ds), delta=0.02)
+    hi_iv = compute_bounds(identity_rule(sided="upper"), ds, full_batch(ds), delta=0.02)
     assert lo_iv.lo == pytest.approx(2.98)
     assert lo_iv.hi == float("inf")
     assert hi_iv.lo == float("-inf")
@@ -121,7 +121,7 @@ def test_one_sided_bounds():
 def test_empty_statistics_error_names_rule():
     ds = make_dataset({"v": (NUMERIC, [0.0, 0.0])}, missing={"v": [True, True]})
     with pytest.raises(EmptyStatisticError, match="phi=v"):
-        compute_bounds(identity_rule(), full_batch(ds))
+        compute_bounds(identity_rule(), ds, full_batch(ds))
 
 
 def test_guarded_bounds_use_only_guard_rows():
@@ -129,9 +129,17 @@ def test_guarded_bounds_use_only_guard_rows():
         "v": (NUMERIC, np.array([1.0, 2.0, 3.0, 100.0, 200.0, 300.0])),
         "y": (LABEL, np.array(["a", "a", "a", "b", "b", "b"], dtype=object)),
     })
-    iv = compute_bounds(identity_rule(guard="a"), full_batch(ds),
+    iv = compute_bounds(identity_rule(guard="a"), ds, full_batch(ds),
                         delta=0.0, sided="two", label_column="y")
     assert (iv.lo, iv.hi) == (1.0, 3.0)
+
+
+@pytest.mark.parametrize("rows", [[[0, 7]], [[-1, 0]], np.zeros((1, 0), dtype=int)],
+                         ids=["past-end", "negative", "empty"])
+def test_compute_bounds_validates_rows(rows):
+    ds = uniform_dataset(4)
+    with pytest.raises(ValueError, match="out of range|nonempty"):
+        compute_bounds(identity_rule(), ds, rows)
 
 
 @settings(max_examples=60)
@@ -310,13 +318,13 @@ def bucket_dependent_batches():
         "s1": (NUMERIC, s1), "s2": (NUMERIC, s2),
         "y": (LABEL, np.array(["c"] * n, dtype=object)),
     }, origin="paired")
-    return sample_minibatches(ds, 512, 20, seed=9)
+    return ds, sample_minibatches(ds, 512, 20, seed=9)
 
 
 def test_paired_rule_bounds_respect_bucket():
     rule = AbstractRule(kind="paired", guard="c", statistic="s2", s1="s1",
                         s1_bucket=0, s1_bucket_count=2)
-    iv = compute_bounds(rule, bucket_dependent_batches(), delta=0.02, sided="two",
+    iv = compute_bounds(rule, *bucket_dependent_batches(), delta=0.02, sided="two",
                         label_column="y")
     assert iv.hi < 5.0  # bucket 0 holds the low-branch values only
 
@@ -325,6 +333,6 @@ def test_paired_minibatch_statistic_bounds_respect_bucket():
     # mining reads the bucket's rows, as violation counting and adaptation do
     rule = AbstractRule(kind="paired", guard="c", statistic="mean(s2)", s1="s1",
                         s1_bucket=0, s1_bucket_count=2, batch_size=512)
-    iv = compute_bounds(rule, bucket_dependent_batches(), delta=0.02, sided="two",
+    iv = compute_bounds(rule, *bucket_dependent_batches(), delta=0.02, sided="two",
                         label_column="y")
     assert iv.hi < 1.0

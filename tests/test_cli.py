@@ -322,7 +322,8 @@ def test_bad_box_file_exits_2_naming_file_and_index(tmp_path, capsys, payload, e
 @pytest.mark.parametrize("x0_cells, expected", [
     (["0.5", "oops", "1.5"], "line 3: "),
     (["", "", ""], "every cell is empty"),
-], ids=["non-numeric", "all-missing"])
+    (["0.5", "1.5", "nan"], "line 4: "),
+], ids=["non-numeric", "all-missing", "non-finite"])
 def test_bad_bucketed_column_exits_2_naming_file_and_column(tmp_path, capsys,
                                                             x0_cells, expected):
     cfg_path = write_workspace(tmp_path)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, write_csv
 from quantrules.dataset import (BOOLEAN, LABEL, NUMERIC, Dataset, FeatureSpec,
-                                Minibatch, bucket_edges, bucket_indicators,
+                                bucket_edges, bucket_indicators, checked_rows,
                                 load_table, sample_minibatches, split)
 from quantrules.errors import ParseError, TypeMismatchError
 from quantrules.statistics import load_boxes, match_class
@@ -57,6 +58,20 @@ def test_load_all_missing_bucket_source(tmp_path):
     assert ds.missing("x__b0").tolist() == [True, True]
 
 
+@pytest.mark.parametrize("cell, buckets, edges", [
+    ("nan", None, None), ("inf", None, None), ("1e400", None, None),
+    ("-Infinity", None, None), ("nan", 2, None), ("inf", 2, None),
+    ("nan", 2, {"x": [2.5]}), ("inf", 2, {"x": [2.5]}),
+], ids=["numeric-nan", "numeric-inf", "numeric-overflow", "numeric-minus-inf",
+        "bucketed-nan", "bucketed-inf", "edges-nan", "edges-inf"])
+def test_load_rejects_non_finite_cells(tmp_path, cell, buckets, edges):
+    path = write_csv(tmp_path / "t.csv", ["x", "y"], [[1, "a"], [cell, "b"], [3, "a"]])
+    with pytest.raises(ParseError) as info:
+        load_table(path, [FeatureSpec("x", buckets), FeatureSpec("y")], edges=edges)
+    assert str(info.value) == (f"line 3: {path}: non-finite value {cell!r} "
+                               f"in column 'x'")
+
+
 def test_load_missing_cells_masked(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x,y\n1,\n2,5\n", encoding="utf-8")
@@ -100,8 +115,17 @@ def _infer_kind_oracle(cells):
     return NUMERIC, parsed
 
 
+def _reject_non_finite_oracle(path, spec, cells):
+    for i, cell in enumerate(cells):
+        if cell != "" and not math.isfinite(float(cell)):
+            raise ParseError(f"{path}: non-finite value {cell!r} in column "
+                             f"{spec.source!r}", line=i + 2)
+
+
 def _load_table_oracle(path, specs=None, edges=None):
-    """The per-cell load_table that the column-wise one replaced."""
+    """The per-cell load_table that the column-wise one replaced, plus the
+    rejection of non-finite cells in columns that are not label columns; a
+    bucketed column's non-numeric cell is reported before a non-finite one."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
@@ -119,6 +143,7 @@ def _load_table_oracle(path, specs=None, edges=None):
             if kind == LABEL:
                 arr = np.array(cells, dtype=str)
             else:
+                _reject_non_finite_oracle(path, spec, cells)
                 arr = np.zeros(n)
                 it = iter(parsed)
                 for i in range(n):
@@ -139,6 +164,7 @@ def _load_table_oracle(path, specs=None, edges=None):
                 raise TypeMismatchError(
                     f"non-numeric value {cell!r} in bucketed column {spec.source!r}"
                     f" (line {i + 2})")
+        _reject_non_finite_oracle(path, spec, cells)
         if edges and spec.source in edges:
             col_edges = list(edges[spec.source])
         else:
@@ -304,20 +330,20 @@ def test_minibatches_deterministic_per_seed():
     ds = _toy(5)
     a = sample_minibatches(ds, 1, 3, seed=0)
     b = sample_minibatches(ds, 1, 3, seed=0)
-    assert [m.rows.tolist() for m in a] == [bm.rows.tolist() for bm in b]
-    assert all(m.size == 1 for m in a)
+    assert a.tolist() == b.tolist()
+    assert a.shape == (3, 1)
 
 
 def test_minibatches_small_data_samples_with_replacement():
     batches = sample_minibatches(_toy(3), 4096, 2, seed=1)
-    assert all(m.size == 4096 for m in batches)
-    assert all(set(m.rows.tolist()) <= {0, 1, 2} for m in batches)
+    assert batches.shape == (2, 4096)
+    assert set(batches.ravel().tolist()) <= {0, 1, 2}
 
 
 def test_minibatches_no_replacement_when_data_suffices():
     batches = sample_minibatches(_toy(50), 50, 4, seed=2)
-    for m in batches:
-        assert len(set(m.rows.tolist())) == 50
+    for rows in batches:
+        assert len(set(rows.tolist())) == 50
 
 
 def test_minibatches_rejects_zero_args():
@@ -352,8 +378,9 @@ def test_dataset_allows_missing_non_finite_slots():
 
 def test_minibatch_validates_indices():
     ds = _toy(4)
+    assert checked_rows(ds, [3, 0]).tolist() == [3, 0]
     with pytest.raises(ValueError):
-        Minibatch(ds, np.array([0, 7]))
+        checked_rows(ds, np.array([0, 7]))
 
 
 def test_take_and_with_columns():

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, Minibatch
+from quantrules.bounds import compute_bounds
+from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
 from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
                                TypeMismatchError)
+from quantrules.rule_eval import evaluate_rule
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
-                                   eval_statistic, f1_score, load_boxes,
-                                   soften_scores, surrogate_f1,
+                                   load_boxes, soften_scores, surrogate_f1,
                                    surrogate_f1_grad)
 
 
@@ -30,45 +31,60 @@ def formula(literals, consequent):
                         literals=tuple(literals), consequent=consequent)
 
 
+def evaluated(ds, statistic, rows, label_column=None, registry=None):
+    """A conditional rule on ``statistic`` evaluated on ``rows`` of ``ds``."""
+    rule = AbstractRule(kind="conditional", statistic=statistic)
+    return evaluate_rule(rule, ds, np.asarray(rows), label_column,
+                         registry or StatisticRegistry.from_dataset(ds))
+
+
+def f1_of(rule, ds, n, label_column):
+    ev = evaluate_rule(rule, ds, np.arange(n), label_column,
+                       StatisticRegistry.from_dataset(ds))
+    assert ev.valued
+    return float(ev.value)
+
+
 # -- box geometry ----------------------------------------------------------------
 
 def test_aspect_ratio_is_width_over_height():
     ds = box_dataset([(0, 0, 10, 20)])
-    reg = StatisticRegistry.from_dataset(ds)
-    value = eval_statistic(reg.resolve("aspect_ratio"), Minibatch(ds, [0]))
-    assert value.tolist() == [0.5]
+    ev = evaluated(ds, "aspect_ratio", [0])
+    assert ev.samples[ev.mask].tolist() == [0.5]
 
 
 def test_box_statistics_coordinate_arithmetic():
     # oracle: (2,3,6,9) -> width 4, height 6, area 24, center_x 4, bottom_y 9
     ds = box_dataset([(2, 3, 6, 9)])
-    reg = StatisticRegistry.from_dataset(ds)
     expected = {"width": 4.0, "height": 6.0, "aspect_ratio": 4.0 / 6.0,
                 "area": 24.0, "center_x": 4.0, "bottom_y": 9.0}
     for name, want in expected.items():
-        got = eval_statistic(reg.resolve(name), Minibatch(ds, [0]))
-        assert got.tolist() == [want], name
+        ev = evaluated(ds, name, [0])
+        assert ev.samples[ev.mask].tolist() == [want], name
 
 
 def test_batch_mean_summary():
     ds = make_dataset({"c": (NUMERIC, [1.0, 2.0, 3.0])})
-    reg = StatisticRegistry.from_dataset(ds)
-    assert eval_statistic(reg.resolve("mean(c)"), Minibatch(ds, [0, 1, 2])) == 2.0
+    ev = evaluated(ds, "mean(c)", [0, 1, 2])
+    assert ev.valued and ev.value == 2.0
 
 
 def test_missing_rows_are_skipped():
     ds = make_dataset({"c": (NUMERIC, [1.0, 0.0, 3.0])},
                       missing={"c": [False, True, False]})
-    reg = StatisticRegistry.from_dataset(ds)
-    vals = eval_statistic(reg.resolve("c"), Minibatch(ds, [0, 1, 2]))
-    assert vals.tolist() == [1.0, 3.0]
+    ev = evaluated(ds, "c", [0, 1, 2])
+    assert ev.samples[ev.mask].tolist() == [1.0, 3.0]
+    ev = evaluated(ds, "mean(c)", [0, 1, 2])
+    assert ev.mask.tolist() == [True, False, True] and ev.value == 2.0
 
 
 def test_all_missing_raises_empty_statistic():
     ds = make_dataset({"c": (NUMERIC, [0.0, 0.0])}, missing={"c": [True, True]})
-    reg = StatisticRegistry.from_dataset(ds)
-    with pytest.raises(EmptyStatisticError):
-        eval_statistic(reg.resolve("c"), Minibatch(ds, [0, 1]))
+    for name in ("c", "mean(c)"):
+        ev = evaluated(ds, name, [0, 1])
+        assert not ev.mask.any() and not ev.valued, name
+        with pytest.raises(EmptyStatisticError):
+            compute_bounds(AbstractRule(kind="conditional", statistic=name), ds, [[0, 1]])
 
 
 def test_registry_unknown_name_lists_known():
@@ -80,9 +96,9 @@ def test_registry_unknown_name_lists_known():
 
 def test_missing_column_is_resolution_error():
     ds = make_dataset({"c": (NUMERIC, [1.0])})
-    stat = Statistic("z", "sample", "column", column="z")
+    registry = StatisticRegistry([Statistic("z", "sample", "column", column="z")])
     with pytest.raises(ResolutionError):
-        eval_statistic(stat, Minibatch(ds, [0]))
+        evaluated(ds, "z", [0], registry=registry)
 
 
 @settings(max_examples=40)
@@ -90,13 +106,11 @@ def test_missing_column_is_resolution_error():
        st.randoms(use_true_random=False))
 def test_lifted_summaries_are_permutation_invariant(values, rnd):
     ds = make_dataset({"c": (NUMERIC, np.asarray(values))})
-    reg = StatisticRegistry.from_dataset(ds)
     rows = list(range(len(values)))
     shuffled = rows[:]
     rnd.shuffle(shuffled)
     for name in (f"mean(c)", f"std(c)"):
-        a = eval_statistic(reg.resolve(name), Minibatch(ds, rows))
-        b = eval_statistic(reg.resolve(name), Minibatch(ds, shuffled))
+        a, b = evaluated(ds, name, [rows, shuffled]).value  # one batch each
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -111,7 +125,7 @@ def labelled(a_col, labels):
 
 def test_f1_perfect_agreement():
     ds = labelled([1, 0, 1, 0], ["p", "n", "p", "n"])
-    assert f1_score(formula([Literal("A")], "p"), ds, range(4), "y") == 1.0
+    assert f1_of(formula([Literal("A")], "p"), ds, 4, "y") == 1.0
 
 
 def test_f1_confusion_count_arithmetic():
@@ -119,25 +133,25 @@ def test_f1_confusion_count_arithmetic():
     a = [1] * 9 + [0] * 3
     y = ["p"] * 8 + ["n"] + ["p"] + ["n"] * 2
     ds = labelled(a, y)
-    got = f1_score(formula([Literal("A")], "p"), ds, range(12), "y")
+    got = f1_of(formula([Literal("A")], "p"), ds, 12, "y")
     assert got == pytest.approx(16 / 18, abs=1e-12)
 
 
 def test_f1_vacuous_case_is_zero():
     ds = labelled([0, 0, 0], ["n", "n", "n"])
-    assert f1_score(formula([Literal("A")], "p"), ds, range(3), "y") == 0.0
+    assert f1_of(formula([Literal("A")], "p"), ds, 3, "y") == 0.0
 
 
 def test_f1_rejects_non_boolean_literal():
     ds = make_dataset({"A": (NUMERIC, [1.0, 2.0]),
                        "y": (LABEL, np.array(["p", "n"], dtype=object))})
     with pytest.raises(TypeMismatchError):
-        f1_score(formula([Literal("A")], "p"), ds, range(2), "y")
+        f1_of(formula([Literal("A")], "p"), ds, 2, "y")
 
 
 def test_f1_negated_literal():
     ds = labelled([1, 0, 0, 0], ["n", "p", "p", "n"])
-    got = f1_score(formula([Literal("A", negated=True)], "p"), ds, range(4), "y")
+    got = f1_of(formula([Literal("A", negated=True)], "p"), ds, 4, "y")
     # antecedent !A on rows 1..3; TP=2, FP=1, FN=0
     assert got == pytest.approx(4 / 5)
 
@@ -145,7 +159,7 @@ def test_f1_negated_literal():
 def test_f1_boolean_consequent_column():
     ds = make_dataset({"A": (BOOLEAN, [1.0, 1.0, 0.0]),
                        "c": (BOOLEAN, [1.0, 0.0, 0.0])})
-    got = f1_score(formula([Literal("A")], "1"), ds, range(3), "c")
+    got = f1_of(formula([Literal("A")], "1"), ds, 3, "c")
     assert got == pytest.approx(2 / 3)  # TP=1, FP=1, FN=0
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, Minibatch
+from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
+from quantrules.rule_eval import evaluate_rule
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
-from quantrules.violations import (check_rule, evaluate, read_report,
-                                   report_from_obj, report_to_obj, write_report)
+from quantrules.statistics import StatisticRegistry
+from quantrules.violations import (evaluate, read_report, report_from_obj,
+                                   report_to_obj, write_report)
 
 
 def aspect_rule(lo=0.07, hi=2.77, guard="car"):
@@ -28,39 +30,46 @@ def box_ds(ratios, labels=None):
     })
 
 
-# -- check_rule ---------------------------------------------------------------
+# -- checking one rule --------------------------------------------------------
+
+def check_one(rule, ds, label_column="label"):
+    """(violations, evaluations) of ``rule`` and the per-sample counts."""
+    report = evaluate([rule], ds, label_column=label_column)
+    (sig, v, n), = report.per_rule
+    assert sig == rule.signature
+    return (v, n), [c for _, c in report.per_sample]
+
 
 def test_check_inside_bounds_satisfied():
-    ds = box_ds([1.5])
-    result = check_rule(aspect_rule(), Minibatch(ds, [0]), label_column="label")
-    assert result.evaluated and not result.violated
+    assert check_one(aspect_rule(), box_ds([1.5])) == ((0, 1), [0])
+
+
+def test_check_outside_upper_bound_violated():
+    assert check_one(aspect_rule(), box_ds([5.0])) == ((1, 1), [1])
 
 
 def test_check_outside_upper_bound_carries_value():
     ds = box_ds([5.0])
-    result = check_rule(aspect_rule(), Minibatch(ds, [0]), label_column="label")
-    assert result.violated
-    assert result.value == 5.0
+    rule = aspect_rule()
+    ev = evaluate_rule(rule.rule, ds, np.array([0]), "label",
+                       StatisticRegistry.from_dataset(ds))
+    assert ev.violated(rule.lo, rule.hi).tolist() == [True]
+    assert ev.samples[0] == 5.0
 
 
 def test_check_boundary_value_satisfied():
-    ds = box_ds([2.77])
-    result = check_rule(aspect_rule(), Minibatch(ds, [0]), label_column="label")
-    assert result.evaluated and not result.violated
+    assert check_one(aspect_rule(), box_ds([2.77])) == ((0, 1), [0])
 
 
 def test_check_guard_mismatch_not_evaluated():
-    ds = box_ds([5.0], labels=["person"])
-    result = check_rule(aspect_rule(), Minibatch(ds, [0]), label_column="label")
-    assert not result.evaluated
+    assert check_one(aspect_rule(), box_ds([5.0], labels=["person"])) == ((0, 0), [0])
 
 
 def test_check_missing_cell_not_evaluated():
     ds = make_dataset({"v": (NUMERIC, [0.0])}, missing={"v": [True]})
     rule = ConcreteRule(rule=AbstractRule(kind="conditional", statistic="v"),
                         lo=0.0, hi=1.0, delta=0.02)
-    result = check_rule(rule, Minibatch(ds, [0]))
-    assert not result.evaluated
+    assert check_one(rule, ds, label_column=None) == ((0, 0), [0])
 
 
 # -- evaluate -------------------------------------------------------------------
