@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """End-to-end covariate-shift demo driven through the CLI.
 
-Builds a synthetic 2-class Gaussian workspace (train/valid/test CSVs, a
-trained softmax checkpoint, a rule schema, and a YAML config), scales the
-test features by a configurable factor, then runs mine -> evaluate ->
-adapt and prints the violation counts before and after adaptation.
+Writes the benchmark's ``shift`` workspace (``perfbench/workloads.py``): a
+2-class Gaussian problem with train/valid/test CSVs, a trained softmax
+checkpoint, a rule schema and a YAML config, where the test features are
+scaled x3. Then runs mine -> evaluate -> adapt and prints the violation
+counts before and after adaptation. The tables and the model are the same
+for every seed; ``--seed`` picks the evaluation and adaptation batch
+streams.
 
 Usage:
     python scripts/run_shift_experiment.py --workdir /tmp/shift_demo
@@ -15,121 +18,19 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-import yaml
-
 from quantrules.cli import main as cli_main
-from quantrules.model import SoftmaxModel
 
-FEATURES = 4
-SIGMA = 3.0          # raw feature spread
-SEPARATION = 0.6     # class mean offset in units of SIGMA
-
-SCHEMA = """\
-# bounds on the model's own score statistics
-template conditional_statistic
-labels: *
-statistics: score_a score_b mean(score_a) mean(score_b) std(score_a)
-quantile: 0.98
-batch: 128
-
-template conditional_statistic
-labels: a b
-statistics: score_a score_b
-quantile: 0.98
-batch: 128
-
-# boolean attributes implying a class, scored by minibatch F1
-template logic_implication
-labels: a b
-max_literals: 1
-literals: signed
-batch: 128
-"""
-
-
-def synthesize(n, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    y = rng.random(n) < 0.5
-    X = rng.normal(0, SIGMA, (n, FEATURES)) + np.where(y[:, None],
-                                                       SEPARATION * SIGMA,
-                                                       -SEPARATION * SIGMA)
-    X = X * scale
-    b0 = (rng.random(n) < np.where(y, 0.75, 0.25)).astype(int)
-    b1 = (rng.random(n) < np.where(y, 0.35, 0.65)).astype(int)
-    labels = np.where(y, "b", "a")
-    return X, b0, b1, labels, y
-
-
-def write_table(path, X, b0, b1, labels):
-    header = [f"x{j}" for j in range(FEATURES)] + ["b0", "b1", "label"]
-    lines = [",".join(header)]
-    for i in range(X.shape[0]):
-        cells = [repr(float(v)) for v in X[i]] + [str(b0[i]), str(b1[i]), labels[i]]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def build_workspace(workdir, seed, shift_factor):
-    workdir.mkdir(parents=True, exist_ok=True)
-    Xtr, b0, b1, labels, y = synthesize(3000, seed)
-    write_table(workdir / "train.csv", Xtr, b0, b1, labels)
-    write_table(workdir / "valid.csv", *synthesize(2000, seed + 50)[:4])
-    Xte, tb0, tb1, tlabels, _ = synthesize(2000, seed + 100, scale=shift_factor)
-    write_table(workdir / "test.csv", Xte, tb0, tb1, tlabels)
-
-    model = SoftmaxModel.standardized([f"x{j}" for j in range(FEATURES)],
-                                      ["a", "b"], Xtr)
-    model.fit(Xtr, y.astype(int), learning_rate=0.5, iterations=400,
-              weight_decay=0.5)
-    model.save(workdir / "model.json")
-    (workdir / "schema.txt").write_text(SCHEMA, encoding="utf-8")
-
-    cfg = {
-        "data": {
-            "train": str(workdir / "train.csv"),
-            "valid": str(workdir / "valid.csv"),
-            "test": str(workdir / "test.csv"),
-            "label_column": "label",
-        },
-        "mine": {
-            "schema": str(workdir / "schema.txt"),
-            "rules_out": str(workdir / "rules.jsonl"),
-            "model_in": str(workdir / "model.json"),
-            "n_train_batches": 200, "n_valid_batches": 50,
-            "epsilon": 0.2, "seed": seed + 11,
-        },
-        "evaluate": {
-            "rules": str(workdir / "rules.jsonl"),
-            "report_out": str(workdir / "report.json"),
-            "model_in": str(workdir / "model.json"),
-            "batch_size": 128, "n_batches": 50, "seed": 7,
-        },
-        "adapt": {
-            "rules": str(workdir / "rules.jsonl"),
-            "model_in": str(workdir / "model.json"),
-            "model_out": str(workdir / "adapted.json"),
-            "trace_out": str(workdir / "trace.csv"),
-            "report_before": str(workdir / "before.json"),
-            "report_after": str(workdir / "after.json"),
-            "iterations": 2000, "batch_size": 128,
-            "learning_rate": 0.01, "seed": 5,
-            "eval_batch_size": 128, "eval_n_batches": 50,
-        },
-    }
-    config_path = workdir / "config.yaml"
-    config_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-    return config_path
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", default="shift_demo")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--shift-factor", type=float, default=3.0)
     args = parser.parse_args(argv)
 
-    config = build_workspace(Path(args.workdir), args.seed, args.shift_factor)
+    config = WORKLOADS["shift"].write(args.workdir, args.seed)
     print(f"workspace ready at {config.parent}")
     for command in ("mine", "evaluate", "adapt"):
         print(f"--- {command} ---")

@@ -1,7 +1,7 @@
 """Quantile rule mining, violation auditing, and rule-driven test-time adaptation."""
 
 from .adaptation import (AdaptationConfig, TraceRow, adapt, forward_batch,
-                         grad_check, rule_loss, total_loss)
+                         grad_check)
 from .bounds import (BoundJob, Interval, compute_bounds, jaccard,
                      learn_and_select)
 from .dataset import (Dataset, FeatureSpec, bucket_edges,
@@ -13,7 +13,7 @@ from .rules_io import load_rules, save_rules
 from .schema import (AbstractRule, ConcreteRule, Literal, RuleSchema,
                      TemplateSpec, enumerate_abstract_rules, parse_schema,
                      rule_signature)
-from .statistics import Statistic, StatisticRegistry, load_boxes, surrogate_f1
+from .statistics import Statistic, StatisticRegistry, load_boxes
 from .violations import ViolationReport, evaluate, read_report, write_report
 
 __all__ = [
@@ -27,6 +27,6 @@ __all__ = [
     "forward_batch", "grad_check", "jaccard",
     "learn_and_select", "load_boxes",
     "load_rules", "load_table", "parse_schema", "percentile", "read_report",
-    "rule_loss", "rule_signature", "sample_minibatches", "save_rules", "split",
-    "surrogate_f1", "total_loss", "write_report",
+    "rule_signature", "sample_minibatches", "save_rules", "split",
+    "write_report",
 ]

@@ -8,6 +8,10 @@ surrogate F1 for the exact score so gradients flow into the model's
 consequent probabilities. The adaptation loop repeatedly samples a test
 batch, averages the loss over all rules, and takes one gradient step on
 the normalization parameters whenever the loss is positive.
+
+Rules are evaluated on a ``BatchView`` per batch: the test table's columns at
+the batch rows plus the model's output columns. Every batch of a run has the
+same columns, so one statistic registry serves the whole run.
 """
 from __future__ import annotations
 
@@ -55,15 +59,42 @@ class TraceRow:
     update_norm: float
 
 
-@dataclass
-class BatchOutput:
-    """Model output on one test batch: a dataset slice carrying the raw
-    columns plus score_<class> and pred columns derived from ``probs``."""
+class BatchView:
+    """A model's output on ``rows`` of ``table``, read like a ``Dataset``: the
+    table's columns at ``rows``, then ``model.output_columns(probs)``, which the
+    table must not have. ``probs`` and ``cache`` feed ``model.backward``."""
 
-    dataset: object
-    probs: np.ndarray
-    cache: dict
-    model: object
+    def __init__(self, model, table, rows, probs, cache):
+        self.model, self.probs, self.cache = model, probs, cache
+        self.n_rows = len(rows)
+        self._table, self._rows = table, rows
+        self._outputs = {name: (kind, vals) for name, kind, vals in model.output_columns(probs)}
+        for name in self._outputs:
+            if table.has_column(name):
+                raise ValueError(f"data already carries model output column {name!r}")
+        self.score_index = {model.score_column(c): j for j, c in enumerate(model.class_names)}
+
+    @property
+    def names(self):
+        return self._table.names + list(self._outputs)
+
+    def has_column(self, name) -> bool:
+        return name in self._outputs or self._table.has_column(name)
+
+    def kind(self, name) -> str:
+        if name in self._outputs:
+            return self._outputs[name][0]
+        return self._table.kind(name)
+
+    def values(self, name) -> np.ndarray:
+        if name in self._outputs:
+            return self._outputs[name][1]
+        return self._table.values(name)[self._rows]
+
+    def missing(self, name) -> np.ndarray:
+        if name in self._outputs:
+            return np.zeros(self.n_rows, dtype=bool)
+        return self._table.missing(name)[self._rows]
 
 
 def iterations_for_epochs(epochs, n_rows, batch_size) -> int:
@@ -71,14 +102,12 @@ def iterations_for_epochs(epochs, n_rows, batch_size) -> int:
     return int(epochs) * int(math.ceil(n_rows / batch_size))
 
 
-def forward_batch(model, dataset, rows) -> BatchOutput:
+def forward_batch(model, table, rows) -> BatchView:
     rows = np.asarray(rows, dtype=int)
-    X = model.feature_matrix(dataset, rows)
-    probs, cache = model.forward(X)
+    probs, cache = model.forward(model.feature_matrix(table, rows))
     if not np.isfinite(probs).all():
         raise DivergenceError("model produced non-finite output probabilities")
-    cols = model.output_columns(probs)
-    return BatchOutput(dataset.take(rows).with_columns(cols), probs, cache, model)
+    return BatchView(model, table, rows, probs, cache)
 
 
 def hinge(values, lo, hi, clip=LOSS_CLIP):
@@ -111,8 +140,8 @@ def _rule_loss_grad(crule, out, temperature, registry):
     """Loss of one rule on a batch, d loss / d probs (None when flat), and
     the rule's member-attributed violation count on the predicted labels."""
     rule = crule.rule
-    ev = evaluate_rule(rule, out.dataset, np.arange(out.dataset.n_rows), "pred",
-                       registry, (crule.s1_lo, crule.s1_hi))
+    ev = evaluate_rule(rule, out, np.arange(out.n_rows), "pred", registry,
+                       (crule.s1_lo, crule.s1_hi))
     violations = np.count_nonzero(ev.violated(crule.lo, crule.hi))
     if not ev.mask.any():
         return 0.0, None, violations
@@ -125,8 +154,7 @@ def _rule_loss_grad(crule, out, temperature, registry):
     else:
         # j is None for a statistic of fixed data columns: a loss but no gradient
         stat = registry.resolve(rule.statistic)
-        scores = [out.model.score_column(c) for c in out.model.class_names]
-        j = scores.index(stat.column) if stat.column in scores else None
+        j = out.score_index.get(stat.column)
         if ev.per_sample:
             losses, slopes = hinge(ev.samples[ev.mask], crule.lo, crule.hi)
             if j is None or not slopes.any():
@@ -152,25 +180,14 @@ def _rule_loss_grad(crule, out, temperature, registry):
     return float(loss), dprobs, violations
 
 
-def rule_loss(crule, batch_output, temperature=1.0) -> float:
-    """Violation loss of one rule on a model's batch output, in [0, 1]."""
-    registry = StatisticRegistry.from_dataset(batch_output.dataset)
-    loss, _, _ = _rule_loss_grad(crule, batch_output, temperature, registry)
-    return loss
-
-
-def total_loss(rules, batch_output, temperature=1.0) -> float:
-    """Mean rule loss over a nonempty rule list."""
-    loss, _, _, _ = total_loss_grad(rules, batch_output, temperature)
-    return loss
-
-
-def total_loss_grad(rules, batch_output, temperature=1.0):
+def total_loss_grad(rules, batch_output, temperature=1.0, registry=None):
     """(mean loss, d loss / d scale, d loss / d shift, batch violations) over
-    all rules; the violations are member-attributed, as in ``evaluate``."""
+    all rules; the violations are member-attributed, as in ``evaluate``.
+    ``registry`` defaults to the one built from ``batch_output``'s columns."""
     if not rules:
-        raise ValueError("total_loss needs at least one rule")
-    registry = StatisticRegistry.from_dataset(batch_output.dataset)
+        raise ValueError("total_loss_grad needs at least one rule")
+    if registry is None:
+        registry = StatisticRegistry.from_dataset(batch_output)
     total = 0.0
     violations = 0
     dprobs_sum = None
@@ -195,25 +212,22 @@ def adapt(model, rules, test, config: AdaptationConfig):
     the model's current outputs, and descends on (scale, shift) only when
     the loss is positive; the frozen linear layer is untouched. Raises
     DivergenceError with the partial trace if the loss or gradient goes
-    non-finite.
+    non-finite, and ValueError if ``test`` already has a model output column.
     """
-    for name in [model.score_column(c) for c in model.class_names] + ["pred"]:
-        if test.has_column(name):
-            raise ValueError(
-                f"test data already carries model output column {name!r}; "
-                "adapt computes model outputs itself")
     work = model.copy()
     frozen = work.frozen_checksum()
     rng = np.random.default_rng(config.seed)
     n = test.n_rows
     replace = config.batch_size > n
     trace = []
+    registry = None
     for it in range(config.iterations):
         rows = rng.choice(n, size=config.batch_size, replace=replace)
         try:
             out = forward_batch(work, test, rows)
+            registry = registry or StatisticRegistry.from_dataset(out)
             loss, dscale, dshift, violations = total_loss_grad(
-                rules, out, config.temperature)
+                rules, out, config.temperature, registry)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), trace=trace)
         if not math.isfinite(loss):
@@ -253,17 +267,17 @@ def grad_check(model, rules, dataset, rows, step=1e-5, temperature=1.0) -> float
         raise ValueError(f"step must lie in (0, 1e-2], got {step}")
     rows = checked_rows(dataset, rows)
     out = forward_batch(model, dataset, rows)
-    loss0, dscale, dshift, _ = total_loss_grad(rules, out, temperature)
+    registry = StatisticRegistry.from_dataset(out)
+    loss0, dscale, dshift, _ = total_loss_grad(rules, out, temperature, registry)
     if loss0 <= 0.0:
         raise ValueError("grad_check needs a batch with positive total loss")
     analytic = np.concatenate([dscale, dshift])
 
     def loss_at(scale, shift):
         probe = model.copy()
-        probe.scale = scale
-        probe.shift = shift
+        probe.scale, probe.shift = scale, shift
         probed = forward_batch(probe, dataset, rows)
-        return total_loss(rules, probed, temperature)
+        return total_loss_grad(rules, probed, temperature, registry)[0]
 
     d = len(model.feature_names)
     numeric = np.zeros(2 * d)

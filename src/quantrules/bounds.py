@@ -38,9 +38,6 @@ class Interval:
         if math.isinf(self.lo) and math.isinf(self.hi):
             raise ValueError("at least one endpoint must be finite")
 
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
 
 @dataclass(frozen=True)
 class BoundJob:

@@ -126,9 +126,6 @@ class Dataset:
     def boolean_columns(self):
         return [n for n, k in self._columns if k == BOOLEAN]
 
-    def numeric_columns(self):
-        return [n for n, k in self._columns if k == NUMERIC]
-
     @property
     def label_column(self):
         for n, k in self._columns:
@@ -146,17 +143,13 @@ class Dataset:
                        self.sources, self.origin)
 
     def with_columns(self, new_columns) -> "Dataset":
-        """Append columns given as (name, kind, values[, missing]) tuples."""
+        """Append columns without missing cells, given as (name, kind, values)."""
         columns = list(self._columns)
         values = dict(self._values)
-        missing = dict(self._missing)
-        for entry in new_columns:
-            name, kind, vals = entry[0], entry[1], entry[2]
+        for name, kind, vals in new_columns:
             columns.append((name, kind))
             values[name] = vals
-            if len(entry) > 3 and entry[3] is not None:
-                missing[name] = entry[3]
-        return Dataset(columns, values, missing, self.bucket_edges,
+        return Dataset(columns, values, self._missing, self.bucket_edges,
                        self.sources, self.origin)
 
 

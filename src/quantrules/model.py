@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds_mod
+from .errors import ParseError
 
 ADAPTABLE = ("scale", "shift")
 
@@ -33,6 +34,8 @@ class SoftmaxModel:
         self.weights = np.asarray(weights, dtype=float).copy()
         self.bias = np.asarray(bias, dtype=float).copy()
         d, c = len(self.feature_names), len(self.class_names)
+        if len(set(self.class_names)) != c:  # each class names a score column
+            raise ValueError(f"duplicate class names in {self.class_names}")
         if self.scale.shape != (d,) or self.shift.shape != (d,):
             raise ValueError("scale/shift must have one entry per feature")
         if self.weights.shape != (d, c) or self.bias.shape != (c,):
@@ -148,10 +151,45 @@ class SoftmaxModel:
 
     @classmethod
     def load(cls, path) -> "SoftmaxModel":
-        with open(Path(path), encoding="utf-8") as fh:
-            obj = json.load(fh)
-        model = cls(obj["features"], obj["classes"], obj["scale"], obj["shift"],
-                    obj["weights"], obj["bias"])
-        if tuple(obj.get("adaptable", ADAPTABLE)) != ADAPTABLE:
-            raise ValueError(f"unsupported adaptable set {obj.get('adaptable')!r}")
-        return model
+        """Read a checkpoint written by ``save``. Invalid JSON, a missing or
+        unknown field, a name list that is not a list of distinct strings, an
+        adaptable set other than (scale, shift), and a parameter that is not an
+        array of finite numbers of its shape raise ParseError naming the file
+        and the field."""
+        path = Path(path)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=exc.lineno)
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: expected a JSON object")
+        fields = ("features", "classes", "scale", "shift", "weights", "bias")
+        for key in fields:
+            if key not in obj:
+                raise ParseError(f"{path}: missing field {key!r}")
+        for key in obj:
+            if key not in fields + ("adaptable",):
+                raise ParseError(f"{path}: unknown field {key!r}")
+        for key in ("features", "classes"):
+            names = obj[key]
+            if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                    and len(set(names)) == len(names)):
+                raise ParseError(f"{path}: field {key!r} must be a list of distinct names")
+        if obj.get("adaptable", list(ADAPTABLE)) != list(ADAPTABLE):
+            raise ParseError(f"{path}: field 'adaptable' must be {list(ADAPTABLE)}, "
+                             f"got {obj['adaptable']!r}")
+        d, c = len(obj["features"]), len(obj["classes"])
+        params = {}
+        for key, shape in (("scale", (d,)), ("shift", (d,)), ("weights", (d, c)),
+                           ("bias", (c,))):
+            try:
+                arr = np.asarray(obj[key])
+            except ValueError:  # ragged nesting
+                arr = None
+            if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
+                raise ParseError(f"{path}: field {key!r} must be numbers of shape {shape}")
+            if not np.isfinite(arr).all():
+                raise ParseError(f"{path}: field {key!r} has a non-finite value")
+            params[key] = arr
+        return cls(obj["features"], obj["classes"], **params)

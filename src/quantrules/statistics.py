@@ -217,19 +217,14 @@ def soften_scores(scores, temperature):
     return sigmoid(logits / temperature)
 
 
-def surrogate_f1(antecedent, scores, temperature=1.0):
-    """Differentiable F1 with softened consequent scores.
+def surrogate_f1_grad(antecedent, scores, temperature=1.0):
+    """Differentiable F1 with softened consequent scores, and its gradient
+    with respect to the raw scores.
 
     The hard confusion counts are relaxed through soften_scores, keeping
     tp = sum(a * c) and denominator sum(a) + sum(c). Converges to the exact
     F1 of the thresholded scores as temperature -> 0.
     """
-    value, _ = surrogate_f1_grad(antecedent, scores, temperature)
-    return value
-
-
-def surrogate_f1_grad(antecedent, scores, temperature=1.0):
-    """Surrogate F1 and its gradient with respect to the raw scores."""
     a = np.asarray(antecedent, dtype=float)
     s = np.asarray(scores, dtype=float)
     c = soften_scores(s, temperature)

@@ -22,8 +22,8 @@ from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, \
     enumerate_abstract_rules, parse_schema
-from quantrules.statistics import antecedent_values, surrogate_f1
-from quantrules.adaptation import rule_loss
+from quantrules.statistics import antecedent_values, surrogate_f1_grad
+from quantrules.adaptation import total_loss_grad
 from quantrules.violations import evaluate
 
 INF = float("inf")
@@ -222,23 +222,23 @@ def _random_rule(rng, out):
 
 
 def test_c06_loss_arithmetic():
-    assert rule_loss(ConcreteRule(
+    assert total_loss_grad([ConcreteRule(
         rule=AbstractRule(kind="conditional", statistic="v"),
-        lo=0.0, hi=2.0, delta=0.02), _const_output(0.5)) == 0.0
-    assert rule_loss(ConcreteRule(
+        lo=0.0, hi=2.0, delta=0.02)], _const_output(0.5))[0] == 0.0
+    assert total_loss_grad([ConcreteRule(
         rule=AbstractRule(kind="conditional", sided="lower", statistic="v"),
-        lo=2.0, hi=INF, delta=0.02), _const_output(1.5)) == 0.5
-    assert rule_loss(ConcreteRule(
+        lo=2.0, hi=INF, delta=0.02)], _const_output(1.5))[0] == 0.5
+    assert total_loss_grad([ConcreteRule(
         rule=AbstractRule(kind="conditional", statistic="v"),
-        lo=0.0, hi=1.0, delta=0.02), _const_output(1.5)) == 0.75
+        lo=0.0, hi=1.0, delta=0.02)], _const_output(1.5))[0] == 0.75
 
     rng = np.random.default_rng(99)
     checked = 0
     for trial in range(1000):
         ds, model, out = _saturated_setup(seed=trial % 25)
         crule = _random_rule(rng, out)
-        loss = rule_loss(crule, out)
-        result = check_rule(crule, out.dataset, np.arange(out.dataset.n_rows),
+        loss = total_loss_grad([crule], out)[0]
+        result = check_rule(crule, out, np.arange(out.n_rows),
                             label_column="pred")
         satisfied = not (result.evaluated and result.violated)
         assert (loss == 0.0) == satisfied, (crule.signature, loss, result)
@@ -272,8 +272,8 @@ def test_c07_gradient_fidelity():
             lo=phi_mean + 0.05, hi=phi_mean + 0.45, delta=0.02)
         formula = AbstractRule(kind="logic", statistic="f1", consequent="b",
                                literals=(Literal("flag"),))
-        antecedent, _ = antecedent_values(formula, out.dataset, np.arange(n))
-        phi_f1 = surrogate_f1(antecedent, out.probs[:, 1], 1.0)
+        antecedent, _ = antecedent_values(formula, out, np.arange(n))
+        phi_f1 = surrogate_f1_grad(antecedent, out.probs[:, 1], 1.0)[0]
         f1_rule = ConcreteRule(rule=formula, lo=phi_f1 + 0.05, hi=phi_f1 + 0.45,
                                delta=0.02)
         error = grad_check(model, [mean_rule, f1_rule], ds, np.arange(n), step=1e-5)

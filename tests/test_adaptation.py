@@ -9,9 +9,8 @@ from conftest import make_dataset
 from scalar_oracle import check_rule
 from quantrules.adaptation import (AdaptationConfig, adapt, forward_batch,
                                    grad_check, hinge, iterations_for_epochs,
-                                   rule_loss, total_loss, total_loss_grad,
-                                   write_trace)
-from quantrules.dataset import BOOLEAN, NUMERIC
+                                   total_loss_grad, write_trace)
+from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
 from quantrules.errors import DivergenceError
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
@@ -55,38 +54,38 @@ def const_output(value):
 
 def test_loss_zero_when_satisfied():
     out = const_output(0.5)
-    assert rule_loss(data_rule(0.0, 1.0), out) == 0.0
+    assert total_loss_grad([data_rule(0.0, 1.0)], out)[0] == 0.0
 
 
 def test_one_sided_linear_loss():
     # lower bound 2, value 1.5 -> min{2 - 1.5, 1} = 0.5
     out = const_output(1.5)
-    assert rule_loss(data_rule(2.0, INF, sided="lower"), out) == 0.5
+    assert total_loss_grad([data_rule(2.0, INF, sided="lower")], out)[0] == 0.5
 
 
 def test_two_sided_quadratic_loss():
     # bounds [0, 1], value 1.5 -> min{(0 - 1.5)(1 - 1.5), 1} = 0.75
     out = const_output(1.5)
-    assert rule_loss(data_rule(0.0, 1.0), out) == 0.75
+    assert total_loss_grad([data_rule(0.0, 1.0)], out)[0] == 0.75
 
 
 def test_loss_clips_at_one():
     out = const_output(100.0)
-    assert rule_loss(data_rule(0.0, 1.0), out) == 1.0
-    assert rule_loss(data_rule(200.0, INF, sided="lower"), out) == 1.0
+    assert total_loss_grad([data_rule(0.0, 1.0)], out)[0] == 1.0
+    assert total_loss_grad([data_rule(200.0, INF, sided="lower")], out)[0] == 1.0
 
 
 def test_total_loss_is_mean():
     out = const_output(1.5)
     half = data_rule(2.0, INF, sided="lower")   # loss 0.5
     ok = data_rule(0.0, 2.0)                    # loss 0
-    assert total_loss([half, ok], out) == 0.25
-    assert total_loss([half] * 7, out) == pytest.approx(0.5)
+    assert total_loss_grad([half, ok], out)[0] == 0.25
+    assert total_loss_grad([half] * 7, out)[0] == pytest.approx(0.5)
 
 
 def test_total_loss_rejects_empty_rule_list():
     with pytest.raises(ValueError):
-        total_loss([], const_output(0.5))
+        total_loss_grad([], const_output(0.5))
 
 
 def test_hinge_slope_signs():
@@ -139,16 +138,6 @@ def test_array_hinge_equals_scalar_oracle(sided, lo, width, extra, clip_at, clip
     assert slopes.tolist() == [e[1] for e in expected]
 
 
-def test_forward_batch_columns_equal_predict_columns():
-    ds, model = tiny_setup(n=24, seed=4)
-    rows = np.array([5, 0, 5, 23, 11])
-    out = forward_batch(model, ds, rows)
-    for name, kind, vals in model.predict_columns(ds.take(rows)):
-        assert out.dataset.kind(name) == kind
-        assert out.dataset.values(name).dtype == vals.dtype
-        assert out.dataset.values(name).tolist() == vals.tolist()
-
-
 def test_loss_zero_iff_check_satisfied_randomized():
     rng = np.random.default_rng(7)
     ds, model = tiny_setup(n=32, seed=1)
@@ -157,8 +146,8 @@ def test_loss_zero_iff_check_satisfied_randomized():
         lo = rng.uniform(-0.5, 1.0)
         hi = lo + rng.uniform(0.05, 1.0)
         rule = data_rule(lo, hi)
-        loss = rule_loss(rule, out)
-        result = check_rule(rule, out.dataset, np.arange(32), label_column="pred")
+        loss = total_loss_grad([rule], out)[0]
+        result = check_rule(rule, out, np.arange(32), label_column="pred")
         assert (loss == 0.0) == (result.evaluated and not result.violated)
 
 
@@ -187,22 +176,29 @@ def recount_rules(lo, hi, s1_lo, s1_hi):
             logic]
 
 
+def random_setup(rng, n=12):
+    """A model over a table with missing literal, value and label cells."""
+    ds = make_dataset({
+        "x0": (NUMERIC, rng.normal(0, 1, n)),
+        "x1": (NUMERIC, rng.normal(0, 1, n)),
+        "flag": (BOOLEAN, (rng.random(n) < 0.5).astype(float)),
+        "v": (NUMERIC, rng.uniform(-1, 1, n)),
+        "label": (LABEL, np.where(rng.random(n) < 0.5, "a", "bb")),
+    }, missing={"flag": rng.random(n) < 0.2, "v": rng.random(n) < 0.3,
+                "label": rng.random(n) < 0.2})
+    model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
+                         rng.normal(0, 1, (2, 2)), rng.normal(0, 0.1, 2))
+    return ds, model
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 40),
        st.floats(-0.5, 1.0), st.floats(0.0, 1.0),
        st.floats(-1.0, 0.5), st.floats(0.0, 1.0))
 def test_in_pass_violations_match_check_rule_recount(seed, size, lo, width, s1_lo, s1_width):
     rng = np.random.default_rng(seed)
-    n = 12
-    ds = make_dataset({
-        "x0": (NUMERIC, rng.normal(0, 1, n)),
-        "x1": (NUMERIC, rng.normal(0, 1, n)),
-        "flag": (BOOLEAN, (rng.random(n) < 0.5).astype(float)),
-        "v": (NUMERIC, rng.uniform(-1, 1, n)),
-    }, missing={"flag": rng.random(n) < 0.2, "v": rng.random(n) < 0.3})
-    model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
-                         rng.normal(0, 1, (2, 2)), rng.normal(0, 0.1, 2))
-    rows = rng.choice(n, size=size, replace=True)  # rows may repeat
+    ds, model = random_setup(rng)
+    rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
     out = forward_batch(model, ds, rows)
     rules = recount_rules(lo, lo + width, s1_lo, s1_lo + s1_width)
     _, _, _, violations = total_loss_grad(rules, out)
@@ -211,12 +207,57 @@ def test_in_pass_violations_match_check_rule_recount(seed, size, lo, width, s1_l
     for crule in rules:
         if crule.rule.statistic in PER_SAMPLE_STATS:
             for i in range(size):
-                one = check_rule(crule, out.dataset, [i], label_column="pred")
+                one = check_rule(crule, out, [i], label_column="pred")
                 recount += one.evaluated and one.violated
         else:
-            whole = check_rule(crule, out.dataset, np.arange(size), label_column="pred")
+            whole = check_rule(crule, out, np.arange(size), label_column="pred")
             recount += size if whole.evaluated and whole.violated else 0
     assert violations == recount
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40),
+       st.floats(-0.5, 1.0), st.floats(0.0, 1.0),
+       st.floats(-1.0, 0.5), st.floats(0.0, 1.0))
+def test_forward_batch_columns_equal_predict_columns(seed, size, lo, width, s1_lo,
+                                                     s1_width):
+    rng = np.random.default_rng(seed)
+    ds, model = random_setup(rng)
+    rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
+    out = forward_batch(model, ds, rows)
+    # the oracle is the batch table that forward_batch used to build
+    oracle = ds.take(rows).with_columns(model.output_columns(out.probs))
+    assert out.n_rows == oracle.n_rows
+    assert out.names == oracle.names
+    for name in oracle.names:
+        assert out.has_column(name)
+        assert out.kind(name) == oracle.kind(name)
+        assert out.values(name).dtype == oracle.values(name).dtype
+        assert np.array_equal(out.values(name), oracle.values(name))
+        assert np.array_equal(out.missing(name), oracle.missing(name))
+    assert not out.has_column("absent")
+
+    oracle.model, oracle.probs, oracle.cache = model, out.probs, out.cache
+    oracle.score_index = {"score_a": 0, "score_b": 1}
+    rules = recount_rules(lo, lo + width, s1_lo, s1_lo + s1_width)
+    loss, dscale, dshift, violations = total_loss_grad(rules, out)
+    loss_o, dscale_o, dshift_o, violations_o = total_loss_grad(rules, oracle)
+    assert loss == loss_o and violations == violations_o
+    assert np.array_equal(dscale, dscale_o) and np.array_equal(dshift, dshift_o)
+
+
+@pytest.mark.parametrize("column", ["pred", "score_a"])
+def test_model_output_column_in_table_is_rejected(column):
+    ds, model = tiny_setup()
+    cells = np.full(16, "a") if column == "pred" else np.zeros(16)
+    ds = ds.with_columns([(column, LABEL if column == "pred" else NUMERIC, cells)])
+    rule = data_rule(-10.0, -5.0)
+    with pytest.raises(ValueError, match=column):
+        forward_batch(model, ds, np.arange(4))
+    with pytest.raises(ValueError, match=column):
+        grad_check(model, [rule], ds, np.arange(4))
+    with pytest.raises(ValueError, match=column):
+        adapt(model, [rule], ds, AdaptationConfig(iterations=1, batch_size=4))
 
 
 # -- gradient checks ------------------------------------------------------------------
@@ -248,11 +289,11 @@ def test_grad_check_linear_one_sided_region():
 def test_grad_check_surrogate_f1_rule():
     ds, model = tiny_setup(n=40, seed=4)
     out = forward_batch(model, ds, np.arange(40))
-    from quantrules.statistics import surrogate_f1, antecedent_values
+    from quantrules.statistics import surrogate_f1_grad, antecedent_values
     ante, _ = antecedent_values(
         AbstractRule(kind="logic", statistic="f1", consequent="b",
-                     literals=(Literal("flag"),)), out.dataset, np.arange(40))
-    phi = surrogate_f1(ante, out.probs[:, 1], 1.0)
+                     literals=(Literal("flag"),)), out, np.arange(40))
+    phi = surrogate_f1_grad(ante, out.probs[:, 1], 1.0)[0]
     rule = ConcreteRule(
         rule=AbstractRule(kind="logic", statistic="f1", consequent="b",
                           literals=(Literal("flag"),)),
@@ -266,7 +307,7 @@ def test_grad_check_flat_at_clip_plateau():
     out = forward_batch(model, ds, np.arange(24))
     phi = float(out.probs[:, 1].mean())
     rule = mean_score_rule(phi + 2.0, phi + 3.0)  # loss pinned at the clip
-    assert total_loss([rule], out) == 1.0
+    assert total_loss_grad([rule], out)[0] == 1.0
     err = grad_check(model, [rule], ds, np.arange(24), step=1e-5)
     assert err == 0.0
 
@@ -342,13 +383,6 @@ def test_adapt_is_deterministic():
     assert t1 == t2
     assert np.array_equal(a1.scale, a2.scale)
     assert np.array_equal(a1.shift, a2.shift)
-
-
-def test_adapt_rejects_precomputed_model_columns():
-    ds, model = tiny_setup()
-    ds = ds.with_columns([("score_a", "numeric", np.zeros(16))])
-    with pytest.raises(ValueError, match="score_a"):
-        adapt(model, [data_rule(0, 1)], ds, AdaptationConfig(iterations=1, batch_size=4))
 
 
 def test_adapt_divergence_keeps_partial_trace():

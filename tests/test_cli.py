@@ -319,6 +319,31 @@ def test_bad_box_file_exits_2_naming_file_and_index(tmp_path, capsys, payload, e
     assert str(bad) in err and expected in err
 
 
+@pytest.mark.parametrize("change, expected", [
+    (lambda obj: obj.pop("bias"), "missing field 'bias'"),
+    (lambda obj: obj.update(bogus=1), "unknown field 'bogus'"),
+    (lambda obj: obj["scale"].__setitem__(0, float("nan")), "field 'scale' has a non-finite"),
+    (lambda obj: obj["weights"].pop(), "field 'weights' must be numbers of shape (2, 2)"),
+    (lambda obj: obj["shift"].__setitem__(1, "0.5"), "field 'shift' must be numbers"),
+    (lambda obj: obj.update(adaptable=["scale"]), "field 'adaptable' must be"),
+    (lambda obj: obj["classes"].__setitem__(1, "a"), "'classes' must be a list of distinct"),
+], ids=["missing-key", "unknown-key", "nan", "shape", "string", "adaptable", "duplicate"])
+def test_bad_model_checkpoint_exits_2_naming_file_and_field(tmp_path, capsys,
+                                                             change, expected):
+    cfg_path = write_workspace(tmp_path)
+    _write_model(tmp_path)
+    model_path = tmp_path / "model.json"
+    obj = json.loads(model_path.read_text(encoding="utf-8"))
+    change(obj)
+    model_path.write_text(json.dumps(obj), encoding="utf-8")
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    cfg["mine"]["model_in"] = str(model_path)
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["mine", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(model_path) in err and expected in err
+
+
 @pytest.mark.parametrize("x0_cells, expected", [
     (["0.5", "oops", "1.5"], "line 3: "),
     (["", "", ""], "every cell is empty"),

@@ -94,3 +94,10 @@ def test_predict_columns_shapes():
     names = [c[0] for c in cols]
     assert names == ["score_n", "score_p", "pred"]
     assert set(cols[2][2]) <= {"n", "p"}
+
+
+def test_duplicate_class_names_rejected():
+    # each class names a score_<class> column, so a repeat would hide one
+    with pytest.raises(ValueError, match="duplicate class names"):
+        SoftmaxModel(["x"], ["a", "a"], np.ones(1), np.zeros(1), np.zeros((1, 2)),
+                     np.zeros(2))

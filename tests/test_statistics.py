@@ -13,8 +13,7 @@ from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
 from quantrules.rule_eval import evaluate_rule
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
-                                   load_boxes, soften_scores, surrogate_f1,
-                                   surrogate_f1_grad)
+                                   load_boxes, soften_scores, surrogate_f1_grad)
 
 
 def box_dataset(boxes):
@@ -171,23 +170,23 @@ def test_surrogate_equals_exact_on_saturated_scores():
     tp, fp, fn = 2.0, 1.0, 1.0
     exact = 2 * tp / (2 * tp + fp + fn)
     for temperature in (1e-3, 0.1, 1.0):
-        assert surrogate_f1(a, hard, temperature) == pytest.approx(exact, abs=1e-6)
+        assert surrogate_f1_grad(a, hard, temperature)[0] == pytest.approx(exact, abs=1e-6)
 
 
 def test_surrogate_half_scores_hand_expansion():
     # a = 1 everywhere, scores 0.5: tp = B/2, fp = B/2, fn = 0 -> 2/3
     a = np.ones(4)
     s = np.full(4, 0.5)
-    assert surrogate_f1(a, s, 1.0) == pytest.approx(2 / 3, abs=1e-12)
+    assert surrogate_f1_grad(a, s, 1.0)[0] == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_surrogate_empty_antecedent_support():
-    assert surrogate_f1(np.zeros(4), np.zeros(4), 1.0) == 0.0
+    assert surrogate_f1_grad(np.zeros(4), np.zeros(4), 1.0)[0] == 0.0
 
 
 def test_surrogate_rejects_bad_temperature():
     with pytest.raises(ValueError):
-        surrogate_f1(np.ones(2), np.full(2, 0.5), 0.0)
+        surrogate_f1_grad(np.ones(2), np.full(2, 0.5), 0.0)
 
 
 def test_soften_identity_at_unit_temperature():
@@ -208,10 +207,10 @@ def test_surrogate_monotone_in_true_positive_scores(n, seed):
     a = (rng.random(n) < 0.6).astype(float)
     a[0] = 1.0
     s = rng.uniform(0.05, 0.95, n)
-    base = surrogate_f1(a, s, 1.0)
+    base = surrogate_f1_grad(a, s, 1.0)[0]
     bumped = s.copy()
     bumped[0] = min(bumped[0] + 0.04, 0.95)
-    assert surrogate_f1(a, bumped, 1.0) >= base - 1e-12
+    assert surrogate_f1_grad(a, bumped, 1.0)[0] >= base - 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,7 +227,7 @@ def test_surrogate_gradient_matches_finite_differences(n, seed, temperature):
         up, dn = s.copy(), s.copy()
         up[i] += h
         dn[i] -= h
-        fd = (surrogate_f1(a, up, temperature) - surrogate_f1(a, dn, temperature)) / (2 * h)
+        fd = (surrogate_f1_grad(a, up, temperature)[0] - surrogate_f1_grad(a, dn, temperature)[0]) / (2 * h)
         ref = max(abs(grad[i]), abs(fd), 1e-8)
         assert abs(grad[i] - fd) / ref < 1e-4
 
