@@ -68,10 +68,8 @@ class BatchView:
         self.model, self.probs, self.cache = model, probs, cache
         self.n_rows = len(rows)
         self._table, self._rows = table, rows
+        model.check_outputs_absent(table)
         self._outputs = {name: (kind, vals) for name, kind, vals in model.output_columns(probs)}
-        for name in self._outputs:
-            if table.has_column(name):
-                raise ValueError(f"data already carries model output column {name!r}")
         self.score_index = {model.score_column(c): j for j, c in enumerate(model.class_names)}
 
     @property

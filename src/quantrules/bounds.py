@@ -16,8 +16,8 @@ from . import schema as schema_mod
 from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import checked_rows, percentile, sample_minibatches
 from .errors import EmptyStatisticError
-from .rule_eval import evaluate_rule, s1_values
-from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
+from .rule_eval import evaluate_rule, s1_values, score_logic_rules
+from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import StatisticRegistry
 
 INF = float("inf")
@@ -107,14 +107,14 @@ def collect_statistics(rule, dataset, rows, registry, label_column, s1_interval=
     return ev.samples[ev.mask] if ev.per_sample else ev.value[ev.valued]
 
 
-def _collect(rule, batch_sets, registry, label_column, s1_interval):
-    """Statistic values of each (dataset, rows) batch set for one rule.
+def _collect(rule, per_set):
+    """One rule's statistic values of each batch set, drawn from ``per_set``
+    one set at a time, so a later set is not evaluated after an empty one.
 
     Raises EmptyStatisticError naming the rule when a set yields no value.
     """
     collected = []
-    for dataset, rows in batch_sets:
-        values = collect_statistics(rule, dataset, rows, registry, label_column, s1_interval)
+    for values in per_set:
         if values.size == 0:
             raise EmptyStatisticError(
                 f"rule {schema_mod.rule_signature(rule)}: no statistic values collected")
@@ -140,7 +140,8 @@ def compute_bounds(rule, dataset, rows, delta=None, sided=None, *, registry=None
     if rule.kind == PAIRED and s1_interval is None:
         s1_interval = s1_bucket_interval(
             rule, s1_bucket_edges(rule, dataset, registry, label_column))
-    (values,) = _collect(rule, [(dataset, rows)], registry, label_column, s1_interval)
+    (values,) = _collect(rule, [collect_statistics(rule, dataset, rows, registry,
+                                                   label_column, s1_interval)])
     return interval_from_values(values, rule.delta if delta is None else delta,
                                 rule.sided if sided is None else sided)
 
@@ -202,9 +203,20 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
 
+    # every logic rule of a batch size, scored at once on each of its sets
+    logic = {}  # rule position -> (LogicScores of each set, row in them)
+    for size, batch_sets in groups.items():
+        positions = [i for i, rule in enumerate(rules)
+                     if rule.kind == LOGIC and (job.batch_size or rule.batch_size) == size]
+        if positions:
+            scores = [score_logic_rules([rules[i] for i in positions], dataset, rows,
+                                        label_column)
+                      for dataset, rows in batch_sets]
+            logic.update((i, (scores, r)) for r, i in enumerate(positions))
+
     s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
     selected = []
-    for rule in rules:
+    for i, rule in enumerate(rules):
         delta = job.delta if job.delta is not None else rule.delta
         try:
             s1_interval = None
@@ -213,9 +225,14 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                 if key not in s1_edges:
                     s1_edges[key] = s1_bucket_edges(rule, train, registry, label_column)
                 s1_interval = s1_bucket_interval(rule, s1_edges[key])
-            t_vals, v_vals = _collect(
-                rule, groups[job.batch_size or rule.batch_size], registry,
-                label_column, s1_interval)
+            if i in logic:
+                scores, r = logic[i]
+                per_set = (s.collected(r) for s in scores)
+            else:
+                per_set = (collect_statistics(rule, dataset, rows, registry,
+                                              label_column, s1_interval)
+                           for dataset, rows in groups[job.batch_size or rule.batch_size])
+            t_vals, v_vals = _collect(rule, per_set)
         except EmptyStatisticError as exc:
             if log is not None:
                 log.append({"event": "skipped", "signature": schema_mod.rule_signature(rule),

@@ -38,11 +38,70 @@ class _Logger:
                 fh.write("\n".join(self.lines) + "\n")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# value kinds of config keys; a trailing "?" also accepts null (unset)
+_VALUE_KINDS = {
+    "int": (_is_int, "an integer"),
+    "number": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "ints": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+}
+
+# every key of every config section, with its value kind (see README)
+_CONFIG_KEYS = {
+    "data": {"train": "str", "valid": "str", "test": "str", "label_column": "str",
+             "prediction_column": "str", "features": "list?"},
+    "mine": {"schema": "str", "rules_out": "str", "model_in": "str?",
+             "n_train_batches": "int", "n_valid_batches": "int", "batch_size": "int?",
+             "delta": "number?", "epsilon": "number", "seed": "int", "valid_seed": "int",
+             "log_out": "str?"},
+    "evaluate": {"rules": "str", "report_out": "str", "model_in": "str?",
+                 "batch_size": "int", "n_batches": "int", "seed": "int", "seeds": "ints?",
+                 "log_out": "str?"},
+    "adapt": {"rules": "str", "model_in": "str", "model_out": "str?", "trace_out": "str?",
+              "report_before": "str?", "report_after": "str?", "iterations": "int",
+              "epochs": "int", "batch_size": "int", "learning_rate": "number",
+              "seed": "int", "grad_clip": "number?", "temperature": "number",
+              "eval_batch_size": "int", "eval_n_batches": "int", "log_out": "str?"},
+}
+_FEATURE_KEYS = {"column": "str", "buckets": "int?"}
+
+
+def _check_keys(path, where, section, keys):
+    """Raise ParseError naming ``path``, ``where`` and the key unless
+    ``section`` is a mapping of known keys to values of their kind."""
+    if not isinstance(section, dict):
+        raise ParseError(f"{path}: {where} must be a mapping, got {section!r}")
+    for key, value in section.items():
+        if key not in keys:
+            raise ParseError(f"{path}: {where}: unknown key {key!r}; "
+                             f"known keys: {', '.join(keys)}")
+        kind = keys[key]
+        accepts, name = _VALUE_KINDS[kind.rstrip("?")]
+        if not (accepts(value) or (value is None and kind.endswith("?"))):
+            raise ParseError(f"{path}: {where}: key {key!r} must be {name}, got {value!r}")
+
+
 def _load_config(path):
+    """Read a YAML config whose sections and keys are all in _CONFIG_KEYS."""
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
         raise ParseError(f"{path}: config must be a mapping of sections")
+    for name, section in cfg.items():
+        if name not in _CONFIG_KEYS:
+            raise ParseError(f"{path}: unknown section {name!r}; "
+                             f"known sections: {', '.join(_CONFIG_KEYS)}")
+        _check_keys(path, f"section {name!r}", section, _CONFIG_KEYS[name])
+    for i, entry in enumerate(cfg.get("data", {}).get("features") or []):
+        where = f"section 'data': features[{i}]"
+        _check_keys(path, where, entry, _FEATURE_KEYS)
+        if "column" not in entry:
+            raise ParseError(f"{path}: {where}: missing key 'column'")
     return cfg
 
 

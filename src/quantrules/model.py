@@ -118,8 +118,18 @@ class SoftmaxModel:
         out.append(("pred", ds_mod.LABEL, pred))
         return out
 
+    def check_outputs_absent(self, table):
+        """Raise ValueError, naming ``table``'s file and the column, if the
+        table already has a column that ``output_columns`` adds."""
+        for name in [self.score_column(c) for c in self.class_names] + ["pred"]:
+            if table.has_column(name):
+                where = f"{table.origin}: " if table.origin else ""
+                raise ValueError(f"{where}data already carries model output column {name!r}")
+
     def predict_columns(self, dataset):
-        """``output_columns`` of the model's probabilities on every row."""
+        """``output_columns`` of the model's probabilities on every row, for a
+        dataset that has none of them (see ``check_outputs_absent``)."""
+        self.check_outputs_absent(dataset)
         probs, _ = self.forward(self.feature_matrix(dataset))
         return self.output_columns(probs)
 

@@ -156,14 +156,24 @@ def antecedent_values(formula, dataset, rows):
     usable = np.ones(rows.shape, dtype=bool)
     antecedent = np.ones(rows.shape)
     for lit in formula.literals:
-        _require_column(dataset, lit.feature)
-        if dataset.kind(lit.feature) != ds_mod.BOOLEAN:
-            raise TypeMismatchError(
-                f"literal {lit.feature!r} refers to a non-boolean column")
-        usable &= ~dataset.missing(lit.feature)[rows]
-        vals = dataset.values(lit.feature)[rows]
-        antecedent *= (1.0 - vals) if lit.negated else vals
+        truth, present = literal_cells(lit, dataset, rows)
+        usable &= present
+        antecedent *= truth
     return antecedent, usable
+
+
+def literal_cells(lit, dataset, rows):
+    """A literal's 0/1 truth at ``rows`` and the mask of its present cells.
+
+    Raises ResolutionError for an absent column and TypeMismatchError for a
+    column that is not boolean.
+    """
+    _require_column(dataset, lit.feature)
+    if dataset.kind(lit.feature) != ds_mod.BOOLEAN:
+        raise TypeMismatchError(
+            f"literal {lit.feature!r} refers to a non-boolean column")
+    vals = dataset.values(lit.feature)[rows]
+    return (1.0 - vals) if lit.negated else vals, ~dataset.missing(lit.feature)[rows]
 
 
 def formula_parts(formula, dataset, rows, label_column):
@@ -185,9 +195,14 @@ def exact_f1(antecedent, consequent):
     does not depend on the order of the positions.
     """
     predicted = antecedent == 1.0
-    tp = (predicted & consequent).sum(-1)
-    denom = predicted.sum(-1) + consequent.sum(-1)  # == 2tp + fp + fn
-    return 2.0 * tp / np.maximum(denom, 1)  # tp is 0 where denom is
+    return f1_from_counts((predicted & consequent).sum(-1), predicted.sum(-1),
+                          consequent.sum(-1))
+
+
+def f1_from_counts(tp, predicted, consequent):
+    """F1 from integer counts of true positives, predicted positives and
+    actual positives; 0 where there are neither predicted nor actual ones."""
+    return 2.0 * tp / np.maximum(predicted + consequent, 1)  # == 2tp + fp + fn
 
 
 def sigmoid(x):

@@ -1,11 +1,12 @@
 import json
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from quantrules.cli import main
+from quantrules.cli import _load_config, main
 from quantrules.model import SoftmaxModel
 from quantrules.rules_io import load_rules, save_rules
 from quantrules.schema import AbstractRule, ConcreteRule
@@ -470,3 +471,73 @@ def test_inputs_never_mutated(tmp_path):
     assert main(["evaluate", "--config", str(cfg)]) == 0
     after = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
     assert before == after
+
+
+def test_evaluate_test_table_with_model_output_column_exits_2(tmp_path, capsys):
+    cfg_path = write_workspace(tmp_path)
+    _write_model(tmp_path)
+    assert main(["mine", "--config", str(cfg_path)]) == 0
+    test_csv = tmp_path / "test.csv"
+    lines = test_csv.read_text(encoding="utf-8").splitlines()
+    test_csv.write_text("\n".join([lines[0] + ",pred"] + [line + ",a" for line in lines[1:]])
+                        + "\n", encoding="utf-8")
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    cfg["evaluate"]["model_in"] = str(tmp_path / "model.json")
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{test_csv}: data already carries model output column 'pred'" in err
+
+
+def readme_config():
+    """The YAML config example in README.md."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1]
+    return yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_example_keys_are_accepted(tmp_path):
+    cfg = readme_config()
+    assert set(cfg) == {"data", "mine", "evaluate", "adapt"}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert _load_config(path) == cfg
+
+
+@pytest.mark.parametrize("command, change, where, key", [
+    ("mine", lambda c: c["data"].update(trian="x.csv"), "section 'data'", "'trian'"),
+    ("mine", lambda c: c["mine"].update(n_train_batchs=3), "section 'mine'",
+     "'n_train_batchs'"),
+    ("evaluate", lambda c: c["evaluate"].update(n_batchs=3), "section 'evaluate'",
+     "'n_batchs'"),
+    ("adapt", lambda c: c["adapt"].update(iteratons=3), "section 'adapt'", "'iteratons'"),
+    ("mine", lambda c: c["data"]["features"][1].update(bucket=2),
+     "section 'data': features[1]", "'bucket'"),
+    ("mine", lambda c: c.update(evalute={}), "unknown section", "'evalute'"),
+    ("evaluate", lambda c: c["evaluate"].update(n_batches="3"), "section 'evaluate'",
+     "'n_batches' must be an integer"),
+    ("mine", lambda c: c["mine"].update(seed=True), "section 'mine'",
+     "'seed' must be an integer"),
+    ("adapt", lambda c: c["adapt"].update(learning_rate="1e-2"), "section 'adapt'",
+     "'learning_rate' must be a number"),
+    ("evaluate", lambda c: c["evaluate"].update(seeds=[1, "2"]), "section 'evaluate'",
+     "'seeds' must be a list of integers"),
+    ("mine", lambda c: c["data"]["features"][0].pop("column"),
+     "section 'data': features[0]", "missing key 'column'"),
+    ("mine", lambda c: c.update(mine=[1]), "section 'mine'", "must be a mapping"),
+], ids=["data", "mine", "evaluate", "adapt", "features", "section", "type-str",
+        "type-bool", "type-number", "type-list", "no-column", "not-mapping"])
+def test_config_key_faults_exit_2_naming_file_section_and_key(tmp_path, capsys, command,
+                                                               change, where, key):
+    cfg_path = write_workspace(tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    cfg["data"]["features"] = [{"column": "x0", "buckets": 2}, {"column": "label"}]
+    _write_model(tmp_path)
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    _add_adapt_section(cfg_path, tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    change(cfg)
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and where in err and key in err

@@ -1,16 +1,22 @@
-"""Batch-matrix rule evaluation against the per-batch scalar code it replaced."""
+"""Batch-matrix rule evaluation and the logic-rule count kernel against the
+per-batch scalar code they replaced."""
+import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
 from conftest import make_dataset
-from quantrules import violations
-from quantrules.bounds import collect_statistics
+from quantrules import rule_eval, violations
+from quantrules.bounds import (BoundJob, Interval, collect_statistics, compute_bounds,
+                               jaccard, learn_and_select)
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
-from quantrules.schema import AbstractRule, ConcreteRule, Literal
+from quantrules.errors import EmptyStatisticError, QuantrulesError, TypeMismatchError
+from quantrules.rule_eval import evaluate_rule, score_logic_rules
+from quantrules.schema import AbstractRule, ConcreteRule, Literal, rule_signature
 from quantrules.statistics import StatisticRegistry
 
 
@@ -89,3 +95,174 @@ def test_sample_minibatches_stacks_sequential_draws(seed, n, size, count):
     got = sample_minibatches(ds, size, count, seed)
     assert got.shape == (count, size)
     assert got.tolist() == [d.tolist() for d in draws]
+
+
+# -- the logic-rule count kernel ------------------------------------------------------
+
+def logic_dataset(rng, n):
+    """Boolean A, B, C and a boolean class column ``flag``, labels a/b and a
+    rare c, a numeric v. Every column but v has missing cells, and row 0
+    misses every cell, so a batch of row 0 alone has no usable row."""
+    def gaps():
+        mask = rng.random(n) < 0.25
+        mask[0] = True
+        return mask
+
+    missing = {name: gaps() for name in ("A", "B", "C", "flag", "y")}
+    labels = rng.choice(["a", "b", "c"], size=n, p=[0.45, 0.45, 0.1])
+    labels[missing["y"]] = ""  # as load_table stores an empty label cell
+    columns = {name: (BOOLEAN, (rng.random(n) < 0.5).astype(float))
+               for name in ("A", "B", "C", "flag")}
+    columns["y"] = (LABEL, labels)
+    columns["v"] = (NUMERIC, rng.normal(0.0, 1.0, n))
+    return make_dataset(columns, missing=missing)
+
+
+def logic_rule(literals, consequent):
+    return AbstractRule(kind="logic", statistic="f1", literals=tuple(literals),
+                        consequent=consequent)
+
+
+A, NOT_A = Literal("A"), Literal("A", negated=True)
+# a repeated literal, a literal and its negation, and rules evaluate_rule
+# rejects: a numeric literal, an absent column (named before the numeric
+# one), a literal error after a good literal, and, with the boolean class
+# column, a class that cannot be matched
+FIXED_RULES = [([A, A], "a"), ([A, NOT_A], "b"), ([NOT_A, A, A], "a"),
+               ([Literal("v")], "a"), ([Literal("Z"), Literal("v")], "a"),
+               ([A, Literal("v", negated=True)], "b")]
+literal_lists = st.lists(st.builds(Literal, st.sampled_from(["A", "B", "C"]), st.booleans()),
+                         min_size=1, max_size=3)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 5),
+       st.integers(1, 16), st.sampled_from(["y", "flag"]),
+       st.lists(st.tuples(literal_lists, st.integers(0, 2)), max_size=12),
+       st.sampled_from([1, 50, 200, 2**18]))
+def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_column, drawn,
+                                               chunk_cells):
+    rng = np.random.default_rng(seed)
+    ds = logic_dataset(rng, n)
+    registry = StatisticRegistry.from_dataset(ds)
+    # rows repeat within and across batches; the last batch is row 0 alone
+    rows = np.vstack([rng.integers(0, n, (count, size)), np.zeros((1, size), dtype=int)])
+    classes = ["a", "b", "c"] if label_column == "y" else ["1", "0", "a"]
+    rules = [logic_rule(lits, cls) for lits, cls in FIXED_RULES]
+    rules += [logic_rule(lits, classes[c]) for lits, c in drawn]
+
+    # small chunk budgets split the batches into chunks of one or more
+    with mock.patch.object(rule_eval, "_CHUNK_CELLS", chunk_cells):
+        scores = score_logic_rules(rules, ds, rows, label_column)
+    assert scores.value.shape == scores.valued.shape == (len(rules), count + 1)
+    for r, rule in enumerate(rules):
+        try:
+            batches = [oracle.evaluate_batch(rule, ds, b, label_column, registry).value
+                       for b in rows]
+        except QuantrulesError as exc:
+            error = scores.errors[r]
+            assert type(error) is type(exc) and str(error) == str(exc), rule
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                scores.collected(r)
+            continue
+        assert scores.errors[r] is None, rule
+        assert scores.valued[r].tolist() == [v is not None for v in batches], rule
+        expect = np.array([0.0 if v is None else v for v in batches])
+        assert scores.value[r].tobytes() == expect.tobytes(), rule
+        ev = evaluate_rule(rule, ds, rows, label_column, registry)
+        assert scores.value[r].tobytes() == ev.value.tobytes(), rule
+        got = scores.collected(r)
+        want = oracle.collect_statistics(rule, ds, rows, registry, label_column)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule
+
+
+def select_alone(rules, train, valid, job, label_column, log):
+    """``learn_and_select`` one rule at a time through ``compute_bounds`` and
+    ``jaccard``, each rule evaluated by ``evaluate_rule`` on its own."""
+    registry = StatisticRegistry.from_dataset(train)
+    selected = []
+    for rule in rules:
+        size = job.batch_size or rule.batch_size
+        delta = job.delta if job.delta is not None else rule.delta
+        sets = [(train, sample_minibatches(train, size, job.n_train_batches, job.train_seed)),
+                (valid, sample_minibatches(valid, size, job.n_valid_batches, job.valid_seed))]
+        try:
+            t_int, v_int = (compute_bounds(rule, ds, rows, delta, registry=registry,
+                                           label_column=label_column)
+                            for ds, rows in sets)
+        except EmptyStatisticError as exc:
+            log.append({"event": "skipped", "signature": rule_signature(rule),
+                        "reason": str(exc)})
+            continue
+        pooled = np.concatenate([collect_statistics(rule, ds, rows, registry, label_column)
+                                 for ds, rows in sets])
+        score = jaccard(t_int, v_int, Interval(float(pooled.min()), float(pooled.max())))
+        if score <= 1.0 - job.epsilon:
+            log.append({"event": "rejected", "signature": rule_signature(rule),
+                        "jaccard": score})
+            continue
+        selected.append(ConcreteRule(
+            rule=rule, lo=t_int.lo, hi=t_int.hi, delta=delta,
+            provenance={"train": train.origin or "", "train_seed": job.train_seed,
+                        "valid_seed": job.valid_seed}))
+        log.append({"event": "selected", "signature": rule_signature(rule),
+                    "jaccard": score})
+    return selected
+
+
+def mixed_rules(drawn, sizes):
+    """Logic rules of two batch sizes, with conditional rules among them."""
+    rules = [AbstractRule(kind="logic", statistic="f1", literals=tuple(lits),
+                          consequent="abc"[c], batch_size=sizes[i % 2], sided=sided)
+             for i, (lits, c, sided) in enumerate(drawn)]
+    rules.insert(len(rules) // 2, AbstractRule(kind="conditional", guard="a",
+                                               statistic="mean(v)", batch_size=sizes[0]))
+    rules.insert(1, AbstractRule(kind="conditional", statistic="v", batch_size=sizes[1]))
+    return rules
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 4), st.integers(1, 4), st.tuples(st.integers(1, 8), st.integers(1, 8)),
+       st.sampled_from([None, 0.1]), st.floats(0.05, 0.95),
+       st.lists(st.tuples(literal_lists, st.integers(0, 2),
+                          st.sampled_from(["two", "lower", "upper"])), max_size=10))
+def test_learn_and_select_matches_rules_selected_alone(seed, n_train, n_valid, n_tb, n_vb,
+                                                       sizes, delta, epsilon, drawn):
+    rng = np.random.default_rng(seed)
+    train, valid = logic_dataset(rng, n_train), logic_dataset(rng, n_valid)
+    rules = mixed_rules(drawn, sizes)
+    job = BoundJob(n_train_batches=n_tb, n_valid_batches=n_vb, delta=delta,
+                   epsilon=epsilon, train_seed=seed % 7, valid_seed=seed % 5)
+    log, expect_log = [], []
+    got = learn_and_select(rules, train, valid, job, label_column="y", log=log)
+    assert got == select_alone(rules, train, valid, job, "y", expect_log)
+    assert log == expect_log
+
+
+def test_numeric_literal_column_in_valid_raises_at_its_rule():
+    """A boolean column of train that reads as numeric in valid fails at the
+    first rule that reads it on valid, with the events of the rules before
+    it logged; a rule already skipped on train does not read valid."""
+    rng = np.random.default_rng(3)
+    train = logic_dataset(rng, 40)
+    cells = {name: (train.kind(name), train.values(name)) for name in train.names}
+    missing = {name: train.missing(name) for name in train.names}
+    cells["E"], missing["E"] = (BOOLEAN, np.zeros(40)), np.ones(40, dtype=bool)
+    train = make_dataset(cells, missing=missing)
+    valid_cells = dict(cells, B=(NUMERIC, np.arange(40.0)), E=(NUMERIC, np.arange(40.0)))
+    valid = make_dataset(valid_cells, missing=dict(missing, E=np.zeros(40, dtype=bool)))
+    rules = [logic_rule([A], "a"),
+             AbstractRule(kind="conditional", guard="b", statistic="mean(v)"),
+             logic_rule([Literal("E")], "a"),  # no value on train: skipped
+             logic_rule([NOT_A, Literal("B")], "b"),
+             logic_rule([A], "b")]
+    job = BoundJob(n_train_batches=6, n_valid_batches=4, batch_size=8)
+    log, expect_log = [], []
+    message = "literal 'B' refers to a non-boolean column"
+    with pytest.raises(TypeMismatchError, match=message):
+        select_alone(rules, train, valid, job, "y", expect_log)
+    with pytest.raises(TypeMismatchError, match=message):
+        learn_and_select(rules, train, valid, job, label_column="y", log=log)
+    assert log == expect_log
+    assert [e["event"] for e in log][-1] == "skipped" and len(log) == 3
