@@ -69,6 +69,12 @@ _CONFIG_KEYS = {
               "eval_batch_size": "int", "eval_n_batches": "int", "log_out": "str?"},
 }
 _FEATURE_KEYS = {"column": "str", "buckets": "int?"}
+# the keys each command needs, by section; a config without one fails before any work
+_NEEDED_KEYS = {
+    "mine": {"data": ("train", "valid"), "mine": ("schema", "rules_out")},
+    "evaluate": {"data": ("test",), "evaluate": ("rules", "report_out")},
+    "adapt": {"data": ("test",), "adapt": ("rules", "model_in")},
+}
 
 
 def _check_keys(path, where, section, keys):
@@ -86,8 +92,9 @@ def _check_keys(path, where, section, keys):
             raise ParseError(f"{path}: {where}: key {key!r} must be {name}, got {value!r}")
 
 
-def _load_config(path):
-    """Read a YAML config whose sections and keys are all in _CONFIG_KEYS."""
+def _load_config(path, command):
+    """Read a YAML config whose sections and keys are all in _CONFIG_KEYS and
+    which holds every key that ``command`` needs (_NEEDED_KEYS)."""
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
@@ -102,14 +109,15 @@ def _load_config(path):
         _check_keys(path, where, entry, _FEATURE_KEYS)
         if "column" not in entry:
             raise ParseError(f"{path}: {where}: missing key 'column'")
+    for name, keys in _NEEDED_KEYS[command].items():
+        if name not in cfg:
+            raise ParseError(f"{path}: config has no section {name!r}, "
+                             f"which {command} needs")
+        for key in keys:
+            if key not in cfg[name]:
+                raise ParseError(f"{path}: section {name!r}: missing key {key!r}, "
+                                 f"which {command} needs")
     return cfg
-
-
-def _section(cfg, name):
-    section = cfg.get(name)
-    if section is None:
-        raise ParseError(f"config has no '{name}' section")
-    return section
 
 
 def _feature_specs(data_cfg):
@@ -133,8 +141,8 @@ def _load_with_model(path, specs, edges, model):
 
 
 def cmd_mine(cfg, args) -> int:
-    data_cfg = _section(cfg, "data")
-    mine_cfg = _section(cfg, "mine")
+    data_cfg = cfg["data"]
+    mine_cfg = cfg["mine"]
     specs = _feature_specs(data_cfg)
     seed = args.seed if args.seed is not None else mine_cfg.get("seed", 0)
 
@@ -174,8 +182,8 @@ def cmd_mine(cfg, args) -> int:
 
 
 def cmd_evaluate(cfg, args) -> int:
-    data_cfg = _section(cfg, "data")
-    eval_cfg = _section(cfg, "evaluate")
+    data_cfg = cfg["data"]
+    eval_cfg = cfg["evaluate"]
     specs = _feature_specs(data_cfg)
     rules, header = rules_io.load_rules(eval_cfg["rules"])
 
@@ -209,6 +217,7 @@ def cmd_evaluate(cfg, args) -> int:
 
     totals_arr = np.asarray(totals, dtype=float)
     log.emit(command="evaluate", rules=len(rules),
+             unevaluable=len(primary.unevaluable),
              total_violations=primary.total_violations,
              per_sample_mean=primary.per_sample_mean,
              per_sample_std=primary.per_sample_std,
@@ -221,8 +230,8 @@ def cmd_evaluate(cfg, args) -> int:
 
 
 def cmd_adapt(cfg, args) -> int:
-    data_cfg = _section(cfg, "data")
-    adapt_cfg = _section(cfg, "adapt")
+    data_cfg = cfg["data"]
+    adapt_cfg = cfg["adapt"]
     specs = _feature_specs(data_cfg)
     rules, header = rules_io.load_rules(adapt_cfg["rules"])
     model = SoftmaxModel.load(adapt_cfg["model_in"])
@@ -293,7 +302,7 @@ def cmd_report(args) -> int:
     if args.out:
         violations.write_report(report, args.out, fmt=args.format)
     worst = sorted(report.per_rule, key=lambda r: -r[1])[:10]
-    print(f"rules={len(report.per_rule)} samples={len(report.per_sample)}")
+    print(f"rules={len(report.per_rule)} samples={report.per_sample.size}")
     print(f"total_violations={report.total_violations}")
     print(f"per_sample_mean={report.per_sample_mean} per_sample_std={report.per_sample_std}")
     for sig, v, n in worst:
@@ -325,7 +334,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args)
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         if args.command == "mine":
             return cmd_mine(cfg, args)
         if args.command == "evaluate":

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -262,8 +264,9 @@ def load_boxes(path) -> Dataset:
 
     Each object carries label, x_min, y_min, x_max, y_max and an optional
     score. Coordinates must be finite and >= 0 with x_min < x_max and
-    y_min < y_max. An object that cannot be read is reported before any
-    bad geometry; among the rest, the first box with bad geometry is named.
+    y_min < y_max, and a score must be finite. An object that cannot be read
+    is reported before any bad value; among the rest, the first box with
+    bad geometry or a non-finite score is named.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -273,7 +276,53 @@ def load_boxes(path) -> Dataset:
             raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=exc.lineno)
     if not isinstance(records, list):
         raise ParseError(f"{path}: expected a JSON array of box objects")
-    labels, coords, scores, score_missing = [], [], [], []
+    # Read by key into columns. np.fromiter takes one value float() refuses:
+    # None, as NaN. On a NaN coordinate, or on any error, the objects are
+    # read again one by one to name the first fault.
+    n = len(records)
+    try:
+        labels = [str(label) for label in map(itemgetter("label"), records)]
+        coords = np.fromiter(chain.from_iterable(map(itemgetter(*BOX_COLUMNS), records)),
+                             dtype=float, count=4 * n).reshape(n, 4)
+        raw_scores = [rec.get("score") for rec in records]
+        scores = np.fromiter((0.0 if s is None else s for s in raw_scores),
+                             dtype=float, count=n)
+        reread = bool(np.isnan(coords).any())
+    except (KeyError, TypeError, ValueError, OverflowError):
+        reread = True
+    if reread:
+        labels, coords, scores, raw_scores = _read_box_objects(path, records)
+    in_range = (np.isfinite(coords) & (coords >= 0)).all(axis=1)
+    proper = (coords[:, 0] < coords[:, 2]) & (coords[:, 1] < coords[:, 3])
+    bad = np.flatnonzero(~(in_range & proper & np.isfinite(scores)))
+    if bad.size:
+        i = int(bad[0])
+        box = tuple(coords[i].tolist())
+        if not in_range[i]:
+            reason = f"box coordinates must be finite and >= 0, got {box}"
+        elif not proper[i]:
+            reason = f"degenerate box {box}"
+        else:
+            reason = f"score must be finite, got {float(scores[i])!r}"
+        raise ParseError(f"{path}: bad box object at index {i}: {reason}")
+    columns = [("label", ds_mod.LABEL)] + [(c, ds_mod.NUMERIC) for c in BOX_COLUMNS]
+    values = {"label": np.array(labels, dtype=str)}
+    for j, c in enumerate(BOX_COLUMNS):
+        values[c] = coords[:, j]
+    missing = {}
+    score_missing = np.array([score is None for score in raw_scores], dtype=bool)
+    if score_missing.any():
+        missing["score"] = score_missing
+    columns.append(("score", ds_mod.NUMERIC))
+    values["score"] = scores
+    return Dataset(columns, values, missing, origin=str(path))
+
+
+def _read_box_objects(path, records):
+    """load_boxes' columns read object by object, raising ParseError for the
+    first object that cannot be read: its missing key, or the value that
+    float() refuses (None, a non-numeric string, a list...)."""
+    labels, coords, scores, raw_scores = [], [], [], []
     for i, rec in enumerate(records):
         try:
             labels.append(str(rec["label"]))
@@ -282,26 +331,8 @@ def load_boxes(path) -> Dataset:
             scores.append(0.0 if score is None else float(score))
         except KeyError as exc:
             raise ParseError(f"{path}: box object at index {i} has no key {exc}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: bad box object at index {i}: {exc}")
-        score_missing.append(score is None)
-    coords = np.asarray(coords, dtype=float).reshape(len(records), 4)
-    in_range = (np.isfinite(coords) & (coords >= 0)).all(axis=1)
-    proper = (coords[:, 0] < coords[:, 2]) & (coords[:, 1] < coords[:, 3])
-    bad = np.flatnonzero(~(in_range & proper))
-    if bad.size:
-        i = int(bad[0])
-        box = tuple(coords[i].tolist())
-        reason = (f"degenerate box {box}" if in_range[i]
-                  else f"box coordinates must be finite and >= 0, got {box}")
-        raise ParseError(f"{path}: bad box object at index {i}: {reason}")
-    columns = [("label", ds_mod.LABEL)] + [(c, ds_mod.NUMERIC) for c in BOX_COLUMNS]
-    values = {"label": np.array(labels, dtype=str)}
-    for j, c in enumerate(BOX_COLUMNS):
-        values[c] = coords[:, j]
-    missing = {}
-    if any(score_missing):
-        missing["score"] = np.array(score_missing)
-    columns.append(("score", ds_mod.NUMERIC))
-    values["score"] = np.array(scores)
-    return Dataset(columns, values, missing, origin=str(path))
+        raw_scores.append(score)
+    return (labels, np.array(coords, dtype=float).reshape(len(records), 4),
+            np.array(scores, dtype=float), raw_scores)

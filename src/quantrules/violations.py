@@ -17,24 +17,40 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import sample_minibatches
-from .errors import EmptyStatisticError, ResolutionError
+from .errors import EmptyStatisticError, ParseError, ResolutionError
 from .rule_eval import evaluate_rule, is_per_sample
 from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class ViolationReport:
+    """Violation counts of one rule set on one test set.
+
+    ``per_sample[i]`` is the violation count of sample i. ``unevaluable``
+    holds the signatures of the rules recorded as 0 of 0 because a column is
+    absent or a statistic is empty; it is logged, not written to report.json,
+    and equality compares only what report.json holds.
+    """
     per_rule: list = field(default_factory=list)   # (signature, violations, evaluations)
-    per_sample: list = field(default_factory=list)  # (sample id, violations), sorted
+    per_sample: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     total_violations: int = 0
     per_sample_mean: float = 0.0
     per_sample_std: float = 0.0
+    unevaluable: list = field(default_factory=list)
+
+    def __eq__(self, other):
+        if not isinstance(other, ViolationReport):
+            return NotImplemented
+        return (self.per_rule == other.per_rule
+                and np.array_equal(self.per_sample, other.per_sample)
+                and (self.total_violations, self.per_sample_mean, self.per_sample_std)
+                == (other.total_violations, other.per_sample_mean, other.per_sample_std))
 
     def validate(self):
         rule_total = sum(v for _, v, _ in self.per_rule)
-        sample_total = sum(v for _, v in self.per_sample)
+        sample_total = int(self.per_sample.sum())
         if not (self.total_violations == rule_total == sample_total):
             raise AssertionError(
                 f"violation accounting mismatch: total={self.total_violations} "
@@ -63,14 +79,15 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     ``batching`` is (batch_size, count, seed) for minibatch rules; the
     batch size acts as a fallback when a rule carries none. Rules whose
     columns are absent are skipped with zero evaluations rather than
-    failing the run.
+    failing the run; their signatures are kept in the report's
+    ``unevaluable`` list.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(test)
     if label_column is None:
         label_column = test.label_column
-    sample_counts = np.zeros(test.n_rows, dtype=int)
-    per_rule = []
+    sample_counts = np.zeros(test.n_rows, dtype=np.int64)
+    per_rule, unevaluable = [], []
 
     batch_cache = {}
 
@@ -91,25 +108,27 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
             v, n = _scan_rule(crule, test, rows, registry, label_column, sample_counts)
         except (ResolutionError, EmptyStatisticError):
             v, n = 0, 0  # rule not evaluable on this dataset; recorded as skipped
+            unevaluable.append(crule.signature)
         per_rule.append((crule.signature, v, n))
 
     report = ViolationReport(
         per_rule=per_rule,
-        per_sample=[(int(i), int(c)) for i, c in enumerate(sample_counts)],
+        per_sample=sample_counts,
         total_violations=int(sample_counts.sum()),
         per_sample_mean=float(sample_counts.mean()) if test.n_rows else 0.0,
         per_sample_std=float(sample_counts.std()) if test.n_rows else 0.0,
+        unevaluable=unevaluable,
     )
     report.validate()
     return report
 
 
-def report_to_obj(report: ViolationReport) -> dict:
+def _report_obj(report: ViolationReport, per_sample: list) -> dict:
     return {
         "format_version": REPORT_FORMAT_VERSION,
         "per_rule": [{"signature": s, "violations": v, "evaluations": n}
                      for s, v, n in report.per_rule],
-        "per_sample": [{"sample": i, "violations": c} for i, c in report.per_sample],
+        "per_sample": per_sample,
         "totals": {
             "violations": report.total_violations,
             "per_sample_mean": report.per_sample_mean,
@@ -120,16 +139,120 @@ def report_to_obj(report: ViolationReport) -> dict:
     }
 
 
-def report_from_obj(obj: dict) -> ViolationReport:
-    if obj.get("format_version") != REPORT_FORMAT_VERSION:
-        raise ValueError(f"unsupported report format_version {obj.get('format_version')!r}")
+def report_to_obj(report: ViolationReport) -> dict:
+    """The report.json document as Python objects."""
+    return _report_obj(report, [{"sample": i, "violations": c}
+                                for i, c in enumerate(report.per_sample.tolist())])
+
+
+# one per_sample entry as json.dumps(..., indent=2) lays it out at depth 2
+_SAMPLE_ENTRY = '    {\n      "sample": %d,\n      "violations": %d\n    }'
+_EMPTY_PER_SAMPLE = '\n  "per_sample": []'
+
+
+def report_to_json(report: ViolationReport) -> str:
+    """``json.dumps(report_to_obj(report), indent=2) + "\\n"``, byte for byte.
+
+    json.dumps writes everything but the per-sample entries, so string
+    escapes and float repr are its own; the entries fill copies of one
+    fixed template with the (index, count) pairs of the count array. The
+    empty per_sample list is a safe splice point: an encoded string holds
+    no raw newline, so ``_EMPTY_PER_SAMPLE`` occurs only as the top-level key.
+    """
+    text = json.dumps(_report_obj(report, []), indent=2)
+    n = len(report.per_sample)
+    if n:
+        head, tail = text.split(_EMPTY_PER_SAMPLE)
+        pairs = np.column_stack((np.arange(n), report.per_sample)).ravel().tolist()
+        entries = ",\n".join([_SAMPLE_ENTRY] * n) % tuple(pairs)
+        text = f'{head}\n  "per_sample": [\n{entries}\n  ]{tail}'
+    return text + "\n"
+
+
+def _fields(obj, where, keys):
+    """``obj``, if it is an object with exactly ``keys``; else ParseError
+    naming ``where`` and the key."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"{where}: unknown key {key!r}")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{where}: missing key {key!r}")
+    return obj
+
+
+def _count(obj, key, where):
+    value = obj[key]
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{where}: {key} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _number(obj, key, where):
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise ParseError(f"{where}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _sample_counts(entries, where):
+    """The count array of a per_sample list whose ids run 0..n-1 in order."""
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: per_sample must be a list, got {entries!r}")
+    try:
+        ids = [e["sample"] for e in entries]
+        counts = [e["violations"] for e in entries]
+    except (KeyError, TypeError):
+        ids = counts = None
+    if not (ids == list(range(len(entries)))
+            and all(type(i) is int for i in ids)
+            and all(type(c) is int and c >= 0 for c in counts)
+            and all(len(e) == 2 for e in entries)):
+        for i, entry in enumerate(entries):  # name the first bad entry
+            at = f"{where}: per_sample[{i}]"
+            _count(_fields(entry, at, ("sample", "violations")), "violations", at)
+            if _count(entry, "sample", at) != i:
+                raise ParseError(f"{at}: sample must be {i} (ids run 0..n-1 in "
+                                 f"order), got {entry['sample']}")
+    return np.array(counts, dtype=np.int64)
+
+
+def report_from_obj(obj, where="report") -> ViolationReport:
+    """Parse a report.json document. A malformed one raises ParseError
+    naming ``where`` and the field; a broken accounting identity raises
+    AssertionError (ViolationReport.validate)."""
+    _fields(obj, where, ("format_version", "per_rule", "per_sample", "totals"))
+    if obj["format_version"] != REPORT_FORMAT_VERSION:
+        raise ParseError(f"{where}: unsupported report format_version "
+                         f"{obj['format_version']!r} (expected {REPORT_FORMAT_VERSION})")
+    if not isinstance(obj["per_rule"], list):
+        raise ParseError(f"{where}: per_rule must be a list, got {obj['per_rule']!r}")
+    per_rule = []
+    for i, entry in enumerate(obj["per_rule"]):
+        at = f"{where}: per_rule[{i}]"
+        _fields(entry, at, ("signature", "violations", "evaluations"))
+        if not isinstance(entry["signature"], str):
+            raise ParseError(f"{at}: signature must be a string, "
+                             f"got {entry['signature']!r}")
+        per_rule.append((entry["signature"], _count(entry, "violations", at),
+                         _count(entry, "evaluations", at)))
+    per_sample = _sample_counts(obj["per_sample"], where)
+    at = f"{where}: totals"
+    totals = _fields(obj["totals"], at, ("violations", "per_sample_mean",
+                                         "per_sample_std", "rules", "samples"))
+    for key, name, listed in (("rules", "per_rule", len(per_rule)),
+                              ("samples", "per_sample", len(per_sample))):
+        if _count(totals, key, at) != listed:
+            raise ParseError(f"{at}: {key} is {totals[key]} but {name} has "
+                             f"{listed} entries")
     report = ViolationReport(
-        per_rule=[(r["signature"], r["violations"], r["evaluations"])
-                  for r in obj["per_rule"]],
-        per_sample=[(r["sample"], r["violations"]) for r in obj["per_sample"]],
-        total_violations=obj["totals"]["violations"],
-        per_sample_mean=obj["totals"]["per_sample_mean"],
-        per_sample_std=obj["totals"]["per_sample_std"],
+        per_rule=per_rule,
+        per_sample=per_sample,
+        total_violations=_count(totals, "violations", at),
+        per_sample_mean=_number(totals, "per_sample_mean", at),
+        per_sample_std=_number(totals, "per_sample_std", at),
     )
     report.validate()
     return report
@@ -142,8 +265,7 @@ def report_to_csv(report: ViolationReport) -> str:
     writer.writerow(["section", "key", "violations", "evaluations"])
     for sig, v, n in report.per_rule:
         writer.writerow(["rule", sig, v, n])
-    for i, c in report.per_sample:
-        writer.writerow(["sample", i, c, ""])
+    writer.writerows(["sample", i, c, ""] for i, c in enumerate(report.per_sample.tolist()))
     writer.writerow(["total", "violations", report.total_violations, ""])
     writer.writerow(["total", "per_sample_mean", repr(report.per_sample_mean), ""])
     writer.writerow(["total", "per_sample_std", repr(report.per_sample_std), ""])
@@ -154,7 +276,7 @@ def write_report(report: ViolationReport, path, fmt="json"):
     """Serialize a report; JSON key order and float text are stable."""
     path = Path(path)
     if fmt == "json":
-        payload = json.dumps(report_to_obj(report), indent=2) + "\n"
+        payload = report_to_json(report)
     elif fmt == "csv":
         payload = report_to_csv(report)
     else:
@@ -167,5 +289,16 @@ def write_report(report: ViolationReport, path, fmt="json"):
 
 
 def read_report(path) -> ViolationReport:
+    """Read a report written by write_report. A file that is not one (bad
+    JSON, a missing or unknown key, a count that is not a non-negative
+    integer, per_sample ids other than 0..n-1 in order, totals that disagree
+    with the lists) raises ParseError naming the file and the field."""
     with open(path, encoding="utf-8") as fh:
-        return report_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=exc.lineno)
+    try:
+        return report_from_obj(obj, str(path))
+    except AssertionError as exc:  # the accounting identity, from validate
+        raise ParseError(f"{path}: {exc}") from exc

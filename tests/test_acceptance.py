@@ -399,7 +399,7 @@ def test_c09_accounting_identity():
     for seed in range(5):
         report = evaluate(rules, ds, batching=(50, 8, seed), label_column="y")
         per_rule = sum(v for _, v, _ in report.per_rule)
-        per_sample = sum(c for _, c in report.per_sample)
+        per_sample = report.per_sample.sum()
         assert report.total_violations == per_rule == per_sample
     ok(9, "total == per-rule margin == per-sample margin on mixed rule sets, 5 seeds")
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
@@ -68,10 +70,21 @@ def test_percentile_affine_equivariance(values, q, a, b):
 
 @settings(max_examples=100)
 @given(st.lists(finite_floats, min_size=1, max_size=60), st.floats(0, 1))
+@example(values=[0.0, -16777217.0], q=0.9999999999999999)
 def test_percentile_agrees_with_numpy(values, q):
+    """Exactly the documented formula, and numpy's linear percentile within
+    a few ulps of max|v|: numpy rounds its interpolation differently, so a
+    fixed absolute tolerance fails at large |v| (the example). np.quantile
+    takes q as is; np.percentile(v, 100 * q) would divide by 100 again and
+    move the rank h by up to n - 1 ulps."""
+    v = sorted(values)
+    h = q * (len(v) - 1)
+    i = math.floor(h)
+    formula = v[-1] if i + 1 >= len(v) else v[i] + (h - i) * (v[i + 1] - v[i])
     ours = percentile(values, q)
-    ref = float(np.percentile(np.asarray(values), 100 * q))
-    assert ours == pytest.approx(ref, rel=1e-12, abs=1e-9)
+    assert ours == formula
+    ref = float(np.quantile(np.asarray(values), q))
+    assert abs(ours - ref) <= 4 * np.spacing(max(abs(x) for x in values))
 
 
 # -- compute_bounds -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from quantrules import cli
 from quantrules.cli import _load_config, main
 from quantrules.model import SoftmaxModel
 from quantrules.rules_io import load_rules, save_rules
@@ -501,7 +502,8 @@ def test_readme_config_example_keys_are_accepted(tmp_path):
     assert set(cfg) == {"data", "mine", "evaluate", "adapt"}
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-    assert _load_config(path) == cfg
+    for command in ("mine", "evaluate", "adapt"):
+        assert _load_config(path, command) == cfg
 
 
 @pytest.mark.parametrize("command, change, where, key", [
@@ -541,3 +543,63 @@ def test_config_key_faults_exit_2_naming_file_section_and_key(tmp_path, capsys, 
     assert main([command, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert str(cfg_path) in err and where in err and key in err
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("mine", "mine", "rules_out"),
+    ("mine", "mine", "schema"),
+    ("mine", "data", "train"),
+    ("mine", "data", "valid"),
+    ("evaluate", "evaluate", "report_out"),
+    ("evaluate", "data", "test"),
+    ("adapt", "adapt", "rules"),
+    ("adapt", "adapt", "model_in"),
+])
+def test_missing_needed_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                    command, section, key):
+    cfg_path = write_workspace(tmp_path)
+    _add_adapt_section(cfg_path, tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    del cfg[section][key]
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a data file was read before the config was checked")
+
+    monkeypatch.setattr(cli, "_load_with_model", no_work)
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and f"section {section!r}" in err and repr(key) in err
+    assert not (tmp_path / "rules.jsonl").exists()
+
+
+def test_evaluate_logs_unevaluable_rules(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    ghost = ConcreteRule(rule=AbstractRule(kind="conditional", statistic="ghost"),
+                         lo=0.0, hi=1.0, delta=0.02)
+    present = ConcreteRule(rule=AbstractRule(kind="conditional", statistic="x0"),
+                           lo=-1e9, hi=1e9, delta=0.02)
+    save_rules(tmp_path / "rules.jsonl", [ghost, present])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert "command=evaluate rules=2 unevaluable=1 " in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert list(report) == ["format_version", "per_rule", "per_sample", "totals"]
+    assert report["per_rule"][0] == {"signature": ghost.signature, "violations": 0,
+                                     "evaluations": 0}
+
+
+def test_report_command_rewrites_same_bytes_and_rejects_bad_file(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    assert main(["mine", "--config", str(cfg)]) == 0
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "report.json"
+    assert main(["report", "--report", str(path), "--out", str(tmp_path / "rt.json")]) == 0
+    assert "samples=600" in capsys.readouterr().out
+    assert (tmp_path / "rt.json").read_bytes() == path.read_bytes()
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["per_sample"][0]["sample"] = 1
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["report", "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: per_sample[0]: sample must be 0" in err

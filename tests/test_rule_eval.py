@@ -82,7 +82,7 @@ def test_batch_matrix_matches_per_batch_oracle(seed, n, count, size, lo, width,
                                      label_column="y", registry=registry)
     per_rule, per_sample = oracle.evaluate_counts(crules, ds, rows, registry, "y")
     assert report.per_rule == per_rule
-    assert [c for _, c in report.per_sample] == per_sample
+    assert report.per_sample.tolist() == per_sample
 
 
 @settings(max_examples=50, deadline=None)

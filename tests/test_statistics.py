@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
@@ -274,45 +274,38 @@ def test_load_boxes_validates_coordinates(tmp_path, coords, expected):
 
 
 def _boxes_oracle(records):
-    """The per-box validation loop that load_boxes replaced: each object is
-    read and its geometry checked before the next; returns the first fault's
-    message or the (labels, coords, scores, score_missing) columns."""
+    """Per-box loops in the README's order: the first object that cannot be
+    read, else the first box with bad geometry or score. Returns that fault's message
+    or the (labels, coords, scores, score_missing) columns."""
     labels, coords, scores, score_missing = [], [], [], []
     for i, rec in enumerate(records):
         try:
             label = str(rec["label"])
             box = (float(rec["x_min"]), float(rec["y_min"]),
                    float(rec["x_max"]), float(rec["y_max"]))
-            if not all(np.isfinite(c) and c >= 0 for c in box):
-                raise ValueError(f"box coordinates must be finite and >= 0, got {box}")
-            if not (box[0] < box[2] and box[1] < box[3]):
-                raise ValueError(f"degenerate box {box}")
             score = rec.get("score")
             scores.append(0.0 if score is None else float(score))
         except KeyError as exc:
             return f"box object at index {i} has no key {exc}"
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             return f"bad box object at index {i}: {exc}"
         labels.append(label)
         coords.append(box)
         score_missing.append(score is None)
+    for i, (box, score) in enumerate(zip(coords, scores)):
+        if not all(np.isfinite(c) and c >= 0 for c in box):
+            return f"bad box object at index {i}: box coordinates must be finite and >= 0, got {box}"
+        if not (box[0] < box[2] and box[1] < box[3]):
+            return f"bad box object at index {i}: degenerate box {box}"
+        if not np.isfinite(score):
+            return f"bad box object at index {i}: score must be finite, got {score!r}"
     return labels, coords, scores, score_missing
 
 
-def _unreadable(rec):
-    try:
-        str(rec["label"])
-        [float(rec[c]) for c in BOX_COLUMNS]
-        if rec.get("score") is not None:
-            float(rec["score"])
-    except (KeyError, TypeError, ValueError):
-        return True
-    return False
-
-
-# "missing" leaves the key out
-_COORDINATES = [0, -0.0, 1, 5, 10.5, -1, float("nan"), float("inf"), "3", "low", None,
-                "missing"]
+# "missing" leaves the key out; 10**400 is an integer too large for a float
+_COORDINATES = [0, -0.0, 1, 5, 10.5, -1, float("nan"), float("inf"), "3", " 7.5 ", "low",
+                None, True, False, 10**400, [1], {"v": 1}, "missing"]
+_SCORES = [None, 0.5, "0.25", "high", True, False, float("nan"), [0.5], "missing"]
 
 
 @st.composite
@@ -320,8 +313,8 @@ def _box_object(draw):
     rec = {"label": draw(st.sampled_from(["car", "person", 1]))}
     for c in BOX_COLUMNS:
         rec[c] = draw(st.one_of(st.sampled_from(_COORDINATES), st.floats(-2, 50)))
-    rec["score"] = draw(st.sampled_from([None, 0.5, "high", "missing"]))
-    return {k: v for k, v in rec.items() if v != "missing"}
+    rec["score"] = draw(st.sampled_from(_SCORES))
+    return {k: v for k, v in rec.items() if not (isinstance(v, str) and v == "missing")}
 
 
 _valid_box = st.builds(
@@ -330,28 +323,36 @@ _valid_box = st.builds(
     st.floats(0, 100), st.floats(0, 100), st.floats(0.5, 10), st.floats(0.5, 10),
     st.one_of(st.none(), st.floats(0, 1)))
 
+_GOOD = {"label": "car", "x_min": 0, "y_min": 0, "x_max": 1, "y_max": 1}
+
 
 @settings(max_examples=300, deadline=None)
-@given(records=st.lists(st.one_of(_valid_box, _box_object(), st.just(7)),
+@given(records=st.lists(st.one_of(_valid_box, _box_object(),
+                                  st.sampled_from([7, None, "box", [1, 2]])),
                         max_size=6))
+@example(records=[_GOOD, {**_GOOD, "y_max": None}, {**_GOOD, "x_min": "low"}])
+@example(records=[_GOOD, {**_GOOD, "score": "high"}, {"label": "car", "x_min": 0}])
+@example(records=[{**_GOOD, "x_min": float("nan")}, {**_GOOD, "y_min": None}])
+@example(records=[{**_GOOD, "x_max": 0}, _GOOD, {**_GOOD, "score": [0.5]}])
+@example(records=[{**_GOOD, "x_min": True, "x_max": "3", "score": "0.25"},
+                  {**_GOOD, "y_max": " 7.5 ", "score": False}])
+@example(records=[_GOOD, {**_GOOD, "y_min": 10**400}])
+@example(records=[_GOOD, {**_GOOD, "score": float("nan")}, {**_GOOD, "x_max": 0}])
+@example(records=[_GOOD, {**_GOOD, "score": "inf"}])
+@example(records=[])
 def test_load_boxes_matches_per_box_oracle(tmp_path_factory, records):
-    """Differential test: identical columns, and for a faulty file the README's
-    order: the first object that cannot be read, else the first bad box."""
+    """Differential test: identical columns, and for a faulty file the same
+    message as the oracle, in the README's order: the first object that
+    cannot be read, else the first bad box."""
     path = tmp_path_factory.mktemp("boxes") / "boxes.json"
     path.write_text(json.dumps(records), encoding="utf-8")
     expect = _boxes_oracle(records)
-    unreadable = [i for i, rec in enumerate(records) if _unreadable(rec)]
     try:
         ds = load_boxes(path)
     except ParseError as exc:
-        assert isinstance(expect, str)
-        if unreadable:
-            assert f"index {unreadable[0]}" in str(exc)
-            assert "finite" not in str(exc) and "degenerate" not in str(exc)
-        else:
-            assert str(exc) == f"{path}: {expect}"
+        assert str(exc) == f"{path}: {expect}"
         return
-    assert not unreadable
+    assert not isinstance(expect, str), expect
     labels, coords, scores, score_missing = expect
     assert ds.values("label").tolist() == labels
     got = np.stack([ds.values(c) for c in BOX_COLUMNS], axis=1)

@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
+from quantrules.errors import ParseError
 from quantrules.rule_eval import evaluate_rule
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
 from quantrules.statistics import StatisticRegistry
-from quantrules.violations import (evaluate, read_report, report_from_obj,
-                                   report_to_obj, write_report)
+from quantrules.violations import (ViolationReport, evaluate, read_report,
+                                   report_from_obj, report_to_obj, write_report)
 
 
 def aspect_rule(lo=0.07, hi=2.77, guard="car"):
@@ -37,7 +40,7 @@ def check_one(rule, ds, label_column="label"):
     report = evaluate([rule], ds, label_column=label_column)
     (sig, v, n), = report.per_rule
     assert sig == rule.signature
-    return (v, n), [c for _, c in report.per_sample]
+    return (v, n), report.per_sample.tolist()
 
 
 def test_check_inside_bounds_satisfied():
@@ -101,7 +104,7 @@ def test_evaluate_counts_known_outliers():
     report = evaluate([value_rule(10.0, 99.0)], ds)
     assert report.per_rule[0][1] == 10
     assert report.total_violations == 10
-    flagged = [i for i, c in report.per_sample if c]
+    flagged = np.flatnonzero(report.per_sample).tolist()
     assert flagged == list(range(10))
 
 
@@ -119,7 +122,7 @@ def test_evaluate_accounting_identity_with_batch_rules():
     report = evaluate([logic], ds, batching=(64, 5, 3), label_column="y")
     assert report.per_rule[0][1] == 5 * 64
     assert report.total_violations == 5 * 64
-    assert sum(c for _, c in report.per_sample) == 5 * 64
+    assert report.per_sample.sum() == 5 * 64
 
 
 def test_evaluate_is_deterministic_and_monotone(tmp_path):
@@ -144,6 +147,18 @@ def test_evaluate_skips_rules_on_absent_columns():
     assert report.per_rule[1][1] == 5
 
 
+def test_evaluate_lists_unevaluable_rules_apart_from_unmatched_ones():
+    ds = make_dataset({"v": (NUMERIC, np.arange(10.0)),
+                       "y": (LABEL, np.array(["a"] * 10, dtype=object))})
+    ghost = value_rule(0.0, 1.0, column="ghost")
+    unmatched = ConcreteRule(rule=AbstractRule(kind="conditional", guard="b",
+                                               statistic="v"),
+                             lo=0.0, hi=1.0, delta=0.02)
+    report = evaluate([ghost, unmatched], ds, label_column="y")
+    assert [n for _, _, n in report.per_rule] == [0, 0]
+    assert report.unevaluable == [ghost.signature]
+
+
 def test_paired_rule_checks_only_its_bucket():
     ds = make_dataset({
         "s1": (NUMERIC, np.array([0.1, 0.9, 0.2, 0.8])),
@@ -157,7 +172,7 @@ def test_paired_rule_checks_only_its_bucket():
     report = evaluate([rule], ds, label_column="y")
     # rows 0 and 2 are in bucket s1 <= 0.5; only row 0 violates s2 <= 2
     assert report.per_rule[0] == (rule.signature, 1, 2)
-    assert dict(report.per_sample)[0] == 1
+    assert report.per_sample[0] == 1
 
 
 # -- report io --------------------------------------------------------------------
@@ -205,3 +220,127 @@ def test_report_validate_catches_mismatch():
     obj["totals"]["violations"] = 5
     with pytest.raises(AssertionError):
         report_from_obj(obj)
+
+
+_TRICKY_SIGNATURES = ['say "hi"', "back\\slash", "caf\u00e9 \u2603", "tab\tnew\nline", ""]
+_TRICKY_FLOATS = [0.1, 1 / 3, 2 / 3, 1e-300, 5e-324, 1.7976931348623157e308, -0.0,
+                  1e16, 123456789.12345679, 0.30000000000000004]
+
+
+@st.composite
+def _reports(draw):
+    """A report whose accounting holds: the first rule carries every violation."""
+    signatures = draw(st.lists(st.one_of(st.sampled_from(_TRICKY_SIGNATURES), st.text()),
+                               max_size=4))
+    counts = draw(st.lists(st.integers(0, 2**40), max_size=30))
+    if not signatures:
+        counts = [0] * len(counts)
+    total = sum(counts)
+    per_rule = [(sig, total if j == 0 else 0, (total if j == 0 else 0)
+                 + draw(st.integers(0, 2**40))) for j, sig in enumerate(signatures)]
+    floats = st.one_of(st.sampled_from(_TRICKY_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    return ViolationReport(per_rule=per_rule, per_sample=np.array(counts, dtype=np.int64),
+                           total_violations=total, per_sample_mean=draw(floats),
+                           per_sample_std=draw(floats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_reports())
+@example(report=ViolationReport())
+@example(report=ViolationReport(per_sample=np.zeros(3, dtype=np.int64)))
+@example(report=ViolationReport(per_rule=[('q"\\\u00e9', 0, 0)]))
+@example(report=ViolationReport(per_rule=[("r", 3, 9)], per_sample=np.array([0, 2, 1]),
+                                total_violations=3, per_sample_mean=1.0,
+                                per_sample_std=0.816496580927726))
+def test_report_json_equals_json_dumps_and_round_trips(tmp_path_factory, report):
+    """Differential test: the columnar writer against the json encoder."""
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    write_report(report, path)
+    expect = json.dumps(report_to_obj(report), indent=2) + "\n"
+    assert path.read_bytes() == expect.encode("utf-8")
+    assert read_report(path) == report
+
+
+def _good_report_obj():
+    ds = make_dataset({"v": (NUMERIC, np.arange(5.0))})
+    return report_to_obj(evaluate([value_rule(1.0, 3.0), value_rule(0.0, 9.0)], ds))
+
+
+def _set(*keys, value):
+    def change(obj):
+        *parents, last = keys
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+    return change
+
+
+def _delete(*keys):
+    def change(obj):
+        *parents, last = keys
+        for key in parents:
+            obj = obj[key]
+        del obj[last]
+    return change
+
+
+def _swap_sample_ids(obj):
+    first, second = obj["per_sample"][:2]
+    first["sample"], second["sample"] = second["sample"], first["sample"]
+
+
+@pytest.mark.parametrize("change, field, message", [
+    (_delete("totals"), "report.json", "missing key 'totals'"),
+    (_set("extra", value=1), "report.json", "unknown key 'extra'"),
+    (_set("format_version", value=2), "report.json", "format_version 2"),
+    (_delete("per_sample", 2, "violations"), "per_sample[2]", "missing key 'violations'"),
+    (_set("per_sample", 1, "note", value="x"), "per_sample[1]", "unknown key 'note'"),
+    (_set("per_sample", 0, "violations", value=1.0), "per_sample[0]",
+     "violations must be a non-negative integer, got 1.0"),
+    (_set("per_sample", 0, "violations", value=True), "per_sample[0]",
+     "violations must be a non-negative integer, got True"),
+    (_set("per_sample", 4, "violations", value="1"), "per_sample[4]",
+     "violations must be a non-negative integer, got '1'"),
+    (_set("per_sample", 3, "violations", value=-1), "per_sample[3]",
+     "violations must be a non-negative integer, got -1"),
+    (_set("per_sample", 3, value=[3, 0]), "per_sample[3]", "must be an object"),
+    (_set("per_sample", value={}), "report.json", "per_sample must be a list"),
+    (_swap_sample_ids, "per_sample[0]", "sample must be 0"),
+    (_delete("per_sample", 4), "totals", "samples is 5 but per_sample has 4 entries"),
+    (_set("totals", "rules", value=3), "totals", "rules is 3 but per_rule has 2 entries"),
+    (_set("per_rule", 1, "evaluations", value=2.5), "per_rule[1]",
+     "evaluations must be a non-negative integer, got 2.5"),
+    (_set("per_rule", 0, "signature", value=7), "per_rule[0]",
+     "signature must be a string, got 7"),
+    (_delete("per_rule", 0, "evaluations"), "per_rule[0]", "missing key 'evaluations'"),
+    (_set("totals", "per_sample_mean", value="0.4"), "totals",
+     "per_sample_mean must be a number"),
+    (_set("totals", "violations", value=5), "report.json",
+     "violation accounting mismatch"),
+    (_set("per_sample", 2, "violations", value=1), "report.json",
+     "violation accounting mismatch"),
+], ids=["no-totals", "extra-key", "version", "sample-no-count", "sample-extra-key",
+        "float-count", "bool-count", "string-count", "negative-count", "sample-not-object",
+        "per-sample-not-list", "ids-out-of-order", "samples-total", "rules-total",
+        "float-evaluations", "signature-not-string", "rule-no-evaluations", "mean-string",
+        "violations-total", "sample-sum"])
+def test_read_report_rejects_a_bad_file_naming_file_and_field(tmp_path, change, field,
+                                                              message):
+    obj = _good_report_obj()
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    assert read_report(path) == report_from_obj(obj)
+    change(obj)
+    path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read_report(path)
+    text = str(info.value)
+    assert text.startswith(f"{path}") and field in text and message in text
+
+
+def test_read_report_rejects_invalid_json(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{"format_version": 1,', encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 1: {path}: invalid JSON"):
+        read_report(path)
