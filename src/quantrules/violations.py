@@ -22,6 +22,7 @@ from .rule_eval import evaluate_rule, is_per_sample
 from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(eq=False)
@@ -187,6 +188,8 @@ def _count(obj, key, where):
     value = obj[key]
     if type(value) is not int or value < 0:
         raise ParseError(f"{where}: {key} must be a non-negative integer, got {value!r}")
+    if value > _INT64_MAX:
+        raise ParseError(f"{where}: {key} {value} exceeds the int64 maximum {_INT64_MAX}")
     return value
 
 
@@ -198,24 +201,23 @@ def _number(obj, key, where):
 
 
 def _sample_counts(entries, where):
-    """The count array of a per_sample list whose ids run 0..n-1 in order."""
+    """The count array of a per_sample list whose ids run 0..n-1 in order
+    and whose counts sum to at most the int64 maximum."""
     if not isinstance(entries, list):
         raise ParseError(f"{where}: per_sample must be a list, got {entries!r}")
-    try:
-        ids = [e["sample"] for e in entries]
-        counts = [e["violations"] for e in entries]
-    except (KeyError, TypeError):
-        ids = counts = None
-    if not (ids == list(range(len(entries)))
-            and all(type(i) is int for i in ids)
-            and all(type(c) is int and c >= 0 for c in counts)
-            and all(len(e) == 2 for e in entries)):
-        for i, entry in enumerate(entries):  # name the first bad entry
-            at = f"{where}: per_sample[{i}]"
-            _count(_fields(entry, at, ("sample", "violations")), "violations", at)
-            if _count(entry, "sample", at) != i:
-                raise ParseError(f"{at}: sample must be {i} (ids run 0..n-1 in "
-                                 f"order), got {entry['sample']}")
+    counts = []
+    total = 0
+    for i, entry in enumerate(entries):
+        at = f"{where}: per_sample[{i}]"
+        count = _count(_fields(entry, at, ("sample", "violations")), "violations", at)
+        if _count(entry, "sample", at) != i:
+            raise ParseError(f"{at}: sample must be {i} (ids run 0..n-1 in "
+                             f"order), got {entry['sample']}")
+        total += count
+        if total > _INT64_MAX:
+            raise ParseError(f"{at}: the per-sample violations sum past the int64 "
+                             f"maximum {_INT64_MAX}")
+        counts.append(count)
     return np.array(counts, dtype=np.int64)
 
 

@@ -285,6 +285,17 @@ def _delete(*keys):
     return change
 
 
+def _counts_wrapping_to_zero(obj):
+    """Per-sample counts whose int64 sum wraps to 0, beside zero rule and
+    total violations."""
+    counts = [2**63 - 1, 2**63 - 1, 2, 0, 0]
+    for entry, count in zip(obj["per_sample"], counts):
+        entry["violations"] = count
+    for entry in obj["per_rule"]:
+        entry["violations"] = 0
+    obj["totals"]["violations"] = 0
+
+
 def _swap_sample_ids(obj):
     first, second = obj["per_sample"][:2]
     first["sample"], second["sample"] = second["sample"], first["sample"]
@@ -320,11 +331,15 @@ def _swap_sample_ids(obj):
      "violation accounting mismatch"),
     (_set("per_sample", 2, "violations", value=1), "report.json",
      "violation accounting mismatch"),
+    (_set("per_sample", 1, "violations", value=2**63), "per_sample[1]",
+     f"violations {2**63} exceeds the int64 maximum"),
+    (_counts_wrapping_to_zero, "per_sample[1]",
+     "the per-sample violations sum past the int64 maximum"),
 ], ids=["no-totals", "extra-key", "version", "sample-no-count", "sample-extra-key",
         "float-count", "bool-count", "string-count", "negative-count", "sample-not-object",
         "per-sample-not-list", "ids-out-of-order", "samples-total", "rules-total",
         "float-evaluations", "signature-not-string", "rule-no-evaluations", "mean-string",
-        "violations-total", "sample-sum"])
+        "violations-total", "sample-sum", "count-above-int64", "sum-above-int64"])
 def test_read_report_rejects_a_bad_file_naming_file_and_field(tmp_path, change, field,
                                                               message):
     obj = _good_report_obj()
