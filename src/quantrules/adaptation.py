@@ -9,9 +9,19 @@ consequent probabilities. The adaptation loop repeatedly samples a test
 batch, averages the loss over all rules, and takes one gradient step on
 the normalization parameters whenever the loss is positive.
 
-Rules are evaluated on a ``BatchView`` per batch: the test table's columns at
-the batch rows plus the model's output columns. Every batch of a run has the
-same columns, so one statistic registry serves the whole run.
+``RuleGroups`` splits the rules once per run into three groups: per-sample
+rules (conditional and paired rules on a per-sample statistic), summary
+rules (mean and std) and logic rules. Every cell that reads only data
+columns is read once, on the whole test table: literal truth and presence,
+data-column and box-statistic values and their missing masks, which also
+serve as paired rules' s1 values. They are stored per distinct literal or
+statistic, not per rule, and each batch gathers them by its rows. Only the
+model outputs change from batch to batch: the score columns ``probs[:, j]``
+and the predicted class. Each batch then takes one array pass per group.
+Each rule's reductions (a mean, a std, the surrogate F1's sums) stay 1-d
+reductions over its own compacted values, and the losses and d loss / d
+probs are summed in rule order, so the result is bit-equal to evaluating
+the rules one by one with ``rule_eval.evaluate_rule``.
 """
 from __future__ import annotations
 
@@ -23,10 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import checked_rows
-from .errors import DivergenceError
-from .rule_eval import evaluate_rule
-from .schema import LOGIC, rule_signature
-from .statistics import StatisticRegistry, surrogate_f1_grad
+from .errors import DivergenceError, ResolutionError, TypeMismatchError
+from .schema import LOGIC, PAIRED, rule_signature
+from .statistics import (PER_SAMPLE, StatisticRegistry, f1_from_counts,
+                         literal_cells, sample_values_aligned, soften_grad)
 
 LOSS_CLIP = 1.0
 
@@ -66,11 +76,19 @@ class BatchView:
 
     def __init__(self, model, table, rows, probs, cache):
         self.model, self.probs, self.cache = model, probs, cache
+        self.rows = rows
         self.n_rows = len(rows)
-        self._table, self._rows = table, rows
+        self._table = table
         model.check_outputs_absent(table)
-        self._outputs = {name: (kind, vals) for name, kind, vals in model.output_columns(probs)}
-        self.score_index = {model.score_column(c): j for j, c in enumerate(model.class_names)}
+        self._output_cols = None
+
+    @property
+    def _outputs(self):
+        # built on first read: the loss reads probs, not these columns
+        if self._output_cols is None:
+            self._output_cols = {name: (kind, vals) for name, kind, vals
+                                 in self.model.output_columns(self.probs)}
+        return self._output_cols
 
     @property
     def names(self):
@@ -87,12 +105,12 @@ class BatchView:
     def values(self, name) -> np.ndarray:
         if name in self._outputs:
             return self._outputs[name][1]
-        return self._table.values(name)[self._rows]
+        return self._table.values(name)[self.rows]
 
     def missing(self, name) -> np.ndarray:
         if name in self._outputs:
             return np.zeros(self.n_rows, dtype=bool)
-        return self._table.missing(name)[self._rows]
+        return self._table.missing(name)[self.rows]
 
 
 def iterations_for_epochs(epochs, n_rows, batch_size) -> int:
@@ -111,21 +129,38 @@ def forward_batch(model, table, rows) -> BatchView:
 def hinge(values, lo, hi, clip=LOSS_CLIP):
     """Clipped violation losses and slopes d loss / d value, element-wise.
 
-    0 inside the closed interval; at or past the clip the slope is 0 (the
-    plateau subgradient). A raw loss that overflows to inf is past the clip.
+    ``lo`` and ``hi`` broadcast against ``values``: scalars, or one pair per
+    row of a (rules, m) value array as (rules, 1) columns. 0 inside the
+    closed interval; at or past the clip the slope is 0 (the plateau
+    subgradient). A raw loss that overflows to inf is past the clip.
     """
     v = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # inside positions are discarded
-        if math.isinf(hi):
-            raw, slope = lo - v, np.full(v.shape, -1.0)
-        elif math.isinf(lo):
-            raw, slope = v - hi, np.ones(v.shape)
-        else:
-            raw, slope = (lo - v) * (hi - v), 2.0 * v - lo - hi
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lower, upper = np.isinf(hi), np.isinf(lo)  # one-sided: only lo, only hi
+    with np.errstate(over="ignore", invalid="ignore"):  # inf bounds, huge values
+        raw, slope = (lo - v) * (hi - v), 2.0 * v - lo - hi
+        if lower.any() or upper.any():
+            raw = np.where(lower, lo - v, np.where(upper, v - hi, raw))
+            slope = np.where(lower, -1.0, np.where(upper, 1.0, slope))
     inside = (lo <= v) & (v <= hi)
     plateau = raw >= clip
     return (np.where(inside, 0.0, np.where(plateau, clip, raw)),
             np.where(inside | plateau, 0.0, slope))
+
+
+def hinge_value(value, lo, hi, clip=LOSS_CLIP):
+    """``hinge`` of one float, as a (loss, slope) pair of floats."""
+    if lo <= value <= hi:
+        return 0.0, 0.0
+    if math.isinf(hi):
+        raw, slope = lo - value, -1.0
+    elif math.isinf(lo):
+        raw, slope = value - hi, 1.0
+    else:
+        raw, slope = (lo - value) * (hi - value), 2.0 * value - lo - hi
+    if raw >= clip:
+        return clip, 0.0
+    return raw, slope
 
 
 def _check_finite(value, rule):
@@ -134,76 +169,292 @@ def _check_finite(value, rule):
             f"rule {rule_signature(rule)}: non-finite statistic value {value}")
 
 
-def _rule_loss_grad(crule, out, temperature, registry):
-    """Loss of one rule on a batch, d loss / d probs (None when flat), and
-    the rule's member-attributed violation count on the predicted labels."""
-    rule = crule.rule
-    ev = evaluate_rule(rule, out, np.arange(out.n_rows), "pred", registry,
-                       (crule.s1_lo, crule.s1_hi))
-    violations = np.count_nonzero(ev.violated(crule.lo, crule.hi))
-    if not ev.mask.any():
-        return 0.0, None, violations
+class _Rows:
+    """Per-rule parameters of one group, as arrays with one row per rule."""
 
-    if rule.kind == LOGIC:
-        j = out.model.class_names.index(rule.consequent)
-        value, dvalue = surrogate_f1_grad(ev.samples[ev.mask], out.probs[ev.mask, j],
-                                          temperature)
-        _check_finite(value, rule)
-    else:
-        # j is None for a statistic of fixed data columns: a loss but no gradient
-        stat = registry.resolve(rule.statistic)
-        j = out.score_index.get(stat.column)
-        if ev.per_sample:
-            losses, slopes = hinge(ev.samples[ev.mask], crule.lo, crule.hi)
-            if j is None or not slopes.any():
-                return float(losses.mean()), None, violations
-            dprobs = np.zeros_like(out.probs)
-            dprobs[ev.mask, j] = slopes / slopes.size
-            return float(losses.mean()), dprobs, violations
-        value = float(ev.value)
-        _check_finite(value, rule)
-        if j is not None:
-            vals = out.probs[ev.mask, j]
+    def __init__(self, entries):
+        for key in entries[0] if entries else ():
+            column = np.array([e[key] for e in entries])
+            setattr(self, key, column[:, None] if key in _COLUMNS else column)
+        self.n = len(entries)
+
+
+# parameters that broadcast against a group's (rules, m) arrays
+_COLUMNS = ("lo", "hi", "guard", "free", "paired", "s1_lo", "s1_hi", "cls")
+
+
+class RuleGroups:
+    """The rules of one adapt run or gradient check, split into three groups,
+    with every data-only cell read once at all rows of ``table``.
+
+    ``table`` supplies the data columns; the model output columns
+    (``score_<class>`` and ``pred``) come from each batch's probabilities,
+    even where ``table`` holds columns of those names. ``registry`` resolves
+    the rules' statistics; by default it is built from ``table``'s columns
+    and the model's. A rule that cannot be evaluated on these columns raises
+    ResolutionError naming the rule and the reason.
+    """
+
+    def __init__(self, rules, model, table, registry=None):
+        if not rules:
+            raise ValueError("the adaptation loss needs at least one rule")
+        if registry is None:  # names and kinds only: a view of no rows
+            no_rows = np.arange(0)
+            registry = StatisticRegistry.from_dataset(BatchView(
+                model, table, no_rows, np.zeros((0, len(model.class_names))), None))
+        self.rules = list(rules)
+        self._classes = list(model.class_names)
+        # build-time state, dropped once the cells are stacked
+        self._registry, self._table = registry, table
+        self._scores = {model.score_column(c): j for j, c in enumerate(self._classes)}
+        self._all_rows = np.arange(table.n_rows)
+        self._data = {}  # statistic name -> (values, present) at all rows
+        self._literals = {}  # literal -> (truth, present) at all rows
+        per_sample, summary, logic = [], [], []
+        for r, crule in enumerate(self.rules):
+            try:
+                entry = self._entry(r, crule)
+            except (ResolutionError, TypeMismatchError) as exc:
+                raise ResolutionError(f"rule {crule.signature}: {exc}") from None
+            {"sample": per_sample, "summary": summary, "logic": logic}[entry.pop("group")] \
+                .append(entry)
+        # pad every literal list to the longest with the always-true row
+        width = max((len(e["lits"]) for e in logic), default=0)
+        for e in logic:
+            e["lits"] += [len(self._literals)] * (width - len(e["lits"]))
+        self._per_sample, self._summary = _Rows(per_sample), _Rows(summary)
+        self._logic = _Rows(logic)
+        if logic:  # the distinct consequent classes, and each rule's among them
+            self._logic.classes, self._logic.class_at = np.unique(
+                self._logic.cls[:, 0], return_inverse=True)
+        n = table.n_rows
+        # the value pool of a batch is its score columns, then these rows
+        shape = (len(self._data), n)
+        self._data_values = np.array([vals for vals, _ in self._data.values()],
+                                     dtype=float).reshape(shape)
+        self._data_present = np.array([present for _, present in self._data.values()],
+                                      dtype=bool).reshape(shape)
+        # literal stacks end with the always-true, always-present row
+        self._truth = np.array([t for t, _ in self._literals.values()] + [np.ones(n)])
+        self._present = np.array([p for _, p in self._literals.values()] + [np.ones(n, bool)])
+        del self._registry, self._table, self._data, self._literals
+
+    # -- run-level reads --------------------------------------------------------
+
+    def _source(self, name):
+        """Pool row of the per-sample statistic ``name``: a score column's
+        class index, or a data statistic's row after the score columns."""
+        if name in self._scores:
+            return self._scores[name]
+        if name not in self._data:
+            stat = self._registry.resolve(name)
+            vals, present = sample_values_aligned(stat, self._table, self._all_rows)
+            self._data[name] = (vals, present)
+        return len(self._scores) + list(self._data).index(name)
+
+    def _literal(self, lit):
+        if lit not in self._literals:
+            self._literals[lit] = literal_cells(lit, self._table, self._all_rows)
+        return list(self._literals).index(lit)
+
+    def _entry(self, r, crule):
+        """One rule's group and parameters; reads its data-only cells."""
+        rule = crule.rule
+        if rule.kind == LOGIC:
+            if rule.consequent not in self._classes:
+                raise ResolutionError(
+                    f"consequent {rule.consequent!r} is not a model class; "
+                    f"classes: {', '.join(self._classes)}")
+            return dict(group="logic", index=r, lo=crule.lo, hi=crule.hi,
+                        cls=self._classes.index(rule.consequent),
+                        lits=[self._literal(lit) for lit in rule.literals])
+        stat = self._registry.resolve(rule.statistic)
+        if stat.arity == PER_SAMPLE:
+            group, column, std = "sample", rule.statistic, False
+        elif stat.kind == "summary":
+            group, column, std = "summary", stat.column, stat.summary == "std"
+        else:
+            raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
+        guard = -1 if rule.guard is None or str(rule.guard) not in self._classes \
+            else self._classes.index(str(rule.guard))
+        entry = dict(group=group, index=r, lo=crule.lo, hi=crule.hi, std=std,
+                     src=self._source(column), score=self._scores.get(column, -1),
+                     guard=guard, free=rule.guard is None,
+                     paired=False, s1=0, s1_lo=-math.inf, s1_hi=math.inf)
+        if rule.kind == PAIRED:
+            if crule.s1_lo is None or crule.s1_hi is None:
+                raise ResolutionError("paired rule has no learned s1 interval")
+            if self._registry.resolve(rule.s1).arity != PER_SAMPLE:
+                raise TypeMismatchError(f"statistic {rule.s1!r} is not per-sample")
+            entry.update(paired=True, s1=self._source(rule.s1),
+                         s1_lo=crule.s1_lo, s1_hi=crule.s1_hi)
+        return entry
+
+    # -- one batch ---------------------------------------------------------------
+
+    def loss_grad(self, out, rows, temperature):
+        """(mean loss, d loss / d scale, d loss / d shift, batch violations) of
+        the batch output ``out`` on ``rows`` of the table the groups read."""
+        probs = out.probs
+        pred = probs.argmax(axis=1)
+        pool, present = probs.T, None
+        if len(self._data_values):
+            pool = np.concatenate([pool, self._data_values[:, rows]])
+            present = np.concatenate([np.ones(probs.T.shape, dtype=bool),
+                                      self._data_present[:, rows]])
+        losses = [0.0] * len(self.rules)
+        grads = [None] * len(self.rules)  # (class index, d loss / d probs[:, j])
+        violations = 0
+        if self._per_sample.n:
+            violations += self._per_sample_pass(pool, present, pred, losses, grads)
+        if self._summary.n:
+            violations += self._summary_pass(pool, present, pred, losses, grads)
+        if self._logic.n:
+            violations += self._logic_pass(probs, rows, pred, temperature, losses, grads)
+
+        n = len(self.rules)
+        total = sum(losses)
+        if all(g is None for g in grads):
+            d = len(out.model.feature_names)
+            return total / n, np.zeros(d), np.zeros(d), violations
+        dprobs = np.zeros_like(probs)
+        for g in grads:  # in rule order, as the per-rule sums were taken
+            if g is not None:
+                dprobs[:, g[0]] += g[1]
+        dscale, dshift = out.model.backward(out.cache, dprobs / n)
+        return total / n, dscale, dshift, violations
+
+    @staticmethod
+    def _masks(g, pool, present, pred):
+        """(rules, m) masks of the positions each rule of ``g`` applies to:
+        its guard class, its s1 bucket, and a present value cell."""
+        mask = (pred == g.guard) | g.free
+        if present is not None:
+            mask &= present[g.src]
+        if g.paired.any():
+            s1 = pool[g.s1]
+            in_bucket = (s1 > g.s1_lo) & (s1 <= g.s1_hi)
+            if present is not None:
+                in_bucket &= present[g.s1]
+            mask &= in_bucket | ~g.paired
+        return mask
+
+    def _per_sample_pass(self, pool, present, pred, losses, grads):
+        """One hinge over the (rules, m) values: a rule's loss is the mean
+        over the positions it applies to, each of which may be a violation."""
+        g = self._per_sample
+        values = pool[g.src]
+        mask = self._masks(g, pool, present, pred)
+        loss, slope = hinge(values, g.lo, g.hi)
+        violations = int(np.count_nonzero(mask & ((values < g.lo) | (values > g.hi))))
+        sloped = (mask & (slope != 0.0)).any(axis=1)
+        # a rule whose applicable losses and slopes are all 0 has loss 0
+        # and no gradient
+        active = np.flatnonzero((mask & (loss != 0.0)).any(axis=1) | sloped)
+        if not active.size:
+            return violations
+        counts = np.count_nonzero(mask, axis=1)
+        # slopes / count where a rule applies: element-wise, so bit-equal to
+        # dividing the rule's compacted slopes
+        dvalues = np.where(mask, slope, 0.0) / np.maximum(counts, 1)[:, None]
+        for k in active:
+            r = g.index[k]
+            losses[r] = float(loss[k][mask[k]].sum() / counts[k])  # == .mean()
+            if sloped[k] and g.score[k] >= 0:
+                grads[r] = (g.score[k], dvalues[k])
+        return violations
+
+    def _summary_pass(self, pool, present, pred, losses, grads):
+        """A mean or std per rule over its positions, and its scalar hinge; a
+        violated rule charges every position of the batch."""
+        g = self._summary
+        values = pool[g.src]
+        mask = self._masks(g, pool, present, pred)
+        m = mask.shape[1]
+        violations = 0
+        for k in np.flatnonzero(mask.any(axis=1)):
+            r, keep = g.index[k], mask[k]
+            vals = values[k][keep]
+            value = float(vals.std()) if g.std[k] else float(vals.mean())
+            lo, hi = float(g.lo[k, 0]), float(g.hi[k, 0])
+            if not lo <= value <= hi:
+                violations += m
+            _check_finite(value, self.rules[r].rule)
+            losses[r], slope = hinge_value(value, lo, hi)
+            j = g.score[k]
+            if j < 0 or slope == 0.0:
+                continue
             n = vals.size
-            if stat.summary == "mean":
-                dvalue = np.full(n, 1.0 / n)
-            else:  # std
-                dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
+            if not g.std[k]:
+                grads[r] = (j, np.where(keep, slope * (1.0 / n), 0.0))
+                continue
+            dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
+            column = np.zeros(m)
+            column[keep] = slope * dvalue
+            grads[r] = (j, column)
+        return violations
 
-    loss, slope = hinge(value, crule.lo, crule.hi)
-    if j is None or slope == 0.0:
-        return float(loss), None, violations
-    dprobs = np.zeros_like(out.probs)
-    dprobs[ev.mask, j] = slope * dvalue
-    return float(loss), dprobs, violations
+    def _logic_pass(self, probs, rows, pred, temperature, losses, grads):
+        """Violations from the exact F1 of the predicted labels; the loss from
+        the surrogate F1 2 sum(a c) / (sum(a) + sum(c)) over a rule's usable
+        positions, where a is the antecedent and c the softened consequent
+        score. It tends to the exact F1 of the thresholded scores as the
+        temperature tends to 0."""
+        g = self._logic
+        m = probs.shape[0]
+        # (rules, literals, m) cells at the batch rows; products of 0/1 are exact
+        cells = (g.lits[:, :, None], rows)
+        antecedent = self._truth[cells].prod(axis=1)
+        usable = self._present[cells].all(axis=1)
+        consequent = pred == g.cls
+        predicted = (antecedent == 1.0) & usable
+        n_predicted = predicted.sum(axis=1)
+        f1 = f1_from_counts((predicted & consequent).sum(axis=1), n_predicted,
+                            (consequent & usable).sum(axis=1))
+        valued = usable.any(axis=1)
+        outside = valued & ~((g.lo[:, 0] <= f1) & (f1 <= g.hi[:, 0]))
+        violations = m * int(np.count_nonzero(outside))
+        # softened consequent scores and d soft / d score, once per class
+        soft, dsoft = soften_grad(probs.T[g.classes], temperature)
+        soft, dsoft = soft[g.class_at], dsoft[g.class_at]
+        hits = antecedent * soft
+        # the surrogate F1 (value, denominator, hinge slope) of each rule
+        sloped, surrogate = [], []
+        for k in np.flatnonzero(valued):
+            r, keep = g.index[k], usable[k]
+            tp = float(hits[k][keep].sum())
+            denom = float(n_predicted[k] + soft[k][keep].sum())
+            value = 0.0 if denom == 0.0 else 2.0 * tp / denom
+            _check_finite(value, self.rules[r].rule)
+            losses[r], slope = hinge_value(value, float(g.lo[k, 0]), float(g.hi[k, 0]))
+            if slope != 0.0 and denom != 0.0:
+                sloped.append(k)
+                surrogate.append((value, denom, slope))
+        if sloped:
+            value, denom, slope = (np.array(c)[:, None] for c in zip(*surrogate))
+            dvalue = ((2.0 * antecedent[sloped] - value) / denom) * dsoft[sloped]
+            dprobs = np.where(usable[sloped], slope * dvalue, 0.0)
+            for k, column in zip(sloped, dprobs):
+                grads[g.index[k]] = (g.cls[k, 0], column)
+        return violations
 
 
-def total_loss_grad(rules, batch_output, temperature=1.0, registry=None):
+def total_loss_grad(rules, batch_output, temperature=1.0, groups=None):
     """(mean loss, d loss / d scale, d loss / d shift, batch violations) over
     all rules; the violations are member-attributed, as in ``evaluate``.
-    ``registry`` defaults to the one built from ``batch_output``'s columns."""
-    if not rules:
-        raise ValueError("total_loss_grad needs at least one rule")
-    if registry is None:
-        registry = StatisticRegistry.from_dataset(batch_output)
-    total = 0.0
-    violations = 0
-    dprobs_sum = None
-    for crule in rules:
-        loss, dprobs, count = _rule_loss_grad(crule, batch_output, temperature, registry)
-        total += loss
-        violations += count
-        if dprobs is not None:
-            dprobs_sum = dprobs if dprobs_sum is None else dprobs_sum + dprobs
-    n = len(rules)
-    if dprobs_sum is None:
-        d = len(batch_output.model.feature_names)
-        return total / n, np.zeros(d), np.zeros(d), violations
-    dscale, dshift = batch_output.model.backward(batch_output.cache, dprobs_sum / n)
-    return total / n, dscale, dshift, violations
+
+    ``groups`` are the rules' ``RuleGroups`` on the table ``batch_output``
+    was read from, at its ``rows``. By default they are built from
+    ``batch_output``'s own columns.
+    """
+    if groups is None:
+        groups = RuleGroups(rules, batch_output.model, batch_output,
+                            StatisticRegistry.from_dataset(batch_output))
+        return groups.loss_grad(batch_output, np.arange(batch_output.n_rows), temperature)
+    return groups.loss_grad(batch_output, batch_output.rows, temperature)
 
 
-def adapt(model, rules, test, config: AdaptationConfig):
+def adapt(model, rules, test, config: AdaptationConfig, groups=None):
     """Run the adaptation loop and return (adapted model, trace).
 
     Each iteration samples a seeded batch, computes the mean rule loss on
@@ -211,21 +462,23 @@ def adapt(model, rules, test, config: AdaptationConfig):
     the loss is positive; the frozen linear layer is untouched. Raises
     DivergenceError with the partial trace if the loss or gradient goes
     non-finite, and ValueError if ``test`` already has a model output column.
+    ``groups`` are the rules' ``RuleGroups`` on ``test``; built here by
+    default, raising ResolutionError for a rule that cannot be evaluated.
     """
+    if groups is None:
+        groups = RuleGroups(rules, model, test)
     work = model.copy()
     frozen = work.frozen_checksum()
     rng = np.random.default_rng(config.seed)
     n = test.n_rows
     replace = config.batch_size > n
     trace = []
-    registry = None
     for it in range(config.iterations):
         rows = rng.choice(n, size=config.batch_size, replace=replace)
         try:
             out = forward_batch(work, test, rows)
-            registry = registry or StatisticRegistry.from_dataset(out)
             loss, dscale, dshift, violations = total_loss_grad(
-                rules, out, config.temperature, registry)
+                rules, out, config.temperature, groups)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), trace=trace)
         if not math.isfinite(loss):
@@ -265,8 +518,8 @@ def grad_check(model, rules, dataset, rows, step=1e-5, temperature=1.0) -> float
         raise ValueError(f"step must lie in (0, 1e-2], got {step}")
     rows = checked_rows(dataset, rows)
     out = forward_batch(model, dataset, rows)
-    registry = StatisticRegistry.from_dataset(out)
-    loss0, dscale, dshift, _ = total_loss_grad(rules, out, temperature, registry)
+    groups = RuleGroups(rules, model, dataset)
+    loss0, dscale, dshift, _ = total_loss_grad(rules, out, temperature, groups)
     if loss0 <= 0.0:
         raise ValueError("grad_check needs a batch with positive total loss")
     analytic = np.concatenate([dscale, dshift])
@@ -275,7 +528,7 @@ def grad_check(model, rules, dataset, rows, step=1e-5, temperature=1.0) -> float
         probe = model.copy()
         probe.scale, probe.shift = scale, shift
         probed = forward_batch(probe, dataset, rows)
-        return total_loss_grad(rules, probed, temperature, registry)[0]
+        return total_loss_grad(rules, probed, temperature, groups)[0]
 
     d = len(model.feature_names)
     numeric = np.zeros(2 * d)

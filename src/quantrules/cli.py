@@ -236,6 +236,11 @@ def cmd_adapt(cfg, args) -> int:
     rules, header = rules_io.load_rules(adapt_cfg["rules"])
     model = SoftmaxModel.load(adapt_cfg["model_in"])
     test = _load_with_model(data_cfg["test"], specs, header.get("bucket_edges"), None)
+    # every rule must be evaluable on the test columns and the model outputs
+    try:
+        groups = adaptation.RuleGroups(rules, model, test)
+    except ResolutionError as exc:
+        raise ResolutionError(f"{adapt_cfg['rules']}: {exc}") from None
 
     seed = args.seed if args.seed is not None else adapt_cfg.get("seed", 0)
     batch_size = adapt_cfg.get("batch_size", 128)
@@ -266,7 +271,7 @@ def cmd_adapt(cfg, args) -> int:
 
     log = _Logger(adapt_cfg.get("log_out"))
     try:
-        adapted, trace = adaptation.adapt(model, rules, test, config)
+        adapted, trace = adaptation.adapt(model, rules, test, config, groups)
     except DivergenceError as exc:
         if adapt_cfg.get("trace_out"):
             adaptation.write_trace(exc.trace, adapt_cfg["trace_out"])
@@ -283,16 +288,17 @@ def cmd_adapt(cfg, args) -> int:
     if adapt_cfg.get("report_after"):
         violations.write_report(after, adapt_cfg["report_after"], fmt=args.format)
 
+    zero_loss_iters = sum(1 for row in trace if row.loss == 0.0)
     if before.total_violations == 0:
         log.emit(command="adapt", note="no violations before adaptation",
                  before=0, after=after.total_violations, pct_reduced=0.0,
-                 iterations=config.iterations, seed=seed)
+                 iterations=config.iterations, seed=seed, zero_loss_iters=zero_loss_iters)
     else:
         pct = 100.0 * (before.total_violations - after.total_violations) \
             / before.total_violations
         log.emit(command="adapt", before=before.total_violations,
                  after=after.total_violations, pct_reduced=pct,
-                 iterations=config.iterations, seed=seed)
+                 iterations=config.iterations, seed=seed, zero_loss_iters=zero_loss_iters)
     log.flush()
     return 0
 

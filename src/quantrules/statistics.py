@@ -234,29 +234,17 @@ def soften_scores(scores, temperature):
     return sigmoid(logits / temperature)
 
 
-def surrogate_f1_grad(antecedent, scores, temperature=1.0):
-    """Differentiable F1 with softened consequent scores, and its gradient
-    with respect to the raw scores.
-
-    The hard confusion counts are relaxed through soften_scores, keeping
-    tp = sum(a * c) and denominator sum(a) + sum(c). Converges to the exact
-    F1 of the thresholded scores as temperature -> 0.
-    """
-    a = np.asarray(antecedent, dtype=float)
+def soften_grad(scores, temperature):
+    """``soften_scores`` of ``scores`` and its derivative d soft / d score,
+    element-wise. The derivative is 0 at saturated scores (exactly 0 or 1)."""
     s = np.asarray(scores, dtype=float)
     c = soften_scores(s, temperature)
-    tp = float((a * c).sum())
-    denom = float(a.sum() + c.sum())
-    if denom == 0.0:
-        return 0.0, np.zeros_like(s)
-    value = 2.0 * tp / denom
-    dvalue_dc = (2.0 * a - value) / denom
-    # chain through c = sigmoid(logit(s)/T); zero at saturated scores
+    # chain through c = sigmoid(logit(s)/T)
     interior = (s > 0.0) & (s < 1.0)
     dc_ds = np.zeros_like(s)
     dc_ds[interior] = (c[interior] * (1.0 - c[interior])
                        / (temperature * s[interior] * (1.0 - s[interior])))
-    return value, dvalue_dc * dc_ds
+    return c, dc_ds
 
 
 def load_boxes(path) -> Dataset:

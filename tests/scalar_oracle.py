@@ -1,21 +1,27 @@
-"""Per-batch scalar rule evaluation, kept as the reference for the tests.
+"""Per-batch and per-rule scalar code, kept as the reference for the tests.
 
-This is the evaluation that ``rule_eval.evaluate_rule`` replaced when
-minibatches became one (count, size) row matrix: every function here takes
-one minibatch at a time, a 1-d row index array, and the loops over batches
-are Python loops. Cells are read through the package's leaf readers
+The first part is the evaluation that ``rule_eval.evaluate_rule`` replaced
+when minibatches became one (count, size) row matrix: every function here
+takes one minibatch at a time, a 1-d row index array, and the loops over
+batches are Python loops. Cells are read through the package's leaf readers
 (``match_class``, ``sample_values_aligned``, ``formula_parts``), which act
 element-wise on a 1-d batch.
+
+The second part is the adaptation loss that ``adaptation.RuleGroups``
+replaced: one ``evaluate_rule`` call, one hinge and one surrogate F1 per
+rule, with the losses and d loss / d probs summed rule by rule.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from quantrules.errors import EmptyStatisticError, ResolutionError
-from quantrules.schema import LOGIC, PAIRED
+from quantrules.errors import DivergenceError, EmptyStatisticError, ResolutionError
+from quantrules.rule_eval import evaluate_rule
+from quantrules.schema import LOGIC, PAIRED, rule_signature
 from quantrules.statistics import (PER_SAMPLE, Statistic, StatisticRegistry,
                                    formula_parts, match_class,
-                                   sample_values_aligned)
+                                   sample_values_aligned, soften_scores)
 
 
 def exact_f1(antecedent, consequent):
@@ -156,3 +162,125 @@ def evaluate_counts(rules, test, batches, registry, label_column):
             v, n = 0, 0
         per_rule.append((crule.signature, v, n))
     return per_rule, sample_counts.tolist()
+
+
+# -- the per-rule adaptation loss ------------------------------------------------
+
+LOSS_CLIP = 1.0
+
+
+def hinge(values, lo, hi, clip=LOSS_CLIP):
+    """Clipped violation losses and slopes d loss / d value, element-wise,
+    for scalar bounds."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inside positions are discarded
+        if math.isinf(hi):
+            raw, slope = lo - v, np.full(v.shape, -1.0)
+        elif math.isinf(lo):
+            raw, slope = v - hi, np.ones(v.shape)
+        else:
+            raw, slope = (lo - v) * (hi - v), 2.0 * v - lo - hi
+    inside = (lo <= v) & (v <= hi)
+    plateau = raw >= clip
+    return (np.where(inside, 0.0, np.where(plateau, clip, raw)),
+            np.where(inside | plateau, 0.0, slope))
+
+
+def surrogate_f1_grad(antecedent, scores, temperature=1.0):
+    """Differentiable F1 with softened consequent scores, and its gradient
+    with respect to the raw scores.
+
+    The hard confusion counts are relaxed through soften_scores, keeping
+    tp = sum(a * c) and denominator sum(a) + sum(c). Converges to the exact
+    F1 of the thresholded scores as temperature -> 0.
+    """
+    a = np.asarray(antecedent, dtype=float)
+    s = np.asarray(scores, dtype=float)
+    c = soften_scores(s, temperature)
+    tp = float((a * c).sum())
+    denom = float(a.sum() + c.sum())
+    if denom == 0.0:
+        return 0.0, np.zeros_like(s)
+    value = 2.0 * tp / denom
+    dvalue_dc = (2.0 * a - value) / denom
+    # chain through c = sigmoid(logit(s)/T); zero at saturated scores
+    interior = (s > 0.0) & (s < 1.0)
+    dc_ds = np.zeros_like(s)
+    dc_ds[interior] = (c[interior] * (1.0 - c[interior])
+                       / (temperature * s[interior] * (1.0 - s[interior])))
+    return value, dvalue_dc * dc_ds
+
+
+def _check_finite(value, rule):
+    if not math.isfinite(value):
+        raise DivergenceError(
+            f"rule {rule_signature(rule)}: non-finite statistic value {value}")
+
+
+def rule_loss_grad(crule, out, temperature, registry):
+    """Loss of one rule on a batch, d loss / d probs (None when flat), and
+    the rule's member-attributed violation count on the predicted labels."""
+    rule = crule.rule
+    ev = evaluate_rule(rule, out, np.arange(out.n_rows), "pred", registry,
+                       (crule.s1_lo, crule.s1_hi))
+    violations = np.count_nonzero(ev.violated(crule.lo, crule.hi))
+    if not ev.mask.any():
+        return 0.0, None, violations
+
+    if rule.kind == LOGIC:
+        j = out.model.class_names.index(rule.consequent)
+        value, dvalue = surrogate_f1_grad(ev.samples[ev.mask], out.probs[ev.mask, j],
+                                          temperature)
+        _check_finite(value, rule)
+    else:
+        # j is None for a statistic of fixed data columns: a loss but no gradient
+        stat = registry.resolve(rule.statistic)
+        j = {out.model.score_column(c): j
+             for j, c in enumerate(out.model.class_names)}.get(stat.column)
+        if ev.per_sample:
+            losses, slopes = hinge(ev.samples[ev.mask], crule.lo, crule.hi)
+            if j is None or not slopes.any():
+                return float(losses.mean()), None, violations
+            dprobs = np.zeros_like(out.probs)
+            dprobs[ev.mask, j] = slopes / slopes.size
+            return float(losses.mean()), dprobs, violations
+        value = float(ev.value)
+        _check_finite(value, rule)
+        if j is not None:
+            vals = out.probs[ev.mask, j]
+            n = vals.size
+            if stat.summary == "mean":
+                dvalue = np.full(n, 1.0 / n)
+            else:  # std
+                dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
+
+    loss, slope = hinge(value, crule.lo, crule.hi)
+    if j is None or slope == 0.0:
+        return float(loss), None, violations
+    dprobs = np.zeros_like(out.probs)
+    dprobs[ev.mask, j] = slope * dvalue
+    return float(loss), dprobs, violations
+
+
+def total_loss_grad(rules, batch_output, temperature=1.0, registry=None):
+    """(mean loss, d loss / d scale, d loss / d shift, batch violations) over
+    all rules, one ``rule_loss_grad`` per rule."""
+    if not rules:
+        raise ValueError("total_loss_grad needs at least one rule")
+    if registry is None:
+        registry = StatisticRegistry.from_dataset(batch_output)
+    total = 0.0
+    violations = 0
+    dprobs_sum = None
+    for crule in rules:
+        loss, dprobs, count = rule_loss_grad(crule, batch_output, temperature, registry)
+        total += loss
+        violations += count
+        if dprobs is not None:
+            dprobs_sum = dprobs if dprobs_sum is None else dprobs_sum + dprobs
+    n = len(rules)
+    if dprobs_sum is None:
+        d = len(batch_output.model.feature_names)
+        return total / n, np.zeros(d), np.zeros(d), violations
+    dscale, dshift = batch_output.model.backward(batch_output.cache, dprobs_sum / n)
+    return total / n, dscale, dshift, violations

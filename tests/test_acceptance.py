@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from conftest import make_dataset
-from scalar_oracle import check_rule
+from scalar_oracle import check_rule, surrogate_f1_grad
 from quantrules.adaptation import AdaptationConfig, adapt, forward_batch, grad_check
 from quantrules.bounds import BoundJob, Interval, compute_bounds, jaccard, \
     learn_and_select, percentile
@@ -22,7 +22,7 @@ from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, \
     enumerate_abstract_rules, parse_schema
-from quantrules.statistics import antecedent_values, surrogate_f1_grad
+from quantrules.statistics import antecedent_values
 from quantrules.adaptation import total_loss_grad
 from quantrules.violations import evaluate
 

@@ -1,17 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
 from scalar_oracle import check_rule
-from quantrules.adaptation import (AdaptationConfig, adapt, forward_batch,
-                                   grad_check, hinge, iterations_for_epochs,
+from scalar_oracle import total_loss_grad as oracle_loss_grad
+from quantrules.adaptation import (AdaptationConfig, RuleGroups, adapt, forward_batch,
+                                   grad_check, hinge, hinge_value, iterations_for_epochs,
                                    total_loss_grad, write_trace)
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
-from quantrules.errors import DivergenceError
+from quantrules.errors import DivergenceError, ResolutionError
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
 
@@ -138,6 +140,27 @@ def test_array_hinge_equals_scalar_oracle(sided, lo, width, extra, clip_at, clip
     assert slopes.tolist() == [e[1] for e in expected]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["lower", "upper", "two"]), _FLOATS, st.floats(0.0, 1e6), _FLOATS,
+       st.sampled_from([1.0, 0.5, 3.0]))
+def test_hinge_value_equals_array_hinge(sided, lo, width, value, clip):
+    hi = INF if sided == "lower" else lo + width
+    lo = -INF if sided == "upper" else lo
+    loss, slope = hinge(value, lo, hi, clip)
+    assert hinge_value(value, lo, hi, clip) == (float(loss), float(slope))
+
+
+def test_array_hinge_takes_one_bound_pair_per_row():
+    values = np.array([[0.5, 3.0], [0.5, 3.0], [0.5, 3.0]])
+    lo = np.array([[1.0], [-INF], [0.0]])
+    hi = np.array([[INF], [2.5], [1.0]])
+    losses, slopes = hinge(values, lo, hi)
+    for i in range(3):
+        expected = hinge(values[i], float(lo[i, 0]), float(hi[i, 0]))
+        assert losses[i].tolist() == expected[0].tolist()
+        assert slopes[i].tolist() == expected[1].tolist()
+
+
 def test_loss_zero_iff_check_satisfied_randomized():
     rng = np.random.default_rng(7)
     ds, model = tiny_setup(n=32, seed=1)
@@ -238,12 +261,170 @@ def test_forward_batch_columns_equal_predict_columns(seed, size, lo, width, s1_l
     assert not out.has_column("absent")
 
     oracle.model, oracle.probs, oracle.cache = model, out.probs, out.cache
-    oracle.score_index = {"score_a": 0, "score_b": 1}
     rules = recount_rules(lo, lo + width, s1_lo, s1_lo + s1_width)
     loss, dscale, dshift, violations = total_loss_grad(rules, out)
     loss_o, dscale_o, dshift_o, violations_o = total_loss_grad(rules, oracle)
     assert loss == loss_o and violations == violations_o
     assert np.array_equal(dscale, dscale_o) and np.array_equal(dshift, dshift_o)
+
+
+# -- the grouped loss against the per-rule oracle ------------------------------------
+
+def differential_setup(rng, n, gain):
+    """A model over a table with numeric, boolean and box columns, missing
+    cells in each kind, and a constant column. ``gain`` scales the frozen
+    weights; a large gain saturates probabilities at exactly 0 and 1."""
+    x_min, y_min = rng.uniform(0, 4, n), rng.uniform(0, 4, n)
+    ds = make_dataset({
+        "x0": (NUMERIC, rng.normal(0, 1, n)),
+        "x1": (NUMERIC, rng.normal(0, 1, n)),
+        "flag": (BOOLEAN, (rng.random(n) < 0.5).astype(float)),
+        "flag2": (BOOLEAN, (rng.random(n) < 0.5).astype(float)),
+        "v": (NUMERIC, rng.uniform(-1, 1, n)),
+        "k": (NUMERIC, np.full(n, 0.25)),
+        "x_min": (NUMERIC, x_min), "y_min": (NUMERIC, y_min),
+        "x_max": (NUMERIC, x_min + rng.uniform(0.1, 3, n)),
+        "y_max": (NUMERIC, y_min + rng.uniform(0.1, 3, n)),
+        "label": (LABEL, np.where(rng.random(n) < 0.5, "a", "b")),
+    }, missing={"flag": rng.random(n) < 0.2, "flag2": rng.random(n) < 0.1,
+                "v": rng.random(n) < 0.3, "x_max": rng.random(n) < 0.2})
+    model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
+                         gain * rng.normal(0, 1, (2, 2)), rng.normal(0, 0.1, 2))
+    return ds, model
+
+
+_PER_SAMPLE = ["score_a", "score_b", "v", "x1", "k", "width", "aspect_ratio"]
+_SUMMARY = ["mean(score_a)", "std(score_a)", "mean(score_b)", "std(score_b)",
+            "mean(v)", "std(v)", "std(k)"]
+_LITERALS = [Literal("flag"), Literal("flag", True), Literal("flag2"),
+             Literal("flag2", True)]
+# bounds near the scores, std and mean values, or anywhere in the data's range
+_BOUND = st.one_of(st.floats(-0.1, 0.7), st.floats(-1.5, 2.5))
+_WIDTH = st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 2.0), st.sampled_from([0.0, 50.0]))
+
+
+@st.composite
+def drawn_rules(draw):
+    """A concrete rule of any shape: per-sample or summary statistics of score,
+    data and box columns, guarded by a class, by no class or by one the
+    model never predicts, optionally paired; or a logic rule with negated
+    and repeated literals. Bounds are one- or two-sided and may sit far
+    from every value, so losses reach the clip."""
+    kind = draw(st.sampled_from(["conditional", "paired", "logic"]))
+    sided = draw(st.sampled_from(["lower", "upper", "two"]))
+    lo = draw(_BOUND)
+    hi = lo + draw(_WIDTH)
+    if sided == "lower":
+        hi = INF
+    elif sided == "upper":
+        lo, hi = -INF, hi
+    if kind == "logic":
+        literals = tuple(draw(st.lists(st.sampled_from(_LITERALS), min_size=1, max_size=3)))
+        rule = AbstractRule(kind="logic", sided=sided, statistic="f1",
+                            literals=literals, consequent=draw(st.sampled_from(["a", "b"])))
+        return ConcreteRule(rule=rule, lo=lo, hi=hi, delta=0.02)
+    statistic = draw(st.sampled_from(_PER_SAMPLE + _SUMMARY))
+    guard = draw(st.sampled_from([None, "a", "b", "zz"]))
+    if kind == "conditional":
+        rule = AbstractRule(kind=kind, sided=sided, guard=guard, statistic=statistic)
+        return ConcreteRule(rule=rule, lo=lo, hi=hi, delta=0.02)
+    s1_lo = draw(st.floats(-1.0, 2.0))
+    rule = AbstractRule(kind=kind, sided=sided, guard=guard, statistic=statistic,
+                        s1=draw(st.sampled_from(["score_a", "v", "width"])),
+                        s1_bucket=0, s1_bucket_count=2)
+    return ConcreteRule(rule=rule, lo=lo, hi=hi, delta=0.02, s1_lo=s1_lo,
+                        s1_hi=s1_lo + draw(st.floats(0.0, 2.0)))
+
+
+def with_dprobs(model, loss_grad):
+    """``loss_grad()`` and the d loss / d probs it passed to ``model.backward``
+    (None when it did not call it)."""
+    seen = []
+    model.backward = lambda cache, dprobs: (
+        seen.append(dprobs), SoftmaxModel.backward(model, cache, dprobs))[1]
+    try:
+        return loss_grad(), seen[0] if seen else None
+    finally:
+        del model.backward
+
+
+_ONE_SIDED = [  # violated, unclipped one-sided score rules of each group
+    ConcreteRule(rule=AbstractRule(kind="conditional", sided=sided, statistic=stat),
+                 lo=lo, hi=hi, delta=0.02)
+    for stat in ("score_a", "mean(score_a)", "std(score_b)")
+    for sided, lo, hi in (("lower", 0.9, INF), ("upper", -INF, 0.05))] + [
+    ConcreteRule(rule=AbstractRule(kind="logic", sided=sided, statistic="f1",
+                                   literals=(Literal("flag"),), consequent="b"),
+                 lo=lo, hi=hi, delta=0.02)
+    for sided, lo, hi in (("lower", 0.95, INF), ("upper", -INF, 0.05))]
+
+
+@settings(max_examples=200, deadline=None)
+@example(seed=1, size=12, gain=0.5, temperature=1.0, rules=_ONE_SIDED)
+@given(st.integers(0, 10_000), st.integers(1, 30), st.sampled_from([0.5, 2.0, 400.0]),
+       st.sampled_from([1.0, 0.5, 2.0]), st.lists(drawn_rules(), min_size=1, max_size=8))
+def test_grouped_loss_equals_per_rule_oracle(seed, size, gain, temperature, rules):
+    rng = np.random.default_rng(seed)
+    ds, model = differential_setup(rng, 16, gain)
+    rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
+    out = forward_batch(model, ds, rows)
+    expected, dprobs = with_dprobs(model, lambda: oracle_loss_grad(rules, out, temperature))
+    run_groups = RuleGroups(rules, model, ds)  # data cells read once, at all rows
+    for groups in (None, run_groups):
+        got, got_dprobs = with_dprobs(
+            model, lambda: total_loss_grad(rules, out, temperature, groups))
+        assert got[0] == expected[0]
+        assert got[1].tolist() == expected[1].tolist()
+        assert got[2].tolist() == expected[2].tolist()
+        assert got[3] == expected[3]
+        # the oracle also back-propagates all-zero terms that the groups skip
+        if dprobs is None or got_dprobs is None:
+            assert not np.any(dprobs) and not np.any(got_dprobs)
+        else:
+            assert got_dprobs.tolist() == dprobs.tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grouped_gradient_sums_in_rule_order(seed):
+    """Rules of every group pull on score_a at the same positions, so each
+    d loss / d probs cell sums many terms, which only the oracle's order of
+    addition reproduces to the last bit."""
+    rng = np.random.default_rng(seed)
+    ds, model = differential_setup(rng, 16, 3.0)
+    out = forward_batch(model, ds, rng.choice(16, size=24, replace=True))
+    flag, not_flag = (Literal("flag"),), (Literal("flag", True),)
+    conditional = [AbstractRule(kind="conditional", statistic=stat, guard=guard)
+                   for stat in ("score_a", "mean(score_a)", "std(score_a)")
+                   for guard in (None, "a", "b")]
+    logic = [AbstractRule(kind="logic", statistic="f1", literals=lits, consequent="a")
+             for lits in (flag, not_flag, flag + not_flag)]
+    rules = [ConcreteRule(rule=rule, lo=float(lo), hi=float(lo + 0.05), delta=0.02)
+             for rule, lo in zip(conditional + logic, rng.uniform(0.3, 0.9, 12))]
+    expected = oracle_loss_grad(rules, out, 0.5)
+    got = total_loss_grad(rules, out, 0.5, RuleGroups(rules, model, ds))
+    assert got[0] == expected[0] and got[3] == expected[3]
+    assert got[1].tolist() == expected[1].tolist()
+    assert got[2].tolist() == expected[2].tolist()
+
+
+@pytest.mark.parametrize("rule, reason", [
+    (AbstractRule(kind="conditional", statistic="zz"), "unknown statistic 'zz'"),
+    (AbstractRule(kind="conditional", statistic="f1"), "no per-minibatch evaluator"),
+    (AbstractRule(kind="logic", statistic="f1", literals=(Literal("zz"),), consequent="a"),
+     "column 'zz' not present"),
+    (AbstractRule(kind="logic", statistic="f1", literals=(Literal("v"),), consequent="a"),
+     "non-boolean column"),
+    (AbstractRule(kind="logic", statistic="f1", literals=(Literal("flag"),), consequent="q"),
+     "consequent 'q' is not a model class"),
+    (AbstractRule(kind="paired", statistic="v", s1="mean(v)", s1_bucket=0,
+                  s1_bucket_count=2), "'mean(v)' is not per-sample"),
+], ids=["statistic", "formula", "column", "non-boolean", "consequent", "s1"])
+def test_unevaluable_rule_fails_when_grouped(rule, reason):
+    ds, model = tiny_setup()
+    crule = ConcreteRule(rule=rule, lo=0.0, hi=1.0, delta=0.02, s1_lo=0.0, s1_hi=1.0)
+    with pytest.raises(ResolutionError, match=f"rule {re.escape(crule.signature)}: .*"
+                                              + re.escape(reason)):
+        RuleGroups([data_rule(0.0, 1.0), crule], model, ds)
 
 
 @pytest.mark.parametrize("column", ["pred", "score_a"])
@@ -289,7 +470,8 @@ def test_grad_check_linear_one_sided_region():
 def test_grad_check_surrogate_f1_rule():
     ds, model = tiny_setup(n=40, seed=4)
     out = forward_batch(model, ds, np.arange(40))
-    from quantrules.statistics import surrogate_f1_grad, antecedent_values
+    from quantrules.statistics import antecedent_values
+    from scalar_oracle import surrogate_f1_grad
     ante, _ = antecedent_values(
         AbstractRule(kind="logic", statistic="f1", consequent="b",
                      literals=(Literal("flag"),)), out, np.arange(40))

@@ -1,3 +1,4 @@
+import csv
 import json
 from math import comb
 from pathlib import Path
@@ -10,7 +11,7 @@ from quantrules import cli
 from quantrules.cli import _load_config, main
 from quantrules.model import SoftmaxModel
 from quantrules.rules_io import load_rules, save_rules
-from quantrules.schema import AbstractRule, ConcreteRule
+from quantrules.schema import AbstractRule, ConcreteRule, Literal
 
 SCHEMA = """
 template conditional_statistic
@@ -586,6 +587,46 @@ def test_evaluate_logs_unevaluable_rules(tmp_path, capsys):
     assert list(report) == ["format_version", "per_rule", "per_sample", "totals"]
     assert report["per_rule"][0] == {"signature": ghost.signature, "violations": 0,
                                      "evaluations": 0}
+
+
+@pytest.mark.parametrize("rule, reason", [
+    (AbstractRule(kind="logic", statistic="f1", literals=(Literal("zz"),), consequent="a"),
+     "column 'zz' not present"),
+    (AbstractRule(kind="conditional", statistic="mean(zz)"), "unknown statistic 'mean(zz)'"),
+    (AbstractRule(kind="logic", statistic="f1", literals=(Literal("x0"),), consequent="a"),
+     "literal 'x0' refers to a non-boolean column"),
+    (AbstractRule(kind="logic", statistic="f1", literals=(Literal("flag"),), consequent="q"),
+     "consequent 'q' is not a model class"),
+], ids=["absent-column", "unknown-statistic", "non-boolean-literal", "consequent"])
+def test_adapt_unevaluable_rule_exits_2_before_any_report(tmp_path, capsys, rule, reason):
+    cfg = write_workspace(tmp_path)
+    _write_model(tmp_path)
+    crule = ConcreteRule(rule=rule, lo=0.0, hi=1.0, delta=0.02)
+    ok = ConcreteRule(rule=AbstractRule(kind="conditional", statistic="x0"),
+                      lo=-1e9, hi=1e9, delta=0.02)
+    save_rules(tmp_path / "rules.jsonl", [ok, crule])
+    _add_adapt_section(cfg, tmp_path)
+    assert main(["adapt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'rules.jsonl'}: rule {crule.signature}: " in err
+    assert reason in err
+    assert not (tmp_path / "before.json").exists()
+
+
+def test_adapt_logs_zero_loss_iterations(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    _write_model(tmp_path)
+    assert main(["mine", "--config", str(cfg)]) == 0
+    _add_adapt_section(cfg, tmp_path)
+    capsys.readouterr()
+    assert main(["adapt", "--config", str(cfg)]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    keys = [item.split("=", 1)[0] for item in line.split()]
+    assert keys == ["command", "before", "after", "pct_reduced", "iterations", "seed",
+                    "zero_loss_iters"]
+    with open(tmp_path / "trace.csv", encoding="utf-8") as fh:
+        losses = [float(row["loss"]) for row in csv.DictReader(fh)]
+    assert line.endswith(f" zero_loss_iters={losses.count(0.0)}")
 
 
 def test_report_command_rewrites_same_bytes_and_rejects_bad_file(tmp_path, capsys):

@@ -13,7 +13,8 @@ from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
 from quantrules.rule_eval import evaluate_rule
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
-                                   load_boxes, soften_scores, surrogate_f1_grad)
+                                   load_boxes, soften_grad, soften_scores)
+from scalar_oracle import surrogate_f1_grad
 
 
 def box_dataset(boxes):
@@ -230,6 +231,18 @@ def test_surrogate_gradient_matches_finite_differences(n, seed, temperature):
         fd = (surrogate_f1_grad(a, up, temperature)[0] - surrogate_f1_grad(a, dn, temperature)[0]) / (2 * h)
         ref = max(abs(grad[i]), abs(fd), 1e-8)
         assert abs(grad[i] - fd) / ref < 1e-4
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_soften_grad_is_soften_and_its_derivative(temperature):
+    s = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0])
+    soft, dsoft = soften_grad(s, temperature)
+    assert soft.tolist() == soften_scores(s, temperature).tolist()
+    assert dsoft[0] == dsoft[-1] == 0.0  # saturated scores
+    h = 1e-6
+    fd = (soften_scores(s[1:-1] + h, temperature)
+          - soften_scores(s[1:-1] - h, temperature)) / (2 * h)
+    assert dsoft[1:-1] == pytest.approx(fd, rel=1e-5)
 
 
 # -- box files ---------------------------------------------------------------------
