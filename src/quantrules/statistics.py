@@ -239,11 +239,14 @@ def soften_grad(scores, temperature):
     element-wise. The derivative is 0 at saturated scores (exactly 0 or 1)."""
     s = np.asarray(scores, dtype=float)
     c = soften_scores(s, temperature)
-    # chain through c = sigmoid(logit(s)/T)
+    # chain through c = sigmoid(logit(s)/T). For T < 1 a subnormal score
+    # gives 0/0: NaN, without a warning, since callers soften whole score
+    # columns and drop the positions no rule uses
     interior = (s > 0.0) & (s < 1.0)
     dc_ds = np.zeros_like(s)
-    dc_ds[interior] = (c[interior] * (1.0 - c[interior])
-                       / (temperature * s[interior] * (1.0 - s[interior])))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dc_ds[interior] = (c[interior] * (1.0 - c[interior])
+                           / (temperature * s[interior] * (1.0 - s[interior])))
     return c, dc_ds
 
 

@@ -368,30 +368,33 @@ def test_grouped_loss_equals_per_rule_oracle(seed, size, gain, temperature, rule
     ds, model = differential_setup(rng, 16, gain)
     rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
     out = forward_batch(model, ds, rows)
-    expected, dprobs = with_dprobs(model, lambda: oracle_loss_grad(rules, out, temperature))
+    with np.errstate(invalid="ignore"):  # a subnormal score, as in the test above
+        expected, dprobs = with_dprobs(
+            model, lambda: oracle_loss_grad(rules, out, temperature))
     run_groups = RuleGroups(rules, model, ds)  # data cells read once, at all rows
     for groups in (None, run_groups):
         got, got_dprobs = with_dprobs(
             model, lambda: total_loss_grad(rules, out, temperature, groups))
         assert got[0] == expected[0]
-        assert got[1].tolist() == expected[1].tolist()
-        assert got[2].tolist() == expected[2].tolist()
+        assert np.array_equal(got[1], expected[1], equal_nan=True)
+        assert np.array_equal(got[2], expected[2], equal_nan=True)
         assert got[3] == expected[3]
         # the oracle also back-propagates all-zero terms that the groups skip
         if dprobs is None or got_dprobs is None:
             assert not np.any(dprobs) and not np.any(got_dprobs)
         else:
-            assert got_dprobs.tolist() == dprobs.tolist()
+            assert np.array_equal(got_dprobs, dprobs, equal_nan=True)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_grouped_gradient_sums_in_rule_order(seed):
     """Rules of every group pull on score_a at the same positions, so each
     d loss / d probs cell sums many terms, which only the oracle's order of
-    addition reproduces to the last bit."""
+    addition reproduces to the last bit. Each rule alone is checked too: its
+    loss is then its own mean or surrogate, not rounded into a sum."""
     rng = np.random.default_rng(seed)
     ds, model = differential_setup(rng, 16, 3.0)
-    out = forward_batch(model, ds, rng.choice(16, size=24, replace=True))
+    out = forward_batch(model, ds, rng.choice(16, size=64, replace=True))
     flag, not_flag = (Literal("flag"),), (Literal("flag", True),)
     conditional = [AbstractRule(kind="conditional", statistic=stat, guard=guard)
                    for stat in ("score_a", "mean(score_a)", "std(score_a)")
@@ -400,11 +403,44 @@ def test_grouped_gradient_sums_in_rule_order(seed):
              for lits in (flag, not_flag, flag + not_flag)]
     rules = [ConcreteRule(rule=rule, lo=float(lo), hi=float(lo + 0.05), delta=0.02)
              for rule, lo in zip(conditional + logic, rng.uniform(0.3, 0.9, 12))]
-    expected = oracle_loss_grad(rules, out, 0.5)
-    got = total_loss_grad(rules, out, 0.5, RuleGroups(rules, model, ds))
+    for subset in [rules] + [[rule] for rule in rules]:
+        expected = oracle_loss_grad(subset, out, 0.5)
+        got = total_loss_grad(subset, out, 0.5, RuleGroups(subset, model, ds))
+        assert got[0] == expected[0] and got[3] == expected[3]
+        assert got[1].tolist() == expected[1].tolist()
+        assert got[2].tolist() == expected[2].tolist()
+
+
+def test_grouped_loss_at_a_subnormal_score():
+    """score_b of row 0 is 5e-324, where d soft / d score at T = 0.5 is 0/0.
+    The groups soften whole score columns: a position no rule uses must not
+    warn, and a NaN at a position a rule uses reaches the gradient, as in
+    the oracle."""
+    ds = make_dataset({"x0": (NUMERIC, [372.2, 0.3, -0.4]), "x1": (NUMERIC, [0.0] * 3),
+                       "flag": (BOOLEAN, [1.0, 1.0, 0.0]),
+                       "flag2": (BOOLEAN, [1.0, 1.0, 0.0])},
+                      missing={"flag": np.array([True, False, False])})
+    model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
+                         np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2))
+    out = forward_batch(model, ds, np.arange(3))
+    assert out.probs[0, 1] == 5e-324
+    rule = ConcreteRule(rule=AbstractRule(kind="logic", sided="lower", statistic="f1",
+                                          literals=(Literal("flag"),), consequent="b"),
+                        lo=0.9, hi=INF, delta=0.02)
+    unused = total_loss_grad([rule], out, 0.5)  # row 0 lacks the literal cell
+    expected = oracle_loss_grad([rule], out, 0.5)
+    assert unused[0] == expected[0] and unused[3] == expected[3]
+    assert unused[1].tolist() == expected[1].tolist()
+    assert np.isfinite(unused[1]).all() and unused[1].any()
+    used = ConcreteRule(rule=AbstractRule(kind="logic", sided="lower", statistic="f1",
+                                          literals=(Literal("flag2"),), consequent="b"),
+                        lo=0.9, hi=INF, delta=0.02)
+    with np.errstate(invalid="ignore"):  # the oracle softens the used row only
+        expected = oracle_loss_grad([used], out, 0.5)
+    got = total_loss_grad([used], out, 0.5)
     assert got[0] == expected[0] and got[3] == expected[3]
-    assert got[1].tolist() == expected[1].tolist()
-    assert got[2].tolist() == expected[2].tolist()
+    assert np.array_equal(got[1], expected[1], equal_nan=True)
+    assert np.isnan(got[1]).any()
 
 
 @pytest.mark.parametrize("rule, reason", [
