@@ -12,16 +12,22 @@ the normalization parameters whenever the loss is positive.
 ``RuleGroups`` splits the rules once per run into three groups: per-sample
 rules (conditional and paired rules on a per-sample statistic), summary
 rules (mean and std) and logic rules. Every cell that reads only data
-columns is read once, on the whole test table: literal truth and presence,
-data-column and box-statistic values and their missing masks, which also
-serve as paired rules' s1 values. They are stored per distinct literal or
-statistic, not per rule, and each batch gathers them by its rows. Only the
-model outputs change from batch to batch: the score columns ``probs[:, j]``
-and the predicted class. Each batch then takes one array pass per group.
-Each rule's reductions (a mean, a std, the surrogate F1's sums) stay 1-d
-reductions over its own compacted values, and the losses and d loss / d
-probs are summed in rule order, so the result is bit-equal to evaluating
-the rules one by one with ``rule_eval.evaluate_rule``.
+columns is read once, on the whole test table, by the rule reader
+``rule_eval.Cells``: literal truth and presence, data-column and
+box-statistic values and their missing masks, which also serve as paired
+rules' s1 values. They are stored per distinct literal or statistic, not
+per rule, and each batch gathers them by its rows. Only the model outputs
+change from batch to batch: the score columns ``probs[:, j]`` and the
+predicted class, which is the guard. Each batch then takes one array pass
+per group, masked by ``rule_eval.applies``, the mask violation counting
+uses. Each rule's reductions (a mean, a std, the surrogate F1's sums) stay
+1-d reductions over its own compacted values, and the losses and d loss /
+d probs are summed in rule order, so the result is bit-equal to evaluating
+the rules one by one.
+
+The passes stay here, apart from ``rule_eval.score_logic_rules``: the loss
+needs the softened scores and their derivatives on each iteration's batch,
+while the kernel counts hard cells of whole batch sets.
 """
 from __future__ import annotations
 
@@ -34,9 +40,9 @@ import numpy as np
 
 from .dataset import checked_rows
 from .errors import DivergenceError, ResolutionError, TypeMismatchError
+from .rule_eval import Cells, applies
 from .schema import LOGIC, PAIRED, rule_signature
-from .statistics import (PER_SAMPLE, StatisticRegistry, f1_from_counts,
-                         literal_cells, sample_values_aligned, soften_grad)
+from .statistics import PER_SAMPLE, StatisticRegistry, f1_from_counts, soften_grad
 
 LOSS_CLIP = 1.0
 
@@ -148,21 +154,6 @@ def hinge(values, lo, hi, clip=LOSS_CLIP):
             np.where(inside | plateau, 0.0, slope))
 
 
-def hinge_value(value, lo, hi, clip=LOSS_CLIP):
-    """``hinge`` of one float, as a (loss, slope) pair of floats."""
-    if lo <= value <= hi:
-        return 0.0, 0.0
-    if math.isinf(hi):
-        raw, slope = lo - value, -1.0
-    elif math.isinf(lo):
-        raw, slope = value - hi, 1.0
-    else:
-        raw, slope = (lo - value) * (hi - value), 2.0 * value - lo - hi
-    if raw >= clip:
-        return clip, 0.0
-    return raw, slope
-
-
 def _check_finite(value, rule):
     if not math.isfinite(value):
         raise DivergenceError(
@@ -180,7 +171,7 @@ class _Rows:
 
 
 # parameters that broadcast against a group's (rules, m) arrays
-_COLUMNS = ("lo", "hi", "guard", "free", "paired", "s1_lo", "s1_hi", "cls")
+_COLUMNS = ("lo", "hi", "guard", "free", "s1_lo", "s1_hi", "cls")
 
 
 class RuleGroups:
@@ -204,12 +195,9 @@ class RuleGroups:
                 model, table, no_rows, np.zeros((0, len(model.class_names))), None))
         self.rules = list(rules)
         self._classes = list(model.class_names)
-        # build-time state, dropped once the cells are stacked
-        self._registry, self._table = registry, table
         self._scores = {model.score_column(c): j for j, c in enumerate(self._classes)}
-        self._all_rows = np.arange(table.n_rows)
-        self._data = {}  # statistic name -> (values, present) at all rows
-        self._literals = {}  # literal -> (truth, present) at all rows
+        # build-time reader of the data cells at all rows, dropped once stacked
+        self._cells = Cells(table, np.arange(table.n_rows), None, registry)
         per_sample, summary, logic = [], [], []
         for r, crule in enumerate(self.rules):
             try:
@@ -218,10 +206,11 @@ class RuleGroups:
                 raise ResolutionError(f"rule {crule.signature}: {exc}") from None
             {"sample": per_sample, "summary": summary, "logic": logic}[entry.pop("group")] \
                 .append(entry)
+        data, literals = self._cells.statistics.values(), self._cells.literals.values()
         # pad every literal list to the longest with the always-true row
         width = max((len(e["lits"]) for e in logic), default=0)
         for e in logic:
-            e["lits"] += [len(self._literals)] * (width - len(e["lits"]))
+            e["lits"] += [len(literals)] * (width - len(e["lits"]))
         self._per_sample, self._summary = _Rows(per_sample), _Rows(summary)
         self._logic = _Rows(logic)
         if logic:  # the distinct consequent classes, and each rule's among them
@@ -229,15 +218,14 @@ class RuleGroups:
                 self._logic.cls[:, 0], return_inverse=True)
         n = table.n_rows
         # the value pool of a batch is its score columns, then these rows
-        shape = (len(self._data), n)
-        self._data_values = np.array([vals for vals, _ in self._data.values()],
-                                     dtype=float).reshape(shape)
-        self._data_present = np.array([present for _, present in self._data.values()],
+        shape = (len(data), n)
+        self._data_values = np.array([vals for vals, _ in data], dtype=float).reshape(shape)
+        self._data_present = np.array([present for _, present in data],
                                       dtype=bool).reshape(shape)
         # literal stacks end with the always-true, always-present row
-        self._truth = np.array([t for t, _ in self._literals.values()] + [np.ones(n)])
-        self._present = np.array([p for _, p in self._literals.values()] + [np.ones(n, bool)])
-        del self._registry, self._table, self._data, self._literals
+        self._truth = np.array([t for t, _ in literals] + [np.ones(n)])
+        self._present = np.array([p for _, p in literals] + [np.ones(n, bool)])
+        del self._cells
 
     # -- run-level reads --------------------------------------------------------
 
@@ -246,16 +234,12 @@ class RuleGroups:
         class index, or a data statistic's row after the score columns."""
         if name in self._scores:
             return self._scores[name]
-        if name not in self._data:
-            stat = self._registry.resolve(name)
-            vals, present = sample_values_aligned(stat, self._table, self._all_rows)
-            self._data[name] = (vals, present)
-        return len(self._scores) + list(self._data).index(name)
+        self._cells.statistic(name)
+        return len(self._scores) + list(self._cells.statistics).index(name)
 
     def _literal(self, lit):
-        if lit not in self._literals:
-            self._literals[lit] = literal_cells(lit, self._table, self._all_rows)
-        return list(self._literals).index(lit)
+        self._cells.literal(lit)
+        return list(self._cells.literals).index(lit)
 
     def _entry(self, r, crule):
         """One rule's group and parameters; reads its data-only cells."""
@@ -268,7 +252,8 @@ class RuleGroups:
             return dict(group="logic", index=r, lo=crule.lo, hi=crule.hi,
                         cls=self._classes.index(rule.consequent),
                         lits=[self._literal(lit) for lit in rule.literals])
-        stat = self._registry.resolve(rule.statistic)
+        registry = self._cells.registry
+        stat = registry.resolve(rule.statistic)
         if stat.arity == PER_SAMPLE:
             group, column, std = "sample", rule.statistic, False
         elif stat.kind == "summary":
@@ -284,7 +269,7 @@ class RuleGroups:
         if rule.kind == PAIRED:
             if crule.s1_lo is None or crule.s1_hi is None:
                 raise ResolutionError("paired rule has no learned s1 interval")
-            if self._registry.resolve(rule.s1).arity != PER_SAMPLE:
+            if registry.resolve(rule.s1).arity != PER_SAMPLE:
                 raise TypeMismatchError(f"statistic {rule.s1!r} is not per-sample")
             entry.update(paired=True, s1=self._source(rule.s1),
                          s1_lo=crule.s1_lo, s1_hi=crule.s1_hi)
@@ -297,7 +282,8 @@ class RuleGroups:
         the batch output ``out`` on ``rows`` of the table the groups read."""
         probs = out.probs
         pred = probs.argmax(axis=1)
-        pool, present = probs.T, None
+        # score columns are always present
+        pool, present = probs.T, np.ones((probs.shape[1], 1), dtype=bool)
         if len(self._data_values):
             pool = np.concatenate([pool, self._data_values[:, rows]])
             present = np.concatenate([np.ones(probs.T.shape, dtype=bool),
@@ -326,18 +312,11 @@ class RuleGroups:
 
     @staticmethod
     def _masks(g, pool, present, pred):
-        """(rules, m) masks of the positions each rule of ``g`` applies to:
-        its guard class, its s1 bucket, and a present value cell."""
-        mask = (pred == g.guard) | g.free
-        if present is not None:
-            mask &= present[g.src]
-        if g.paired.any():
-            s1 = pool[g.s1]
-            in_bucket = (s1 > g.s1_lo) & (s1 <= g.s1_hi)
-            if present is not None:
-                in_bucket &= present[g.s1]
-            mask &= in_bucket | ~g.paired
-        return mask
+        """(rules, m) masks of the positions each rule of ``g`` applies to.
+        An unpaired rule's s1 is score column 0 in the bucket (-inf, inf]:
+        always present and inside."""
+        s1 = (pool[g.s1], present[g.s1], g.s1_lo, g.s1_hi) if g.paired.any() else ()
+        return applies((pred == g.guard) | g.free, present[g.src], *s1)
 
     def _per_sample_pass(self, pool, present, pred, losses, grads):
         """One hinge over the (rules, m) values: a rule's loss is the mean
@@ -365,41 +344,47 @@ class RuleGroups:
         return violations
 
     def _summary_pass(self, pool, present, pred, losses, grads):
-        """A mean or std per rule over its positions, and its scalar hinge; a
-        violated rule charges every position of the batch."""
+        """A mean or std per rule over its positions; one hinge over the
+        values outside their bounds, since a value inside costs 0. A violated
+        rule charges every position of the batch."""
         g = self._summary
         values = pool[g.src]
         mask = self._masks(g, pool, present, pred)
-        m = mask.shape[1]
-        violations = 0
+        violated = []  # (rule row, its compacted values, value, bounds)
         for k in np.flatnonzero(mask.any(axis=1)):
-            r, keep = g.index[k], mask[k]
-            vals = values[k][keep]
+            vals = values[k][mask[k]]
             value = float(vals.std()) if g.std[k] else float(vals.mean())
+            _check_finite(value, self.rules[g.index[k]].rule)
             lo, hi = float(g.lo[k, 0]), float(g.hi[k, 0])
             if not lo <= value <= hi:
-                violations += m
-            _check_finite(value, self.rules[r].rule)
-            losses[r], slope = hinge_value(value, lo, hi)
-            j = g.score[k]
-            if j < 0 or slope == 0.0:
+                violated.append((k, vals, value, lo, hi))
+        if not violated:
+            return 0
+        ks, kept, value, lo, hi = zip(*violated)
+        loss, slope = hinge(value, lo, hi)
+        m = mask.shape[1]
+        for k, vals, v, rule_loss, sl in zip(ks, kept, value, loss.tolist(), slope.tolist()):
+            r, keep, j = g.index[k], mask[k], g.score[k]
+            losses[r] = rule_loss
+            if j < 0 or sl == 0.0:
                 continue
             n = vals.size
             if not g.std[k]:
-                grads[r] = (j, np.where(keep, slope * (1.0 / n), 0.0))
+                grads[r] = (j, np.where(keep, sl * (1.0 / n), 0.0))
                 continue
-            dvalue = np.zeros(n) if value == 0.0 else (vals - vals.mean()) / (n * value)
+            dvalue = np.zeros(n) if v == 0.0 else (vals - vals.mean()) / (n * v)
             column = np.zeros(m)
-            column[keep] = slope * dvalue
+            column[keep] = sl * dvalue
             grads[r] = (j, column)
-        return violations
+        return m * len(violated)
 
     def _logic_pass(self, probs, rows, pred, temperature, losses, grads):
         """Violations from the exact F1 of the predicted labels; the loss from
         the surrogate F1 2 sum(a c) / (sum(a) + sum(c)) over a rule's usable
         positions, where a is the antecedent and c the softened consequent
-        score. It tends to the exact F1 of the thresholded scores as the
-        temperature tends to 0."""
+        score, hinged once over the rules outside their bounds. It tends to
+        the exact F1 of the thresholded scores as the temperature tends to
+        0."""
         g = self._logic
         m = probs.shape[0]
         # (rules, literals, m) cells at the batch rows; products of 0/1 are exact
@@ -418,18 +403,25 @@ class RuleGroups:
         soft, dsoft = soften_grad(probs.T[g.classes], temperature)
         soft, dsoft = soft[g.class_at], dsoft[g.class_at]
         hits = antecedent * soft
-        # the surrogate F1 (value, denominator, hinge slope) of each rule
-        sloped, surrogate = [], []
+        violated = []  # (rule row, surrogate F1, its denominator, bounds)
         for k in np.flatnonzero(valued):
-            r, keep = g.index[k], usable[k]
-            tp = float(hits[k][keep].sum())
+            keep = usable[k]
             denom = float(n_predicted[k] + soft[k][keep].sum())
-            value = 0.0 if denom == 0.0 else 2.0 * tp / denom
-            _check_finite(value, self.rules[r].rule)
-            losses[r], slope = hinge_value(value, float(g.lo[k, 0]), float(g.hi[k, 0]))
-            if slope != 0.0 and denom != 0.0:
+            value = 0.0 if denom == 0.0 else 2.0 * float(hits[k][keep].sum()) / denom
+            _check_finite(value, self.rules[g.index[k]].rule)
+            lo, hi = float(g.lo[k, 0]), float(g.hi[k, 0])
+            if not lo <= value <= hi:
+                violated.append((k, value, denom, lo, hi))
+        if not violated:
+            return violations
+        ks, value, denom, lo, hi = zip(*violated)
+        loss, slope = hinge(value, lo, hi)
+        sloped, surrogate = [], []
+        for k, v, d, rule_loss, sl in zip(ks, value, denom, loss.tolist(), slope.tolist()):
+            losses[g.index[k]] = rule_loss
+            if sl != 0.0 and d != 0.0:
                 sloped.append(k)
-                surrogate.append((value, denom, slope))
+                surrogate.append((v, d, sl))
         if sloped:
             value, denom, slope = (np.array(c)[:, None] for c in zip(*surrogate))
             dvalue = ((2.0 * antecedent[sloped] - value) / denom) * dsoft[sloped]

@@ -16,9 +16,9 @@ from . import schema as schema_mod
 from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import checked_rows, percentile, sample_minibatches
 from .errors import EmptyStatisticError
-from .rule_eval import evaluate_rule, s1_values, score_logic_rules
+from .rule_eval import Cells, applies, batch_values, score_logic_rules
 from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
-from .statistics import StatisticRegistry
+from .statistics import PER_SAMPLE, StatisticRegistry
 
 INF = float("inf")
 
@@ -73,15 +73,15 @@ def interval_from_values(values, delta, sided) -> Interval:
     raise ValueError(f"unknown sidedness {sided!r}")
 
 
-def s1_bucket_edges(rule, dataset, registry, label_column):
+def s1_bucket_edges(rule, cells):
     """Equal-frequency edges of a paired rule's first statistic, fitted on the
-    guard class's rows of the whole dataset; None when no row has a value.
+    guard class's rows of ``cells``, a reader over every row of a dataset;
+    None when no row has a value.
 
     The edges depend only on the rule's guard, s1 and s1_bucket_count.
     """
-    vals, present = s1_values(rule, dataset, np.arange(dataset.n_rows),
-                              label_column, registry)
-    vals = vals[present]
+    vals, present = cells.statistic(rule.s1)
+    vals = vals[applies(cells.guard(rule.guard), present)]
     return fit_bucket_edges(vals, rule.s1_bucket_count) if vals.size else None
 
 
@@ -98,13 +98,19 @@ def s1_bucket_interval(rule, edges):
     return float(lo), float(hi)
 
 
-def collect_statistics(rule, dataset, rows, registry, label_column, s1_interval=None):
-    """A rule's statistic values over the minibatches of ``rows``, a (count,
-    size) matrix: per-sample values pooled across batches in row-major
-    order, or one value per batch with a usable row, matching the rule's
-    structure."""
-    ev = evaluate_rule(rule, dataset, rows, label_column, registry, s1_interval)
-    return ev.samples[ev.mask] if ev.per_sample else ev.value[ev.valued]
+def collect_statistics(rule, cells, s1_interval=None):
+    """A rule's statistic values over the minibatches ``cells`` reads, a
+    (count, size) row matrix: per-sample values pooled across batches in
+    row-major order, or one value per batch with a usable row, matching the
+    rule's structure. A logic rule is scored by the count kernel alone."""
+    if rule.kind == LOGIC:
+        return score_logic_rules([rule], cells.dataset, cells.rows,
+                                 cells.label_column).collected(0)
+    stat, values, mask = cells.applicable(rule, s1_interval)
+    if stat.arity == PER_SAMPLE:
+        return values[mask]
+    value, valued = batch_values(stat, values, mask)
+    return value[valued]
 
 
 def _collect(rule, per_set):
@@ -138,10 +144,10 @@ def compute_bounds(rule, dataset, rows, delta=None, sided=None, *, registry=None
     if label_column is None:
         label_column = dataset.label_column
     if rule.kind == PAIRED and s1_interval is None:
-        s1_interval = s1_bucket_interval(
-            rule, s1_bucket_edges(rule, dataset, registry, label_column))
-    (values,) = _collect(rule, [collect_statistics(rule, dataset, rows, registry,
-                                                   label_column, s1_interval)])
+        everywhere = Cells(dataset, np.arange(dataset.n_rows), label_column, registry)
+        s1_interval = s1_bucket_interval(rule, s1_bucket_edges(rule, everywhere))
+    cells = Cells(dataset, rows, label_column, registry)
+    (values,) = _collect(rule, [collect_statistics(rule, cells, s1_interval)])
     return interval_from_values(values, rule.delta if delta is None else delta,
                                 rule.sided if sided is None else sided)
 
@@ -173,14 +179,16 @@ def jaccard(train: Interval, valid: Interval, stat_range: Interval) -> float:
     return inter / union
 
 
-def _group_batches(rules, train, valid, job):
+def _group_batches(rules, train, valid, job, label_column, registry):
+    """Per batch size, the readers of the train and valid batch sets."""
     sizes = {job.batch_size or rule.batch_size for rule in rules}
     groups = {}
     for size in sizes:
-        groups[size] = (
-            (train, sample_minibatches(train, size, job.n_train_batches, job.train_seed)),
-            (valid, sample_minibatches(valid, size, job.n_valid_batches, job.valid_seed)),
-        )
+        groups[size] = tuple(
+            Cells(dataset, sample_minibatches(dataset, size, count, seed),
+                  label_column, registry)
+            for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
+                                         (valid, job.n_valid_batches, job.valid_seed)))
     return groups
 
 
@@ -199,7 +207,7 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
         label_column = train.label_column
     if not rules:
         return []
-    groups = _group_batches(rules, train, valid, job)
+    groups = _group_batches(rules, train, valid, job, label_column, registry)
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
 
@@ -209,11 +217,12 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
         positions = [i for i, rule in enumerate(rules)
                      if rule.kind == LOGIC and (job.batch_size or rule.batch_size) == size]
         if positions:
-            scores = [score_logic_rules([rules[i] for i in positions], dataset, rows,
-                                        label_column)
-                      for dataset, rows in batch_sets]
+            scores = [score_logic_rules([rules[i] for i in positions], cells.dataset,
+                                        cells.rows, label_column)
+                      for cells in batch_sets]
             logic.update((i, (scores, r)) for r, i in enumerate(positions))
 
+    everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
     s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
     selected = []
     for i, rule in enumerate(rules):
@@ -223,15 +232,14 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
             if rule.kind == PAIRED:
                 key = (rule.guard, rule.s1, rule.s1_bucket_count)
                 if key not in s1_edges:
-                    s1_edges[key] = s1_bucket_edges(rule, train, registry, label_column)
+                    s1_edges[key] = s1_bucket_edges(rule, everywhere)
                 s1_interval = s1_bucket_interval(rule, s1_edges[key])
             if i in logic:
                 scores, r = logic[i]
                 per_set = (s.collected(r) for s in scores)
             else:
-                per_set = (collect_statistics(rule, dataset, rows, registry,
-                                              label_column, s1_interval)
-                           for dataset, rows in groups[job.batch_size or rule.batch_size])
+                per_set = (collect_statistics(rule, cells, s1_interval)
+                           for cells in groups[job.batch_size or rule.batch_size])
             t_vals, v_vals = _collect(rule, per_set)
         except EmptyStatisticError as exc:
             if log is not None:

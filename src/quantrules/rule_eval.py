@@ -2,15 +2,28 @@
 
 A rule applies to the rows of its guard class; a paired rule only to those
 whose first statistic lies in its learned bucket (s1_lo, s1_hi]; rows
-missing a cell the rule reads are left out. Bound learning, violation
-counting and the adaptation loss all evaluate rules through this module,
-so the three stages agree on which rows a rule covers.
+missing a cell the rule reads are left out. This module holds the only
+copy of these semantics, so bound learning, violation counting and the
+adaptation loss agree on which rows a rule covers.
 
-``evaluate_rule`` evaluates one rule. Mining scores its logic rules, almost
-all of the rules it learns, with the count kernel ``score_logic_rules``:
-every logic rule of a batch set at once, bit-equal to ``evaluate_rule``.
-``evaluate_rule`` serves the rest: violation counting, the adaptation
-loss, ``compute_bounds`` and mining's non-logic rules.
+``Cells`` reads the cells of one (table, rows) set: each distinct
+statistic, literal and guard class once, however many rules read it.
+``Cells.applicable`` gives a non-logic rule's values and the mask of the
+positions it applies to (``applies``); ``batch_values`` reduces them to one
+summary per batch. Mining and violation counting evaluate their
+per-sample and summary rules this way, one rule at a time.
+
+Logic rules, almost all of the rules mining learns, are scored by the count
+kernel ``score_logic_rules``: every logic rule of a batch set at once, from
+integer counts. Mining and violation counting call it once per batch-size
+set; it gathers its own indicators chunk by chunk, so its memory does not
+grow with the number of batches.
+
+The adaptation loss (``adaptation.RuleGroups``) reads its data cells with a
+``Cells`` over the whole test table and masks each batch with ``applies``.
+Its hinge, surrogate F1 and gradient passes stay apart from the kernel: they
+need the softened model scores and d loss / d probs, which change every
+iteration, while the kernel counts hard cells only.
 """
 from __future__ import annotations
 
@@ -19,120 +32,123 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError, TypeMismatchError
-from .schema import LOGIC, PAIRED
-from .statistics import (PER_SAMPLE, exact_f1, f1_from_counts, formula_parts,
-                         literal_cells, match_class, sample_values_aligned,
-                         summarize)
+from .schema import PAIRED
+from .statistics import (PER_SAMPLE, f1_from_counts, literal_cells, match_class,
+                         sample_values_aligned, summarize)
 
 
-@dataclass(frozen=True)
-class RuleValues:
-    """A rule evaluated on an index array ``rows`` of shape (..., m): one
-    minibatch of m rows, or a (count, m) matrix of minibatches as
-    ``sample_minibatches`` draws them. Rows may repeat within and across
-    batches.
+def applies(guard, present, s1=None, s1_present=None, s1_lo=None, s1_hi=None):
+    """Mask of the positions a rule applies to: its guard class holds and its
+    value cell is present; for a paired rule (``s1`` given) its s1 cell is
+    present too and lies in the bucket (s1_lo, s1_hi]. The arguments
+    broadcast: one rule's arrays, or a group's (rules, m) arrays with one
+    bound pair per rule as (rules, 1) columns."""
+    mask = guard & present
+    if s1 is not None:
+        mask = mask & s1_present & (s1 > s1_lo) & (s1 <= s1_hi)
+    return mask
 
-    ``mask`` marks the positions of ``rows`` the rule applies to, without
-    the rows missing a cell it reads. For a per-sample rule ``samples``
-    holds the statistic aligned with ``rows``; for a logic rule it holds the
-    antecedent's 0/1 truth. Only masked positions are meaningful. For a
-    minibatch rule ``value`` holds one statistic per batch, of shape (...),
-    over the batch's masked positions (the exact F1 for a logic rule); it
-    is meaningful only where ``valued``. It is None for per-sample rules.
+
+class Cells:
+    """The cells of ``dataset`` at ``rows``, an index array of shape (..., m):
+    a whole table, one minibatch, or a (count, m) matrix of minibatches as
+    ``sample_minibatches`` draws them. Rows may repeat.
+
+    Each distinct per-sample statistic (values and present mask), literal
+    (0/1 truth and present mask) and guard class (mask) is read once, on
+    first use, and kept; ``statistics`` and ``literals`` list them in that
+    order. Guard classes are read from ``label_column`` with ``match_class``,
+    so a numeric class column compares numbers. ``registry`` resolves
+    statistic names. Read errors are raised, never kept.
     """
 
-    per_sample: bool
-    mask: np.ndarray
-    samples: np.ndarray | None = None
-    value: np.ndarray | None = None
+    def __init__(self, dataset, rows, label_column, registry):
+        self.dataset, self.rows = dataset, np.asarray(rows, dtype=int)
+        self.label_column, self.registry = label_column, registry
+        self.statistics = {}  # name -> (values, present)
+        self.literals = {}  # literal -> (truth, present)
+        self._guards = {}  # class -> mask
 
-    @property
-    def valued(self):
-        """Per batch, whether the rule applies to any of its positions."""
-        return self.mask.any(-1)
+    def statistic(self, name):
+        """(values, present) of the per-sample statistic ``name``; missing
+        cells hold 0."""
+        if name not in self.statistics:
+            self.statistics[name] = sample_values_aligned(
+                self.registry.resolve(name), self.dataset, self.rows)
+        return self.statistics[name]
 
-    def violated(self, lo, hi):
-        """Mask of the positions charged a violation of [lo, hi]: each
-        applicable per-sample position outside it, or every position of a
-        valued batch whose value is outside it (a NaN value is outside)."""
-        if self.per_sample:
-            return self.mask & ((self.samples < lo) | (self.samples > hi))
-        inside = (lo <= self.value) & (self.value <= hi)
-        return (self.valued & ~inside)[..., None].repeat(self.mask.shape[-1], -1)
+    def literal(self, lit):
+        """(0/1 truth, present) of a literal's column."""
+        if lit not in self.literals:
+            self.literals[lit] = literal_cells(lit, self.dataset, self.rows)
+        return self.literals[lit]
+
+    def guard(self, cls):
+        """Mask of the rows of class ``cls``; every row when ``cls`` is None."""
+        if cls not in self._guards:
+            self._guards[cls] = (np.ones(self.rows.shape, dtype=bool) if cls is None
+                                 else match_class(self.dataset, self.rows,
+                                                  self.label_column, cls))
+        return self._guards[cls]
+
+    def applicable(self, rule, s1_interval=None):
+        """A non-logic rule's (statistic, values, mask). ``values`` are its
+        per-sample statistic's, or a summary statistic's column; ``mask``
+        marks the positions the rule applies to. A paired rule needs its
+        learned first-statistic interval ``s1_interval``."""
+        stat = self.registry.resolve(rule.statistic)
+        s1 = ()
+        if rule.kind == PAIRED:
+            if s1_interval is None:
+                raise ValueError("paired rules need a learned s1 interval")
+            s1 = (*self.statistic(rule.s1), *s1_interval)
+        guard = self.guard(rule.guard)
+        if stat.arity != PER_SAMPLE and stat.kind != "summary":
+            raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
+        values, present = self.statistic(stat.name if stat.arity == PER_SAMPLE
+                                         else stat.column)
+        return stat, values, applies(guard, present, *s1)
 
 
-def is_per_sample(rule, registry) -> bool:
-    return rule.kind != LOGIC and registry.resolve(rule.statistic).arity == PER_SAMPLE
-
-
-def guard_mask(rule, dataset, rows, label_column):
-    if rule.guard is None:
-        return np.ones(np.shape(rows), dtype=bool)
-    return match_class(dataset, rows, label_column, rule.guard)
-
-
-def s1_values(rule, dataset, rows, label_column, registry):
-    """A paired rule's first statistic aligned with ``rows``, and the mask of
-    the guard-class positions where it is present."""
-    vals, present = sample_values_aligned(registry.resolve(rule.s1), dataset, rows)
-    return vals, present & guard_mask(rule, dataset, rows, label_column)
-
-
-def evaluate_rule(rule, dataset, rows, label_column, registry,
-                  s1_interval=None) -> RuleValues:
-    """Evaluate an abstract rule on ``rows`` of ``dataset``, of shape (..., m).
-
-    Guard and consequent classes are read from ``label_column``. A paired
-    rule needs its learned first-statistic interval ``s1_interval``.
+def batch_values(stat, values, mask):
+    """A summary statistic of each batch (the last axis) over its masked
+    values, and whether the batch has any; the value is 0 where it has none.
     """
-    rows = np.asarray(rows, dtype=int)
-    if rule.kind == LOGIC:
-        antecedent, consequent, usable = formula_parts(rule, dataset, rows, label_column)
-        return RuleValues(False, usable, antecedent,
-                          exact_f1(antecedent * usable, consequent & usable))
-    stat = registry.resolve(rule.statistic)
-    if rule.kind == PAIRED:
-        if s1_interval is None:
-            raise ValueError("paired rules need a learned s1 interval")
-        s1, mask = s1_values(rule, dataset, rows, label_column, registry)
-        mask &= (s1 > s1_interval[0]) & (s1 <= s1_interval[1])
-    else:
-        mask = guard_mask(rule, dataset, rows, label_column)
-    if stat.arity == PER_SAMPLE:
-        samples, valid = sample_values_aligned(stat, dataset, rows)
-        return RuleValues(True, mask & valid, samples)
-    if stat.kind != "summary":
-        raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
-    samples, valid = sample_values_aligned(registry.resolve(stat.column), dataset, rows)
-    mask &= valid
+    valued = mask.any(-1)
     value = np.zeros(mask.shape[:-1])
     # one reduction per batch over its compacted values: a masked reduction
     # over the whole matrix would sum in another order
     for b in np.ndindex(value.shape):
-        if mask[b].any():
-            value[b] = summarize(stat, samples[b][mask[b]])
-    return RuleValues(False, mask, value=value)
+        if valued[b]:
+            value[b] = summarize(stat, values[b][mask[b]])
+    return value, valued
 
 
 @dataclass(frozen=True)
 class LogicScores:
     """Logic rules scored on one (B, m) batch set by ``score_logic_rules``.
 
-    Row r of ``value`` and of ``valued``, both (R, B), equals ``value`` and
-    ``valued`` of ``evaluate_rule`` for rule r. ``errors[r]`` is the
-    exception ``evaluate_rule`` would raise for rule r, or None.
+    Row r of ``value``, (R, B), holds rule r's F1 on each batch, and row r of
+    ``valued`` whether the batch has a usable row (the F1 is 0 where it has
+    none). ``errors[r]`` is the ResolutionError or TypeMismatchError that
+    reading rule r's cells raises, or None.
     """
 
     value: np.ndarray
     valued: np.ndarray
     errors: list
 
-    def collected(self, r):
-        """Rule r's F1 on the batches with a usable row, in batch order;
-        raises the rule's error instead if it has one."""
+    def rule(self, r):
+        """Rule r's (value, valued) rows; raises the rule's error instead if
+        it has one."""
         if self.errors[r] is not None:
             raise self.errors[r]
-        return self.value[r][self.valued[r]]
+        return self.value[r], self.valued[r]
+
+    def collected(self, r):
+        """Rule r's F1 on the batches with a usable row, in batch order."""
+        value, valued = self.rule(r)
+        return value[valued]
 
 
 # cells of U and of LU per chunk of batches: 256 KiB each in float32, so the
@@ -153,7 +169,7 @@ def score_logic_rules(rules, dataset, rows, label_column) -> LogicScores:
     prefix mask, and one batched matmul over their last literals counts, per
     batch, the predicted positives, the usable positions, and per class the
     true positives and the consequent positions. The counts are exact
-    integers, so each F1 is bit-equal to ``evaluate_rule``'s.
+    integers, so the F1 does not depend on the order of the positions.
     """
     rows = np.asarray(rows, dtype=int)
     n_batches, m = rows.shape

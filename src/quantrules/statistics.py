@@ -148,22 +148,6 @@ def match_class(dataset, rows, column, class_value):
     return dataset.values(column)[rows] == target
 
 
-def antecedent_values(formula, dataset, rows):
-    """Conjunction truth of a formula's literals, aligned with ``rows``.
-
-    Returns (antecedent 0/1 array, usable mask), both of the shape of
-    ``rows``; rows missing any literal cell are unusable.
-    """
-    rows = np.asarray(rows, dtype=int)
-    usable = np.ones(rows.shape, dtype=bool)
-    antecedent = np.ones(rows.shape)
-    for lit in formula.literals:
-        truth, present = literal_cells(lit, dataset, rows)
-        usable &= present
-        antecedent *= truth
-    return antecedent, usable
-
-
 def literal_cells(lit, dataset, rows):
     """A literal's 0/1 truth at ``rows`` and the mask of its present cells.
 
@@ -178,29 +162,6 @@ def literal_cells(lit, dataset, rows):
     return (1.0 - vals) if lit.negated else vals, ~dataset.missing(lit.feature)[rows]
 
 
-def formula_parts(formula, dataset, rows, label_column):
-    """Hard antecedent and consequent arrays aligned with ``rows``, plus the
-    usable mask: rows missing a literal or label cell are unusable."""
-    rows = np.asarray(rows, dtype=int)
-    antecedent, usable = antecedent_values(formula, dataset, rows)
-    usable &= ~dataset.missing(label_column)[rows]
-    consequent = match_class(dataset, rows, label_column, formula.consequent)
-    return antecedent, consequent, usable
-
-
-def exact_f1(antecedent, consequent):
-    """F1 along the last axis of hard 0/1 arrays; 0 on a zero denominator.
-
-    The antecedent is the predicted-positive set and the consequent the
-    actual-positive set: tp counts positions where both hold, so a position
-    that is 0 in both does not count. The counts are integers, so the F1
-    does not depend on the order of the positions.
-    """
-    predicted = antecedent == 1.0
-    return f1_from_counts((predicted & consequent).sum(-1), predicted.sum(-1),
-                          consequent.sum(-1))
-
-
 def f1_from_counts(tp, predicted, consequent):
     """F1 from integer counts of true positives, predicted positives and
     actual positives; 0 where there are neither predicted nor actual ones."""
@@ -210,12 +171,8 @@ def f1_from_counts(tp, predicted, consequent):
 def sigmoid(x):
     """Numerically stable logistic; exact at +-inf."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))  # exp(-x) at x >= 0, exp(x) below: never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def soften_scores(scores, temperature):
@@ -236,18 +193,17 @@ def soften_scores(scores, temperature):
 
 def soften_grad(scores, temperature):
     """``soften_scores`` of ``scores`` and its derivative d soft / d score,
-    element-wise. The derivative is 0 at saturated scores (exactly 0 or 1)."""
+    element-wise. The derivative is 0 at saturated scores (exactly 0 or 1)
+    and wherever c (1 - c) is 0, its limit for T < 1."""
     s = np.asarray(scores, dtype=float)
     c = soften_scores(s, temperature)
-    # chain through c = sigmoid(logit(s)/T). For T < 1 a subnormal score
-    # gives 0/0: NaN, without a warning, since callers soften whole score
-    # columns and drop the positions no rule uses
-    interior = (s > 0.0) & (s < 1.0)
-    dc_ds = np.zeros_like(s)
+    # chain through c = sigmoid(logit(s)/T). c (1 - c) is 0 at saturated
+    # scores, which soften_scores keeps exact, and at a subnormal score for
+    # T < 1, where T s (1 - s) is 0 too; the derivative is 0 there
+    spread = c * (1.0 - c)
     with np.errstate(invalid="ignore", divide="ignore"):
-        dc_ds[interior] = (c[interior] * (1.0 - c[interior])
-                           / (temperature * s[interior] * (1.0 - s[interior])))
-    return c, dc_ds
+        ratio = spread / (temperature * s * (1.0 - s))
+    return c, np.where(spread > 0.0, ratio, 0.0)
 
 
 def load_boxes(path) -> Dataset:

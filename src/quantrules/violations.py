@@ -18,8 +18,9 @@ import numpy as np
 
 from .dataset import sample_minibatches
 from .errors import EmptyStatisticError, ParseError, ResolutionError
-from .rule_eval import evaluate_rule, is_per_sample
-from .statistics import StatisticRegistry
+from .rule_eval import Cells, batch_values, score_logic_rules
+from .schema import LOGIC
+from .statistics import PER_SAMPLE, StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -61,27 +62,14 @@ class ViolationReport:
                 raise AssertionError(f"rule {sig}: count {v} outside [0, {n}]")
 
 
-def _scan_rule(crule, dataset, rows, registry, label_column, sample_counts):
-    """(violations, evaluations) of one rule on ``rows``: the whole table for
-    a per-sample rule, a (count, size) batch matrix for a minibatch rule. A
-    minibatch rule evaluates every position of each batch it applies to."""
-    ev = evaluate_rule(crule.rule, dataset, rows, label_column, registry,
-                       (crule.s1_lo, crule.s1_hi))
-    violated = ev.violated(crule.lo, crule.hi)
-    np.add.at(sample_counts, rows[violated], 1)
-    if ev.per_sample:
-        return int(violated.sum()), int(ev.mask.sum())
-    return int(violated.sum()), int(ev.valued.sum()) * rows.shape[-1]
-
-
 def evaluate(rules, test, batching=None, *, label_column=None, registry=None) -> ViolationReport:
     """Count violations of every rule over a test dataset.
 
     ``batching`` is (batch_size, count, seed) for minibatch rules; the
-    batch size acts as a fallback when a rule carries none. Rules whose
-    columns are absent are skipped with zero evaluations rather than
-    failing the run; their signatures are kept in the report's
-    ``unevaluable`` list.
+    batch size acts as a fallback when a rule carries none. Per-sample rules
+    are checked on every row, the others on each batch. Rules whose columns
+    are absent are skipped with zero evaluations rather than failing the
+    run; their signatures are kept in the report's ``unevaluable`` list.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(test)
@@ -89,24 +77,47 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
         label_column = test.label_column
     sample_counts = np.zeros(test.n_rows, dtype=np.int64)
     per_rule, unevaluable = [], []
+    everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
+    batch_sets = {}  # batch size -> (Cells of its batch matrix, LogicScores)
+    logic_row = {}  # position of a logic rule -> its row in its LogicScores
 
-    batch_cache = {}
+    def size_of(rule):
+        return rule.batch_size if rule.batch_size > 1 else None
 
-    def batches_for(size):
-        if size not in batch_cache:
+    def batch_set(size):
+        """A batch size's reader, and the scores of all its logic rules, made
+        when the first rule of that size is counted."""
+        if size not in batch_sets:
             if batching is None:
                 raise ValueError("minibatch rules need a (batch_size, count, seed) batching")
             fallback, count, seed = batching
-            batch_cache[size] = sample_minibatches(test, size or fallback, count, seed)
-        return batch_cache[size]
+            cells = Cells(test, sample_minibatches(test, size or fallback, count, seed),
+                          label_column, registry)
+            at = [i for i, c in enumerate(rules)
+                  if c.rule.kind == LOGIC and size_of(c.rule) == size]
+            logic_row.update((i, r) for r, i in enumerate(at))
+            batch_sets[size] = cells, (score_logic_rules(
+                [rules[i].rule for i in at], test, cells.rows, label_column) if at else None)
+        return batch_sets[size]
 
-    for crule in rules:
+    for i, crule in enumerate(rules):
+        rule, s1_interval = crule.rule, (crule.s1_lo, crule.s1_hi)
         try:
-            if is_per_sample(crule.rule, registry):
-                rows = np.arange(test.n_rows)
+            if rule.kind != LOGIC and registry.resolve(rule.statistic).arity == PER_SAMPLE:
+                _, values, mask = everywhere.applicable(rule, s1_interval)
+                violated = mask & ((values < crule.lo) | (values > crule.hi))
+                sample_counts += violated
+                v, n = int(violated.sum()), int(mask.sum())
             else:
-                rows = batches_for(crule.rule.batch_size if crule.rule.batch_size > 1 else None)
-            v, n = _scan_rule(crule, test, rows, registry, label_column, sample_counts)
+                cells, scores = batch_set(size_of(rule))
+                value, valued = (scores.rule(logic_row[i]) if rule.kind == LOGIC
+                                 else batch_values(*cells.applicable(rule, s1_interval)))
+                # a valued batch outside [lo, hi] (a NaN value is outside)
+                # charges a violation to each of its positions
+                outside = valued & ~((crule.lo <= value) & (value <= crule.hi))
+                np.add.at(sample_counts, cells.rows[outside], 1)
+                size = cells.rows.shape[-1]
+                v, n = int(outside.sum()) * size, int(valued.sum()) * size
         except (ResolutionError, EmptyStatisticError):
             v, n = 0, 0  # rule not evaluable on this dataset; recorded as skipped
             unevaluable.append(crule.signature)

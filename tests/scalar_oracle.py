@@ -1,14 +1,14 @@
 """Per-batch and per-rule scalar code, kept as the reference for the tests.
 
-The first part is the evaluation that ``rule_eval.evaluate_rule`` replaced
-when minibatches became one (count, size) row matrix: every function here
-takes one minibatch at a time, a 1-d row index array, and the loops over
-batches are Python loops. Cells are read through the package's leaf readers
-(``match_class``, ``sample_values_aligned``, ``formula_parts``), which act
-element-wise on a 1-d batch.
+The first part is the rule evaluation that ``rule_eval`` replaced when
+minibatches became one (count, size) row matrix: every function here takes
+one minibatch at a time, a 1-d row index array, reads each rule's cells on
+its own, and loops over batches in Python. Cells are read through the
+package's leaf readers (``match_class``, ``sample_values_aligned``,
+``literal_cells``), which act element-wise on a 1-d batch.
 
 The second part is the adaptation loss that ``adaptation.RuleGroups``
-replaced: one ``evaluate_rule`` call, one hinge and one surrogate F1 per
+replaced: one ``evaluate_batch`` call, one hinge and one surrogate F1 per
 rule, with the losses and d loss / d probs summed rule by rule.
 """
 import math
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantrules.errors import DivergenceError, EmptyStatisticError, ResolutionError
-from quantrules.rule_eval import evaluate_rule
 from quantrules.schema import LOGIC, PAIRED, rule_signature
 from quantrules.statistics import (PER_SAMPLE, Statistic, StatisticRegistry,
-                                   formula_parts, match_class,
+                                   literal_cells, match_class,
                                    sample_values_aligned, soften_scores)
 
 
@@ -49,6 +48,20 @@ def batch_value(stat, dataset, rows):
     if vals.size == 0:
         return None
     return float(vals.mean()) if stat.summary == "mean" else float(vals.std())
+
+
+def formula_parts(formula, dataset, rows, label_column):
+    """Hard antecedent and consequent of a logic rule on one batch, and the
+    usable mask: rows missing a literal or label cell are unusable."""
+    antecedent = np.ones(len(rows))
+    usable = np.ones(len(rows), dtype=bool)
+    for lit in formula.literals:
+        truth, present = literal_cells(lit, dataset, rows)
+        usable &= present
+        antecedent *= truth
+    usable &= ~dataset.missing(label_column)[rows]
+    consequent = match_class(dataset, rows, label_column, formula.consequent)
+    return antecedent, consequent, usable
 
 
 @dataclass(frozen=True)
@@ -203,8 +216,9 @@ def surrogate_f1_grad(antecedent, scores, temperature=1.0):
         return 0.0, np.zeros_like(s)
     value = 2.0 * tp / denom
     dvalue_dc = (2.0 * a - value) / denom
-    # chain through c = sigmoid(logit(s)/T); zero at saturated scores
-    interior = (s > 0.0) & (s < 1.0)
+    # chain through c = sigmoid(logit(s)/T); zero at saturated scores and
+    # where c (1 - c) is 0 (a subnormal score at T < 1)
+    interior = (s > 0.0) & (s < 1.0) & (c * (1.0 - c) != 0.0)
     dc_ds = np.zeros_like(s)
     dc_ds[interior] = (c[interior] * (1.0 - c[interior])
                        / (temperature * s[interior] * (1.0 - s[interior])))
@@ -221,11 +235,17 @@ def rule_loss_grad(crule, out, temperature, registry):
     """Loss of one rule on a batch, d loss / d probs (None when flat), and
     the rule's member-attributed violation count on the predicted labels."""
     rule = crule.rule
-    ev = evaluate_rule(rule, out, np.arange(out.n_rows), "pred", registry,
-                       (crule.s1_lo, crule.s1_hi))
-    violations = np.count_nonzero(ev.violated(crule.lo, crule.hi))
-    if not ev.mask.any():
-        return 0.0, None, violations
+    ev = evaluate_batch(rule, out, np.arange(out.n_rows), "pred", registry,
+                        (crule.s1_lo, crule.s1_hi))
+    if ev.per_sample:
+        violations = np.count_nonzero(
+            ev.mask & ((ev.samples < crule.lo) | (ev.samples > crule.hi)))
+        if not ev.mask.any():
+            return 0.0, None, violations
+    elif ev.value is None:
+        return 0.0, None, 0
+    else:
+        violations = 0 if crule.lo <= ev.value <= crule.hi else out.n_rows
 
     if rule.kind == LOGIC:
         j = out.model.class_names.index(rule.consequent)

@@ -9,6 +9,7 @@ import sys
 import time
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -18,13 +19,16 @@ from scalar_oracle import check_rule, surrogate_f1_grad
 from quantrules.adaptation import AdaptationConfig, adapt, forward_batch, grad_check
 from quantrules.bounds import BoundJob, Interval, compute_bounds, jaccard, \
     learn_and_select, percentile
-from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
+from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, load_table, sample_minibatches
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, \
     enumerate_abstract_rules, parse_schema
-from quantrules.statistics import antecedent_values
+from quantrules.statistics import literal_cells
 from quantrules.adaptation import total_loss_grad
 from quantrules.violations import evaluate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 INF = float("inf")
 
@@ -272,7 +276,7 @@ def test_c07_gradient_fidelity():
             lo=phi_mean + 0.05, hi=phi_mean + 0.45, delta=0.02)
         formula = AbstractRule(kind="logic", statistic="f1", consequent="b",
                                literals=(Literal("flag"),))
-        antecedent, _ = antecedent_values(formula, out, np.arange(n))
+        antecedent, _ = literal_cells(Literal("flag"), out, np.arange(n))
         phi_f1 = surrogate_f1_grad(antecedent, out.probs[:, 1], 1.0)[0]
         f1_rule = ConcreteRule(rule=formula, lo=phi_f1 + 0.05, hi=phi_f1 + 0.45,
                                delta=0.02)
@@ -286,60 +290,20 @@ def test_c07_gradient_fidelity():
 
 # -- 8. end-to-end violation reduction ---------------------------------------------------------
 
-FEATURES = 4
-SIGMA = 3.0
-SEPARATION = 0.6
-
-SHIFT_SCHEMA = """
-template conditional_statistic
-labels: *
-statistics: score_a score_b mean(score_a) mean(score_b) std(score_a)
-quantile: 0.98
-batch: 128
-
-template conditional_statistic
-labels: a b
-statistics: score_a score_b
-quantile: 0.98
-batch: 128
-
-template logic_implication
-labels: a b
-max_literals: 1
-literals: signed
-batch: 128
-"""
-
-
-def _shift_dataset(n, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    y = rng.random(n) < 0.5
-    X = rng.normal(0, SIGMA, (n, FEATURES)) + np.where(y[:, None],
-                                                       SEPARATION * SIGMA,
-                                                       -SEPARATION * SIGMA)
-    X = X * scale
-    cols = {f"x{j}": (NUMERIC, X[:, j]) for j in range(FEATURES)}
-    cols["b0"] = (BOOLEAN, (rng.random(n) < np.where(y, 0.75, 0.25)).astype(float))
-    cols["b1"] = (BOOLEAN, (rng.random(n) < np.where(y, 0.35, 0.65)).astype(float))
-    cols["label"] = (LABEL, np.where(y, "b", "a").astype(object))
-    return make_dataset(cols), X, y
-
-
-def test_c08_end_to_end_violation_reduction():
+def test_c08_end_to_end_violation_reduction(tmp_path):
+    """The benchmark's shift workspace: train/valid/test tables of a 2-class
+    Gaussian problem with test features scaled x3, and a softmax model fitted
+    on train, mined, counted and adapted through the library."""
     start = time.perf_counter()
-    train, Xtr, ytr = _shift_dataset(3000, seed=1)
-    valid, _, _ = _shift_dataset(2000, seed=51)
-    test_raw, _, _ = _shift_dataset(2000, seed=101, scale=3.0)
-
-    model = SoftmaxModel.standardized([f"x{j}" for j in range(FEATURES)],
-                                      ["a", "b"], Xtr)
-    model.fit(Xtr, ytr.astype(int), learning_rate=0.5, iterations=400,
-              weight_decay=0.5)
+    WORKLOADS["shift"].write(tmp_path, 1)
+    train, valid, test_raw = (load_table(tmp_path / f"{split}.csv")
+                              for split in ("train", "valid", "test"))
+    model = SoftmaxModel.load(tmp_path / "model.json")
 
     train_scored = train.with_columns(model.predict_columns(train))
     valid_scored = valid.with_columns(model.predict_columns(valid))
-    rules = enumerate_abstract_rules(parse_schema(SHIFT_SCHEMA),
-                                     train.boolean_columns(), train.sources)
+    schema = parse_schema((tmp_path / "schema.txt").read_text(encoding="utf-8"))
+    rules = enumerate_abstract_rules(schema, train.boolean_columns(), train.sources)
     selected = learn_and_select(
         rules, train_scored, valid_scored,
         BoundJob(n_train_batches=200, n_valid_batches=50, epsilon=0.2,

@@ -1,6 +1,7 @@
 """Batch-matrix rule evaluation and the logic-rule count kernel against the
 per-batch scalar code they replaced."""
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -15,9 +16,9 @@ from quantrules.bounds import (BoundJob, Interval, collect_statistics, compute_b
                                jaccard, learn_and_select)
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
 from quantrules.errors import EmptyStatisticError, QuantrulesError, TypeMismatchError
-from quantrules.rule_eval import evaluate_rule, score_logic_rules
+from quantrules.rule_eval import Cells, score_logic_rules
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, rule_signature
-from quantrules.statistics import StatisticRegistry
+from quantrules.statistics import StatisticRegistry, match_class, sample_values_aligned
 
 
 def random_dataset(rng, n):
@@ -40,49 +41,109 @@ def random_dataset(rng, n):
     }, missing=missing)
 
 
-def rule_shapes(s1_interval):
+# the classes of each class column: under "y" c is rare; the boolean column
+# A compares numbers, so "1" and "1.0" name the same class
+CLASSES = {"y": ("a", "b", "c"), "A": ("1", "0", "1.0")}
+
+
+def rule_shapes(s1_interval, classes=CLASSES["y"]):
     """Logic rules with plain and negated literals, per-sample and summary
-    rules, unguarded and guarded (c is rare), and paired rules; with the s1
-    interval each paired rule needs."""
+    rules, unguarded and guarded, and paired rules; with the s1 interval each
+    paired rule needs."""
+    a, b, c = classes
     rules = [AbstractRule(kind="logic", statistic="f1", consequent=cls, literals=lits)
-             for cls in ("a", "c")
+             for cls in (a, c)
              for lits in ((Literal("A"),), (Literal("A"), Literal("B", negated=True)))]
     rules += [AbstractRule(kind="conditional", guard=guard, statistic=stat)
-              for guard in (None, "b", "c") for stat in ("v", "mean(v)", "std(v)")]
-    rules += [AbstractRule(kind="paired", guard="a", statistic=stat, s1="u",
+              for guard in (None, b, c) for stat in ("v", "mean(v)", "std(v)")]
+    rules += [AbstractRule(kind="paired", guard=a, statistic=stat, s1="u",
                            s1_bucket=0, s1_bucket_count=2)
               for stat in ("v", "mean(v)")]
     return [(rule, s1_interval if rule.kind == "paired" else None) for rule in rules]
 
 
+def concrete(shapes, lo, hi):
+    return [ConcreteRule(rule=rule, lo=lo, hi=hi, delta=0.02,
+                         s1_lo=None if s1 is None else s1[0],
+                         s1_hi=None if s1 is None else s1[1])
+            for rule, s1 in shapes]
+
+
+# rules evaluate cannot evaluate: an unknown statistic and absent columns
+UNEVALUABLE = [(AbstractRule(kind="conditional", statistic="zz"), None),
+               (AbstractRule(kind="logic", statistic="f1", consequent="a",
+                             literals=(Literal("A"), Literal("Z"))), None),
+               (AbstractRule(kind="paired", statistic="v", s1="zz", s1_bucket=0,
+                             s1_bucket_count=2), (0.0, 1.0))]
+NUMERIC_LITERAL = (AbstractRule(kind="logic", statistic="f1", consequent="a",
+                                literals=(Literal("v"),)), None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 5),
        st.integers(1, 16), st.floats(-1.0, 1.0), st.floats(0.0, 1.5),
-       st.floats(0.0, 0.5), st.floats(0.0, 1.0))
+       st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.sampled_from(["y", "A"]))
 def test_batch_matrix_matches_per_batch_oracle(seed, n, count, size, lo, width,
-                                               s1_lo, s1_width):
+                                               s1_lo, s1_width, label_column):
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, n)
     registry = StatisticRegistry.from_dataset(ds)
     # rows repeat within and across batches; the last batch is row 0 alone
     rows = np.vstack([rng.integers(0, n, (count, size)), np.zeros((1, size), dtype=int)])
-    shapes = rule_shapes((s1_lo, s1_lo + s1_width))
+    shapes = rule_shapes((s1_lo, s1_lo + s1_width), CLASSES[label_column])
 
+    cells = Cells(ds, rows, label_column, registry)  # shared by every rule
     for rule, s1_interval in shapes:
-        got = collect_statistics(rule, ds, rows, registry, "y", s1_interval)
-        expect = oracle.collect_statistics(rule, ds, rows, registry, "y", s1_interval)
+        got = collect_statistics(rule, cells, s1_interval)
+        expect = oracle.collect_statistics(rule, ds, rows, registry, label_column,
+                                           s1_interval)
         assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), rule
 
-    crules = [ConcreteRule(rule=rule, lo=lo, hi=lo + width, delta=0.02,
-                           s1_lo=None if s1 is None else s1[0],
-                           s1_hi=None if s1 is None else s1[1])
-              for rule, s1 in shapes]
-    with mock.patch.object(violations, "sample_minibatches", lambda *args: rows):
+    # the rules that cannot be evaluated sit among the others
+    shapes[3:3] = UNEVALUABLE[:2]
+    shapes.append(UNEVALUABLE[2])
+    crules = concrete(shapes, lo, lo + width)
+    batched = mock.patch.object(violations, "sample_minibatches", lambda *args: rows)
+    with batched:
         report = violations.evaluate(crules, ds, batching=(size, count + 1, seed),
-                                     label_column="y", registry=registry)
-    per_rule, per_sample = oracle.evaluate_counts(crules, ds, rows, registry, "y")
+                                     label_column=label_column, registry=registry)
+    per_rule, per_sample = oracle.evaluate_counts(crules, ds, rows, registry, label_column)
     assert report.per_rule == per_rule
     assert report.per_sample.tolist() == per_sample
+    assert report.unevaluable == [crules[i].signature for i in (3, 4, len(crules) - 1)]
+
+    # a literal on a numeric column fails the count with the oracle's error
+    crules[5:5] = concrete([NUMERIC_LITERAL], lo, lo + width)
+    with pytest.raises(TypeMismatchError) as want:
+        oracle.evaluate_counts(crules, ds, rows, registry, label_column)
+    with batched, pytest.raises(TypeMismatchError, match=re.escape(str(want.value))):
+        violations.evaluate(crules, ds, batching=(size, count + 1, seed),
+                            label_column=label_column, registry=registry)
+
+
+def test_evaluate_reads_each_statistic_and_class_once():
+    """Counting reads each distinct statistic and guard class once per row
+    set, however many rules read it: once on the whole table for the
+    per-sample rules, once on the batch matrix for the summary rules."""
+    ds = random_dataset(np.random.default_rng(5), 30)
+    crules = concrete([shape for shape in rule_shapes((0.0, 0.5)) if shape[0].kind != "logic"],
+                      -0.5, 0.5)
+    stats, classes = Counter(), Counter()
+
+    def read_statistic(stat, dataset, rows):
+        stats[stat.name, np.shape(rows)] += 1
+        return sample_values_aligned(stat, dataset, rows)
+
+    def read_class(dataset, rows, column, cls):
+        classes[cls, np.shape(rows)] += 1
+        return match_class(dataset, rows, column, cls)
+
+    with mock.patch.object(rule_eval, "sample_values_aligned", read_statistic), \
+            mock.patch.object(rule_eval, "match_class", read_class):
+        violations.evaluate(crules, ds, batching=(4, 6, 0), label_column="y")
+    shapes = [(30,), (6, 4)]  # the whole table, the batch matrix
+    assert stats == {(name, shape): 1 for name in ("u", "v") for shape in shapes}
+    assert classes == {(cls, shape): 1 for cls in "abc" for shape in shapes}
 
 
 @settings(max_examples=50, deadline=None)
@@ -124,8 +185,8 @@ def logic_rule(literals, consequent):
 
 
 A, NOT_A = Literal("A"), Literal("A", negated=True)
-# a repeated literal, a literal and its negation, and rules evaluate_rule
-# rejects: a numeric literal, an absent column (named before the numeric
+# a repeated literal, a literal and its negation, and rules whose cells
+# cannot be read: a numeric literal, an absent column (named before the numeric
 # one), a literal error after a good literal, and, with the boolean class
 # column, a class that cannot be matched
 FIXED_RULES = [([A, A], "a"), ([A, NOT_A], "b"), ([NOT_A, A, A], "a"),
@@ -169,8 +230,6 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
         assert scores.valued[r].tolist() == [v is not None for v in batches], rule
         expect = np.array([0.0 if v is None else v for v in batches])
         assert scores.value[r].tobytes() == expect.tobytes(), rule
-        ev = evaluate_rule(rule, ds, rows, label_column, registry)
-        assert scores.value[r].tobytes() == ev.value.tobytes(), rule
         got = scores.collected(r)
         want = oracle.collect_statistics(rule, ds, rows, registry, label_column)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule
@@ -178,7 +237,7 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
 
 def select_alone(rules, train, valid, job, label_column, log):
     """``learn_and_select`` one rule at a time through ``compute_bounds`` and
-    ``jaccard``, each rule evaluated by ``evaluate_rule`` on its own."""
+    ``jaccard``, each rule read and scored on its own."""
     registry = StatisticRegistry.from_dataset(train)
     selected = []
     for rule in rules:
@@ -194,7 +253,8 @@ def select_alone(rules, train, valid, job, label_column, log):
             log.append({"event": "skipped", "signature": rule_signature(rule),
                         "reason": str(exc)})
             continue
-        pooled = np.concatenate([collect_statistics(rule, ds, rows, registry, label_column)
+        pooled = np.concatenate([collect_statistics(rule, Cells(ds, rows, label_column,
+                                                                registry))
                                  for ds, rows in sets])
         score = jaccard(t_int, v_int, Interval(float(pooled.min()), float(pooled.max())))
         if score <= 1.0 - job.epsilon:

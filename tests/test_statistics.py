@@ -10,10 +10,10 @@ from quantrules.bounds import compute_bounds
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
 from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
                                TypeMismatchError)
-from quantrules.rule_eval import evaluate_rule
+from quantrules.rule_eval import Cells, batch_values, score_logic_rules
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
-                                   load_boxes, soften_grad, soften_scores)
+                                   load_boxes, sigmoid, soften_grad, soften_scores)
 from scalar_oracle import surrogate_f1_grad
 
 
@@ -31,26 +31,29 @@ def formula(literals, consequent):
                         literals=tuple(literals), consequent=consequent)
 
 
-def evaluated(ds, statistic, rows, label_column=None, registry=None):
-    """A conditional rule on ``statistic`` evaluated on ``rows`` of ``ds``."""
-    rule = AbstractRule(kind="conditional", statistic=statistic)
-    return evaluate_rule(rule, ds, np.asarray(rows), label_column,
-                         registry or StatisticRegistry.from_dataset(ds))
+def evaluated(ds, statistic, rows, registry=None):
+    """A conditional rule on ``statistic`` at ``rows`` of ``ds``: (statistic,
+    values, applicability mask)."""
+    cells = Cells(ds, rows, None, registry or StatisticRegistry.from_dataset(ds))
+    return cells.applicable(AbstractRule(kind="conditional", statistic=statistic))
+
+
+def summarized(ds, statistic, rows):
+    """(value, valued) of a summary rule on each batch of ``rows``."""
+    return batch_values(*evaluated(ds, statistic, rows))
 
 
 def f1_of(rule, ds, n, label_column):
-    ev = evaluate_rule(rule, ds, np.arange(n), label_column,
-                       StatisticRegistry.from_dataset(ds))
-    assert ev.valued
-    return float(ev.value)
+    (value,) = score_logic_rules([rule], ds, np.arange(n)[None], label_column).collected(0)
+    return float(value)
 
 
 # -- box geometry ----------------------------------------------------------------
 
 def test_aspect_ratio_is_width_over_height():
     ds = box_dataset([(0, 0, 10, 20)])
-    ev = evaluated(ds, "aspect_ratio", [0])
-    assert ev.samples[ev.mask].tolist() == [0.5]
+    _, values, mask = evaluated(ds, "aspect_ratio", [0])
+    assert values[mask].tolist() == [0.5]
 
 
 def test_box_statistics_coordinate_arithmetic():
@@ -59,30 +62,31 @@ def test_box_statistics_coordinate_arithmetic():
     expected = {"width": 4.0, "height": 6.0, "aspect_ratio": 4.0 / 6.0,
                 "area": 24.0, "center_x": 4.0, "bottom_y": 9.0}
     for name, want in expected.items():
-        ev = evaluated(ds, name, [0])
-        assert ev.samples[ev.mask].tolist() == [want], name
+        _, values, mask = evaluated(ds, name, [0])
+        assert values[mask].tolist() == [want], name
 
 
 def test_batch_mean_summary():
     ds = make_dataset({"c": (NUMERIC, [1.0, 2.0, 3.0])})
-    ev = evaluated(ds, "mean(c)", [0, 1, 2])
-    assert ev.valued and ev.value == 2.0
+    value, valued = summarized(ds, "mean(c)", [[0, 1, 2]])
+    assert valued.tolist() == [True] and value.tolist() == [2.0]
 
 
 def test_missing_rows_are_skipped():
     ds = make_dataset({"c": (NUMERIC, [1.0, 0.0, 3.0])},
                       missing={"c": [False, True, False]})
-    ev = evaluated(ds, "c", [0, 1, 2])
-    assert ev.samples[ev.mask].tolist() == [1.0, 3.0]
-    ev = evaluated(ds, "mean(c)", [0, 1, 2])
-    assert ev.mask.tolist() == [True, False, True] and ev.value == 2.0
+    _, values, mask = evaluated(ds, "c", [0, 1, 2])
+    assert values[mask].tolist() == [1.0, 3.0]
+    _, _, mask = evaluated(ds, "mean(c)", [0, 1, 2])
+    assert mask.tolist() == [True, False, True]
+    assert summarized(ds, "mean(c)", [[0, 1, 2]])[0].tolist() == [2.0]
 
 
 def test_all_missing_raises_empty_statistic():
     ds = make_dataset({"c": (NUMERIC, [0.0, 0.0])}, missing={"c": [True, True]})
     for name in ("c", "mean(c)"):
-        ev = evaluated(ds, name, [0, 1])
-        assert not ev.mask.any() and not ev.valued, name
+        _, _, mask = evaluated(ds, name, [0, 1])
+        assert not mask.any(), name
         with pytest.raises(EmptyStatisticError):
             compute_bounds(AbstractRule(kind="conditional", statistic=name), ds, [[0, 1]])
 
@@ -110,7 +114,7 @@ def test_lifted_summaries_are_permutation_invariant(values, rnd):
     shuffled = rows[:]
     rnd.shuffle(shuffled)
     for name in (f"mean(c)", f"std(c)"):
-        a, b = evaluated(ds, name, [rows, shuffled]).value  # one batch each
+        a, b = summarized(ds, name, [rows, shuffled])[0]  # one batch each
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -231,6 +235,20 @@ def test_surrogate_gradient_matches_finite_differences(n, seed, temperature):
         fd = (surrogate_f1_grad(a, up, temperature)[0] - surrogate_f1_grad(a, dn, temperature)[0]) / (2 * h)
         ref = max(abs(grad[i]), abs(fd), 1e-8)
         assert abs(grad[i] - fd) / ref < 1e-4
+
+
+def test_sigmoid_equals_the_branchwise_formula():
+    """1 / (1 + e^-x) at x >= 0 and e^x / (1 + e^x) below, bit for bit, each
+    branch evaluated on its own positions."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(0.0, scale, 300) for scale in (1.0, 30.0, 1000.0)]
+                       + [[0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 5e-324, -5e-324]])
+    expect = np.empty_like(x)
+    pos = x >= 0
+    expect[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expect[~pos] = ex / (1.0 + ex)
+    assert sigmoid(x).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
 from quantrules.errors import ParseError
-from quantrules.rule_eval import evaluate_rule
+from quantrules.rule_eval import Cells
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
 from quantrules.statistics import StatisticRegistry
 from quantrules.violations import (ViolationReport, evaluate, read_report,
@@ -54,10 +54,10 @@ def test_check_outside_upper_bound_violated():
 def test_check_outside_upper_bound_carries_value():
     ds = box_ds([5.0])
     rule = aspect_rule()
-    ev = evaluate_rule(rule.rule, ds, np.array([0]), "label",
-                       StatisticRegistry.from_dataset(ds))
-    assert ev.violated(rule.lo, rule.hi).tolist() == [True]
-    assert ev.samples[0] == 5.0
+    cells = Cells(ds, np.array([0]), "label", StatisticRegistry.from_dataset(ds))
+    _, values, mask = cells.applicable(rule.rule)
+    assert mask.tolist() == [True] and values.tolist() == [5.0]
+    assert not rule.lo <= values[0] <= rule.hi
 
 
 def test_check_boundary_value_satisfied():
