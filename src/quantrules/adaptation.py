@@ -9,10 +9,15 @@ consequent probabilities. The adaptation loop repeatedly samples a test
 batch, averages the loss over all rules, and takes one gradient step on
 the normalization parameters whenever the loss is positive.
 
-``RuleGroups`` splits the rules once per run into three groups: per-sample
-rules (conditional and paired rules on a per-sample statistic), summary
-rules (mean and std) and logic rules. Every cell that reads only data
-columns is read once, on the whole test table, by the rule reader
+``forward_batch`` records one batch's output as a ``BatchView``: its rows
+of the test table, the model's probabilities and the cache for the
+backward pass. No batch table is built. ``RuleGroups`` reads everything
+else once per run. It rejects a test table that already holds a model
+output column, resolves the rules' statistics from the table's columns
+and the model's outputs, and splits the rules into three groups:
+per-sample rules (conditional and paired rules on a per-sample statistic),
+summary rules (mean and std) and logic rules. Every cell that reads only
+data columns is read once, on the whole test table, by the rule reader
 ``rule_eval.Cells``: literal truth and presence, data-column and
 box-statistic values and their missing masks, which also serve as paired
 rules' s1 values. They are stored per distinct literal or statistic, not
@@ -61,10 +66,15 @@ class AdaptationConfig:
             raise ValueError("iterations must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        # comparisons, not math.isfinite, so NaN fails and no int overflows
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be a number in [0, inf), "
+                             f"got {self.learning_rate!r}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be a number in (0, inf), "
+                             f"got {self.temperature!r}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be a number > 0, got {self.grad_clip!r}")
 
 
 @dataclass(frozen=True)
@@ -75,48 +85,15 @@ class TraceRow:
     update_norm: float
 
 
+@dataclass(frozen=True, eq=False)
 class BatchView:
-    """A model's output on ``rows`` of ``table``, read like a ``Dataset``: the
-    table's columns at ``rows``, then ``model.output_columns(probs)``, which the
-    table must not have. ``probs`` and ``cache`` feed ``model.backward``."""
+    """One batch's output: ``model``'s probabilities ``probs`` on ``rows`` of
+    the table it read, and the ``cache`` that ``model.backward`` takes."""
 
-    def __init__(self, model, table, rows, probs, cache):
-        self.model, self.probs, self.cache = model, probs, cache
-        self.rows = rows
-        self.n_rows = len(rows)
-        self._table = table
-        model.check_outputs_absent(table)
-        self._output_cols = None
-
-    @property
-    def _outputs(self):
-        # built on first read: the loss reads probs, not these columns
-        if self._output_cols is None:
-            self._output_cols = {name: (kind, vals) for name, kind, vals
-                                 in self.model.output_columns(self.probs)}
-        return self._output_cols
-
-    @property
-    def names(self):
-        return self._table.names + list(self._outputs)
-
-    def has_column(self, name) -> bool:
-        return name in self._outputs or self._table.has_column(name)
-
-    def kind(self, name) -> str:
-        if name in self._outputs:
-            return self._outputs[name][0]
-        return self._table.kind(name)
-
-    def values(self, name) -> np.ndarray:
-        if name in self._outputs:
-            return self._outputs[name][1]
-        return self._table.values(name)[self.rows]
-
-    def missing(self, name) -> np.ndarray:
-        if name in self._outputs:
-            return np.zeros(self.n_rows, dtype=bool)
-        return self._table.missing(name)[self.rows]
+    model: object
+    rows: np.ndarray
+    probs: np.ndarray
+    cache: dict
 
 
 def iterations_for_epochs(epochs, n_rows, batch_size) -> int:
@@ -125,11 +102,13 @@ def iterations_for_epochs(epochs, n_rows, batch_size) -> int:
 
 
 def forward_batch(model, table, rows) -> BatchView:
+    """``model``'s output on ``rows`` of ``table``; raises DivergenceError if a
+    probability is not finite."""
     rows = np.asarray(rows, dtype=int)
     probs, cache = model.forward(model.feature_matrix(table, rows))
     if not np.isfinite(probs).all():
         raise DivergenceError("model produced non-finite output probabilities")
-    return BatchView(model, table, rows, probs, cache)
+    return BatchView(model, rows, probs, cache)
 
 
 def hinge(values, lo, hi, clip=LOSS_CLIP):
@@ -178,21 +157,23 @@ class RuleGroups:
     """The rules of one adapt run or gradient check, split into three groups,
     with every data-only cell read once at all rows of ``table``.
 
-    ``table`` supplies the data columns; the model output columns
-    (``score_<class>`` and ``pred``) come from each batch's probabilities,
-    even where ``table`` holds columns of those names. ``registry`` resolves
-    the rules' statistics; by default it is built from ``table``'s columns
-    and the model's. A rule that cannot be evaluated on these columns raises
-    ResolutionError naming the rule and the reason.
+    ``table`` supplies the data columns and must not hold a model output
+    column (``score_<class>`` or ``pred``): those come from each batch's
+    probabilities. ``table``'s columns and the model's outputs resolve the
+    rules' statistics. Raises ValueError, naming ``table``'s file and the
+    column, for a model output column in ``table``, and ResolutionError,
+    naming the rule and the reason, for a rule that cannot be evaluated on
+    these columns.
     """
 
-    def __init__(self, rules, model, table, registry=None):
+    def __init__(self, rules, model, table):
         if not rules:
             raise ValueError("the adaptation loss needs at least one rule")
-        if registry is None:  # names and kinds only: a view of no rows
-            no_rows = np.arange(0)
-            registry = StatisticRegistry.from_dataset(BatchView(
-                model, table, no_rows, np.zeros((0, len(model.class_names))), None))
+        model.check_outputs_absent(table)
+        # names and kinds only: the table's columns and the outputs, no rows
+        no_rows = table.take(np.arange(0)).with_columns(
+            model.output_columns(np.zeros((0, len(model.class_names)))))
+        registry = StatisticRegistry.from_dataset(no_rows)
         self.rules = list(rules)
         self._classes = list(model.class_names)
         self._scores = {model.score_column(c): j for j, c in enumerate(self._classes)}
@@ -277,10 +258,10 @@ class RuleGroups:
 
     # -- one batch ---------------------------------------------------------------
 
-    def loss_grad(self, out, rows, temperature):
+    def loss_grad(self, out, temperature):
         """(mean loss, d loss / d scale, d loss / d shift, batch violations) of
-        the batch output ``out`` on ``rows`` of the table the groups read."""
-        probs = out.probs
+        the batch output ``out`` on ``out.rows`` of the table the groups read."""
+        probs, rows = out.probs, out.rows
         pred = probs.argmax(axis=1)
         # score columns are always present
         pool, present = probs.T, np.ones((probs.shape[1], 1), dtype=bool)
@@ -431,19 +412,11 @@ class RuleGroups:
         return violations
 
 
-def total_loss_grad(rules, batch_output, temperature=1.0, groups=None):
-    """(mean loss, d loss / d scale, d loss / d shift, batch violations) over
-    all rules; the violations are member-attributed, as in ``evaluate``.
-
-    ``groups`` are the rules' ``RuleGroups`` on the table ``batch_output``
-    was read from, at its ``rows``. By default they are built from
-    ``batch_output``'s own columns.
-    """
-    if groups is None:
-        groups = RuleGroups(rules, batch_output.model, batch_output,
-                            StatisticRegistry.from_dataset(batch_output))
-        return groups.loss_grad(batch_output, np.arange(batch_output.n_rows), temperature)
-    return groups.loss_grad(batch_output, batch_output.rows, temperature)
+def total_loss_grad(groups, out, temperature=1.0):
+    """(mean loss, d loss / d scale, d loss / d shift, batch violations) of the
+    rule groups ``groups`` on the batch output ``out`` of their table; the
+    violations are member-attributed, as in ``evaluate``."""
+    return groups.loss_grad(out, temperature)
 
 
 def adapt(model, rules, test, config: AdaptationConfig, groups=None):
@@ -453,9 +426,9 @@ def adapt(model, rules, test, config: AdaptationConfig, groups=None):
     the model's current outputs, and descends on (scale, shift) only when
     the loss is positive; the frozen linear layer is untouched. Raises
     DivergenceError with the partial trace if the loss or gradient goes
-    non-finite, and ValueError if ``test`` already has a model output column.
-    ``groups`` are the rules' ``RuleGroups`` on ``test``; built here by
-    default, raising ResolutionError for a rule that cannot be evaluated.
+    non-finite. ``groups`` are the rules' ``RuleGroups`` on ``test``; built
+    here by default, raising ValueError if ``test`` already has a model
+    output column and ResolutionError for a rule that cannot be evaluated.
     """
     if groups is None:
         groups = RuleGroups(rules, model, test)
@@ -470,7 +443,7 @@ def adapt(model, rules, test, config: AdaptationConfig, groups=None):
         try:
             out = forward_batch(work, test, rows)
             loss, dscale, dshift, violations = total_loss_grad(
-                rules, out, config.temperature, groups)
+                groups, out, config.temperature)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), trace=trace)
         if not math.isfinite(loss):
@@ -509,9 +482,9 @@ def grad_check(model, rules, dataset, rows, step=1e-5, temperature=1.0) -> float
     if not 0.0 < step <= 1e-2:
         raise ValueError(f"step must lie in (0, 1e-2], got {step}")
     rows = checked_rows(dataset, rows)
-    out = forward_batch(model, dataset, rows)
     groups = RuleGroups(rules, model, dataset)
-    loss0, dscale, dshift, _ = total_loss_grad(rules, out, temperature, groups)
+    loss0, dscale, dshift, _ = total_loss_grad(
+        groups, forward_batch(model, dataset, rows), temperature)
     if loss0 <= 0.0:
         raise ValueError("grad_check needs a batch with positive total loss")
     analytic = np.concatenate([dscale, dshift])
@@ -519,8 +492,8 @@ def grad_check(model, rules, dataset, rows, step=1e-5, temperature=1.0) -> float
     def loss_at(scale, shift):
         probe = model.copy()
         probe.scale, probe.shift = scale, shift
-        probed = forward_batch(probe, dataset, rows)
-        return total_loss_grad(rules, probed, temperature, groups)[0]
+        return total_loss_grad(groups, forward_batch(probe, dataset, rows),
+                               temperature)[0]
 
     d = len(model.feature_names)
     numeric = np.zeros(2 * d)

@@ -8,6 +8,7 @@ oriented ``key=value`` so scripts can scrape counts. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -42,12 +43,22 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# value kinds of config keys; a trailing "?" also accepts null (unset)
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+# value kinds of config keys; a trailing "?" also accepts null (unset). The
+# ranges are comparisons, so NaN is out of every range and no int overflows.
 _VALUE_KINDS = {
     "int": (_is_int, "an integer"),
-    "number": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "number": (_is_number, "a number"),
+    "rate": (lambda v: _is_number(v) and 0 <= v < math.inf, "a number in [0, inf)"),
+    "positive": (lambda v: _is_number(v) and 0 < v < math.inf, "a number in (0, inf)"),
+    "clip": (lambda v: _is_number(v) and v > 0, "a number > 0"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "ints": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "ints": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)),
+             "a list of integers with at least one entry"),
     "list": (lambda v: isinstance(v, list), "a list"),
 }
 
@@ -56,17 +67,17 @@ _CONFIG_KEYS = {
     "data": {"train": "str", "valid": "str", "test": "str", "label_column": "str",
              "prediction_column": "str", "features": "list?"},
     "mine": {"schema": "str", "rules_out": "str", "model_in": "str?",
-             "n_train_batches": "int", "n_valid_batches": "int", "batch_size": "int?",
+             "n_train_batches": "count", "n_valid_batches": "count", "batch_size": "count?",
              "delta": "number?", "epsilon": "number", "seed": "int", "valid_seed": "int",
              "log_out": "str?"},
     "evaluate": {"rules": "str", "report_out": "str", "model_in": "str?",
-                 "batch_size": "int", "n_batches": "int", "seed": "int", "seeds": "ints?",
+                 "batch_size": "count", "n_batches": "count", "seed": "int", "seeds": "ints?",
                  "log_out": "str?"},
     "adapt": {"rules": "str", "model_in": "str", "model_out": "str?", "trace_out": "str?",
-              "report_before": "str?", "report_after": "str?", "iterations": "int",
-              "epochs": "int", "batch_size": "int", "learning_rate": "number",
-              "seed": "int", "grad_clip": "number?", "temperature": "number",
-              "eval_batch_size": "int", "eval_n_batches": "int", "log_out": "str?"},
+              "report_before": "str?", "report_after": "str?", "iterations": "count",
+              "epochs": "count", "batch_size": "count", "learning_rate": "rate",
+              "seed": "int", "grad_clip": "clip?", "temperature": "positive",
+              "eval_batch_size": "count", "eval_n_batches": "count", "log_out": "str?"},
 }
 _FEATURE_KEYS = {"column": "str", "buckets": "int?"}
 # the keys each command needs, by section; a config without one fails before any work
@@ -196,11 +207,8 @@ def cmd_evaluate(cfg, args) -> int:
     if not test.has_column(label_column):
         label_column = data_cfg.get("label_column", test.label_column)
 
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
-    else:
-        seeds = eval_cfg.get("seeds") or [args.seed if args.seed is not None
-                                          else eval_cfg.get("seed", 0)]
+    seeds = args.seeds or eval_cfg.get("seeds") or [
+        args.seed if args.seed is not None else eval_cfg.get("seed", 0)]
     batch = eval_cfg.get("batch_size", 256)
     count = eval_cfg.get("n_batches", 50)
 
@@ -317,6 +325,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _seed_list(text):
+    """The ``--seeds`` value: comma-separated integers."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="quantrules",
                                      description=__doc__.splitlines()[0])
@@ -325,7 +342,7 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--seeds", default=None,
+        p.add_argument("--seeds", type=_seed_list, default=None,
                        help="comma-separated seed list (evaluate only)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     p = sub.add_parser("report")

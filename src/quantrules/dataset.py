@@ -89,8 +89,10 @@ class Dataset:
             if kind == NUMERIC and not np.isfinite(arr[present]).all():
                 raise ValueError(f"non-finite value in numeric column {name!r}")
             if kind == BOOLEAN:
-                ok = np.isin(arr[present], (0.0, 1.0))
-                if not ok.all():
+                # not np.isin, which on a column of no rows sorts through
+                # np.unique and so imports numpy.ma, about 1 MB
+                cells = arr[present]
+                if not ((cells == 0.0) | (cells == 1.0)).all():
                     raise ValueError(f"boolean column {name!r} contains values outside {{0, 1}}")
             self._values[name] = arr
         self.n_rows = n_rows if n_rows is not None else 0

@@ -9,7 +9,9 @@ package's leaf readers (``match_class``, ``sample_values_aligned``,
 
 The second part is the adaptation loss that ``adaptation.RuleGroups``
 replaced: one ``evaluate_batch`` call, one hinge and one surrogate F1 per
-rule, with the losses and d loss / d probs summed rule by rule.
+rule, with the losses and d loss / d probs summed rule by rule. It reads
+the cells of a batch table, ``batch_table``: the batch rows of the table
+with the model's output columns appended.
 """
 import math
 from dataclasses import dataclass
@@ -231,11 +233,18 @@ def _check_finite(value, rule):
             f"rule {rule_signature(rule)}: non-finite statistic value {value}")
 
 
-def rule_loss_grad(crule, out, temperature, registry):
-    """Loss of one rule on a batch, d loss / d probs (None when flat), and
-    the rule's member-attributed violation count on the predicted labels."""
+def batch_table(table, out):
+    """The rows of ``table`` that the batch output ``out`` read, with the
+    model's output columns (``score_<class>`` and ``pred``) appended."""
+    return table.take(out.rows).with_columns(out.model.output_columns(out.probs))
+
+
+def rule_loss_grad(crule, batch, out, temperature, registry):
+    """Loss of one rule on the batch table ``batch`` of the batch output
+    ``out``, d loss / d probs (None when flat), and the rule's
+    member-attributed violation count on the predicted labels."""
     rule = crule.rule
-    ev = evaluate_batch(rule, out, np.arange(out.n_rows), "pred", registry,
+    ev = evaluate_batch(rule, batch, np.arange(batch.n_rows), "pred", registry,
                         (crule.s1_lo, crule.s1_hi))
     if ev.per_sample:
         violations = np.count_nonzero(
@@ -245,7 +254,7 @@ def rule_loss_grad(crule, out, temperature, registry):
     elif ev.value is None:
         return 0.0, None, 0
     else:
-        violations = 0 if crule.lo <= ev.value <= crule.hi else out.n_rows
+        violations = 0 if crule.lo <= ev.value <= crule.hi else batch.n_rows
 
     if rule.kind == LOGIC:
         j = out.model.class_names.index(rule.consequent)
@@ -282,25 +291,26 @@ def rule_loss_grad(crule, out, temperature, registry):
     return float(loss), dprobs, violations
 
 
-def total_loss_grad(rules, batch_output, temperature=1.0, registry=None):
+def total_loss_grad(rules, table, out, temperature=1.0):
     """(mean loss, d loss / d scale, d loss / d shift, batch violations) over
-    all rules, one ``rule_loss_grad`` per rule."""
+    all rules on the batch output ``out`` of ``table``, one ``rule_loss_grad``
+    per rule."""
     if not rules:
         raise ValueError("total_loss_grad needs at least one rule")
-    if registry is None:
-        registry = StatisticRegistry.from_dataset(batch_output)
+    batch = batch_table(table, out)
+    registry = StatisticRegistry.from_dataset(batch)
     total = 0.0
     violations = 0
     dprobs_sum = None
     for crule in rules:
-        loss, dprobs, count = rule_loss_grad(crule, batch_output, temperature, registry)
+        loss, dprobs, count = rule_loss_grad(crule, batch, out, temperature, registry)
         total += loss
         violations += count
         if dprobs is not None:
             dprobs_sum = dprobs if dprobs_sum is None else dprobs_sum + dprobs
     n = len(rules)
     if dprobs_sum is None:
-        d = len(batch_output.model.feature_names)
+        d = len(out.model.feature_names)
         return total / n, np.zeros(d), np.zeros(d), violations
-    dscale, dshift = batch_output.model.backward(batch_output.cache, dprobs_sum / n)
+    dscale, dshift = out.model.backward(out.cache, dprobs_sum / n)
     return total / n, dscale, dshift, violations

@@ -15,8 +15,9 @@ import numpy as np
 import yaml
 
 from conftest import make_dataset
-from scalar_oracle import check_rule, surrogate_f1_grad
-from quantrules.adaptation import AdaptationConfig, adapt, forward_batch, grad_check
+from scalar_oracle import batch_table, check_rule, surrogate_f1_grad
+from quantrules.adaptation import AdaptationConfig, RuleGroups, adapt, forward_batch, \
+    grad_check, total_loss_grad
 from quantrules.bounds import BoundJob, Interval, compute_bounds, jaccard, \
     learn_and_select, percentile
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, load_table, sample_minibatches
@@ -24,7 +25,6 @@ from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, \
     enumerate_abstract_rules, parse_schema
 from quantrules.statistics import literal_cells
-from quantrules.adaptation import total_loss_grad
 from quantrules.violations import evaluate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -186,7 +186,13 @@ def _const_output(value):
     ds = make_dataset({"x0": (NUMERIC, [0.0]), "v": (NUMERIC, [value])})
     model = SoftmaxModel(["x0"], ["a", "b"], np.ones(1), np.zeros(1),
                          np.zeros((1, 2)), np.zeros(2))
-    return forward_batch(model, ds, [0])
+    return ds, forward_batch(model, ds, [0])
+
+
+def _loss(rules, batch):
+    """The loss of ``rules`` on ``batch``, a (table, batch output) pair."""
+    table, out = batch
+    return total_loss_grad(RuleGroups(rules, out.model, table), out)
 
 
 def _saturated_setup(seed):
@@ -226,13 +232,13 @@ def _random_rule(rng, out):
 
 
 def test_c06_loss_arithmetic():
-    assert total_loss_grad([ConcreteRule(
+    assert _loss([ConcreteRule(
         rule=AbstractRule(kind="conditional", statistic="v"),
         lo=0.0, hi=2.0, delta=0.02)], _const_output(0.5))[0] == 0.0
-    assert total_loss_grad([ConcreteRule(
+    assert _loss([ConcreteRule(
         rule=AbstractRule(kind="conditional", sided="lower", statistic="v"),
         lo=2.0, hi=INF, delta=0.02)], _const_output(1.5))[0] == 0.5
-    assert total_loss_grad([ConcreteRule(
+    assert _loss([ConcreteRule(
         rule=AbstractRule(kind="conditional", statistic="v"),
         lo=0.0, hi=1.0, delta=0.02)], _const_output(1.5))[0] == 0.75
 
@@ -241,8 +247,8 @@ def test_c06_loss_arithmetic():
     for trial in range(1000):
         ds, model, out = _saturated_setup(seed=trial % 25)
         crule = _random_rule(rng, out)
-        loss = total_loss_grad([crule], out)[0]
-        result = check_rule(crule, out, np.arange(out.n_rows),
+        loss = _loss([crule], (ds, out))[0]
+        result = check_rule(crule, batch_table(ds, out), np.arange(len(out.rows)),
                             label_column="pred")
         satisfied = not (result.evaluated and result.violated)
         assert (loss == 0.0) == satisfied, (crule.signature, loss, result)
@@ -276,7 +282,7 @@ def test_c07_gradient_fidelity():
             lo=phi_mean + 0.05, hi=phi_mean + 0.45, delta=0.02)
         formula = AbstractRule(kind="logic", statistic="f1", consequent="b",
                                literals=(Literal("flag"),))
-        antecedent, _ = literal_cells(Literal("flag"), out, np.arange(n))
+        antecedent, _ = literal_cells(Literal("flag"), batch_table(ds, out), np.arange(n))
         phi_f1 = surrogate_f1_grad(antecedent, out.probs[:, 1], 1.0)[0]
         f1_rule = ConcreteRule(rule=formula, lo=phi_f1 + 0.05, hi=phi_f1 + 0.45,
                                delta=0.02)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from scalar_oracle import check_rule
+from scalar_oracle import batch_table, check_rule
 from scalar_oracle import total_loss_grad as oracle_loss_grad
 from quantrules.adaptation import (AdaptationConfig, RuleGroups, adapt, forward_batch,
                                    grad_check, hinge, iterations_for_epochs,
@@ -43,51 +43,57 @@ def data_rule(lo, hi, sided="two", column="v"):
                         lo=lo, hi=hi, delta=0.02)
 
 
+def loss_grad(rules, table, out, temperature=1.0):
+    """The loss of ``rules`` on the batch output ``out`` of ``table``."""
+    return total_loss_grad(RuleGroups(rules, out.model, table), out, temperature)
+
+
 def const_output(value):
-    """Batch output whose data column v is a single constant value."""
+    """A table whose data column v is a single constant value, and the batch
+    output on its one row."""
     ds = make_dataset({"x0": (NUMERIC, [0.0]), "x1": (NUMERIC, [0.0]),
                        "v": (NUMERIC, [value])})
     model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
                          np.zeros((2, 2)), np.zeros(2))
-    return forward_batch(model, ds, [0])
+    return ds, forward_batch(model, ds, [0])
 
 
 # -- loss arithmetic -------------------------------------------------------------
 
 def test_loss_zero_when_satisfied():
-    out = const_output(0.5)
-    assert total_loss_grad([data_rule(0.0, 1.0)], out)[0] == 0.0
+    batch = const_output(0.5)
+    assert loss_grad([data_rule(0.0, 1.0)], *batch)[0] == 0.0
 
 
 def test_one_sided_linear_loss():
     # lower bound 2, value 1.5 -> min{2 - 1.5, 1} = 0.5
-    out = const_output(1.5)
-    assert total_loss_grad([data_rule(2.0, INF, sided="lower")], out)[0] == 0.5
+    batch = const_output(1.5)
+    assert loss_grad([data_rule(2.0, INF, sided="lower")], *batch)[0] == 0.5
 
 
 def test_two_sided_quadratic_loss():
     # bounds [0, 1], value 1.5 -> min{(0 - 1.5)(1 - 1.5), 1} = 0.75
-    out = const_output(1.5)
-    assert total_loss_grad([data_rule(0.0, 1.0)], out)[0] == 0.75
+    batch = const_output(1.5)
+    assert loss_grad([data_rule(0.0, 1.0)], *batch)[0] == 0.75
 
 
 def test_loss_clips_at_one():
-    out = const_output(100.0)
-    assert total_loss_grad([data_rule(0.0, 1.0)], out)[0] == 1.0
-    assert total_loss_grad([data_rule(200.0, INF, sided="lower")], out)[0] == 1.0
+    batch = const_output(100.0)
+    assert loss_grad([data_rule(0.0, 1.0)], *batch)[0] == 1.0
+    assert loss_grad([data_rule(200.0, INF, sided="lower")], *batch)[0] == 1.0
 
 
 def test_total_loss_is_mean():
-    out = const_output(1.5)
+    batch = const_output(1.5)
     half = data_rule(2.0, INF, sided="lower")   # loss 0.5
     ok = data_rule(0.0, 2.0)                    # loss 0
-    assert total_loss_grad([half, ok], out)[0] == 0.25
-    assert total_loss_grad([half] * 7, out)[0] == pytest.approx(0.5)
+    assert loss_grad([half, ok], *batch)[0] == 0.25
+    assert loss_grad([half] * 7, *batch)[0] == pytest.approx(0.5)
 
 
 def test_total_loss_rejects_empty_rule_list():
     with pytest.raises(ValueError):
-        total_loss_grad([], const_output(0.5))
+        loss_grad([], *const_output(0.5))
 
 
 def test_hinge_slope_signs():
@@ -159,8 +165,8 @@ def test_loss_zero_iff_check_satisfied_randomized():
         lo = rng.uniform(-0.5, 1.0)
         hi = lo + rng.uniform(0.05, 1.0)
         rule = data_rule(lo, hi)
-        loss = total_loss_grad([rule], out)[0]
-        result = check_rule(rule, out, np.arange(32), label_column="pred")
+        loss = loss_grad([rule], ds, out)[0]
+        result = check_rule(rule, batch_table(ds, out), np.arange(32), label_column="pred")
         assert (loss == 0.0) == (result.evaluated and not result.violated)
 
 
@@ -214,16 +220,17 @@ def test_in_pass_violations_match_check_rule_recount(seed, size, lo, width, s1_l
     rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
     out = forward_batch(model, ds, rows)
     rules = recount_rules(lo, lo + width, s1_lo, s1_lo + s1_width)
-    _, _, _, violations = total_loss_grad(rules, out)
+    _, _, _, violations = loss_grad(rules, ds, out)
 
+    batch = batch_table(ds, out)
     recount = 0
     for crule in rules:
         if crule.rule.statistic in PER_SAMPLE_STATS:
             for i in range(size):
-                one = check_rule(crule, out, [i], label_column="pred")
+                one = check_rule(crule, batch, [i], label_column="pred")
                 recount += one.evaluated and one.violated
         else:
-            whole = check_rule(crule, out, np.arange(size), label_column="pred")
+            whole = check_rule(crule, batch, np.arange(size), label_column="pred")
             recount += size if whole.evaluated and whole.violated else 0
     assert violations == recount
 
@@ -238,24 +245,22 @@ def test_forward_batch_columns_equal_predict_columns(seed, size, lo, width, s1_l
     ds, model = random_setup(rng)
     rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
     out = forward_batch(model, ds, rows)
-    # the oracle is the batch table that forward_batch used to build
-    oracle = ds.take(rows).with_columns(model.output_columns(out.probs))
-    assert out.n_rows == oracle.n_rows
-    assert out.names == oracle.names
-    for name in oracle.names:
-        assert out.has_column(name)
-        assert out.kind(name) == oracle.kind(name)
-        assert out.values(name).dtype == oracle.values(name).dtype
-        assert np.array_equal(out.values(name), oracle.values(name))
-        assert np.array_equal(out.missing(name), oracle.missing(name))
-    assert not out.has_column("absent")
+    assert np.array_equal(out.rows, rows)
+    got, expected = model.output_columns(out.probs), model.predict_columns(ds.take(rows))
+    assert [(name, kind) for name, kind, _ in got] == \
+        [(name, kind) for name, kind, _ in expected]
+    for (_, _, values), (_, _, oracle) in zip(got, expected):
+        assert values.dtype == oracle.dtype
+        assert values.tobytes() == oracle.tobytes()
 
-    oracle.model, oracle.probs, oracle.cache = model, out.probs, out.cache
+    # gathering the data cells at the batch rows equals taking the rows first
+    taken = ds.take(rows)
     rules = recount_rules(lo, lo + width, s1_lo, s1_lo + s1_width)
-    loss, dscale, dshift, violations = total_loss_grad(rules, out)
-    loss_o, dscale_o, dshift_o, violations_o = total_loss_grad(rules, oracle)
-    assert loss == loss_o and violations == violations_o
-    assert np.array_equal(dscale, dscale_o) and np.array_equal(dshift, dshift_o)
+    loss, dscale, dshift, violations = loss_grad(rules, ds, out)
+    loss_t, dscale_t, dshift_t, violations_t = loss_grad(
+        rules, taken, forward_batch(model, taken, np.arange(size)))
+    assert loss == loss_t and violations == violations_t
+    assert np.array_equal(dscale, dscale_t) and np.array_equal(dshift, dshift_t)
 
 
 # -- the grouped loss against the per-rule oracle ------------------------------------
@@ -359,20 +364,18 @@ def test_grouped_loss_equals_per_rule_oracle(seed, size, gain, temperature, rule
     rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
     out = forward_batch(model, ds, rows)
     expected, dprobs = with_dprobs(
-        model, lambda: oracle_loss_grad(rules, out, temperature))
-    run_groups = RuleGroups(rules, model, ds)  # data cells read once, at all rows
-    for groups in (None, run_groups):
-        got, got_dprobs = with_dprobs(
-            model, lambda: total_loss_grad(rules, out, temperature, groups))
-        assert got[0] == expected[0]
-        assert np.array_equal(got[1], expected[1])
-        assert np.array_equal(got[2], expected[2])
-        assert got[3] == expected[3]
-        # the oracle also back-propagates all-zero terms that the groups skip
-        if dprobs is None or got_dprobs is None:
-            assert not np.any(dprobs) and not np.any(got_dprobs)
-        else:
-            assert np.array_equal(got_dprobs, dprobs)
+        model, lambda: oracle_loss_grad(rules, ds, out, temperature))
+    groups = RuleGroups(rules, model, ds)  # data cells read once, at all rows
+    got, got_dprobs = with_dprobs(model, lambda: total_loss_grad(groups, out, temperature))
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    assert np.array_equal(got[2], expected[2])
+    assert got[3] == expected[3]
+    # the oracle also back-propagates all-zero terms that the groups skip
+    if dprobs is None or got_dprobs is None:
+        assert not np.any(dprobs) and not np.any(got_dprobs)
+    else:
+        assert np.array_equal(got_dprobs, dprobs)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -393,8 +396,8 @@ def test_grouped_gradient_sums_in_rule_order(seed):
     rules = [ConcreteRule(rule=rule, lo=float(lo), hi=float(lo + 0.05), delta=0.02)
              for rule, lo in zip(conditional + logic, rng.uniform(0.3, 0.9, 12))]
     for subset in [rules] + [[rule] for rule in rules]:
-        expected = oracle_loss_grad(subset, out, 0.5)
-        got = total_loss_grad(subset, out, 0.5, RuleGroups(subset, model, ds))
+        expected = oracle_loss_grad(subset, ds, out, 0.5)
+        got = total_loss_grad(RuleGroups(subset, model, ds), out, 0.5)
         assert got[0] == expected[0] and got[3] == expected[3]
         assert got[1].tolist() == expected[1].tolist()
         assert got[2].tolist() == expected[2].tolist()
@@ -416,16 +419,16 @@ def test_grouped_loss_at_a_subnormal_score():
     rule = ConcreteRule(rule=AbstractRule(kind="logic", sided="lower", statistic="f1",
                                           literals=(Literal("flag"),), consequent="b"),
                         lo=0.9, hi=INF, delta=0.02)
-    unused = total_loss_grad([rule], out, 0.5)  # row 0 lacks the literal cell
-    expected = oracle_loss_grad([rule], out, 0.5)
+    unused = loss_grad([rule], ds, out, 0.5)  # row 0 lacks the literal cell
+    expected = oracle_loss_grad([rule], ds, out, 0.5)
     assert unused[0] == expected[0] and unused[3] == expected[3]
     assert unused[1].tolist() == expected[1].tolist()
     assert np.isfinite(unused[1]).all() and unused[1].any()
     used = ConcreteRule(rule=AbstractRule(kind="logic", sided="lower", statistic="f1",
                                           literals=(Literal("flag2"),), consequent="b"),
                         lo=0.9, hi=INF, delta=0.02)
-    expected = oracle_loss_grad([used], out, 0.5)
-    got = total_loss_grad([used], out, 0.5)
+    expected = oracle_loss_grad([used], ds, out, 0.5)
+    got = loss_grad([used], ds, out, 0.5)
     assert got[0] == expected[0] and got[3] == expected[3]
     assert got[1].tolist() == expected[1].tolist()
     assert got[2].tolist() == expected[2].tolist()
@@ -457,9 +460,10 @@ def test_model_output_column_in_table_is_rejected(column):
     ds, model = tiny_setup()
     cells = np.full(16, "a") if column == "pred" else np.zeros(16)
     ds = ds.with_columns([(column, LABEL if column == "pred" else NUMERIC, cells)])
+    ds.origin = "test.csv"
     rule = data_rule(-10.0, -5.0)
-    with pytest.raises(ValueError, match=column):
-        forward_batch(model, ds, np.arange(4))
+    with pytest.raises(ValueError, match=f"test.csv: .*{column!r}"):
+        RuleGroups([rule], model, ds)
     with pytest.raises(ValueError, match=column):
         grad_check(model, [rule], ds, np.arange(4))
     with pytest.raises(ValueError, match=column):
@@ -497,7 +501,7 @@ def test_grad_check_surrogate_f1_rule():
     out = forward_batch(model, ds, np.arange(40))
     from quantrules.statistics import literal_cells
     from scalar_oracle import surrogate_f1_grad
-    ante, _ = literal_cells(Literal("flag"), out, np.arange(40))
+    ante, _ = literal_cells(Literal("flag"), batch_table(ds, out), np.arange(40))
     phi = surrogate_f1_grad(ante, out.probs[:, 1], 1.0)[0]
     rule = ConcreteRule(
         rule=AbstractRule(kind="logic", statistic="f1", consequent="b",
@@ -512,7 +516,7 @@ def test_grad_check_flat_at_clip_plateau():
     out = forward_batch(model, ds, np.arange(24))
     phi = float(out.probs[:, 1].mean())
     rule = mean_score_rule(phi + 2.0, phi + 3.0)  # loss pinned at the clip
-    assert total_loss_grad([rule], out)[0] == 1.0
+    assert loss_grad([rule], ds, out)[0] == 1.0
     err = grad_check(model, [rule], ds, np.arange(24), step=1e-5)
     assert err == 0.0
 
@@ -616,6 +620,23 @@ def test_trace_csv_round_trip(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "iteration,loss,batch_violations,update_norm"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", math.nan),
+    ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -0.5),
+    ("temperature", math.nan), ("temperature", math.inf), ("temperature", 0.0),
+])
+def test_adaptation_config_rejects_rates_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number"):
+        AdaptationConfig(iterations=1, batch_size=1, **{field: value})
+
+
+def test_adaptation_config_accepts_rates_in_range():
+    config = AdaptationConfig(iterations=1, batch_size=1, learning_rate=0.0,
+                              grad_clip=INF, temperature=1e-3)
+    assert config.grad_clip == INF
+    assert AdaptationConfig(iterations=1, batch_size=1, grad_clip=None).grad_clip is None
 
 
 def test_iterations_for_epochs():

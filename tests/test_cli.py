@@ -122,6 +122,16 @@ def test_evaluate_roundtrip_and_seeds(tmp_path, capsys):
     assert totals["violations"] == sum(r["violations"] for r in report["per_rule"])
 
 
+@pytest.mark.parametrize("seeds", ["1,,2", "1,a", ""])
+def test_evaluate_bad_seeds_flag_exits_2_naming_the_flag(tmp_path, capsys, seeds):
+    cfg = write_workspace(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--config", str(cfg), "--seeds", seeds])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seeds: expected comma-separated integers, got {seeds!r}" in err
+
+
 def test_evaluate_empty_rules_file_zero_totals(tmp_path, capsys):
     cfg = write_workspace(tmp_path)
     save_rules(tmp_path / "rules.jsonl", [])
@@ -528,8 +538,51 @@ def test_readme_config_example_keys_are_accepted(tmp_path):
     ("mine", lambda c: c["data"]["features"][0].pop("column"),
      "section 'data': features[0]", "missing key 'column'"),
     ("mine", lambda c: c.update(mine=[1]), "section 'mine'", "must be a mapping"),
+    ("adapt", lambda c: c["adapt"].update(batch_size=0), "section 'adapt'",
+     "'batch_size' must be an integer >= 1, got 0"),
+    ("evaluate", lambda c: c["evaluate"].update(n_batches=0), "section 'evaluate'",
+     "'n_batches' must be an integer >= 1, got 0"),
+    ("evaluate", lambda c: c["evaluate"].update(batch_size=-3), "section 'evaluate'",
+     "'batch_size' must be an integer >= 1, got -3"),
+    ("mine", lambda c: c["mine"].update(n_train_batches=0), "section 'mine'",
+     "'n_train_batches' must be an integer >= 1"),
+    ("mine", lambda c: c["mine"].update(n_valid_batches=0), "section 'mine'",
+     "'n_valid_batches' must be an integer >= 1"),
+    ("mine", lambda c: c["mine"].update(batch_size=0), "section 'mine'",
+     "'batch_size' must be an integer >= 1"),
+    ("adapt", lambda c: c["adapt"].update(iterations=0), "section 'adapt'",
+     "'iterations' must be an integer >= 1"),
+    ("adapt", lambda c: c["adapt"].update(epochs=0), "section 'adapt'",
+     "'epochs' must be an integer >= 1"),
+    ("adapt", lambda c: c["adapt"].update(eval_batch_size=0), "section 'adapt'",
+     "'eval_batch_size' must be an integer >= 1"),
+    ("adapt", lambda c: c["adapt"].update(eval_n_batches=0), "section 'adapt'",
+     "'eval_n_batches' must be an integer >= 1"),
+    ("adapt", lambda c: c["adapt"].update(learning_rate=float("nan")), "section 'adapt'",
+     "'learning_rate' must be a number in [0, inf), got nan"),
+    ("adapt", lambda c: c["adapt"].update(learning_rate=float("inf")), "section 'adapt'",
+     "'learning_rate' must be a number in [0, inf), got inf"),
+    ("adapt", lambda c: c["adapt"].update(learning_rate=-0.5), "section 'adapt'",
+     "'learning_rate' must be a number in [0, inf)"),
+    ("adapt", lambda c: c["adapt"].update(temperature=float("nan")), "section 'adapt'",
+     "'temperature' must be a number in (0, inf), got nan"),
+    ("adapt", lambda c: c["adapt"].update(temperature=0), "section 'adapt'",
+     "'temperature' must be a number in (0, inf)"),
+    ("adapt", lambda c: c["adapt"].update(grad_clip=-1), "section 'adapt'",
+     "'grad_clip' must be a number > 0, got -1"),
+    ("adapt", lambda c: c["adapt"].update(grad_clip=0), "section 'adapt'",
+     "'grad_clip' must be a number > 0, got 0"),
+    ("adapt", lambda c: c["adapt"].update(grad_clip=float("nan")), "section 'adapt'",
+     "'grad_clip' must be a number > 0, got nan"),
+    ("evaluate", lambda c: c["evaluate"].update(seeds=[]), "section 'evaluate'",
+     "'seeds' must be a list of integers with at least one entry, got []"),
 ], ids=["data", "mine", "evaluate", "adapt", "features", "section", "type-str",
-        "type-bool", "type-number", "type-list", "no-column", "not-mapping"])
+        "type-bool", "type-number", "type-list", "no-column", "not-mapping",
+        "adapt-batch-size", "n-batches", "evaluate-batch-size", "n-train-batches",
+        "n-valid-batches", "mine-batch-size", "iterations", "epochs", "eval-batch-size",
+        "eval-n-batches", "learning-rate-nan", "learning-rate-inf", "learning-rate-negative",
+        "temperature-nan", "temperature-zero", "grad-clip-negative", "grad-clip-zero",
+        "grad-clip-nan", "seeds-empty"])
 def test_config_key_faults_exit_2_naming_file_section_and_key(tmp_path, capsys, command,
                                                                change, where, key):
     cfg_path = write_workspace(tmp_path)
