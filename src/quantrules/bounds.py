@@ -4,6 +4,14 @@ For each abstract rule, statistics are collected over seeded minibatches of
 the training and validation sets, quantile bounds are taken on each side,
 and the rule is kept only when the two bound intervals overlap strongly
 under the interval Jaccard index.
+
+``percentile``, ``interval_from_values``, ``jaccard`` and ``compute_bounds``
+take one rule's values. ``learn_and_select`` selects a whole rule list over
+arrays instead: it stacks the values of the rules with equal value counts
+and quantile levels into (R, n) matrices, one per batch set, sorts each row
+and evaluates percentile's interpolation and jaccard's operations
+element-wise (``sorted_percentiles``, ``interval_rows``, ``jaccard_rows``),
+so every bound and score equals the single-rule functions' bit for bit.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ import numpy as np
 from . import schema as schema_mod
 from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import checked_rows, percentile, sample_minibatches
-from .errors import EmptyStatisticError
+from .errors import EmptyStatisticError, QuantrulesError
 from .rule_eval import Cells, applies, batch_values, score_logic_rules
 from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import PER_SAMPLE, StatisticRegistry
@@ -113,17 +121,17 @@ def collect_statistics(rule, cells, s1_interval=None):
     return value[valued]
 
 
-def _collect(rule, per_set):
+def _collect(signature, per_set):
     """One rule's statistic values of each batch set, drawn from ``per_set``
     one set at a time, so a later set is not evaluated after an empty one.
 
-    Raises EmptyStatisticError naming the rule when a set yields no value.
+    Raises EmptyStatisticError naming the rule's ``signature`` when a set
+    yields no value.
     """
     collected = []
     for values in per_set:
         if values.size == 0:
-            raise EmptyStatisticError(
-                f"rule {schema_mod.rule_signature(rule)}: no statistic values collected")
+            raise EmptyStatisticError(f"rule {signature}: no statistic values collected")
         collected.append(values)
     return collected
 
@@ -147,7 +155,8 @@ def compute_bounds(rule, dataset, rows, delta=None, sided=None, *, registry=None
         everywhere = Cells(dataset, np.arange(dataset.n_rows), label_column, registry)
         s1_interval = s1_bucket_interval(rule, s1_bucket_edges(rule, everywhere))
     cells = Cells(dataset, rows, label_column, registry)
-    (values,) = _collect(rule, [collect_statistics(rule, cells, s1_interval)])
+    (values,) = _collect(schema_mod.rule_signature(rule),
+                         [collect_statistics(rule, cells, s1_interval)])
     return interval_from_values(values, rule.delta if delta is None else delta,
                                 rule.sided if sided is None else sided)
 
@@ -179,6 +188,182 @@ def jaccard(train: Interval, valid: Interval, stat_range: Interval) -> float:
     return inter / union
 
 
+def sorted_percentiles(rows, q):
+    """``percentile(row, q)`` of each row of ``rows``, an (R, n) matrix sorted
+    along its rows, for q in [0, 1]: percentile's expression
+    v[i] + (h - i) * (v[i+1] - v[i]), evaluated element-wise on whole
+    columns, so each result equals percentile's bit for bit."""
+    n = rows.shape[1]
+    h = q * (n - 1)
+    i = math.floor(h)
+    if i + 1 >= n:
+        return rows[:, -1]
+    return rows[:, i] + (h - i) * (rows[:, i + 1] - rows[:, i])
+
+
+def quantile_levels(delta, sided):
+    """The percentile levels of a rule's (lower, upper) bounds, None on an
+    open side, as ``interval_from_values`` takes them."""
+    if sided == TWO_SIDED:
+        return delta / 2.0, 1.0 - delta / 2.0
+    if sided == LOWER:
+        return delta, None
+    if sided == UPPER:
+        return None, 1.0 - delta
+    raise ValueError(f"unknown sidedness {sided!r}")
+
+
+def interval_rows(rows, levels):
+    """``interval_from_values`` of each row of the row-sorted (R, n) matrix
+    ``rows`` at the ``quantile_levels``, all in [0, 1], as (lo, hi) arrays.
+    The bounds of a row holding NaN mean nothing: percentile raises on it."""
+    return tuple(np.full(len(rows), end) if q is None else sorted_percentiles(rows, q)
+                 for q, end in zip(levels, (-INF, INF)))
+
+
+def _first(a, b, pick):
+    """Python's min (``pick`` np.less) or max (np.greater) of a and b,
+    element-wise: b where pick(b, a), else a, so a tie keeps a and its sign
+    of zero."""
+    return np.where(pick(b, a), b, a)
+
+
+def jaccard_rows(t_lo, t_hi, v_lo, v_hi, range_lo, range_hi):
+    """``jaccard`` of each row's train interval [t_lo, t_hi] and valid
+    interval [v_lo, v_hi] with statistic range [range_lo, range_hi], all 1-D
+    arrays, by jaccard's own operations element-wise, so each score equals
+    jaccard's bit for bit. The ranges must be finite."""
+    for end in (t_lo, t_hi, v_lo, v_hi):
+        finite = np.isfinite(end)
+        range_lo = np.where(finite & (end < range_lo), end, range_lo)
+        range_hi = np.where(finite & (end > range_hi), end, range_hi)
+    t_lo, v_lo = (np.where(np.isinf(lo), range_lo, lo) for lo in (t_lo, v_lo))
+    t_hi, v_hi = (np.where(np.isinf(hi), range_hi, hi) for hi in (t_hi, v_hi))
+    inter = _first(_first(t_hi, v_hi, np.less) - _first(t_lo, v_lo, np.greater), 0.0,
+                   np.greater)
+    union = _first(t_hi, v_hi, np.greater) - _first(t_lo, v_lo, np.less)
+    same = (t_lo == v_lo) & (t_hi == v_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union <= 0.0, np.where(same, 1.0, 0.0), inter / union)
+
+
+def _valid(lo, hi):
+    """Where Interval(lo, hi) accepts the bounds."""
+    return (lo <= hi) & (np.isfinite(lo) | np.isfinite(hi))
+
+
+def _select_rows(t_vals, v_vals, levels):
+    """Train bounds and Jaccard score of each row pair of the (R, n_t) train
+    and (R, n_v) valid value matrices, as ``interval_from_values`` and
+    ``jaccard`` give them for one rule's values at the ``quantile_levels``,
+    with the statistic range pooled over both rows.
+
+    Returns (lo, hi, score, errors), where ``errors`` maps a row to the
+    ValueError the single-rule path raises first on it, in its order:
+    percentile's NaN and level checks, the Interval checks of the train and
+    valid bounds and of the pooled range, jaccard's finite-range check.
+    """
+    t, v = np.sort(t_vals, axis=1), np.sort(v_vals, axis=1)
+    nan = np.isnan(t[:, -1]), np.isnan(v[:, -1])  # NaN sorts last
+    bad_level = next((q for q in levels if q is not None and not 0.0 <= q <= 1.0), None)
+    if bad_level is not None:
+        return None, None, None, {
+            k: ValueError("percentile input contains NaN" if nan[0][k]
+                          else f"q must lie in [0, 1], got {bad_level}")
+            for k in range(len(t))}
+    range_lo = _first(t[:, 0], v[:, 0], np.less)
+    range_hi = _first(t[:, -1], v[:, -1], np.greater)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bounds = interval_rows(t, levels), interval_rows(v, levels)
+        score = jaccard_rows(*bounds[0], *bounds[1], range_lo, range_hi)
+    usable = (~nan[0] & ~nan[1] & np.isfinite(range_lo) & np.isfinite(range_hi)
+              & _valid(*bounds[0]) & _valid(*bounds[1]))
+    errors = {}
+    for k in np.flatnonzero(~usable):
+        try:
+            for side, (lo, hi) in enumerate(bounds):
+                if nan[side][k]:
+                    raise ValueError("percentile input contains NaN")
+                Interval(float(lo[k]), float(hi[k]))
+            Interval(float(range_lo[k]), float(range_hi[k]))
+            raise ValueError("stat_range must be finite")
+        except ValueError as exc:
+            errors[int(k)] = exc
+    return bounds[0][0], bounds[0][1], score, errors
+
+
+# value cells per matrix of stacked rules, 256 KiB of float64, however many
+# rules share a shape. Matrices of 1 MiB raised the peak RSS of a process that
+# mines and evaluates cardio20k repeatedly by 1.9 MB (see CHANGES.md).
+_CHUNK_CELLS = 2**15
+
+
+class _Selection:
+    """Bounds and Jaccard scores of rules added one at a time and computed
+    over arrays: the rules with equal counts of train and valid values and
+    equal quantile levels are stacked into (R, n) matrices, at most
+    _CHUNK_CELLS cells at a time.
+
+    A logic rule is added as its row in the count kernel's scores of its
+    batch size, and its values are gathered from them when its stack is
+    computed; any other rule brings its values, and the values held are
+    computed before they would pass _CHUNK_CELLS cells.
+    """
+
+    def __init__(self, n_rules, scored):
+        self.scored = scored  # batch size -> (LogicScores, valued counts) of each set
+        self.lo, self.hi, self.score = np.empty(n_rules), np.empty(n_rules), np.empty(n_rules)
+        self.errors = {}  # rule position -> the ValueError raised at it
+        self.logic = {}  # (batch size, n_t, n_v, levels) -> (positions, score rows)
+        self.values = {}  # (n_t, n_v, levels) -> (positions, train values, valid values)
+        self.held = 0
+
+    def add_logic(self, i, key, r):
+        positions, rows = self.logic.setdefault(key, ([], []))
+        positions.append(i)
+        rows.append(r)
+
+    def add_values(self, i, key, t_vals, v_vals):
+        if self.held + t_vals.size + v_vals.size > _CHUNK_CELLS:
+            self._compute_values()
+        positions, ts, vs = self.values.setdefault(key, ([], [], []))
+        positions.append(i)
+        ts.append(t_vals)
+        vs.append(v_vals)
+        self.held += t_vals.size + v_vals.size
+
+    def _compute_values(self):
+        for (_, _, levels), (positions, ts, vs) in self.values.items():
+            self._store(positions, np.stack(ts), np.stack(vs), levels)
+        self.values, self.held = {}, 0
+
+    def _store(self, positions, t_vals, v_vals, levels):
+        lo, hi, score, errors = _select_rows(t_vals, v_vals, levels)
+        if lo is not None:
+            self.lo[positions], self.hi[positions], self.score[positions] = lo, hi, score
+        self.errors.update((positions[k], exc) for k, exc in errors.items())
+
+    def finish(self):
+        """(lo, hi, score, errors) by rule position: lists of the train bounds
+        and Jaccard scores, and the error of each rule that raises one."""
+        self._compute_values()
+        for (size, n_t, n_v, levels), (positions, rows) in self.logic.items():
+            step = max(1, _CHUNK_CELLS // (n_t + n_v))
+            for c in range(0, len(rows), step):
+                part = rows[c:c + step]
+                t_vals, v_vals = (_valued_rows(scores, part, n)
+                                  for (scores, _), n in zip(self.scored[size], (n_t, n_v)))
+                self._store(positions[c:c + step], t_vals, v_vals, levels)
+        return self.lo.tolist(), self.hi.tolist(), self.score.tolist(), self.errors
+
+
+def _valued_rows(scores, rows, n):
+    """The (len(rows), n) matrix of the scores at ``rows`` on their valued
+    batches, in batch order; each of the rules has n valued batches."""
+    value = scores.value[rows]
+    return value if n == value.shape[1] else value[scores.valued[rows]].reshape(len(rows), n)
+
+
 def _group_batches(rules, train, valid, job, label_column, registry):
     """Per batch size, the readers of the train and valid batch sets."""
     sizes = {job.batch_size or rule.batch_size for rule in rules}
@@ -200,6 +385,15 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     its training-side bounds become the ConcreteRule. Rules whose statistic
     collapses to nothing are skipped and reported through ``log`` (a list
     receiving dict entries), never raised. Output preserves input order.
+
+    The rules' values are read one rule at a time: a logic rule's from the
+    count kernel's scores of its batch size, any other rule's through
+    ``collect_statistics``. Bounds and scores are then computed over arrays
+    (``_Selection``), equal to ``interval_from_values`` and ``jaccard`` of
+    each rule bit for bit. Events and rules come out in input order. A read
+    error, or an error of the single-rule checks (a NaN value, a quantile
+    level outside [0, 1]), is raised at its own rule, after the events of
+    the rules before it are logged.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(train)
@@ -210,9 +404,11 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     groups = _group_batches(rules, train, valid, job, label_column, registry)
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
+    signatures = [schema_mod.rule_signature(rule) for rule in rules]
 
     # every logic rule of a batch size, scored at once on each of its sets
-    logic = {}  # rule position -> (LogicScores of each set, row in them)
+    logic = {}  # rule position -> (batch size, row in its scores)
+    scored = {}  # batch size -> (LogicScores, valued batches per rule) of each set
     for size, batch_sets in groups.items():
         positions = [i for i, rule in enumerate(rules)
                      if rule.kind == LOGIC and (job.batch_size or rule.batch_size) == size]
@@ -220,11 +416,15 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
             scores = [score_logic_rules([rules[i] for i in positions], cells.dataset,
                                         cells.rows, label_column)
                       for cells in batch_sets]
-            logic.update((i, (scores, r)) for r, i in enumerate(positions))
+            scored[size] = [(s, s.valued.sum(axis=1).tolist()) for s in scores]
+            logic.update((i, (size, r)) for r, i in enumerate(positions))
 
     everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
     s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
-    selected = []
+    s1_intervals = {}  # paired rule position -> its learned s1 interval
+    skipped = {}  # rule position -> reason
+    selection = _Selection(len(rules), scored)
+    read, error = len(rules), None
     for i, rule in enumerate(rules):
         delta = job.delta if job.delta is not None else rule.delta
         try:
@@ -233,37 +433,57 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                 key = (rule.guard, rule.s1, rule.s1_bucket_count)
                 if key not in s1_edges:
                     s1_edges[key] = s1_bucket_edges(rule, everywhere)
-                s1_interval = s1_bucket_interval(rule, s1_edges[key])
+                s1_interval = s1_intervals[i] = s1_bucket_interval(rule, s1_edges[key])
             if i in logic:
-                scores, r = logic[i]
-                per_set = (s.collected(r) for s in scores)
+                size, r = logic[i]
+                counts = []
+                for scores, valued in scored[size]:
+                    if scores.errors[r] is not None:
+                        raise scores.errors[r]
+                    if not valued[r]:
+                        raise EmptyStatisticError(
+                            f"rule {signatures[i]}: no statistic values collected")
+                    counts.append(valued[r])
+                selection.add_logic(i, (size, *counts, quantile_levels(delta, rule.sided)), r)
             else:
-                per_set = (collect_statistics(rule, cells, s1_interval)
-                           for cells in groups[job.batch_size or rule.batch_size])
-            t_vals, v_vals = _collect(rule, per_set)
+                t_vals, v_vals = _collect(
+                    signatures[i], (collect_statistics(rule, cells, s1_interval)
+                                    for cells in groups[job.batch_size or rule.batch_size]))
+                selection.add_values(
+                    i, (t_vals.size, v_vals.size, quantile_levels(delta, rule.sided)),
+                    t_vals, v_vals)
         except EmptyStatisticError as exc:
+            skipped[i] = str(exc)
+        except (QuantrulesError, ValueError) as exc:  # raised after the earlier rules' events
+            read, error = i, exc
+            break
+    lo, hi, score, errors = selection.finish()
+
+    selected = []
+    for i in range(read):
+        rule, signature = rules[i], signatures[i]
+        if i in skipped:
             if log is not None:
-                log.append({"event": "skipped", "signature": schema_mod.rule_signature(rule),
-                            "reason": str(exc)})
+                log.append({"event": "skipped", "signature": signature,
+                            "reason": skipped[i]})
             continue
-        t_int = interval_from_values(t_vals, delta, rule.sided)
-        v_int = interval_from_values(v_vals, delta, rule.sided)
-        pooled = np.concatenate([t_vals, v_vals])
-        stat_range = Interval(float(pooled.min()), float(pooled.max()))
-        score = jaccard(t_int, v_int, stat_range)
-        if score <= 1.0 - job.epsilon:
+        if i in errors:
+            raise errors[i]
+        if score[i] <= 1.0 - job.epsilon:
             if log is not None:
-                log.append({"event": "rejected", "signature": schema_mod.rule_signature(rule),
-                            "jaccard": score})
+                log.append({"event": "rejected", "signature": signature,
+                            "jaccard": score[i]})
             continue
-        concrete = ConcreteRule(
-            rule=rule, lo=t_int.lo, hi=t_int.hi, delta=delta,
+        s1_interval = s1_intervals.get(i)
+        selected.append(ConcreteRule(
+            rule=rule, lo=lo[i], hi=hi[i],
+            delta=job.delta if job.delta is not None else rule.delta,
             s1_lo=None if s1_interval is None else s1_interval[0],
             s1_hi=None if s1_interval is None else s1_interval[1],
-            provenance=dict(provenance),
-        )
-        selected.append(concrete)
+            provenance=dict(provenance), signature=signature,
+        ))
         if log is not None:
-            log.append({"event": "selected", "signature": concrete.signature,
-                        "jaccard": score})
+            log.append({"event": "selected", "signature": signature, "jaccard": score[i]})
+    if error is not None:
+        raise error
     return selected

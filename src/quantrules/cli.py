@@ -207,8 +207,13 @@ def cmd_evaluate(cfg, args) -> int:
     if not test.has_column(label_column):
         label_column = data_cfg.get("label_column", test.label_column)
 
-    seeds = args.seeds or eval_cfg.get("seeds") or [
-        args.seed if args.seed is not None else eval_cfg.get("seed", 0)]
+    # a flag overrides both config keys: --seeds, then --seed, then seeds, then seed
+    if args.seeds:
+        seeds = args.seeds
+    elif args.seed is not None:
+        seeds = [args.seed]
+    else:
+        seeds = eval_cfg.get("seeds") or [eval_cfg.get("seed", 0)]
     batch = eval_cfg.get("batch_size", 256)
     count = eval_cfg.get("n_batches", 50)
 
@@ -342,9 +347,11 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--seeds", type=_seed_list, default=None,
-                       help="comma-separated seed list (evaluate only)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name == "evaluate":
+            p.add_argument("--seeds", type=_seed_list, default=None,
+                           help="comma-separated seed list")
+        if name != "mine":  # mine writes no report
+            p.add_argument("--format", choices=("json", "csv"), default="json")
     p = sub.add_parser("report")
     p.add_argument("--report", required=True)
     p.add_argument("--out", default=None)

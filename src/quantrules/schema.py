@@ -104,6 +104,8 @@ class ConcreteRule:
 
     ``lo``/``hi`` may be -inf/+inf for one-sided rules. Paired rules also
     carry the learned first-statistic bucket interval (s1_lo, s1_hi].
+    ``signature`` is ``rule_signature(rule)``, taken once: a caller that
+    already holds it passes it, otherwise it is computed here.
     """
 
     rule: AbstractRule
@@ -113,6 +115,7 @@ class ConcreteRule:
     s1_lo: float | None = None
     s1_hi: float | None = None
     provenance: dict = field(default_factory=dict)
+    signature: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         import math
@@ -122,10 +125,8 @@ class ConcreteRule:
             raise ValueError(f"lower bound {self.lo} exceeds upper bound {self.hi}")
         if math.isinf(self.lo) and math.isinf(self.hi):
             raise ValueError("at least one bound must be finite")
-
-    @property
-    def signature(self):
-        return rule_signature(self.rule)
+        if self.signature is None:
+            object.__setattr__(self, "signature", rule_signature(self.rule))
 
 
 def rule_signature(rule: AbstractRule) -> str:
@@ -334,12 +335,7 @@ def enumerate_abstract_rules(schema, features=(), feature_groups=None):
             rules.extend(_iter_logic(t, features, feature_groups))
         elif t.kind == PAIRED:
             rules.extend(_iter_paired(t))
-    rules.sort(key=rule_signature)
-    out, seen = [], set()
+    by_signature = {}  # of rules with equal signatures, the first enumerated
     for rule in rules:
-        sig = rule_signature(rule)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        out.append(rule)
-    return out
+        by_signature.setdefault(rule_signature(rule), rule)
+    return [by_signature[sig] for sig in sorted(by_signature)]

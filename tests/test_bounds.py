@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from quantrules import bounds
-from quantrules.bounds import (BoundJob, Interval, compute_bounds,
-                               interval_from_values, jaccard, learn_and_select,
-                               percentile)
+from quantrules.bounds import (BoundJob, Interval, compute_bounds, interval_from_values,
+                               interval_rows, jaccard, jaccard_rows, learn_and_select,
+                               percentile, quantile_levels, sorted_percentiles)
 from quantrules.dataset import LABEL, NUMERIC, sample_minibatches
 from quantrules.errors import EmptyStatisticError
 from quantrules.schema import AbstractRule, parse_schema, enumerate_abstract_rules
@@ -85,6 +85,87 @@ def test_percentile_agrees_with_numpy(values, q):
     assert ours == formula
     ref = float(np.quantile(np.asarray(values), q))
     assert abs(ours - ref) <= 4 * np.spacing(max(abs(x) for x in values))
+
+
+# -- the array kernels against the single-rule functions ------------------------------
+
+# ties, both zeros and tiny and huge magnitudes, among any finite float
+row_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 5e-324, 1e300, -1e300]) \
+    | finite_floats
+levels = st.sampled_from([0.0, 1.0, 0.5, 0.01, 0.99, 0.9999999999999999]) | st.floats(0, 1)
+
+
+def value_matrix(max_rows):
+    """Up to ``max_rows`` unsorted rows of one length, 1 value or more."""
+    return st.integers(1, 9).flatmap(lambda n: st.lists(
+        st.lists(row_values, min_size=n, max_size=n), min_size=1, max_size=max_rows))
+
+
+@settings(max_examples=300)
+@given(value_matrix(5), levels)
+@example(values=[[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]], q=1.0)
+@example(values=[[-0.0], [0.0]], q=0.5)
+@example(values=[[0.0, -16777217.0]], q=0.9999999999999999)
+def test_sorted_percentiles_match_percentile(values, q):
+    got = sorted_percentiles(np.sort(np.array(values), axis=1), q)
+    assert [float(x).hex() for x in got] == [percentile(row, q).hex() for row in values]
+
+
+@settings(max_examples=300)
+@given(value_matrix(5), st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]) | st.floats(0, 1),
+       st.sampled_from(["two", "lower", "upper"]))
+@example(values=[[-0.0, 0.0, 2.0], [7.0, 7.0, 7.0]], delta=0.0, sided="two")
+def test_interval_rows_match_interval_from_values(values, delta, sided):
+    lo, hi = interval_rows(np.sort(np.array(values), axis=1), quantile_levels(delta, sided))
+    want = [interval_from_values(row, delta, sided) for row in values]
+    assert [float(x).hex() for x in lo] == [iv.lo.hex() for iv in want]
+    assert [float(x).hex() for x in hi] == [iv.hi.hex() for iv in want]
+
+
+def test_quantile_levels_reject_unknown_sidedness():
+    with pytest.raises(ValueError, match="unknown sidedness 'both'"):
+        quantile_levels(0.02, "both")
+    with pytest.raises(ValueError, match="unknown sidedness 'both'"):
+        interval_from_values([1.0], 0.02, "both")
+
+
+ends = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | finite_floats
+
+
+@st.composite
+def interval_pairs(draw):
+    """A train and a valid interval of one sidedness, with infinite ends on
+    the open side, and a finite statistic range."""
+    sided = draw(st.sampled_from(["two", "lower", "upper"]))
+
+    def interval():
+        a, b = sorted([draw(ends), draw(ends)])
+        return Interval(*{"two": (a, b), "lower": (a, INF), "upper": (-INF, b)}[sided])
+
+    return interval(), interval(), Interval(*sorted([draw(ends), draw(ends)]))
+
+
+INF = float("inf")
+
+
+@settings(max_examples=300)
+@given(st.lists(interval_pairs(), min_size=1, max_size=6))
+@example(pairs=[(Interval(2.0, 2.0), Interval(2.0, 2.0), Interval(-1.0, 1.0)),
+                (Interval(-0.0, 0.0), Interval(0.0, -0.0), Interval(0.0, 0.0)),
+                (Interval(-INF, -0.0), Interval(-INF, -0.0), Interval(0.0, 1.0)),
+                (Interval(-INF, -0.0), Interval(-INF, 0.0), Interval(-0.0, 1.0)),
+                (Interval(0.0, INF), Interval(1.0, INF), Interval(-1.0, 3.0)),
+                (Interval(0.0, 1.0), Interval(2.0, 3.0), Interval(0.0, 3.0)),
+                (Interval(0.0, 5.0), Interval(-1.0, -0.0), Interval(-1.0, 5.0))])
+def test_jaccard_rows_match_jaccard(pairs):
+    """Point intervals give union <= 0; open ends resolve to the range widened
+    by the finite ends; ties of -0.0 and 0.0 keep jaccard's signs of zero (the
+    last example scores -0.0)."""
+    columns = [np.array([getattr(iv, end) for iv in ivs])
+               for ivs in zip(*pairs) for end in ("lo", "hi")]
+    t_lo, t_hi, v_lo, v_hi, range_lo, range_hi = columns
+    got = jaccard_rows(t_lo, t_hi, v_lo, v_hi, range_lo, range_hi)
+    assert [float(x).hex() for x in got] == [jaccard(*pair).hex() for pair in pairs]
 
 
 # -- compute_bounds -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from quantrules import cli
+from quantrules import cli, schema
 from quantrules.cli import _load_config, main
 from quantrules.model import SoftmaxModel
 from quantrules.rules_io import load_rules, save_rules
@@ -80,6 +81,23 @@ def test_mine_is_deterministic(tmp_path):
     assert (tmp_path / "rules.jsonl").read_bytes() == first
 
 
+def test_mine_takes_each_rule_signature_at_most_twice(tmp_path, capsys, monkeypatch):
+    """Once to sort and dedup the enumerated rules, once to select a rule,
+    log it and write it out."""
+    cfg = write_workspace(tmp_path)
+    calls, signature = Counter(), schema.rule_signature
+
+    def counted(rule):
+        calls[rule] += 1
+        return signature(rule)
+
+    monkeypatch.setattr(schema, "rule_signature", counted)
+    assert main(["mine", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert f" enumerated={len(calls)} " in out and "selected=0 " not in out
+    assert max(calls.values()) <= 2
+
+
 def test_mine_empty_label_schema_exits_2(tmp_path, capsys):
     cfg = write_workspace(tmp_path)
     (tmp_path / "schema.txt").write_text(
@@ -130,6 +148,40 @@ def test_evaluate_bad_seeds_flag_exits_2_naming_the_flag(tmp_path, capsys, seeds
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert f"argument --seeds: expected comma-separated integers, got {seeds!r}" in err
+
+
+def test_evaluate_seed_flag_overrides_config_seeds(tmp_path, capsys):
+    """``--seed`` overrides ``evaluate.seeds`` as well as ``evaluate.seed``,
+    and ``--seeds`` overrides all three."""
+    cfg = write_workspace(tmp_path)
+    data = yaml.safe_load(cfg.read_text(encoding="utf-8"))
+    data["evaluate"]["seeds"] = [1, 2]
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["mine", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    runs = [([], "1,2"), (["--seed", "9"], "9"), (["--seeds", "4,5", "--seed", "9"], "4,5")]
+    reports = []
+    for flags, logged in runs:
+        assert main(["evaluate", "--config", str(cfg), *flags]) == 0
+        assert f" seeds={logged} " in capsys.readouterr().out
+        reports.append((tmp_path / "report.json").read_bytes())
+    # the --seed 9 report is the one a config with seed 9 and no seeds writes
+    del data["evaluate"]["seeds"]
+    data["evaluate"]["seed"] = 9
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert (tmp_path / "report.json").read_bytes() == reports[1]
+
+
+@pytest.mark.parametrize("command, flags", [("mine", ["--seeds", "4,5"]),
+                                            ("mine", ["--format", "csv"]),
+                                            ("adapt", ["--seeds", "4,5"])])
+def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flags):
+    cfg = write_workspace(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--config", str(cfg), *flags])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_evaluate_empty_rules_file_zero_totals(tmp_path, capsys):

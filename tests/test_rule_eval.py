@@ -281,23 +281,97 @@ def mixed_rules(drawn, sizes):
     return rules
 
 
+def with_boxes(rng, ds):
+    """``ds`` with box columns: about one box in 8 is a point, whose aspect
+    ratio is 0/0 = NaN, another one in 8 is flat, x/0 = inf, and the rest
+    are proper boxes."""
+    shape = rng.choice(3, size=ds.n_rows, p=[0.125, 0.125, 0.75])
+    x0, y0 = rng.uniform(0.0, 10.0, (2, ds.n_rows))
+    width = np.where(shape == 0, 0.0, rng.uniform(1.0, 5.0, ds.n_rows))
+    height = np.where(shape == 2, rng.uniform(1.0, 5.0, ds.n_rows), 0.0)
+    return ds.with_columns([("x_min", NUMERIC, x0), ("y_min", NUMERIC, y0),
+                            ("x_max", NUMERIC, x0 + width), ("y_max", NUMERIC, y0 + height)])
+
+
+def hexed(log):
+    """Log events with each Jaccard score as float.hex, so -0.0 and 0.0 differ."""
+    return [dict(e, jaccard=e["jaccard"].hex()) if "jaccard" in e else e for e in log]
+
+
+def check_selected_alone(seed, n_train, n_valid, n_tb, n_vb, sizes, delta, epsilon, drawn,
+                         box=None):
+    """``learn_and_select`` against ``select_alone``, bit for bit: the rules
+    and their bounds, the log with its Jaccard scores, or a ValueError with
+    the same message after the same events. With ``box`` a (position,
+    sidedness) pair, a rule on the aspect ratio, which holds NaN or inf on
+    some rows, sits at that position.
+
+    Returns the number of logic rules valued on some but not all of their
+    train batches, and the error raised, or None."""
+    rng = np.random.default_rng(seed)
+    train, valid = (with_boxes(rng, logic_dataset(rng, n)) for n in (n_train, n_valid))
+    rules = mixed_rules(drawn, sizes)
+    if box is not None:
+        rules.insert(box[0], AbstractRule(kind="conditional", statistic="aspect_ratio",
+                                          sided=box[1], batch_size=sizes[0]))
+    job = BoundJob(n_train_batches=n_tb, n_valid_batches=n_vb, delta=delta,
+                   epsilon=epsilon, train_seed=seed % 7, valid_seed=seed % 5)
+    runs = []
+    for select in (lambda log: learn_and_select(rules, train, valid, job, label_column="y",
+                                                log=log),
+                   lambda log: select_alone(rules, train, valid, job, "y", log)):
+        log = []
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):  # the box ratios
+                runs.append((select(log), log))
+        except ValueError as exc:
+            runs.append((exc, log))
+    (got, log), (want, want_log) = runs
+    assert hexed(log) == hexed(want_log)
+    if isinstance(want, ValueError):
+        assert type(got) is ValueError and str(got) == str(want)
+        return None, want
+    assert got == want
+    assert [(c.lo.hex(), c.hi.hex()) for c in got] == [(c.lo.hex(), c.hi.hex()) for c in want]
+
+    rows = {size: sample_minibatches(train, size, n_tb, job.train_seed) for size in sizes}
+    valued = [score_logic_rules([rule], train, rows[rule.batch_size], "y").valued[0]
+              for rule in rules if rule.kind == "logic"]
+    return sum(0 < v.sum() < v.size for v in valued), None
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30),
        st.integers(1, 4), st.integers(1, 4), st.tuples(st.integers(1, 8), st.integers(1, 8)),
        st.sampled_from([None, 0.1]), st.floats(0.05, 0.95),
        st.lists(st.tuples(literal_lists, st.integers(0, 2),
-                          st.sampled_from(["two", "lower", "upper"])), max_size=10))
+                          st.sampled_from(["two", "lower", "upper"])), max_size=10),
+       st.none() | st.tuples(st.integers(0, 12), st.sampled_from(["two", "lower", "upper"])))
 def test_learn_and_select_matches_rules_selected_alone(seed, n_train, n_valid, n_tb, n_vb,
-                                                       sizes, delta, epsilon, drawn):
-    rng = np.random.default_rng(seed)
-    train, valid = logic_dataset(rng, n_train), logic_dataset(rng, n_valid)
-    rules = mixed_rules(drawn, sizes)
-    job = BoundJob(n_train_batches=n_tb, n_valid_batches=n_vb, delta=delta,
-                   epsilon=epsilon, train_seed=seed % 7, valid_seed=seed % 5)
-    log, expect_log = [], []
-    got = learn_and_select(rules, train, valid, job, label_column="y", log=log)
-    assert got == select_alone(rules, train, valid, job, "y", expect_log)
-    assert log == expect_log
+                                                       sizes, delta, epsilon, drawn, box):
+    check_selected_alone(seed, n_train, n_valid, n_tb, n_vb, sizes, delta, epsilon, drawn,
+                         box)
+
+
+def test_learn_and_select_matches_alone_on_partly_valued_and_non_finite_rules():
+    """Fixed draws that the property test is not sure to make: logic rules
+    valued on only some of their batches; an aspect-ratio rule whose values
+    hold a NaN, which raises percentile's error at its own position, or an
+    inf, which gives a NaN bound; and a delta whose quantile levels lie
+    outside [0, 1], which fails at the first rule not skipped unless its
+    values hold a NaN, which percentile checks first."""
+    not_b = Literal("B", negated=True)
+    drawn = [([A], 0, "two"), ([A, not_b], 1, "lower"), ([not_b], 0, "upper"), ([A], 1, "two")]
+    partly, error = check_selected_alone(0, 20, 20, 4, 3, (1, 2), None, 0.5, drawn)
+    assert partly > 0 and error is None
+    for seed, delta, box, message in (
+            (0, None, (3, "two"), "percentile input contains NaN"),
+            (4, None, (3, "lower"), "percentile input contains NaN"),  # in valid only
+            (2, None, (3, "two"), "interval endpoints cannot be NaN"),
+            (0, 3.0, None, "q must lie in [0, 1], got 1.5"),
+            (0, 3.0, (0, "two"), "percentile input contains NaN")):
+        _, error = check_selected_alone(seed, 20, 20, 4, 3, (2, 1), delta, 0.5, drawn, box)
+        assert str(error) == message
 
 
 def test_numeric_literal_column_in_valid_raises_at_its_rule():
