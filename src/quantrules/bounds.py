@@ -3,7 +3,8 @@
 For each abstract rule, statistics are collected over seeded minibatches of
 the training and validation sets, quantile bounds are taken on each side,
 and the rule is kept only when the two bound intervals overlap strongly
-under the interval Jaccard index.
+under the interval Jaccard index. Every rule's values are read the same
+way, by ``collect_statistics`` from a batch set's ``rule_eval.Cells``.
 
 ``percentile``, ``interval_from_values``, ``jaccard`` and ``compute_bounds``
 take one rule's values. ``learn_and_select`` selects a whole rule list over
@@ -24,7 +25,7 @@ from . import schema as schema_mod
 from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import checked_rows, percentile, sample_minibatches
 from .errors import EmptyStatisticError, QuantrulesError
-from .rule_eval import Cells, applies, batch_values, score_logic_rules
+from .rule_eval import Cells, applies
 from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import PER_SAMPLE, StatisticRegistry
 
@@ -68,17 +69,13 @@ class BoundJob:
             raise ValueError("batch counts must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 def interval_from_values(values, delta, sided) -> Interval:
-    if sided == TWO_SIDED:
-        return Interval(percentile(values, delta / 2.0),
-                        percentile(values, 1.0 - delta / 2.0))
-    if sided == LOWER:
-        return Interval(percentile(values, delta), INF)
-    if sided == UPPER:
-        return Interval(-INF, percentile(values, 1.0 - delta))
-    raise ValueError(f"unknown sidedness {sided!r}")
+    return Interval(*(end if q is None else percentile(values, q)
+                      for q, end in zip(quantile_levels(delta, sided), (-INF, INF))))
 
 
 def s1_bucket_edges(rule, cells):
@@ -109,15 +106,12 @@ def s1_bucket_interval(rule, edges):
 def collect_statistics(rule, cells, s1_interval=None):
     """A rule's statistic values over the minibatches ``cells`` reads, a
     (count, size) row matrix: per-sample values pooled across batches in
-    row-major order, or one value per batch with a usable row, matching the
-    rule's structure. A logic rule is scored by the count kernel alone."""
-    if rule.kind == LOGIC:
-        return score_logic_rules([rule], cells.dataset, cells.rows,
-                                 cells.label_column).collected(0)
-    stat, values, mask = cells.applicable(rule, s1_interval)
-    if stat.arity == PER_SAMPLE:
+    row-major order, or one value per batch with a usable row
+    (``Cells.batch_values``), matching the rule's statistic."""
+    if cells.registry.resolve(rule.statistic).arity == PER_SAMPLE:
+        _, values, mask = cells.applicable(rule, s1_interval)
         return values[mask]
-    value, valued = batch_values(stat, values, mask)
+    value, valued = cells.batch_values(rule, s1_interval)
     return value[valued]
 
 
@@ -203,7 +197,9 @@ def sorted_percentiles(rows, q):
 
 def quantile_levels(delta, sided):
     """The percentile levels of a rule's (lower, upper) bounds, None on an
-    open side, as ``interval_from_values`` takes them."""
+    open side, for a ``delta`` in [0, 1]."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
     if sided == TWO_SIDED:
         return delta / 2.0, 1.0 - delta / 2.0
     if sided == LOWER:
@@ -260,17 +256,11 @@ def _select_rows(t_vals, v_vals, levels):
 
     Returns (lo, hi, score, errors), where ``errors`` maps a row to the
     ValueError the single-rule path raises first on it, in its order:
-    percentile's NaN and level checks, the Interval checks of the train and
+    percentile's NaN check, the Interval checks of the train and
     valid bounds and of the pooled range, jaccard's finite-range check.
     """
     t, v = np.sort(t_vals, axis=1), np.sort(v_vals, axis=1)
     nan = np.isnan(t[:, -1]), np.isnan(v[:, -1])  # NaN sorts last
-    bad_level = next((q for q in levels if q is not None and not 0.0 <= q <= 1.0), None)
-    if bad_level is not None:
-        return None, None, None, {
-            k: ValueError("percentile input contains NaN" if nan[0][k]
-                          else f"q must lie in [0, 1], got {bad_level}")
-            for k in range(len(t))}
     range_lo = _first(t[:, 0], v[:, 0], np.less)
     range_hi = _first(t[:, -1], v[:, -1], np.greater)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -301,77 +291,47 @@ _CHUNK_CELLS = 2**15
 class _Selection:
     """Bounds and Jaccard scores of rules added one at a time and computed
     over arrays: the rules with equal counts of train and valid values and
-    equal quantile levels are stacked into (R, n) matrices, at most
-    _CHUNK_CELLS cells at a time.
-
-    A logic rule is added as its row in the count kernel's scores of its
-    batch size, and its values are gathered from them when its stack is
-    computed; any other rule brings its values, and the values held are
-    computed before they would pass _CHUNK_CELLS cells.
+    equal quantile levels are stacked into (R, n) matrices. The values held
+    are computed before they would pass _CHUNK_CELLS cells.
     """
 
-    def __init__(self, n_rules, scored):
-        self.scored = scored  # batch size -> (LogicScores, valued counts) of each set
+    def __init__(self, n_rules):
         self.lo, self.hi, self.score = np.empty(n_rules), np.empty(n_rules), np.empty(n_rules)
         self.errors = {}  # rule position -> the ValueError raised at it
-        self.logic = {}  # (batch size, n_t, n_v, levels) -> (positions, score rows)
         self.values = {}  # (n_t, n_v, levels) -> (positions, train values, valid values)
         self.held = 0
 
-    def add_logic(self, i, key, r):
-        positions, rows = self.logic.setdefault(key, ([], []))
-        positions.append(i)
-        rows.append(r)
-
-    def add_values(self, i, key, t_vals, v_vals):
+    def add(self, i, t_vals, v_vals, levels):
         if self.held + t_vals.size + v_vals.size > _CHUNK_CELLS:
-            self._compute_values()
-        positions, ts, vs = self.values.setdefault(key, ([], [], []))
+            self.compute()
+        positions, ts, vs = self.values.setdefault((t_vals.size, v_vals.size, levels),
+                                                   ([], [], []))
         positions.append(i)
         ts.append(t_vals)
         vs.append(v_vals)
         self.held += t_vals.size + v_vals.size
 
-    def _compute_values(self):
+    def compute(self):
+        """Store the train bounds and Jaccard score of each rule held, or the
+        error it raises, at its position."""
         for (_, _, levels), (positions, ts, vs) in self.values.items():
-            self._store(positions, np.stack(ts), np.stack(vs), levels)
-        self.values, self.held = {}, 0
-
-    def _store(self, positions, t_vals, v_vals, levels):
-        lo, hi, score, errors = _select_rows(t_vals, v_vals, levels)
-        if lo is not None:
+            lo, hi, score, errors = _select_rows(np.stack(ts), np.stack(vs), levels)
             self.lo[positions], self.hi[positions], self.score[positions] = lo, hi, score
-        self.errors.update((positions[k], exc) for k, exc in errors.items())
-
-    def finish(self):
-        """(lo, hi, score, errors) by rule position: lists of the train bounds
-        and Jaccard scores, and the error of each rule that raises one."""
-        self._compute_values()
-        for (size, n_t, n_v, levels), (positions, rows) in self.logic.items():
-            step = max(1, _CHUNK_CELLS // (n_t + n_v))
-            for c in range(0, len(rows), step):
-                part = rows[c:c + step]
-                t_vals, v_vals = (_valued_rows(scores, part, n)
-                                  for (scores, _), n in zip(self.scored[size], (n_t, n_v)))
-                self._store(positions[c:c + step], t_vals, v_vals, levels)
-        return self.lo.tolist(), self.hi.tolist(), self.score.tolist(), self.errors
-
-
-def _valued_rows(scores, rows, n):
-    """The (len(rows), n) matrix of the scores at ``rows`` on their valued
-    batches, in batch order; each of the rules has n valued batches."""
-    value = scores.value[rows]
-    return value if n == value.shape[1] else value[scores.valued[rows]].reshape(len(rows), n)
+            self.errors.update((positions[k], exc) for k, exc in errors.items())
+        self.values, self.held = {}, 0
 
 
 def _group_batches(rules, train, valid, job, label_column, registry):
-    """Per batch size, the readers of the train and valid batch sets."""
+    """Per batch size, the readers of the train and valid batch sets, each
+    made with every logic rule of that size."""
     sizes = {job.batch_size or rule.batch_size for rule in rules}
     groups = {}
     for size in sizes:
+        logic = [rule for rule in rules
+                 if rule.kind == LOGIC and (job.batch_size or rule.batch_size) == size]
         groups[size] = tuple(
             Cells(dataset, sample_minibatches(dataset, size, count, seed),
-                  label_column, registry)
+                  label_column, registry, logic)
             for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
                                          (valid, job.n_valid_batches, job.valid_seed)))
     return groups
@@ -386,14 +346,14 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     collapses to nothing are skipped and reported through ``log`` (a list
     receiving dict entries), never raised. Output preserves input order.
 
-    The rules' values are read one rule at a time: a logic rule's from the
-    count kernel's scores of its batch size, any other rule's through
-    ``collect_statistics``. Bounds and scores are then computed over arrays
-    (``_Selection``), equal to ``interval_from_values`` and ``jaccard`` of
-    each rule bit for bit. Events and rules come out in input order. A read
-    error, or an error of the single-rule checks (a NaN value, a quantile
-    level outside [0, 1]), is raised at its own rule, after the events of
-    the rules before it are logged.
+    The rules' values are read one rule at a time, each through
+    ``collect_statistics`` on the readers of its batch size, which score all
+    of that size's logic rules at once. Bounds and scores are then computed
+    over arrays (``_Selection``), equal to ``interval_from_values`` and
+    ``jaccard`` of each rule bit for bit. Events and rules come out in input
+    order. A read error, or an error of the single-rule checks (a NaN value,
+    an infinite bound), is raised at its own rule, after the events of the
+    rules before it are logged.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(train)
@@ -405,25 +365,11 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
     signatures = [schema_mod.rule_signature(rule) for rule in rules]
-
-    # every logic rule of a batch size, scored at once on each of its sets
-    logic = {}  # rule position -> (batch size, row in its scores)
-    scored = {}  # batch size -> (LogicScores, valued batches per rule) of each set
-    for size, batch_sets in groups.items():
-        positions = [i for i, rule in enumerate(rules)
-                     if rule.kind == LOGIC and (job.batch_size or rule.batch_size) == size]
-        if positions:
-            scores = [score_logic_rules([rules[i] for i in positions], cells.dataset,
-                                        cells.rows, label_column)
-                      for cells in batch_sets]
-            scored[size] = [(s, s.valued.sum(axis=1).tolist()) for s in scores]
-            logic.update((i, (size, r)) for r, i in enumerate(positions))
-
     everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
     s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
     s1_intervals = {}  # paired rule position -> its learned s1 interval
     skipped = {}  # rule position -> reason
-    selection = _Selection(len(rules), scored)
+    selection = _Selection(len(rules))
     read, error = len(rules), None
     for i, rule in enumerate(rules):
         delta = job.delta if job.delta is not None else rule.delta
@@ -434,30 +380,17 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                 if key not in s1_edges:
                     s1_edges[key] = s1_bucket_edges(rule, everywhere)
                 s1_interval = s1_intervals[i] = s1_bucket_interval(rule, s1_edges[key])
-            if i in logic:
-                size, r = logic[i]
-                counts = []
-                for scores, valued in scored[size]:
-                    if scores.errors[r] is not None:
-                        raise scores.errors[r]
-                    if not valued[r]:
-                        raise EmptyStatisticError(
-                            f"rule {signatures[i]}: no statistic values collected")
-                    counts.append(valued[r])
-                selection.add_logic(i, (size, *counts, quantile_levels(delta, rule.sided)), r)
-            else:
-                t_vals, v_vals = _collect(
-                    signatures[i], (collect_statistics(rule, cells, s1_interval)
-                                    for cells in groups[job.batch_size or rule.batch_size]))
-                selection.add_values(
-                    i, (t_vals.size, v_vals.size, quantile_levels(delta, rule.sided)),
-                    t_vals, v_vals)
+            t_vals, v_vals = _collect(
+                signatures[i], (collect_statistics(rule, cells, s1_interval)
+                                for cells in groups[job.batch_size or rule.batch_size]))
+            selection.add(i, t_vals, v_vals, quantile_levels(delta, rule.sided))
         except EmptyStatisticError as exc:
             skipped[i] = str(exc)
         except (QuantrulesError, ValueError) as exc:  # raised after the earlier rules' events
             read, error = i, exc
             break
-    lo, hi, score, errors = selection.finish()
+    selection.compute()
+    lo, hi, score = selection.lo.tolist(), selection.hi.tolist(), selection.score.tolist()
 
     selected = []
     for i in range(read):
@@ -467,8 +400,8 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                 log.append({"event": "skipped", "signature": signature,
                             "reason": skipped[i]})
             continue
-        if i in errors:
-            raise errors[i]
+        if i in selection.errors:
+            raise selection.errors[i]
         if score[i] <= 1.0 - job.epsilon:
             if log is not None:
                 log.append({"event": "rejected", "signature": signature,

@@ -56,6 +56,7 @@ _VALUE_KINDS = {
     "rate": (lambda v: _is_number(v) and 0 <= v < math.inf, "a number in [0, inf)"),
     "positive": (lambda v: _is_number(v) and 0 < v < math.inf, "a number in (0, inf)"),
     "clip": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "fraction": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "ints": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)),
              "a list of integers with at least one entry"),
@@ -68,7 +69,7 @@ _CONFIG_KEYS = {
              "prediction_column": "str", "features": "list?"},
     "mine": {"schema": "str", "rules_out": "str", "model_in": "str?",
              "n_train_batches": "count", "n_valid_batches": "count", "batch_size": "count?",
-             "delta": "number?", "epsilon": "number", "seed": "int", "valid_seed": "int",
+             "delta": "fraction?", "epsilon": "fraction", "seed": "int", "valid_seed": "int",
              "log_out": "str?"},
     "evaluate": {"rules": "str", "report_out": "str", "model_in": "str?",
                  "batch_size": "count", "n_batches": "count", "seed": "int", "seeds": "ints?",

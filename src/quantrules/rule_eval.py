@@ -9,15 +9,16 @@ adaptation loss agree on which rows a rule covers.
 ``Cells`` reads the cells of one (table, rows) set: each distinct
 statistic, literal and guard class once, however many rules read it.
 ``Cells.applicable`` gives a non-logic rule's values and the mask of the
-positions it applies to (``applies``); ``batch_values`` reduces them to one
-summary per batch. Mining and violation counting evaluate their
-per-sample and summary rules this way, one rule at a time.
+positions it applies to (``applies``); ``Cells.batch_values`` gives any
+batch-level rule's value on each batch: a summary rule's through
+``batch_values``, a logic rule's from the count kernel. Mining and
+violation counting read every rule this way, one rule at a time.
 
 Logic rules, almost all of the rules mining learns, are scored by the count
 kernel ``score_logic_rules``: every logic rule of a batch set at once, from
-integer counts. Mining and violation counting call it once per batch-size
-set; it gathers its own indicators chunk by chunk, so its memory does not
-grow with the number of batches.
+integer counts. A batch-set reader runs it once, when it is made, over the
+logic rules it is given; it gathers its own indicators chunk by chunk, so
+its memory does not grow with the number of batches.
 
 The adaptation loss (``adaptation.RuleGroups``) reads its data cells with a
 ``Cells`` over the whole test table and masks each batch with ``applies``.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError, TypeMismatchError
-from .schema import PAIRED
+from .schema import LOGIC, PAIRED
 from .statistics import (PER_SAMPLE, f1_from_counts, literal_cells, match_class,
                          sample_values_aligned, summarize)
 
@@ -59,15 +60,20 @@ class Cells:
     first use, and kept; ``statistics`` and ``literals`` list them in that
     order. Guard classes are read from ``label_column`` with ``match_class``,
     so a numeric class column compares numbers. ``registry`` resolves
-    statistic names. Read errors are raised, never kept.
+    statistic names. Read errors are raised, never kept. The count kernel
+    scores the ``logic_rules`` of a (B, m) batch matrix when it is made.
     """
 
-    def __init__(self, dataset, rows, label_column, registry):
+    def __init__(self, dataset, rows, label_column, registry, logic_rules=()):
         self.dataset, self.rows = dataset, np.asarray(rows, dtype=int)
         self.label_column, self.registry = label_column, registry
         self.statistics = {}  # name -> (values, present)
         self.literals = {}  # literal -> (truth, present)
         self._guards = {}  # class -> mask
+        self._scores = (score_logic_rules(logic_rules, dataset, self.rows, label_column)
+                        if logic_rules else None)
+        # keyed by the rule: a lookup with the same object skips __eq__
+        self._logic_row = {rule: r for r, rule in enumerate(logic_rules)}
 
     def statistic(self, name):
         """(values, present) of the per-sample statistic ``name``; missing
@@ -109,6 +115,19 @@ class Cells:
                                          else stat.column)
         return stat, values, applies(guard, present, *s1)
 
+    def batch_values(self, rule, s1_interval=None):
+        """A batch-level rule's (value, valued) on each batch of the (B, m)
+        batch matrix: a logic rule's F1 row from the count kernel, which
+        raises the rule's read error instead if it has one, or a summary
+        rule's ``batch_values`` over its ``applicable`` positions. A logic
+        rule the reader was not made with is scored on its own."""
+        if rule.kind != LOGIC:
+            return batch_values(*self.applicable(rule, s1_interval))
+        r = self._logic_row.get(rule)
+        if r is not None:
+            return self._scores.rule(r)
+        return score_logic_rules([rule], self.dataset, self.rows, self.label_column).rule(0)
+
 
 def batch_values(stat, values, mask):
     """A summary statistic of each batch (the last axis) over its masked
@@ -144,11 +163,6 @@ class LogicScores:
         if self.errors[r] is not None:
             raise self.errors[r]
         return self.value[r], self.valued[r]
-
-    def collected(self, r):
-        """Rule r's F1 on the batches with a usable row, in batch order."""
-        value, valued = self.rule(r)
-        return value[valued]
 
 
 # cells of U and of LU per chunk of batches: 256 KiB each in float32, so the

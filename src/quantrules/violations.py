@@ -1,10 +1,11 @@
 """Rule violation counting over a test set.
 
 Learned intervals are closed, so a statistic exactly at a bound satisfies
-its rule. Per-sample rules are checked on every applicable row; minibatch
-rules are checked on seeded batches, and a violated batch attributes one
-violation to every member row so the per-rule and per-sample margins both
-sum to the same total.
+its rule. Per-sample rules are checked on every applicable row, read by
+one ``rule_eval.Cells`` of the whole table; minibatch rules are checked on
+seeded batches, read by ``Cells.batch_values`` of their batch size's
+reader, and a violated batch attributes one violation to every member row
+so the per-rule and per-sample margins both sum to the same total.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dataset import sample_minibatches
 from .errors import EmptyStatisticError, ParseError, ResolutionError
-from .rule_eval import Cells, batch_values, score_logic_rules
+from .rule_eval import Cells
 from .schema import LOGIC
 from .statistics import PER_SAMPLE, StatisticRegistry
 
@@ -78,40 +79,35 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     sample_counts = np.zeros(test.n_rows, dtype=np.int64)
     per_rule, unevaluable = [], []
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
-    batch_sets = {}  # batch size -> (Cells of its batch matrix, LogicScores)
-    logic_row = {}  # position of a logic rule -> its row in its LogicScores
+    batch_sets = {}  # batch size -> Cells of its batch matrix
 
     def size_of(rule):
         return rule.batch_size if rule.batch_size > 1 else None
 
     def batch_set(size):
-        """A batch size's reader, and the scores of all its logic rules, made
-        when the first rule of that size is counted."""
+        """A batch size's reader, made with all of its logic rules when the
+        first rule of that size is counted."""
         if size not in batch_sets:
             if batching is None:
                 raise ValueError("minibatch rules need a (batch_size, count, seed) batching")
             fallback, count, seed = batching
-            cells = Cells(test, sample_minibatches(test, size or fallback, count, seed),
-                          label_column, registry)
-            at = [i for i, c in enumerate(rules)
-                  if c.rule.kind == LOGIC and size_of(c.rule) == size]
-            logic_row.update((i, r) for r, i in enumerate(at))
-            batch_sets[size] = cells, (score_logic_rules(
-                [rules[i].rule for i in at], test, cells.rows, label_column) if at else None)
+            batch_sets[size] = Cells(
+                test, sample_minibatches(test, size or fallback, count, seed), label_column,
+                registry, [c.rule for c in rules
+                           if c.rule.kind == LOGIC and size_of(c.rule) == size])
         return batch_sets[size]
 
-    for i, crule in enumerate(rules):
+    for crule in rules:
         rule, s1_interval = crule.rule, (crule.s1_lo, crule.s1_hi)
         try:
-            if rule.kind != LOGIC and registry.resolve(rule.statistic).arity == PER_SAMPLE:
+            if registry.resolve(rule.statistic).arity == PER_SAMPLE:
                 _, values, mask = everywhere.applicable(rule, s1_interval)
                 violated = mask & ((values < crule.lo) | (values > crule.hi))
                 sample_counts += violated
                 v, n = int(violated.sum()), int(mask.sum())
             else:
-                cells, scores = batch_set(size_of(rule))
-                value, valued = (scores.rule(logic_row[i]) if rule.kind == LOGIC
-                                 else batch_values(*cells.applicable(rule, s1_interval)))
+                cells = batch_set(size_of(rule))
+                value, valued = cells.batch_values(rule, s1_interval)
                 # a valued batch outside [lo, hi] (a NaN value is outside)
                 # charges a violation to each of its positions
                 outside = valued & ~((crule.lo <= value) & (value <= crule.hi))

@@ -122,6 +122,19 @@ def test_interval_rows_match_interval_from_values(values, delta, sided):
     assert [float(x).hex() for x in hi] == [iv.hi.hex() for iv in want]
 
 
+@pytest.mark.parametrize("delta", [3.0, 1.0, 0.0, -0.1, math.nan])
+def test_delta_outside_its_range_is_rejected(delta):
+    """A job's delta lies in (0, 1), as the schema's quantile = 1 - delta
+    does; a quantile level can only be taken for a delta in [0, 1]."""
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        BoundJob(delta=delta)
+    if not 0.0 <= delta <= 1.0:
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\]"):
+            quantile_levels(delta, "two")
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\]"):
+            interval_from_values([1.0, math.nan], delta, "lower")
+
+
 def test_quantile_levels_reject_unknown_sidedness():
     with pytest.raises(ValueError, match="unknown sidedness 'both'"):
         quantile_levels(0.02, "both")

@@ -628,13 +628,22 @@ def test_readme_config_example_keys_are_accepted(tmp_path):
      "'grad_clip' must be a number > 0, got nan"),
     ("evaluate", lambda c: c["evaluate"].update(seeds=[]), "section 'evaluate'",
      "'seeds' must be a list of integers with at least one entry, got []"),
+    ("mine", lambda c: c["mine"].update(delta=3.0), "section 'mine'",
+     "'delta' must be a number in (0, 1), got 3.0"),
+    ("mine", lambda c: c["mine"].update(delta=0), "section 'mine'",
+     "'delta' must be a number in (0, 1), got 0"),
+    ("mine", lambda c: c["mine"].update(epsilon=5.0), "section 'mine'",
+     "'epsilon' must be a number in (0, 1), got 5.0"),
+    ("mine", lambda c: c["mine"].update(epsilon=1), "section 'mine'",
+     "'epsilon' must be a number in (0, 1), got 1"),
 ], ids=["data", "mine", "evaluate", "adapt", "features", "section", "type-str",
         "type-bool", "type-number", "type-list", "no-column", "not-mapping",
         "adapt-batch-size", "n-batches", "evaluate-batch-size", "n-train-batches",
         "n-valid-batches", "mine-batch-size", "iterations", "epochs", "eval-batch-size",
         "eval-n-batches", "learning-rate-nan", "learning-rate-inf", "learning-rate-negative",
         "temperature-nan", "temperature-zero", "grad-clip-negative", "grad-clip-zero",
-        "grad-clip-nan", "seeds-empty"])
+        "grad-clip-nan", "seeds-empty", "delta-above", "delta-zero", "epsilon-above",
+        "epsilon-one"])
 def test_config_key_faults_exit_2_naming_file_section_and_key(tmp_path, capsys, command,
                                                                change, where, key):
     cfg_path = write_workspace(tmp_path)

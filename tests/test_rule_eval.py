@@ -215,24 +215,57 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
     # small chunk budgets split the batches into chunks of one or more
     with mock.patch.object(rule_eval, "_CHUNK_CELLS", chunk_cells):
         scores = score_logic_rules(rules, ds, rows, label_column)
+        listed = Cells(ds, rows, label_column, registry, rules)
+    unlisted = Cells(ds, rows, label_column, registry)  # scores each rule on its own
     assert scores.value.shape == scores.valued.shape == (len(rules), count + 1)
     for r, rule in enumerate(rules):
+        alone = score_logic_rules([rule], ds, rows, label_column)
         try:
             batches = [oracle.evaluate_batch(rule, ds, b, label_column, registry).value
                        for b in rows]
         except QuantrulesError as exc:
-            error = scores.errors[r]
-            assert type(error) is type(exc) and str(error) == str(exc), rule
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                scores.collected(r)
+            for error in (scores.errors[r], alone.errors[0]):
+                assert type(error) is type(exc) and str(error) == str(exc), rule
+            for cells in (listed, unlisted):
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    cells.batch_values(rule)
             continue
         assert scores.errors[r] is None, rule
         assert scores.valued[r].tolist() == [v is not None for v in batches], rule
         expect = np.array([0.0 if v is None else v for v in batches])
         assert scores.value[r].tobytes() == expect.tobytes(), rule
-        got = scores.collected(r)
+        for cells in (listed, unlisted):
+            value, valued = cells.batch_values(rule)
+            assert value.tobytes() == alone.value[0].tobytes(), rule
+            assert valued.tobytes() == alone.valued[0].tobytes(), rule
+        got = collect_statistics(rule, listed)
         want = oracle.collect_statistics(rule, ds, rows, registry, label_column)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule
+
+
+def test_kernel_runs_once_per_batch_set():
+    """Mining scores the logic rules of each batch set with one kernel call,
+    and counting those of each batch size; a reader that scored each logic
+    rule on its own would give the same outputs."""
+    rng = np.random.default_rng(1)
+    train, valid, test = (logic_dataset(rng, 40) for _ in range(3))
+    drawn = [([A], 0, "two"), ([A, Literal("B")], 1, "lower"), ([NOT_A], 1, "upper"),
+             ([Literal("C")], 0, "two")]
+    rules = mixed_rules(drawn, (2, 3))  # two logic rules of each batch size
+    calls, score = [], rule_eval.score_logic_rules
+
+    def counted(logic_rules, dataset, rows, label_column):
+        calls.append((len(logic_rules), rows.shape))
+        return score(logic_rules, dataset, rows, label_column)
+
+    with mock.patch.object(rule_eval, "score_logic_rules", counted):
+        learn_and_select(rules, train, valid, BoundJob(n_train_batches=5, n_valid_batches=4),
+                         label_column="y")
+        assert sorted(calls) == [(2, (4, 2)), (2, (4, 3)), (2, (5, 2)), (2, (5, 3))]
+        calls.clear()
+        violations.evaluate(concrete([(rule, None) for rule in rules], -1.0, 1.0), test,
+                            batching=(2, 6, 0), label_column="y")
+        assert sorted(calls) == [(2, (6, 2)), (2, (6, 3))]
 
 
 def select_alone(rules, train, valid, job, label_column, log):
@@ -357,20 +390,16 @@ def test_learn_and_select_matches_alone_on_partly_valued_and_non_finite_rules():
     """Fixed draws that the property test is not sure to make: logic rules
     valued on only some of their batches; an aspect-ratio rule whose values
     hold a NaN, which raises percentile's error at its own position, or an
-    inf, which gives a NaN bound; and a delta whose quantile levels lie
-    outside [0, 1], which fails at the first rule not skipped unless its
-    values hold a NaN, which percentile checks first."""
+    inf, which gives a NaN bound."""
     not_b = Literal("B", negated=True)
     drawn = [([A], 0, "two"), ([A, not_b], 1, "lower"), ([not_b], 0, "upper"), ([A], 1, "two")]
     partly, error = check_selected_alone(0, 20, 20, 4, 3, (1, 2), None, 0.5, drawn)
     assert partly > 0 and error is None
-    for seed, delta, box, message in (
-            (0, None, (3, "two"), "percentile input contains NaN"),
-            (4, None, (3, "lower"), "percentile input contains NaN"),  # in valid only
-            (2, None, (3, "two"), "interval endpoints cannot be NaN"),
-            (0, 3.0, None, "q must lie in [0, 1], got 1.5"),
-            (0, 3.0, (0, "two"), "percentile input contains NaN")):
-        _, error = check_selected_alone(seed, 20, 20, 4, 3, (2, 1), delta, 0.5, drawn, box)
+    for seed, box, message in (
+            (0, (3, "two"), "percentile input contains NaN"),
+            (4, (3, "lower"), "percentile input contains NaN"),  # in valid only
+            (2, (3, "two"), "interval endpoints cannot be NaN")):
+        _, error = check_selected_alone(seed, 20, 20, 4, 3, (2, 1), None, 0.5, drawn, box)
         assert str(error) == message
 
 

@@ -10,7 +10,7 @@ from quantrules.bounds import compute_bounds
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
 from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
                                TypeMismatchError)
-from quantrules.rule_eval import Cells, batch_values, score_logic_rules
+from quantrules.rule_eval import Cells, batch_values
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
                                    load_boxes, sigmoid, soften_grad, soften_scores)
@@ -44,7 +44,9 @@ def summarized(ds, statistic, rows):
 
 
 def f1_of(rule, ds, n, label_column):
-    (value,) = score_logic_rules([rule], ds, np.arange(n)[None], label_column).collected(0)
+    value, valued = Cells(ds, np.arange(n)[None], label_column,
+                          StatisticRegistry.from_dataset(ds)).batch_values(rule)
+    (value,) = value[valued]
     return float(value)
 
 
