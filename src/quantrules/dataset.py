@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -219,9 +220,106 @@ def _infer_kind(cells):
         parsed = np.array(cells, dtype=float)
     except ValueError:
         return LABEL, None
-    if np.isin(parsed, (0.0, 1.0)).all():
+    # not np.isin, for the reason given in Dataset
+    if ((parsed == 0.0) | (parsed == 1.0)).all():
         return BOOLEAN, parsed
     return NUMERIC, parsed
+
+
+# the plain reader reads a table in blocks of whole lines of about this many
+# characters, so no buffer holds the whole file. A block stays below malloc's
+# default mmap threshold (128 KiB): freeing a larger one raises the threshold,
+# after which later arrays stay on the heap and the peak RSS grows
+_BLOCK_CHARS = 1 << 16
+
+
+def _raise_not_utf8(path):
+    """Raise ParseError naming the line of the first byte of ``path`` that is
+    not UTF-8, if there is one."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                         f"({exc.reason})", line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _check_record(path, fields, width, lineno, limit):
+    """Raise the ParseError that reading this record through csv.reader gives."""
+    if max(map(len, fields), default=0) > limit:
+        raise ParseError(f"{path}: field larger than field limit ({limit})", line=lineno)
+    if len(fields) != width:
+        raise ParseError(f"{path}: row has {len(fields)} fields, expected {width}",
+                         line=lineno)
+
+
+def _split_plain(path, limit):
+    """(header, per-column cell lists) of a file in which csv.reader ends every
+    record at a newline and every field at a comma; None when the file holds
+    a quote or a CR."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header:
+                raise ParseError(f"{path}: empty file, expected a header row")
+            if '"' in header or "\r" in header:
+                return None
+            header = header.removesuffix("\n")
+            header = header.split(",") if header else []  # a blank line has no fields
+            width = len(header)
+            _check_record(path, header, width, 1, limit)
+            columns = [[] for _ in header]
+            lineno, rest = 2, ""
+            while True:
+                chunk = fh.read(_BLOCK_CHARS)
+                text = rest + chunk
+                if '"' in text or "\r" in text:
+                    return None
+                if chunk:  # hold back the last line, which may go on in the next chunk
+                    end = text.rfind("\n")
+                    if end < 0:
+                        rest = text
+                        continue
+                    text, rest = text[:end], text[end + 1:]
+                elif not text:
+                    break
+                lines = text.split("\n")
+                if (list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines)
+                        or "" in lines or max(map(len, lines)) > limit):
+                    for i, line in enumerate(lines):
+                        _check_record(path, line.split(",") if line else [], width,
+                                      lineno + i, limit)
+                lineno += len(lines)
+                flat = text.replace("\n", ",").split(",")
+                for j, column in enumerate(columns):
+                    column.extend(flat[j::width])
+                if not chunk:
+                    break
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
+    return header, columns
+
+
+def _split_quoted(path, limit):
+    """(header, per-column cell lists) of any table, through csv.reader."""
+    lineno = 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            lineno = 1
+            columns = [[] for _ in header]
+            for lineno, row in enumerate(reader, start=2):
+                _check_record(path, row, len(header), lineno, limit)
+                for column, cell in zip(columns, row):
+                    column.append(cell)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", line=lineno + 1) from None
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
+    return header, columns
 
 
 def load_table(path, specs=None, edges=None) -> Dataset:
@@ -231,24 +329,14 @@ def load_table(path, specs=None, edges=None) -> Dataset:
     Empty cells are missing; a cell of a numeric, boolean or bucketed column
     that parses to nan or +-inf is rejected. ``edges`` supplies pre-fitted
     bucket edges (e.g. from the training set) keyed by source column;
-    without them edges are fitted on the file's own values.
+    without them edges are fitted on the file's own values. Records and
+    fields are read as ``csv.reader`` reads them; a file with no quote and
+    no CR is split with ``str`` methods, which give the same cells.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        raw_rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row has {len(row)} fields, expected {len(header)}",
-                    line=lineno,
-                )
-            raw_rows.append(row)
+    limit = csv.field_size_limit()
+    header, raw = _split_plain(path, limit) or _split_quoted(path, limit)
+    header = [h.strip() for h in header]
 
     if specs is None:
         specs = [FeatureSpec(name) for name in header]
@@ -257,13 +345,22 @@ def load_table(path, specs=None, edges=None) -> Dataset:
             raise ParseError(f"{path}: column {spec.source!r} not in header")
 
     col_idx = {name: i for i, name in enumerate(header)}
-    n = len(raw_rows)
+    last_use = {spec.source: k for k, spec in enumerate(specs)}
 
     columns, values, missing, fitted, sources = [], {}, {}, {}, {}
-    for spec in specs:
-        cells = [row[col_idx[spec.source]].strip() for row in raw_rows]
-        present = np.array([c != "" for c in cells], dtype=bool)
-        kind, parsed = _infer_kind([c for c in cells if c != ""])
+    for k, spec in enumerate(specs):
+        cells = raw[col_idx[spec.source]]
+        if last_use[spec.source] == k:
+            raw[col_idx[spec.source]] = None  # drop each cell list after its last use
+        # float() ignores surrounding whitespace and rejects an empty cell, so
+        # a column that parses unstripped has every cell present and numeric
+        kind, parsed = _infer_kind(cells)
+        if kind == LABEL:
+            cells = list(map(str.strip, cells))
+            present = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+            kind, parsed = _infer_kind(list(filter(None, cells)))
+        else:
+            present = np.ones(len(cells), dtype=bool)
         if kind == LABEL:
             if spec.buckets is not None:
                 i = next(i for i, c in enumerate(cells)
@@ -275,10 +372,11 @@ def load_table(path, specs=None, edges=None) -> Dataset:
             bad = np.flatnonzero(~np.isfinite(parsed))
             if bad.size:
                 i = int(np.flatnonzero(present)[bad[0]])
-                raise ParseError(f"{path}: non-finite value {cells[i]!r} in column "
-                                 f"{spec.source!r}", line=i + 2)
-            arr = np.zeros(n)
+                raise ParseError(f"{path}: non-finite value {cells[i].strip()!r} in "
+                                 f"column {spec.source!r}", line=i + 2)
+            arr = np.zeros(len(cells))
             arr[present] = parsed
+        del cells
 
         if spec.buckets is None:
             columns.append((spec.source, kind))

@@ -97,6 +97,18 @@ class AbstractRule:
     delta: float = DEFAULT_DELTA
     batch_size: int = 1
 
+    def __post_init__(self):
+        # rules key dicts in mining and counting; the generated hash would
+        # rehash every field, literals included, on each lookup. The hash is
+        # written to __dict__ directly, which is cheaper than object.__setattr__
+        self.__dict__["_hash"] = hash((
+            self.kind, self.sided, self.guard, self.statistic, self.literals,
+            self.consequent, self.s1, self.s1_bucket, self.s1_bucket_count,
+            self.delta, self.batch_size))
+
+    def __hash__(self):
+        return self._hash
+
 
 @dataclass(frozen=True)
 class ConcreteRule:

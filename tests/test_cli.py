@@ -429,6 +429,24 @@ def test_bad_bucketed_column_exits_2_naming_file_and_column(tmp_path, capsys,
     assert str(bad) in err and "'x0'" in err and expected in err
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("label, expected", [
+    (b"caf\xe9", "byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    (b"a" * 131073, "field larger than field limit (131072)"),
+], ids=["not-utf8", "field-over-limit"])
+def test_unreadable_table_exits_2_naming_file_and_line(tmp_path, capsys, quoted,
+                                                       label, expected):
+    cfg = write_workspace(tmp_path)
+    train = tmp_path / "train.csv"
+    lines = train.read_bytes().split(b"\n")
+    if quoted:
+        lines[2] = lines[2].replace(b",a", b',"a"').replace(b",b", b',"b"')
+    lines[4] = lines[4].rsplit(b",", 1)[0] + b"," + label
+    train.write_bytes(b"\n".join(lines))
+    assert main(["mine", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: line 5: {train}: {expected}\n"
+
+
 def test_adapt_reads_box_json_test_set(tmp_path, capsys):
     rng = np.random.default_rng(4)
     boxes = (write_boxes(None, rng, 100, "car", (80, 200), (40, 90))

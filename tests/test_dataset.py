@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, write_csv
+from quantrules import dataset
 from quantrules.dataset import (BOOLEAN, LABEL, NUMERIC, Dataset, FeatureSpec,
                                 bucket_edges, bucket_indicators, checked_rows,
                                 load_table, sample_minibatches, split)
@@ -198,10 +201,12 @@ def _outcome(load, path, specs, edges):
 
 
 # empty and whitespace cells, 0/1 spellings, -0.0, 1_000, non-finite and
-# non-numeric cells next to ordinary floats
+# non-numeric cells next to ordinary floats; cells that csv must quote; and
+# padded cells, of which an error quotes only the stripped text
 _CELLS = st.one_of(
     st.sampled_from(["", " ", "0", "1", "1.0", " 1 ", "-0.0", "0e5", "1_000", "nan",
-                     "inf", "-Infinity", "1e400", "0x10", "abc", "١٢"]),
+                     "inf", "-Infinity", "1e400", "0x10", "abc", "١٢", " nan ",
+                     " 1_000 ", "a,b", 'say "hi"', "two\nlines", "cr\rcell"]),
     st.floats(-1e3, 1e3).map(repr))
 
 
@@ -212,6 +217,11 @@ def _tables(draw):
                          max_size=8))
     if draw(st.integers(0, 3)) == 0:  # an all-missing column
         rows = [[""] + row[1:] for row in rows]
+    if rows and draw(st.integers(0, 3)) == 0:  # a ragged row
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    for _ in range(draw(st.integers(0, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+        rows.insert(draw(st.integers(0, len(rows))), [])  # a blank line
     header = [f"c{j}" for j in range(n_cols)]
     specs = None
     if draw(st.booleans()):
@@ -220,21 +230,55 @@ def _tables(draw):
     if draw(st.booleans()):
         edges = {h: sorted(draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2)))
                  for h in header}
-    return header, rows, specs, edges
+    layout = {"quoting": draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+              "lineterminator": draw(st.sampled_from(["\n", "\r\n"])),
+              "final_newline": draw(st.booleans()),
+              "field_limit": draw(st.sampled_from([None, 6])),
+              "block_chars": draw(st.integers(1, 40))}
+    return header, rows, specs, edges, layout
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tables())
-def test_load_table_matches_per_cell_oracle(tmp_path_factory, table):
-    header, rows, specs, edges = table
-    path = tmp_path_factory.mktemp("table") / "t.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header] + rows)
-    if edges is not None and specs is not None:
-        edges = {s.source: edges[s.source][:s.buckets - 1] for s in specs if s.buckets}
-    expect = _outcome(_load_table_oracle, path, specs, edges)
-    got = _outcome(load_table, path, specs, edges)
-    if expect[0] is TypeMismatchError:
+def _reader_fault(path):
+    """The error message of the first record that csv.reader rejects or that
+    has a field count other than the header's, or None."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lineno = 0
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if lineno == 1:
+                    width = len(row)
+                elif len(row) != width:
+                    return f"line {lineno}: {path}: row has {len(row)} fields, expected {width}"
+        except csv.Error as exc:
+            return f"line {lineno + 1}: {path}: {exc}"
+    return None
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
+def _assert_matches_oracle(path, specs, edges, field_limit=None, block_chars=1 << 20):
+    data = path.read_bytes()
+    # csv.reader is only for a text that holds a quote or a CR; with it
+    # patched to raise, an accidental fallback would fail here
+    plain = b'"' not in data and b"\r" not in data
+    default_limit = csv.field_size_limit()
+    try:
+        if field_limit is not None:
+            csv.field_size_limit(field_limit)
+        fault = _reader_fault(path)
+        if fault is None:
+            expect = _outcome(_load_table_oracle, path, specs, edges)
+        with mock.patch.object(dataset, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(csv, "reader", _raise if plain else csv.reader):
+            got = _outcome(load_table, path, specs, edges)
+    finally:
+        csv.field_size_limit(default_limit)
+    if fault is not None:
+        assert got == (ParseError, fault)
+    elif expect[0] is TypeMismatchError:
         # a bucketed column the loader cannot parse is now a ParseError
         assert got[0] is ParseError
         column = re.search(r"column '(c\d)'", expect[1]).group(1)
@@ -245,6 +289,48 @@ def test_load_table_matches_per_cell_oracle(tmp_path_factory, table):
             assert expect[1].split(" in bucketed")[0] in got[1]
     else:
         assert got == expect
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables())
+def test_load_table_matches_per_cell_oracle(tmp_path_factory, table):
+    header, rows, specs, edges, layout = table
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    out = io.StringIO()
+    csv.writer(out, quoting=layout["quoting"],
+               lineterminator=layout["lineterminator"]).writerows([header] + rows)
+    text = out.getvalue()
+    if not layout["final_newline"]:
+        text = text[:-len(layout["lineterminator"])]
+    path.write_text(text, encoding="utf-8", newline="")
+    if edges is not None and specs is not None:
+        edges = {s.source: edges[s.source][:s.buckets - 1] for s in specs if s.buckets}
+    _assert_matches_oracle(path, specs, edges, layout["field_limit"], layout["block_chars"])
+
+
+@pytest.mark.parametrize("block_chars", [1, 1 << 20])
+@pytest.mark.parametrize("text", [
+    "c0\n1\n\n2\n", "c0\n1\n2\n\n", "c0\n1\n2\n\n\n", "c0\n1\r\n\r\n2\r\n",
+    "c0,c1\n", "c0,c1", "c0,c1\n1,2\n3,4", "c0,c1\r\n1,2\r\n3,4", "\n", "\n\n",
+    "\n1\n", 'c0\n"1"\n\n'])
+def test_load_table_matches_oracle_on_line_layouts(tmp_path, text, block_chars):
+    # blank lines in a one-column table, where a blank line and a one-field
+    # line hold the same number of commas; header-only files, no final newline
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _assert_matches_oracle(path, None, None, block_chars=block_chars)
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,2\n", "a,b\r\n1,2\r\n", '"a",b\n1,"2"\n'],
+                         ids=["plain", "crlf", "quoted"])
+def test_field_over_the_csv_limit_names_file_and_line(tmp_path, text):
+    path = tmp_path / "t.csv"
+    limit = csv.field_size_limit()
+    path.write_text(text + f"3,{'9' * limit}\n" + f"5,{'9' * (limit + 1)}\n",
+                    encoding="utf-8", newline="")
+    with pytest.raises(ParseError) as info:
+        load_table(path)
+    assert str(info.value) == f"line 4: {path}: field larger than field limit ({limit})"
 
 
 # -- bucket_edges -------------------------------------------------------------

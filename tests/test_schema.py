@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from itertools import combinations, product
 
 import pytest
@@ -166,6 +167,16 @@ def test_enumeration_is_deterministic_and_free_of_duplicates():
 
 
 # -- signatures ------------------------------------------------------------------
+
+def test_cached_hash_is_the_hash_of_every_field():
+    # the hash is taken once from a written-out field tuple, which must name
+    # every field, so that equal rules hash equal
+    rule = AbstractRule(kind=LOGIC, statistic="f1", consequent="y", batch_size=64,
+                        literals=(Literal("b"), Literal("a", True)))
+    assert hash(rule) == hash(tuple(getattr(rule, f.name) for f in fields(rule)))
+    assert hash(rule) == hash(replace(rule))
+    assert {rule: 1}[replace(rule)] == 1
+
 
 def test_signature_identical_for_identical_structure():
     r1 = AbstractRule(kind=CONDITIONAL, guard="car", statistic="width")
