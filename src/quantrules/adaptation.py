@@ -14,21 +14,22 @@ of the test table, the model's probabilities and the cache for the
 backward pass. No batch table is built. ``RuleGroups`` reads everything
 else once per run. It rejects a test table that already holds a model
 output column, resolves the rules' statistics from the table's columns
-and the model's outputs, and splits the rules into three groups:
-per-sample rules (conditional and paired rules on a per-sample statistic),
-summary rules (mean and std) and logic rules. Every cell that reads only
-data columns is read once, on the whole test table, by the rule reader
-``rule_eval.Cells``: literal truth and presence, data-column and
-box-statistic values and their missing masks, which also serve as paired
-rules' s1 values. They are stored per distinct literal or statistic, not
-per rule, and each batch gathers them by its rows. Only the model outputs
-change from batch to batch: the score columns ``probs[:, j]`` and the
-predicted class, which is the guard. Each batch then takes one array pass
-per group, masked by ``rule_eval.applies``, the mask violation counting
-uses. Each rule's reductions (a mean, a std, the surrogate F1's sums) stay
-1-d reductions over its own compacted values, and the losses and d loss /
-d probs are summed in rule order, so the result is bit-equal to evaluating
-the rules one by one.
+and the model's outputs, and keeps the rules in two tables: statistic
+rules (per-sample, paired and summary rules) and logic rules. Every cell
+that reads only data columns is read once, on the whole test table, by the
+rule reader ``rule_eval.Cells``, and stacked per distinct statistic or
+literal, not per rule; each batch gathers the stacks by its rows. Only the
+model outputs change from batch to batch: the score columns
+``probs[:, j]`` and the predicted class, which is the guard.
+
+Each batch takes one pool gather and one ``rule_eval.applies`` mask, the
+mask violation counting uses, for all statistic rules, and one array pass
+for the logic rules. Per-sample rules are hinged at every position. Summary
+and logic rules have one value per batch, and every such value outside its
+bounds goes through one shared ``hinge`` call. Each rule's reductions (a
+mean, a std, the surrogate F1's sums) stay 1-d reductions over its own
+compacted values, and the losses and d loss / d probs are summed in rule
+order, so the result is bit-equal to evaluating the rules one by one.
 
 The passes stay here, apart from ``rule_eval.score_logic_rules``: the loss
 needs the softened scores and their derivatives on each iteration's batch,
@@ -45,9 +46,10 @@ import numpy as np
 
 from .dataset import checked_rows
 from .errors import DivergenceError, ResolutionError, TypeMismatchError
-from .rule_eval import Cells, applies
-from .schema import LOGIC, PAIRED, rule_signature
-from .statistics import PER_SAMPLE, StatisticRegistry, f1_from_counts, soften_grad
+from .rule_eval import Cells, applies, outside
+from .schema import LOGIC, PAIRED
+from .statistics import (PER_SAMPLE, StatisticRegistry, f1_from_counts, soften_grad,
+                         summarize)
 
 LOSS_CLIP = 1.0
 
@@ -133,29 +135,10 @@ def hinge(values, lo, hi, clip=LOSS_CLIP):
             np.where(inside | plateau, 0.0, slope))
 
 
-def _check_finite(value, rule):
-    if not math.isfinite(value):
-        raise DivergenceError(
-            f"rule {rule_signature(rule)}: non-finite statistic value {value}")
-
-
-class _Rows:
-    """Per-rule parameters of one group, as arrays with one row per rule."""
-
-    def __init__(self, entries):
-        for key in entries[0] if entries else ():
-            column = np.array([e[key] for e in entries])
-            setattr(self, key, column[:, None] if key in _COLUMNS else column)
-        self.n = len(entries)
-
-
-# parameters that broadcast against a group's (rules, m) arrays
-_COLUMNS = ("lo", "hi", "guard", "free", "s1_lo", "s1_hi", "cls")
-
-
 class RuleGroups:
-    """The rules of one adapt run or gradient check, split into three groups,
-    with every data-only cell read once at all rows of ``table``.
+    """The rules of one adapt run or gradient check in two tables, statistic
+    rules and logic rules, with every data-only cell read once at all rows
+    of ``table``.
 
     ``table`` supplies the data columns and must not hold a model output
     column (``score_<class>`` or ``pred``): those come from each batch's
@@ -174,241 +157,207 @@ class RuleGroups:
         no_rows = table.take(np.arange(0)).with_columns(
             model.output_columns(np.zeros((0, len(model.class_names)))))
         registry = StatisticRegistry.from_dataset(no_rows)
+        cells = Cells(table, np.arange(table.n_rows), None, registry)
         self.rules = list(rules)
-        self._classes = list(model.class_names)
-        self._scores = {model.score_column(c): j for j, c in enumerate(self._classes)}
-        # build-time reader of the data cells at all rows, dropped once stacked
-        self._cells = Cells(table, np.arange(table.n_rows), None, registry)
-        per_sample, summary, logic = [], [], []
+        classes = list(model.class_names)
+        self._n_classes = len(classes)
+        # stack rows in the order first read: the value pool of a batch is its
+        # score columns, then the data statistics at its rows
+        pool = {model.score_column(c): j for j, c in enumerate(classes)}
+        literals, data, truth = {}, [], []
+
+        def row(index, stack, key, read):  # key's row, read onto stack on first use
+            if key not in index:
+                stack.append(read(key))
+                index[key] = len(index)
+            return index[key]
+
+        sample, summary, logic = [], [], []  # table rows, each in rule order
         for r, crule in enumerate(self.rules):
+            rule = crule.rule
             try:
-                entry = self._entry(r, crule)
+                if rule.kind == LOGIC:
+                    if rule.consequent not in classes:
+                        raise ResolutionError(
+                            f"consequent {rule.consequent!r} is not a model class; "
+                            f"classes: {', '.join(classes)}")
+                    logic.append((r, classes.index(rule.consequent),
+                                  [row(literals, truth, lit, cells.literal)
+                                   for lit in rule.literals], crule.lo, crule.hi))
+                    continue
+                stat = registry.resolve(rule.statistic)
+                if stat.arity == PER_SAMPLE:
+                    into, column = sample, rule.statistic
+                elif stat.kind == "summary":
+                    into, column = summary, stat.column
+                else:
+                    raise TypeMismatchError(
+                        f"statistic {stat.name!r} has no per-minibatch evaluator")
+                src = row(pool, data, column, cells.statistic)
+                # an unpaired rule's s1 is score column 0 in the bucket
+                # (-inf, inf]: always present and inside
+                s1 = (0, -math.inf, math.inf)
+                if rule.kind == PAIRED:
+                    if crule.s1_lo is None or crule.s1_hi is None:
+                        raise ResolutionError("paired rule has no learned s1 interval")
+                    if registry.resolve(rule.s1).arity != PER_SAMPLE:
+                        raise TypeMismatchError(f"statistic {rule.s1!r} is not per-sample")
+                    s1 = (row(pool, data, rule.s1, cells.statistic), crule.s1_lo, crule.s1_hi)
+                guard = -1 if rule.guard is None or str(rule.guard) not in classes \
+                    else classes.index(str(rule.guard))
+                into.append((r, stat, src, guard, rule.guard is None,
+                             rule.kind == PAIRED, *s1, crule.lo, crule.hi))
             except (ResolutionError, TypeMismatchError) as exc:
                 raise ResolutionError(f"rule {crule.signature}: {exc}") from None
-            {"sample": per_sample, "summary": summary, "logic": logic}[entry.pop("group")] \
-                .append(entry)
-        data, literals = self._cells.statistics.values(), self._cells.literals.values()
-        # pad every literal list to the longest with the always-true row
-        width = max((len(e["lits"]) for e in logic), default=0)
-        for e in logic:
-            e["lits"] += [len(literals)] * (width - len(e["lits"]))
-        self._per_sample, self._summary = _Rows(per_sample), _Rows(summary)
-        self._logic = _Rows(logic)
-        if logic:  # the distinct consequent classes, and each rule's among them
-            self._logic.classes, self._logic.class_at = np.unique(
-                self._logic.cls[:, 0], return_inverse=True)
+
         n = table.n_rows
-        # the value pool of a batch is its score columns, then these rows
-        shape = (len(data), n)
-        self._data_values = np.array([vals for vals, _ in data], dtype=float).reshape(shape)
-        self._data_present = np.array([present for _, present in data],
-                                      dtype=bool).reshape(shape)
-        # literal stacks end with the always-true, always-present row
-        self._truth = np.array([t for t, _ in literals] + [np.ones(n)])
-        self._present = np.array([p for _, p in literals] + [np.ones(n, bool)])
-        del self._cells
-
-    # -- run-level reads --------------------------------------------------------
-
-    def _source(self, name):
-        """Pool row of the per-sample statistic ``name``: a score column's
-        class index, or a data statistic's row after the score columns."""
-        if name in self._scores:
-            return self._scores[name]
-        self._cells.statistic(name)
-        return len(self._scores) + list(self._cells.statistics).index(name)
-
-    def _literal(self, lit):
-        self._cells.literal(lit)
-        return list(self._cells.literals).index(lit)
-
-    def _entry(self, r, crule):
-        """One rule's group and parameters; reads its data-only cells."""
-        rule = crule.rule
-        if rule.kind == LOGIC:
-            if rule.consequent not in self._classes:
-                raise ResolutionError(
-                    f"consequent {rule.consequent!r} is not a model class; "
-                    f"classes: {', '.join(self._classes)}")
-            return dict(group="logic", index=r, lo=crule.lo, hi=crule.hi,
-                        cls=self._classes.index(rule.consequent),
-                        lits=[self._literal(lit) for lit in rule.literals])
-        registry = self._cells.registry
-        stat = registry.resolve(rule.statistic)
-        if stat.arity == PER_SAMPLE:
-            group, column, std = "sample", rule.statistic, False
-        elif stat.kind == "summary":
-            group, column, std = "summary", stat.column, stat.summary == "std"
-        else:
-            raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
-        guard = -1 if rule.guard is None or str(rule.guard) not in self._classes \
-            else self._classes.index(str(rule.guard))
-        entry = dict(group=group, index=r, lo=crule.lo, hi=crule.hi, std=std,
-                     src=self._source(column), score=self._scores.get(column, -1),
-                     guard=guard, free=rule.guard is None,
-                     paired=False, s1=0, s1_lo=-math.inf, s1_hi=math.inf)
-        if rule.kind == PAIRED:
-            if crule.s1_lo is None or crule.s1_hi is None:
-                raise ResolutionError("paired rule has no learned s1 interval")
-            if registry.resolve(rule.s1).arity != PER_SAMPLE:
-                raise TypeMismatchError(f"statistic {rule.s1!r} is not per-sample")
-            entry.update(paired=True, s1=self._source(rule.s1),
-                         s1_lo=crule.s1_lo, s1_hi=crule.s1_hi)
-        return entry
+        self._data_values = np.array([v for v, _ in data], dtype=float).reshape(len(data), n)
+        self._data_present = np.array([p for _, p in data], dtype=bool).reshape(len(data), n)
+        # statistic rules: the per-sample rules, then the summary rules
+        self._n_sample = len(sample)
+        self._summaries = [stat for _, stat, *_ in summary]
+        self._at = [r for r, *_ in sample + summary]
+        if self._at:
+            self._src, guard, free, paired, self._s1, s1_lo, s1_hi, lo, hi = (
+                np.array(c) for c in list(zip(*sample + summary))[2:])
+            self._guard, self._free = guard[:, None], free[:, None]
+            self._s1_bucket = (s1_lo[:, None], s1_hi[:, None]) if paired.any() else None
+            # the per-sample rules' bounds as (rules, 1) columns
+            self._lo, self._hi = lo[:len(sample), None], hi[:len(sample), None]
+        # logic rules: literal rows padded to the longest with the always-true
+        # row, which ends the literal stacks
+        self._logic_at = [r for r, *_ in logic]
+        if logic:
+            _, cls, lits, lo, hi = zip(*logic)
+            width = max(map(len, lits))
+            self._lits = np.array([ids + [len(truth)] * (width - len(ids)) for ids in lits])
+            self._cls = np.array(cls)[:, None]
+            # the distinct consequent classes, and each rule's among them
+            self._classes, self._class_at = np.unique(cls, return_inverse=True)
+            self._logic_lo, self._logic_hi = np.array(lo), np.array(hi)
+            self._truth = np.array([t for t, _ in truth] + [np.ones(n)])
+            self._present = np.array([p for _, p in truth] + [np.ones(n, bool)])
 
     # -- one batch ---------------------------------------------------------------
 
     def loss_grad(self, out, temperature):
         """(mean loss, d loss / d scale, d loss / d shift, batch violations) of
-        the batch output ``out`` on ``out.rows`` of the table the groups read."""
-        probs, rows = out.probs, out.rows
-        pred = probs.argmax(axis=1)
-        # score columns are always present
-        pool, present = probs.T, np.ones((probs.shape[1], 1), dtype=bool)
-        if len(self._data_values):
-            pool = np.concatenate([pool, self._data_values[:, rows]])
-            present = np.concatenate([np.ones(probs.T.shape, dtype=bool),
-                                      self._data_present[:, rows]])
+        the batch output ``out`` on ``out.rows`` of the table the groups read.
+
+        Summary and logic rules have one value per batch; those outside their
+        bounds share one hinge, and charge every position of the batch."""
+        pred = out.probs.argmax(axis=1)
         losses = [0.0] * len(self.rules)
         grads = [None] * len(self.rules)  # (class index, d loss / d probs[:, j])
+        batch = []  # (rule, value, class index, d value / d probs[:, j] or None)
         violations = 0
-        if self._per_sample.n:
-            violations += self._per_sample_pass(pool, present, pred, losses, grads)
-        if self._summary.n:
-            violations += self._summary_pass(pool, present, pred, losses, grads)
-        if self._logic.n:
-            violations += self._logic_pass(probs, rows, pred, temperature, losses, grads)
+        if self._at:
+            violations += self._statistic_pass(out, pred, losses, grads, batch)
+        if self._logic_at:
+            violations += self._logic_pass(out, pred, temperature, batch)
+        if batch:
+            at, value, classes, dvalues = zip(*batch)
+            loss, slope = hinge(value, [self.rules[r].lo for r in at],
+                                [self.rules[r].hi for r in at])
+            for r, rule_loss, sl, j, dvalue in zip(at, loss.tolist(), slope.tolist(),
+                                                   classes, dvalues):
+                losses[r] = rule_loss
+                if sl != 0.0 and dvalue is not None:
+                    grads[r] = (j, sl * dvalue)
 
         n = len(self.rules)
         total = sum(losses)
         if all(g is None for g in grads):
             d = len(out.model.feature_names)
             return total / n, np.zeros(d), np.zeros(d), violations
-        dprobs = np.zeros_like(probs)
+        dprobs = np.zeros_like(out.probs)
         for g in grads:  # in rule order, as the per-rule sums were taken
             if g is not None:
                 dprobs[:, g[0]] += g[1]
         dscale, dshift = out.model.backward(out.cache, dprobs / n)
         return total / n, dscale, dshift, violations
 
-    @staticmethod
-    def _masks(g, pool, present, pred):
-        """(rules, m) masks of the positions each rule of ``g`` applies to.
-        An unpaired rule's s1 is score column 0 in the bucket (-inf, inf]:
-        always present and inside."""
-        s1 = (pool[g.s1], present[g.s1], g.s1_lo, g.s1_hi) if g.paired.any() else ()
-        return applies((pred == g.guard) | g.free, present[g.src], *s1)
-
-    def _per_sample_pass(self, pool, present, pred, losses, grads):
-        """One hinge over the (rules, m) values: a rule's loss is the mean
-        over the positions it applies to, each of which may be a violation."""
-        g = self._per_sample
-        values = pool[g.src]
-        mask = self._masks(g, pool, present, pred)
-        loss, slope = hinge(values, g.lo, g.hi)
-        violations = int(np.count_nonzero(mask & ((values < g.lo) | (values > g.hi))))
-        sloped = (mask & (slope != 0.0)).any(axis=1)
-        # a rule whose applicable losses and slopes are all 0 has loss 0
-        # and no gradient
-        active = np.flatnonzero((mask & (loss != 0.0)).any(axis=1) | sloped)
-        if not active.size:
-            return violations
-        counts = np.count_nonzero(mask, axis=1)
-        # slopes / count where a rule applies: element-wise, so bit-equal to
-        # dividing the rule's compacted slopes
-        dvalues = np.where(mask, slope, 0.0) / np.maximum(counts, 1)[:, None]
-        for k in active:
-            r = g.index[k]
-            losses[r] = float(loss[k][mask[k]].sum() / counts[k])  # == .mean()
-            if sloped[k] and g.score[k] >= 0:
-                grads[r] = (g.score[k], dvalues[k])
+    def _statistic_pass(self, out, pred, losses, grads, batch):
+        """Every statistic rule's values and the (rules, m) mask of the
+        positions it applies to, from one pool gather. A per-sample rule's
+        loss is the mean hinge over its positions, each of which may be a
+        violation; a summary rule's value is its mean or std over them."""
+        probs, rows = out.probs, out.rows
+        # score columns are always present
+        pool = np.concatenate([probs.T, self._data_values[:, rows]])
+        present = np.concatenate([np.ones(probs.T.shape, dtype=bool),
+                                  self._data_present[:, rows]])
+        s1 = () if self._s1_bucket is None \
+            else (pool[self._s1], present[self._s1], *self._s1_bucket)
+        values = pool[self._src]
+        mask = applies((pred == self._guard) | self._free, present[self._src], *s1)
+        p, violations = self._n_sample, 0
+        if p:
+            values_p, mask_p = values[:p], mask[:p]
+            loss, slope = hinge(values_p, self._lo, self._hi)
+            violations = int(np.count_nonzero(mask_p & outside(values_p, self._lo, self._hi)))
+            # a rule gets a gradient only where a slope is not 0
+            sloped = (mask_p & (slope != 0.0)).any(axis=1)
+            counts = np.count_nonzero(mask_p, axis=1)
+            # slopes / count where a rule applies: element-wise, so bit-equal
+            # to dividing the rule's compacted slopes
+            dvalues = np.where(mask_p, slope, 0.0) / np.maximum(counts, 1)[:, None]
+            for k in np.flatnonzero(counts):
+                r = self._at[k]
+                losses[r] = float(loss[k][mask_p[k]].sum() / counts[k])  # == .mean()
+                if sloped[k] and self._src[k] < self._n_classes:
+                    grads[r] = (self._src[k], dvalues[k])
+        m = len(rows)
+        for k in p + np.flatnonzero(mask[p:].any(axis=1)):
+            r, keep, j = self._at[k], mask[k], self._src[k]
+            vals, stat, crule = values[k][keep], self._summaries[k - p], self.rules[r]
+            value = summarize(stat, vals)
+            if not math.isfinite(value):
+                raise DivergenceError(
+                    f"rule {crule.signature}: non-finite statistic value {value}")
+            if crule.lo <= value <= crule.hi:
+                continue
+            violations += m
+            dvalue = np.zeros(m)  # d value / d probs[:, j]
+            if stat.summary == "mean":
+                dvalue[keep] = 1.0 / vals.size
+            elif value != 0.0:
+                dvalue[keep] = (vals - vals.mean()) / (vals.size * value)
+            batch.append((r, value, j, dvalue if j < self._n_classes else None))
         return violations
 
-    def _summary_pass(self, pool, present, pred, losses, grads):
-        """A mean or std per rule over its positions; one hinge over the
-        values outside their bounds, since a value inside costs 0. A violated
-        rule charges every position of the batch."""
-        g = self._summary
-        values = pool[g.src]
-        mask = self._masks(g, pool, present, pred)
-        violated = []  # (rule row, its compacted values, value, bounds)
-        for k in np.flatnonzero(mask.any(axis=1)):
-            vals = values[k][mask[k]]
-            value = float(vals.std()) if g.std[k] else float(vals.mean())
-            _check_finite(value, self.rules[g.index[k]].rule)
-            lo, hi = float(g.lo[k, 0]), float(g.hi[k, 0])
-            if not lo <= value <= hi:
-                violated.append((k, vals, value, lo, hi))
-        if not violated:
-            return 0
-        ks, kept, value, lo, hi = zip(*violated)
-        loss, slope = hinge(value, lo, hi)
-        m = mask.shape[1]
-        for k, vals, v, rule_loss, sl in zip(ks, kept, value, loss.tolist(), slope.tolist()):
-            r, keep, j = g.index[k], mask[k], g.score[k]
-            losses[r] = rule_loss
-            if j < 0 or sl == 0.0:
-                continue
-            n = vals.size
-            if not g.std[k]:
-                grads[r] = (j, np.where(keep, sl * (1.0 / n), 0.0))
-                continue
-            dvalue = np.zeros(n) if v == 0.0 else (vals - vals.mean()) / (n * v)
-            column = np.zeros(m)
-            column[keep] = sl * dvalue
-            grads[r] = (j, column)
-        return m * len(violated)
-
-    def _logic_pass(self, probs, rows, pred, temperature, losses, grads):
-        """Violations from the exact F1 of the predicted labels; the loss from
-        the surrogate F1 2 sum(a c) / (sum(a) + sum(c)) over a rule's usable
-        positions, where a is the antecedent and c the softened consequent
-        score, hinged once over the rules outside their bounds. It tends to
-        the exact F1 of the thresholded scores as the temperature tends to
-        0."""
-        g = self._logic
-        m = probs.shape[0]
+    def _logic_pass(self, out, pred, temperature, batch):
+        """Violations from the exact F1 of the predicted labels; the value
+        hinged from the surrogate F1 2 sum(a c) / (sum(a) + sum(c)) over a
+        rule's usable positions, where a is the antecedent and c the softened
+        consequent score. It tends to the exact F1 of the thresholded scores
+        as the temperature tends to 0."""
         # (rules, literals, m) cells at the batch rows; products of 0/1 are exact
-        cells = (g.lits[:, :, None], rows)
+        cells = (self._lits[:, :, None], out.rows)
         antecedent = self._truth[cells].prod(axis=1)
         usable = self._present[cells].all(axis=1)
-        consequent = pred == g.cls
+        consequent = pred == self._cls
         predicted = (antecedent == 1.0) & usable
         n_predicted = predicted.sum(axis=1)
         f1 = f1_from_counts((predicted & consequent).sum(axis=1), n_predicted,
                             (consequent & usable).sum(axis=1))
         valued = usable.any(axis=1)
-        outside = valued & ~((g.lo[:, 0] <= f1) & (f1 <= g.hi[:, 0]))
-        violations = m * int(np.count_nonzero(outside))
+        violations = len(out.rows) * int(np.count_nonzero(
+            valued & outside(f1, self._logic_lo, self._logic_hi)))
         # softened consequent scores and d soft / d score, once per class
-        soft, dsoft = soften_grad(probs.T[g.classes], temperature)
-        soft, dsoft = soft[g.class_at], dsoft[g.class_at]
+        soft, dsoft = soften_grad(out.probs.T[self._classes], temperature)
+        soft, dsoft = soft[self._class_at], dsoft[self._class_at]
         hits = antecedent * soft
-        violated = []  # (rule row, surrogate F1, its denominator, bounds)
         for k in np.flatnonzero(valued):
-            keep = usable[k]
+            r, keep = self._logic_at[k], usable[k]
             denom = float(n_predicted[k] + soft[k][keep].sum())
+            # finite, as every score is: forward_batch checks them
             value = 0.0 if denom == 0.0 else 2.0 * float(hits[k][keep].sum()) / denom
-            _check_finite(value, self.rules[g.index[k]].rule)
-            lo, hi = float(g.lo[k, 0]), float(g.hi[k, 0])
-            if not lo <= value <= hi:
-                violated.append((k, value, denom, lo, hi))
-        if not violated:
-            return violations
-        ks, value, denom, lo, hi = zip(*violated)
-        loss, slope = hinge(value, lo, hi)
-        sloped, surrogate = [], []
-        for k, v, d, rule_loss, sl in zip(ks, value, denom, loss.tolist(), slope.tolist()):
-            losses[g.index[k]] = rule_loss
-            if sl != 0.0 and d != 0.0:
-                sloped.append(k)
-                surrogate.append((v, d, sl))
-        if sloped:
-            value, denom, slope = (np.array(c)[:, None] for c in zip(*surrogate))
-            dvalue = ((2.0 * antecedent[sloped] - value) / denom) * dsoft[sloped]
-            dprobs = np.where(usable[sloped], slope * dvalue, 0.0)
-            for k, column in zip(sloped, dprobs):
-                grads[g.index[k]] = (g.cls[k, 0], column)
+            if self._logic_lo[k] <= value <= self._logic_hi[k]:
+                continue
+            dvalue = None if denom == 0.0 else np.where(
+                keep, ((2.0 * antecedent[k] - value) / denom) * dsoft[k], 0.0)
+            batch.append((r, value, self._cls[k, 0], dvalue))
         return violations
 
 

@@ -303,16 +303,11 @@ def cmd_adapt(cfg, args) -> int:
         violations.write_report(after, adapt_cfg["report_after"], fmt=args.format)
 
     zero_loss_iters = sum(1 for row in trace if row.loss == 0.0)
-    if before.total_violations == 0:
-        log.emit(command="adapt", note="no violations before adaptation",
-                 before=0, after=after.total_violations, pct_reduced=0.0,
-                 iterations=config.iterations, seed=seed, zero_loss_iters=zero_loss_iters)
-    else:
-        pct = 100.0 * (before.total_violations - after.total_violations) \
-            / before.total_violations
-        log.emit(command="adapt", before=before.total_violations,
-                 after=after.total_violations, pct_reduced=pct,
-                 iterations=config.iterations, seed=seed, zero_loss_iters=zero_loss_iters)
+    n_before, n_after = before.total_violations, after.total_violations
+    note = {} if n_before else {"note": "no violations before adaptation"}
+    log.emit(command="adapt", **note, before=n_before, after=n_after,
+             pct_reduced=100.0 * (n_before - n_after) / n_before if n_before else 0.0,
+             iterations=config.iterations, seed=seed, zero_loss_iters=zero_loss_iters)
     log.flush()
     return 0
 

@@ -21,10 +21,12 @@ logic rules it is given; it gathers its own indicators chunk by chunk, so
 its memory does not grow with the number of batches.
 
 The adaptation loss (``adaptation.RuleGroups``) reads its data cells with a
-``Cells`` over the whole test table and masks each batch with ``applies``.
-Its hinge, surrogate F1 and gradient passes stay apart from the kernel: they
-need the softened model scores and d loss / d probs, which change every
-iteration, while the kernel counts hard cells only.
+``Cells`` over the whole test table, masks all statistic rules of a batch
+with one ``applies`` call, and counts violations with ``outside``, as
+violation counting does. Its hinge, surrogate F1 and gradient passes stay
+apart from the kernel: they need the softened model scores and d loss /
+d probs, which change every iteration, while the kernel counts hard cells
+only.
 """
 from __future__ import annotations
 
@@ -48,6 +50,12 @@ def applies(guard, present, s1=None, s1_present=None, s1_lo=None, s1_hi=None):
     if s1 is not None:
         mask = mask & s1_present & (s1 > s1_lo) & (s1 <= s1_hi)
     return mask
+
+
+def outside(value, lo, hi):
+    """Mask of the values outside the closed interval [lo, hi], element-wise;
+    NaN is outside."""
+    return ~((lo <= value) & (value <= hi))
 
 
 class Cells:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import sample_minibatches
 from .errors import EmptyStatisticError, ParseError, ResolutionError
-from .rule_eval import Cells
+from .rule_eval import Cells, outside
 from .schema import LOGIC
 from .statistics import PER_SAMPLE, StatisticRegistry
 
@@ -102,18 +102,18 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
         try:
             if registry.resolve(rule.statistic).arity == PER_SAMPLE:
                 _, values, mask = everywhere.applicable(rule, s1_interval)
-                violated = mask & ((values < crule.lo) | (values > crule.hi))
+                violated = mask & outside(values, crule.lo, crule.hi)
                 sample_counts += violated
                 v, n = int(violated.sum()), int(mask.sum())
             else:
                 cells = batch_set(size_of(rule))
                 value, valued = cells.batch_values(rule, s1_interval)
-                # a valued batch outside [lo, hi] (a NaN value is outside)
-                # charges a violation to each of its positions
-                outside = valued & ~((crule.lo <= value) & (value <= crule.hi))
-                np.add.at(sample_counts, cells.rows[outside], 1)
+                # a valued batch outside [lo, hi] charges a violation to each
+                # of its positions
+                violated = valued & outside(value, crule.lo, crule.hi)
+                np.add.at(sample_counts, cells.rows[violated], 1)
                 size = cells.rows.shape[-1]
-                v, n = int(outside.sum()) * size, int(valued.sum()) * size
+                v, n = int(violated.sum()) * size, int(valued.sum()) * size
         except (ResolutionError, EmptyStatisticError):
             v, n = 0, 0  # rule not evaluable on this dataset; recorded as skipped
             unevaluable.append(crule.signature)

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from scalar_oracle import batch_table, check_rule
 from scalar_oracle import total_loss_grad as oracle_loss_grad
+from quantrules import adaptation
 from quantrules.adaptation import (AdaptationConfig, RuleGroups, adapt, forward_batch,
                                    grad_check, hinge, iterations_for_epochs,
                                    total_loss_grad, write_trace)
@@ -433,6 +435,42 @@ def test_grouped_loss_at_a_subnormal_score():
     assert got[1].tolist() == expected[1].tolist()
     assert got[2].tolist() == expected[2].tolist()
     assert np.isfinite(got[1]).all() and np.isfinite(got[2]).all()
+
+
+def test_one_mask_and_two_hinges_per_batch():
+    """On a batch that violates a per-sample, a summary and a logic rule, the
+    loss takes one applies mask for the statistic rules and two hinge calls:
+    one over the per-sample values, one over every batch-level value outside
+    its bounds. The result is the per-rule oracle's."""
+    rng = np.random.default_rng(3)
+    ds, model = differential_setup(rng, 16, 3.0)
+    out = forward_batch(model, ds, rng.choice(16, size=32, replace=True))
+    rules = [ConcreteRule(rule=rule, lo=1.2, hi=1.5, delta=0.02) for rule in (
+        AbstractRule(kind="conditional", statistic="score_a"),
+        AbstractRule(kind="conditional", statistic="mean(score_b)", guard="a"),
+        AbstractRule(kind="logic", statistic="f1", literals=(Literal("flag"),),
+                     consequent="b"))]
+    for rule in rules:  # each rule alone is violated on the batch
+        assert oracle_loss_grad([rule], ds, out)[3] > 0
+    groups = RuleGroups(rules, model, ds)
+    calls = {"hinge": 0, "applies": 0}
+
+    def counted(name):
+        original = getattr(adaptation, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    with mock.patch.object(adaptation, "hinge", counted("hinge")), \
+            mock.patch.object(adaptation, "applies", counted("applies")):
+        got = total_loss_grad(groups, out)
+    assert calls == {"hinge": 2, "applies": 1}
+    expected = oracle_loss_grad(rules, ds, out)
+    assert got[0] == expected[0] and got[3] == expected[3]
+    assert got[1].tolist() == expected[1].tolist()
+    assert got[2].tolist() == expected[2].tolist()
 
 
 @pytest.mark.parametrize("rule, reason", [

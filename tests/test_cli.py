@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -245,9 +246,13 @@ def test_adapt_zero_violation_start_notes_and_exits_0(tmp_path, capsys):
     save_rules(tmp_path / "rules.jsonl", [vacuous])
     _add_adapt_section(cfg, tmp_path)
     assert main(["adapt", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "pct_reduced=0.0" in out
-    assert "note=" in out
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("command=adapt ")]
+    assert re.findall(r"(?:^| )(\w+)=", line) == [
+        "command", "note", "before", "after", "pct_reduced", "iterations", "seed",
+        "zero_loss_iters"]
+    assert line.startswith("command=adapt note=no violations before adaptation before=0 "
+                           "after=0 pct_reduced=0.0 ")
 
 
 def test_adapt_zero_learning_rate_reduces_nothing(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
-from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
+from conftest import make_dataset, write_csv
+from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, load_table
 from quantrules.errors import ParseError
 from quantrules.rule_eval import Cells
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
@@ -73,6 +73,15 @@ def test_check_missing_cell_not_evaluated():
     rule = ConcreteRule(rule=AbstractRule(kind="conditional", statistic="v"),
                         lo=0.0, hi=1.0, delta=0.02)
     assert check_one(rule, ds, label_column=None) == ((0, 0), [0])
+
+
+def test_check_nan_value_violated(tmp_path):
+    """A point box in a CSV table has aspect ratio 0 / 0 = NaN, which lies
+    outside every interval: a violation, as a NaN minibatch value is."""
+    path = write_csv(tmp_path / "boxes.csv", ["label", "x_min", "y_min", "x_max", "y_max"],
+                     [["car", 0, 0, 1, 1], ["car", 2, 2, 2, 2], ["car", 0, 0, 1.5, 1]])
+    with np.errstate(invalid="ignore"):  # the point box divides 0 by 0
+        assert check_one(aspect_rule(0.5, 2.0), load_table(path)) == ((1, 3), [0, 1, 0])
 
 
 # -- evaluate -------------------------------------------------------------------
