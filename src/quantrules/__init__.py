@@ -2,10 +2,9 @@
 
 from .adaptation import (AdaptationConfig, TraceRow, adapt, forward_batch,
                          grad_check)
-from .bounds import (BoundJob, Interval, compute_bounds, jaccard,
-                     learn_and_select)
+from .bounds import BoundJob, Interval, learn_and_select
 from .dataset import (Dataset, FeatureSpec, bucket_edges,
-                      load_table, percentile, sample_minibatches, split)
+                      load_table, sample_minibatches, split)
 from .errors import (DivergenceError, EmptyStatisticError, ParseError,
                      QuantrulesError, ResolutionError, TypeMismatchError)
 from .model import SoftmaxModel
@@ -22,11 +21,9 @@ __all__ = [
     "Interval", "Literal", "ParseError", "QuantrulesError",
     "ResolutionError", "RuleSchema", "SoftmaxModel", "Statistic",
     "StatisticRegistry", "TemplateSpec", "TraceRow", "TypeMismatchError",
-    "ViolationReport", "adapt", "bucket_edges", "compute_bounds",
-    "enumerate_abstract_rules", "evaluate",
-    "forward_batch", "grad_check", "jaccard",
-    "learn_and_select", "load_boxes",
-    "load_rules", "load_table", "parse_schema", "percentile", "read_report",
+    "ViolationReport", "adapt", "bucket_edges", "enumerate_abstract_rules",
+    "evaluate", "forward_batch", "grad_check", "learn_and_select", "load_boxes",
+    "load_rules", "load_table", "parse_schema", "read_report",
     "rule_signature", "sample_minibatches", "save_rules", "split",
     "write_report",
 ]

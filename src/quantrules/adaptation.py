@@ -119,7 +119,8 @@ def hinge(values, lo, hi, clip=LOSS_CLIP):
     ``lo`` and ``hi`` broadcast against ``values``: scalars, or one pair per
     row of a (rules, m) value array as (rules, 1) columns. 0 inside the
     closed interval; at or past the clip the slope is 0 (the plateau
-    subgradient). A raw loss that overflows to inf is past the clip.
+    subgradient). A raw loss that overflows to inf is past the clip, and so
+    is a NaN value, which lies outside every interval: loss ``clip``, slope 0.
     """
     v = np.asarray(values, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -130,7 +131,7 @@ def hinge(values, lo, hi, clip=LOSS_CLIP):
             raw = np.where(lower, lo - v, np.where(upper, v - hi, raw))
             slope = np.where(lower, -1.0, np.where(upper, 1.0, slope))
     inside = (lo <= v) & (v <= hi)
-    plateau = raw >= clip
+    plateau = ~(raw < clip)
     return (np.where(inside, 0.0, np.where(plateau, clip, raw)),
             np.where(inside | plateau, 0.0, slope))
 

@@ -6,24 +6,23 @@ and the rule is kept only when the two bound intervals overlap strongly
 under the interval Jaccard index. Every rule's values are read the same
 way, by ``collect_statistics`` from a batch set's ``rule_eval.Cells``.
 
-``percentile``, ``interval_from_values``, ``jaccard`` and ``compute_bounds``
-take one rule's values. ``learn_and_select`` selects a whole rule list over
-arrays instead: it stacks the values of the rules with equal value counts
-and quantile levels into (R, n) matrices, one per batch set, sorts each row
-and evaluates percentile's interpolation and jaccard's operations
-element-wise (``sorted_percentiles``, ``interval_rows``, ``jaccard_rows``),
-so every bound and score equals the single-rule functions' bit for bit.
+``learn_and_select`` selects a whole rule list over arrays: it stacks the
+values of the rules with equal value counts and quantile levels into
+(R, n) matrices, one per batch set, sorts each row, and takes the
+linear-interpolation percentiles (``interval_rows``) and the interval
+Jaccard index (``jaccard_rows``) element-wise on whole columns. A rule's
+bounds and score do not depend on the rules stacked with it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import schema as schema_mod
 from .dataset import bucket_edges as fit_bucket_edges
-from .dataset import checked_rows, percentile, sample_minibatches
+from .dataset import sample_minibatches, sorted_percentiles
 from .errors import EmptyStatisticError, QuantrulesError
 from .rule_eval import Cells, applies
 from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
@@ -71,11 +70,6 @@ class BoundJob:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-def interval_from_values(values, delta, sided) -> Interval:
-    return Interval(*(end if q is None else percentile(values, q)
-                      for q, end in zip(quantile_levels(delta, sided), (-INF, INF))))
 
 
 def s1_bucket_edges(rule, cells):
@@ -130,71 +124,6 @@ def _collect(signature, per_set):
     return collected
 
 
-def compute_bounds(rule, dataset, rows, delta=None, sided=None, *, registry=None,
-                   label_column=None, s1_interval=None) -> Interval:
-    """Quantile bounds for one rule over pre-sampled minibatches of ``dataset``.
-
-    ``rows`` is a (count, size) matrix of row indices, one minibatch per
-    matrix row, as ``sample_minibatches`` draws them. delta and sidedness
-    default to the rule's own schema values. A paired rule's s1 interval is
-    learned on ``dataset`` unless given. Raises EmptyStatisticError naming
-    the rule when no statistic value survives.
-    """
-    rows = checked_rows(dataset, rows)
-    if registry is None:
-        registry = StatisticRegistry.from_dataset(dataset)
-    if label_column is None:
-        label_column = dataset.label_column
-    if rule.kind == PAIRED and s1_interval is None:
-        everywhere = Cells(dataset, np.arange(dataset.n_rows), label_column, registry)
-        s1_interval = s1_bucket_interval(rule, s1_bucket_edges(rule, everywhere))
-    cells = Cells(dataset, rows, label_column, registry)
-    (values,) = _collect(schema_mod.rule_signature(rule),
-                         [collect_statistics(rule, cells, s1_interval)])
-    return interval_from_values(values, rule.delta if delta is None else delta,
-                                rule.sided if sided is None else sided)
-
-
-def jaccard(train: Interval, valid: Interval, stat_range: Interval) -> float:
-    """Interval Jaccard index: intersection length over union length.
-
-    Infinite endpoints are first replaced by the statistic's observed
-    range. The intersection is clamped at 0, so disjoint intervals score 0;
-    two identical point intervals score 1.
-    """
-    if not (math.isfinite(stat_range.lo) and math.isfinite(stat_range.hi)):
-        raise ValueError("stat_range must be finite")
-    finite = [v for v in (train.lo, train.hi, valid.lo, valid.hi) if math.isfinite(v)]
-    range_lo = min([stat_range.lo] + finite)
-    range_hi = max([stat_range.hi] + finite)
-
-    def resolve(iv):
-        lo = range_lo if math.isinf(iv.lo) else iv.lo
-        hi = range_hi if math.isinf(iv.hi) else iv.hi
-        return lo, hi
-
-    t_lo, t_hi = resolve(train)
-    v_lo, v_hi = resolve(valid)
-    inter = max(min(t_hi, v_hi) - max(t_lo, v_lo), 0.0)
-    union = max(t_hi, v_hi) - min(t_lo, v_lo)
-    if union <= 0.0:
-        return 1.0 if (t_lo, t_hi) == (v_lo, v_hi) else 0.0
-    return inter / union
-
-
-def sorted_percentiles(rows, q):
-    """``percentile(row, q)`` of each row of ``rows``, an (R, n) matrix sorted
-    along its rows, for q in [0, 1]: percentile's expression
-    v[i] + (h - i) * (v[i+1] - v[i]), evaluated element-wise on whole
-    columns, so each result equals percentile's bit for bit."""
-    n = rows.shape[1]
-    h = q * (n - 1)
-    i = math.floor(h)
-    if i + 1 >= n:
-        return rows[:, -1]
-    return rows[:, i] + (h - i) * (rows[:, i + 1] - rows[:, i])
-
-
 def quantile_levels(delta, sided):
     """The percentile levels of a rule's (lower, upper) bounds, None on an
     open side, for a ``delta`` in [0, 1]."""
@@ -210,9 +139,10 @@ def quantile_levels(delta, sided):
 
 
 def interval_rows(rows, levels):
-    """``interval_from_values`` of each row of the row-sorted (R, n) matrix
-    ``rows`` at the ``quantile_levels``, all in [0, 1], as (lo, hi) arrays.
-    The bounds of a row holding NaN mean nothing: percentile raises on it."""
+    """The bounds of each row of the row-sorted (R, n) matrix ``rows`` at the
+    ``quantile_levels``, all in [0, 1], as (lo, hi) arrays: the row's
+    percentile at each level, an infinite end on an open side. The bounds of
+    a row holding NaN mean nothing; ``_select_rows`` raises on it."""
     return tuple(np.full(len(rows), end) if q is None else sorted_percentiles(rows, q)
                  for q, end in zip(levels, (-INF, INF)))
 
@@ -225,10 +155,13 @@ def _first(a, b, pick):
 
 
 def jaccard_rows(t_lo, t_hi, v_lo, v_hi, range_lo, range_hi):
-    """``jaccard`` of each row's train interval [t_lo, t_hi] and valid
-    interval [v_lo, v_hi] with statistic range [range_lo, range_hi], all 1-D
-    arrays, by jaccard's own operations element-wise, so each score equals
-    jaccard's bit for bit. The ranges must be finite."""
+    """Interval Jaccard index, intersection length over union length, of each
+    row's train interval [t_lo, t_hi] and valid interval [v_lo, v_hi], all
+    1-D arrays. Infinite ends are first replaced by the statistic range
+    [range_lo, range_hi], which must be finite, widened to the finite ends.
+    The intersection is clamped at 0, so disjoint intervals score 0; where
+    the union has no length, two identical intervals score 1, others 0. Min
+    and max keep Python's tie rule: a tie of -0.0 and 0.0 keeps the first."""
     for end in (t_lo, t_hi, v_lo, v_hi):
         finite = np.isfinite(end)
         range_lo = np.where(finite & (end < range_lo), end, range_lo)
@@ -250,14 +183,13 @@ def _valid(lo, hi):
 
 def _select_rows(t_vals, v_vals, levels):
     """Train bounds and Jaccard score of each row pair of the (R, n_t) train
-    and (R, n_v) valid value matrices, as ``interval_from_values`` and
-    ``jaccard`` give them for one rule's values at the ``quantile_levels``,
-    with the statistic range pooled over both rows.
+    and (R, n_v) valid value matrices at the ``quantile_levels``, with the
+    statistic range pooled over both rows.
 
-    Returns (lo, hi, score, errors), where ``errors`` maps a row to the
-    ValueError the single-rule path raises first on it, in its order:
-    percentile's NaN check, the Interval checks of the train and
-    valid bounds and of the pooled range, jaccard's finite-range check.
+    Returns (lo, hi, score, errors), where ``errors`` maps a row to the first
+    ValueError its checks raise, in this order: a NaN value on the train,
+    then the valid side, the Interval checks of the train and valid bounds
+    and of the pooled range, and the range's finiteness.
     """
     t, v = np.sort(t_vals, axis=1), np.sort(v_vals, axis=1)
     nan = np.isnan(t[:, -1]), np.isnan(v[:, -1])  # NaN sorts last
@@ -349,11 +281,11 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     The rules' values are read one rule at a time, each through
     ``collect_statistics`` on the readers of its batch size, which score all
     of that size's logic rules at once. Bounds and scores are then computed
-    over arrays (``_Selection``), equal to ``interval_from_values`` and
-    ``jaccard`` of each rule bit for bit. Events and rules come out in input
-    order. A read error, or an error of the single-rule checks (a NaN value,
-    an infinite bound), is raised at its own rule, after the events of the
-    rules before it are logged.
+    over arrays (``_Selection``). Events and rules come out in input order.
+    A read error, or an error of a rule's checks (a NaN value, an infinite
+    bound), is raised at its own rule, after the events of the rules before
+    it are logged. A selected rule records the batch size and delta its
+    bounds were learned at, the job's where it sets them.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(train)
@@ -408,9 +340,12 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                             "jaccard": score[i]})
             continue
         s1_interval = s1_intervals.get(i)
+        delta = job.delta if job.delta is not None else rule.delta
+        size = job.batch_size or rule.batch_size
+        if (size, delta) != (rule.batch_size, rule.delta):  # a copy only where the job overrides
+            rule = replace(rule, batch_size=size, delta=delta)
         selected.append(ConcreteRule(
-            rule=rule, lo=lo[i], hi=hi[i],
-            delta=job.delta if job.delta is not None else rule.delta,
+            rule=rule, lo=lo[i], hi=hi[i], delta=delta,
             s1_lo=None if s1_interval is None else s1_interval[0],
             s1_hi=None if s1_interval is None else s1_interval[1],
             provenance=dict(provenance), signature=signature,

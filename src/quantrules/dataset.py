@@ -167,36 +167,31 @@ def checked_rows(dataset, rows):
     return rows
 
 
-def percentile(values, q) -> float:
-    """Linear-interpolation percentile of a value list.
-
-    Sorts ascending and evaluates at rank h = q*(n-1): the value is
-    v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)]), so q=0
-    gives the minimum and q=1 the maximum.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("percentile of an empty value list")
-    if np.isnan(v).any():
-        raise ValueError("percentile input contains NaN")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    v = np.sort(v)
-    h = q * (v.size - 1)
-    i = int(math.floor(h))
-    if i + 1 >= v.size:
-        return float(v[-1])
-    return float(v[i] + (h - i) * (v[i + 1] - v[i]))
+def sorted_percentiles(rows, q):
+    """The linear-interpolation percentile at q in [0, 1] of each row of
+    ``rows``, an (R, n) matrix sorted along its rows: at rank h = q*(n-1),
+    v[i] + (h - i) * (v[i+1] - v[i]) with i = floor(h), evaluated
+    element-wise on whole columns, so q=0 gives a row's minimum and q=1 its
+    maximum."""
+    n = rows.shape[1]
+    h = q * (n - 1)
+    i = math.floor(h)
+    if i + 1 >= n:
+        return rows[:, -1]
+    return rows[:, i] + (h - i) * (rows[:, i + 1] - rows[:, i])
 
 
 def bucket_edges(values, count) -> list:
-    """Equal-frequency bucket edges: the j/count quantiles for j = 1..count-1."""
+    """Equal-frequency bucket edges: the j/count percentiles for j = 1..count-1,
+    from one sort of the values."""
     if count < 2:
         raise ValueError(f"bucket count must be >= 2, got {count}")
-    vals = np.asarray(values, dtype=float)
+    vals = np.sort(np.asarray(values, dtype=float))[None, :]
     if vals.size == 0:
         raise ValueError("cannot bucket empty values")
-    return [percentile(vals, j / count) for j in range(1, count)]
+    if np.isnan(vals[0, -1]):  # NaN sorts last
+        raise ValueError("percentile input contains NaN")
+    return [float(sorted_percentiles(vals, j / count)[0]) for j in range(1, count)]
 
 
 def bucket_index(values, edges) -> np.ndarray:

@@ -17,8 +17,9 @@ violation counting read every rule this way, one rule at a time.
 Logic rules, almost all of the rules mining learns, are scored by the count
 kernel ``score_logic_rules``: every logic rule of a batch set at once, from
 integer counts. A batch-set reader runs it once, when it is made, over the
-logic rules it is given; it gathers its own indicators chunk by chunk, so
-its memory does not grow with the number of batches.
+logic rules it is given, and only those: it is the one way into the kernel.
+The kernel gathers its own indicators chunk by chunk, so its memory does
+not grow with the number of batches.
 
 The adaptation loss (``adaptation.RuleGroups``) reads its data cells with a
 ``Cells`` over the whole test table, masks all statistic rules of a batch
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError, TypeMismatchError
-from .schema import LOGIC, PAIRED
+from .schema import LOGIC, PAIRED, rule_signature
 from .statistics import (PER_SAMPLE, f1_from_counts, literal_cells, match_class,
                          sample_values_aligned, summarize)
 
@@ -128,13 +129,14 @@ class Cells:
         batch matrix: a logic rule's F1 row from the count kernel, which
         raises the rule's read error instead if it has one, or a summary
         rule's ``batch_values`` over its ``applicable`` positions. A logic
-        rule the reader was not made with is scored on its own."""
+        rule the reader was not made with raises ValueError naming it."""
         if rule.kind != LOGIC:
             return batch_values(*self.applicable(rule, s1_interval))
         r = self._logic_row.get(rule)
-        if r is not None:
-            return self._scores.rule(r)
-        return score_logic_rules([rule], self.dataset, self.rows, self.label_column).rule(0)
+        if r is None:
+            raise ValueError(f"rule {rule_signature(rule)}: not among the logic rules "
+                             f"this reader was made with")
+        return self._scores.rule(r)
 
 
 def batch_values(stat, values, mask):

@@ -92,7 +92,10 @@ def _box_values(dataset, rows, field):
     if field == "height":
         return y1 - y0
     if field == "aspect_ratio":
-        return (x1 - x0) / (y1 - y0)
+        # a flat box's ratio is inf and a point box's is 0 / 0 = NaN, which
+        # lies outside every interval
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (x1 - x0) / (y1 - y0)
     if field == "area":
         return (x1 - x0) * (y1 - y0)
     if field == "center_x":

@@ -131,35 +131,15 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     return report
 
 
-def _report_obj(report: ViolationReport, per_sample: list) -> dict:
-    return {
-        "format_version": REPORT_FORMAT_VERSION,
-        "per_rule": [{"signature": s, "violations": v, "evaluations": n}
-                     for s, v, n in report.per_rule],
-        "per_sample": per_sample,
-        "totals": {
-            "violations": report.total_violations,
-            "per_sample_mean": report.per_sample_mean,
-            "per_sample_std": report.per_sample_std,
-            "rules": len(report.per_rule),
-            "samples": len(report.per_sample),
-        },
-    }
-
-
-def report_to_obj(report: ViolationReport) -> dict:
-    """The report.json document as Python objects."""
-    return _report_obj(report, [{"sample": i, "violations": c}
-                                for i, c in enumerate(report.per_sample.tolist())])
-
-
 # one per_sample entry as json.dumps(..., indent=2) lays it out at depth 2
 _SAMPLE_ENTRY = '    {\n      "sample": %d,\n      "violations": %d\n    }'
 _EMPTY_PER_SAMPLE = '\n  "per_sample": []'
 
 
 def report_to_json(report: ViolationReport) -> str:
-    """``json.dumps(report_to_obj(report), indent=2) + "\\n"``, byte for byte.
+    """The report.json document: format_version, per_rule, per_sample as
+    {"sample": i, "violations": count} entries, and totals, as
+    ``json.dumps(document, indent=2) + "\\n"`` writes it, byte for byte.
 
     json.dumps writes everything but the per-sample entries, so string
     escapes and float repr are its own; the entries fill copies of one
@@ -167,7 +147,19 @@ def report_to_json(report: ViolationReport) -> str:
     empty per_sample list is a safe splice point: an encoded string holds
     no raw newline, so ``_EMPTY_PER_SAMPLE`` occurs only as the top-level key.
     """
-    text = json.dumps(_report_obj(report, []), indent=2)
+    text = json.dumps({
+        "format_version": REPORT_FORMAT_VERSION,
+        "per_rule": [{"signature": s, "violations": v, "evaluations": n}
+                     for s, v, n in report.per_rule],
+        "per_sample": [],
+        "totals": {
+            "violations": report.total_violations,
+            "per_sample_mean": report.per_sample_mean,
+            "per_sample_std": report.per_sample_std,
+            "rules": len(report.per_rule),
+            "samples": len(report.per_sample),
+        },
+    }, indent=2)
     n = len(report.per_sample)
     if n:
         head, tail = text.split(_EMPTY_PER_SAMPLE)

@@ -12,17 +12,31 @@ replaced: one ``evaluate_batch`` call, one hinge and one surrogate F1 per
 rule, with the losses and d loss / d probs summed rule by rule. It reads
 the cells of a batch table, ``batch_table``: the batch rows of the table
 with the model's output columns appended.
+
+The third part is bound learning and selection for one rule at a time,
+which ``bounds.learn_and_select`` and ``dataset.bucket_edges`` replaced
+with sorted-row array passes: ``percentile`` sorts one rule's values on
+each call, ``interval_from_values`` and ``jaccard`` act on one rule's
+values and intervals, and ``compute_bounds`` reads one rule's values with
+a reader of its own. Last comes ``report_to_obj``, the report.json
+document as Python objects, which ``violations.report_to_json`` writes
+without building the per-sample entries.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from quantrules import bounds
+from quantrules.bounds import Interval, quantile_levels, s1_bucket_edges, s1_bucket_interval
+from quantrules.dataset import checked_rows
 from quantrules.errors import DivergenceError, EmptyStatisticError, ResolutionError
+from quantrules.rule_eval import Cells
 from quantrules.schema import LOGIC, PAIRED, rule_signature
 from quantrules.statistics import (PER_SAMPLE, Statistic, StatisticRegistry,
                                    literal_cells, match_class,
                                    sample_values_aligned, soften_scores)
+from quantrules.violations import REPORT_FORMAT_VERSION
 
 
 def exact_f1(antecedent, consequent):
@@ -196,7 +210,7 @@ def hinge(values, lo, hi, clip=LOSS_CLIP):
         else:
             raw, slope = (lo - v) * (hi - v), 2.0 * v - lo - hi
     inside = (lo <= v) & (v <= hi)
-    plateau = raw >= clip
+    plateau = ~(raw < clip)  # NaN is past the clip
     return (np.where(inside, 0.0, np.where(plateau, clip, raw)),
             np.where(inside | plateau, 0.0, slope))
 
@@ -314,3 +328,110 @@ def total_loss_grad(rules, table, out, temperature=1.0):
         return total / n, np.zeros(d), np.zeros(d), violations
     dscale, dshift = out.model.backward(out.cache, dprobs_sum / n)
     return total / n, dscale, dshift, violations
+
+
+# -- single-rule bound learning and selection ------------------------------------
+
+INF = float("inf")
+
+
+def percentile(values, q) -> float:
+    """Linear-interpolation percentile of a value list.
+
+    Sorts ascending and evaluates at rank h = q*(n-1): the value is
+    v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)]), so q=0
+    gives the minimum and q=1 the maximum.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError("percentile of an empty value list")
+    if np.isnan(v).any():
+        raise ValueError("percentile input contains NaN")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    v = np.sort(v)
+    h = q * (v.size - 1)
+    i = int(math.floor(h))
+    if i + 1 >= v.size:
+        return float(v[-1])
+    return float(v[i] + (h - i) * (v[i + 1] - v[i]))
+
+
+def interval_from_values(values, delta, sided) -> Interval:
+    return Interval(*(end if q is None else percentile(values, q)
+                      for q, end in zip(quantile_levels(delta, sided), (-INF, INF))))
+
+
+def jaccard(train: Interval, valid: Interval, stat_range: Interval) -> float:
+    """Interval Jaccard index: intersection length over union length.
+
+    Infinite endpoints are first replaced by the statistic's observed
+    range. The intersection is clamped at 0, so disjoint intervals score 0;
+    two identical point intervals score 1.
+    """
+    if not (math.isfinite(stat_range.lo) and math.isfinite(stat_range.hi)):
+        raise ValueError("stat_range must be finite")
+    finite = [v for v in (train.lo, train.hi, valid.lo, valid.hi) if math.isfinite(v)]
+    range_lo = min([stat_range.lo] + finite)
+    range_hi = max([stat_range.hi] + finite)
+
+    def resolve(iv):
+        lo = range_lo if math.isinf(iv.lo) else iv.lo
+        hi = range_hi if math.isinf(iv.hi) else iv.hi
+        return lo, hi
+
+    t_lo, t_hi = resolve(train)
+    v_lo, v_hi = resolve(valid)
+    inter = max(min(t_hi, v_hi) - max(t_lo, v_lo), 0.0)
+    union = max(t_hi, v_hi) - min(t_lo, v_lo)
+    if union <= 0.0:
+        return 1.0 if (t_lo, t_hi) == (v_lo, v_hi) else 0.0
+    return inter / union
+
+
+def compute_bounds(rule, dataset, rows, delta=None, sided=None, *, registry=None,
+                   label_column=None, s1_interval=None) -> Interval:
+    """Quantile bounds for one rule over pre-sampled minibatches of ``dataset``.
+
+    ``rows`` is a (count, size) matrix of row indices, one minibatch per
+    matrix row, as ``sample_minibatches`` draws them. delta and sidedness
+    default to the rule's own schema values. A paired rule's s1 interval is
+    learned on ``dataset`` unless given. The rule's values are read by a
+    reader made with the rule alone. Raises EmptyStatisticError naming the
+    rule when no statistic value survives.
+    """
+    rows = checked_rows(dataset, rows)
+    if registry is None:
+        registry = StatisticRegistry.from_dataset(dataset)
+    if label_column is None:
+        label_column = dataset.label_column
+    if rule.kind == PAIRED and s1_interval is None:
+        everywhere = Cells(dataset, np.arange(dataset.n_rows), label_column, registry)
+        s1_interval = s1_bucket_interval(rule, s1_bucket_edges(rule, everywhere))
+    cells = Cells(dataset, rows, label_column, registry,
+                  [rule] if rule.kind == LOGIC else ())
+    values = bounds.collect_statistics(rule, cells, s1_interval)
+    if values.size == 0:
+        raise EmptyStatisticError(f"rule {rule_signature(rule)}: no statistic values collected")
+    return interval_from_values(values, rule.delta if delta is None else delta,
+                                rule.sided if sided is None else sided)
+
+
+# -- the report document ---------------------------------------------------------
+
+def report_to_obj(report) -> dict:
+    """The report.json document of a ``ViolationReport`` as Python objects."""
+    return {
+        "format_version": REPORT_FORMAT_VERSION,
+        "per_rule": [{"signature": s, "violations": v, "evaluations": n}
+                     for s, v, n in report.per_rule],
+        "per_sample": [{"sample": i, "violations": c}
+                       for i, c in enumerate(report.per_sample.tolist())],
+        "totals": {
+            "violations": report.total_violations,
+            "per_sample_mean": report.per_sample_mean,
+            "per_sample_std": report.per_sample_std,
+            "rules": len(report.per_rule),
+            "samples": len(report.per_sample),
+        },
+    }

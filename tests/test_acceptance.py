@@ -15,11 +15,11 @@ import numpy as np
 import yaml
 
 from conftest import make_dataset
-from scalar_oracle import batch_table, check_rule, surrogate_f1_grad
+from scalar_oracle import (batch_table, check_rule, compute_bounds, jaccard, percentile,
+                           surrogate_f1_grad)
 from quantrules.adaptation import AdaptationConfig, RuleGroups, adapt, forward_batch, \
     grad_check, total_loss_grad
-from quantrules.bounds import BoundJob, Interval, compute_bounds, jaccard, \
-    learn_and_select, percentile
+from quantrules.bounds import BoundJob, Interval, learn_and_select
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, load_table, sample_minibatches
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, \

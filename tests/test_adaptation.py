@@ -7,17 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, write_csv
 from scalar_oracle import batch_table, check_rule
 from scalar_oracle import total_loss_grad as oracle_loss_grad
 from quantrules import adaptation
 from quantrules.adaptation import (AdaptationConfig, RuleGroups, adapt, forward_batch,
                                    grad_check, hinge, iterations_for_epochs,
                                    total_loss_grad, write_trace)
-from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
+from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, load_table
 from quantrules.errors import DivergenceError, ResolutionError
 from quantrules.model import SoftmaxModel
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
+from quantrules.violations import evaluate
 
 INF = float("inf")
 
@@ -106,6 +107,14 @@ def test_hinge_slope_signs():
     loss, slope = hinge(1.5, 0.0, 1.0)
     assert loss == 0.75 and slope == pytest.approx(2 * 1.5 - 0.0 - 1.0)
     assert hinge(0.5, 0.0, 1.0) == (0.0, 0.0)
+
+
+def test_hinge_nan_is_past_the_clip():
+    """A NaN value lies outside every interval: it pays the clip, with no
+    slope, on either side and for every sidedness."""
+    for lo, hi in ((0.0, 1.0), (2.0, INF), (-INF, 2.5)):
+        loss, slope = hinge(np.array([math.nan, 0.5]), lo, hi, 0.5)
+        assert loss[0] == 0.5 and slope[0] == 0.0
 
 
 def scalar_hinge(value, lo, hi, clip=1.0):
@@ -647,6 +656,22 @@ def test_adapt_divergence_keeps_partial_trace():
         adapt(model, rules, ds,
               AdaptationConfig(iterations=10, batch_size=8, learning_rate=1e300, seed=0))
     assert len(excinfo.value.trace) >= 1
+
+
+def test_adapt_charges_a_point_box_the_clip(tmp_path):
+    """A point box in a CSV table has aspect ratio 0 / 0 = NaN. ``evaluate``
+    counts it as a violation, and the adaptation loss charges it the clip,
+    so the loss stays finite and the run goes on."""
+    path = write_csv(tmp_path / "boxes.csv", ["label", "x_min", "y_min", "x_max", "y_max"],
+                     [["car", 0, 0, 1, 1], ["car", 2, 2, 2, 2], ["car", 0, 0, 1.5, 1]])
+    test = load_table(path)
+    model = SoftmaxModel(["x_min", "y_min"], ["car", "bus"], np.ones(2), np.zeros(2),
+                         np.array([[0.3, -0.3], [-0.2, 0.2]]), np.zeros(2))
+    rules = [data_rule(0.5, 2.0, column="aspect_ratio")]
+    _, trace = adapt(model, rules, test, AdaptationConfig(iterations=3, batch_size=3))
+    # each batch holds all three boxes: the point box pays 1, the others 0
+    assert [(row.loss, row.batch_violations) for row in trace] == [(1 / 3, 1)] * 3
+    assert evaluate(rules, test).total_violations == 1
 
 
 def test_trace_csv_round_trip(tmp_path):

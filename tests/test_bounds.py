@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from quantrules import bounds
-from quantrules.bounds import (BoundJob, Interval, compute_bounds, interval_from_values,
-                               interval_rows, jaccard, jaccard_rows, learn_and_select,
-                               percentile, quantile_levels, sorted_percentiles)
-from quantrules.dataset import LABEL, NUMERIC, sample_minibatches
+from quantrules.bounds import (BoundJob, Interval, interval_rows, jaccard_rows,
+                               learn_and_select, quantile_levels)
+from quantrules.dataset import LABEL, NUMERIC, sample_minibatches, sorted_percentiles
 from quantrules.errors import EmptyStatisticError
 from quantrules.schema import AbstractRule, parse_schema, enumerate_abstract_rules
+from scalar_oracle import compute_bounds, interval_from_values, jaccard, percentile
 
 finite_floats = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 

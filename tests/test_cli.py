@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from quantrules import cli, schema
+from quantrules import cli, rules_io, schema
 from quantrules.cli import _load_config, main
 from quantrules.model import SoftmaxModel
 from quantrules.rules_io import load_rules, save_rules
@@ -80,6 +80,31 @@ def test_mine_is_deterministic(tmp_path):
     first = (tmp_path / "rules.jsonl").read_bytes()
     assert main(["mine", "--config", str(cfg)]) == 0
     assert (tmp_path / "rules.jsonl").read_bytes() == first
+
+
+def test_mine_records_batch_size_and_delta_overrides(tmp_path, monkeypatch):
+    """Rules mined at mine.batch_size and mine.delta record them, so evaluate
+    and adapt read the batches the bounds were learned on, and the selected
+    rules equal their own rules-file round trip."""
+    cfg_path = write_workspace(tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    cfg["mine"].update(batch_size=16, delta=0.1)
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    saved, save = [], rules_io.save_rules
+
+    def kept(path, rules, bucket_edges=None):
+        saved.extend(rules)
+        return save(path, rules, bucket_edges)
+
+    monkeypatch.setattr(rules_io, "save_rules", kept)
+    assert main(["mine", "--config", str(cfg_path)]) == 0
+    lines = (tmp_path / "rules.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    kinds = {json.loads(line)["kind"] for line in lines}
+    assert len(lines) == len(saved) > 0 and kinds == {"conditional", "logic"}
+    for line in lines:
+        obj = json.loads(line)
+        assert (obj["batch_size"], obj["delta"]) == (16, 0.1), line
+    assert load_rules(tmp_path / "rules.jsonl")[0] == saved
 
 
 def test_mine_takes_each_rule_signature_at_most_twice(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, write_csv
@@ -17,6 +17,7 @@ from quantrules.dataset import (BOOLEAN, LABEL, NUMERIC, Dataset, FeatureSpec,
                                 load_table, sample_minibatches, split)
 from quantrules.errors import ParseError, TypeMismatchError
 from quantrules.statistics import load_boxes, match_class
+from scalar_oracle import percentile
 
 
 # -- load_table ---------------------------------------------------------------
@@ -352,6 +353,39 @@ def test_bucket_edges_singleton():
 def test_bucket_edges_count_too_small():
     with pytest.raises(ValueError):
         bucket_edges([1, 2, 3], 1)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e9, 1e9),
+                min_size=1, max_size=40),
+       st.integers(2, 9))
+@example(values=[0.0, -0.0, 0.0, -0.0], count=3)
+@example(values=[-0.0], count=2)
+@example(values=[7.0], count=9)
+@example(values=[1.0, 1.0, 2.0, 2.0, 2.0], count=4)
+def test_bucket_edges_match_percentile_oracle(values, count):
+    """One sort per column gives the per-edge percentiles bit for bit: ties,
+    signs of zero and single values included."""
+    got = bucket_edges(values, count)
+    assert all(type(edge) is float for edge in got)
+    assert [e.hex() for e in got] == [percentile(values, j / count).hex()
+                                      for j in range(1, count)]
+
+
+@pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan], [math.nan, -math.inf, 2.0]])
+def test_bucket_edges_nan_error_matches_percentile_oracle(values):
+    with pytest.raises(ValueError) as want:
+        percentile(values, 0.5)
+    with pytest.raises(ValueError) as got:
+        bucket_edges(values, 3)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value) == "percentile input contains NaN"
+
+
+def test_bucket_edges_empty_error():
+    with pytest.raises(ValueError) as got:
+        bucket_edges([], 3)
+    assert type(got.value) is ValueError and str(got.value) == "cannot bucket empty values"
 
 
 def test_bucket_tie_goes_to_lower_bucket():

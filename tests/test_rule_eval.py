@@ -2,6 +2,7 @@
 per-batch scalar code they replaced."""
 import re
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from conftest import make_dataset
 from quantrules import rule_eval, violations
-from quantrules.bounds import (BoundJob, Interval, collect_statistics, compute_bounds,
-                               jaccard, learn_and_select)
+from quantrules.bounds import BoundJob, Interval, collect_statistics, learn_and_select
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
 from quantrules.errors import EmptyStatisticError, QuantrulesError, TypeMismatchError
 from quantrules.rule_eval import Cells, score_logic_rules
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, rule_signature
 from quantrules.statistics import StatisticRegistry, match_class, sample_values_aligned
+from scalar_oracle import compute_bounds, jaccard
 
 
 def random_dataset(rng, n):
@@ -92,7 +93,8 @@ def test_batch_matrix_matches_per_batch_oracle(seed, n, count, size, lo, width,
     rows = np.vstack([rng.integers(0, n, (count, size)), np.zeros((1, size), dtype=int)])
     shapes = rule_shapes((s1_lo, s1_lo + s1_width), CLASSES[label_column])
 
-    cells = Cells(ds, rows, label_column, registry)  # shared by every rule
+    cells = Cells(ds, rows, label_column, registry,  # shared by every rule
+                  [rule for rule, _ in shapes if rule.kind == "logic"])
     for rule, s1_interval in shapes:
         got = collect_statistics(rule, cells, s1_interval)
         expect = oracle.collect_statistics(rule, ds, rows, registry, label_column,
@@ -216,7 +218,10 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
     with mock.patch.object(rule_eval, "_CHUNK_CELLS", chunk_cells):
         scores = score_logic_rules(rules, ds, rows, label_column)
         listed = Cells(ds, rows, label_column, registry, rules)
-    unlisted = Cells(ds, rows, label_column, registry)  # scores each rule on its own
+    unlisted = Cells(ds, rows, label_column, registry)
+    with pytest.raises(ValueError, match=re.escape(f"rule {rule_signature(rules[0])}: "
+                                                   "not among the logic rules")):
+        unlisted.batch_values(rules[0])
     assert scores.value.shape == scores.valued.shape == (len(rules), count + 1)
     for r, rule in enumerate(rules):
         alone = score_logic_rules([rule], ds, rows, label_column)
@@ -226,18 +231,16 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
         except QuantrulesError as exc:
             for error in (scores.errors[r], alone.errors[0]):
                 assert type(error) is type(exc) and str(error) == str(exc), rule
-            for cells in (listed, unlisted):
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    cells.batch_values(rule)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                listed.batch_values(rule)
             continue
         assert scores.errors[r] is None, rule
         assert scores.valued[r].tolist() == [v is not None for v in batches], rule
         expect = np.array([0.0 if v is None else v for v in batches])
         assert scores.value[r].tobytes() == expect.tobytes(), rule
-        for cells in (listed, unlisted):
-            value, valued = cells.batch_values(rule)
-            assert value.tobytes() == alone.value[0].tobytes(), rule
-            assert valued.tobytes() == alone.valued[0].tobytes(), rule
+        value, valued = listed.batch_values(rule)
+        assert value.tobytes() == alone.value[0].tobytes(), rule
+        assert valued.tobytes() == alone.valued[0].tobytes(), rule
         got = collect_statistics(rule, listed)
         want = oracle.collect_statistics(rule, ds, rows, registry, label_column)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule
@@ -245,8 +248,7 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
 
 def test_kernel_runs_once_per_batch_set():
     """Mining scores the logic rules of each batch set with one kernel call,
-    and counting those of each batch size; a reader that scored each logic
-    rule on its own would give the same outputs."""
+    and counting those of each batch size."""
     rng = np.random.default_rng(1)
     train, valid, test = (logic_dataset(rng, 40) for _ in range(3))
     drawn = [([A], 0, "two"), ([A, Literal("B")], 1, "lower"), ([NOT_A], 1, "upper"),
@@ -270,7 +272,8 @@ def test_kernel_runs_once_per_batch_set():
 
 def select_alone(rules, train, valid, job, label_column, log):
     """``learn_and_select`` one rule at a time through ``compute_bounds`` and
-    ``jaccard``, each rule read and scored on its own."""
+    ``jaccard``, each rule read and scored on its own. A selected rule
+    records the batch size and delta its bounds were learned at."""
     registry = StatisticRegistry.from_dataset(train)
     selected = []
     for rule in rules:
@@ -286,8 +289,9 @@ def select_alone(rules, train, valid, job, label_column, log):
             log.append({"event": "skipped", "signature": rule_signature(rule),
                         "reason": str(exc)})
             continue
+        logic = [rule] if rule.kind == "logic" else []
         pooled = np.concatenate([collect_statistics(rule, Cells(ds, rows, label_column,
-                                                                registry))
+                                                                registry, logic))
                                  for ds, rows in sets])
         score = jaccard(t_int, v_int, Interval(float(pooled.min()), float(pooled.max())))
         if score <= 1.0 - job.epsilon:
@@ -295,7 +299,8 @@ def select_alone(rules, train, valid, job, label_column, log):
                         "jaccard": score})
             continue
         selected.append(ConcreteRule(
-            rule=rule, lo=t_int.lo, hi=t_int.hi, delta=delta,
+            rule=replace(rule, batch_size=size, delta=delta), lo=t_int.lo, hi=t_int.hi,
+            delta=delta,
             provenance={"train": train.origin or "", "train_seed": job.train_seed,
                         "valid_seed": job.valid_seed}))
         log.append({"event": "selected", "signature": rule_signature(rule),
@@ -355,7 +360,7 @@ def check_selected_alone(seed, n_train, n_valid, n_tb, n_vb, sizes, delta, epsil
                    lambda log: select_alone(rules, train, valid, job, "y", log)):
         log = []
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):  # the box ratios
+            with np.errstate(invalid="ignore"):  # the oracle's inf - inf on flat boxes
                 runs.append((select(log), log))
         except ValueError as exc:
             runs.append((exc, log))

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from quantrules.bounds import compute_bounds
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
 from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
                                TypeMismatchError)
@@ -14,7 +13,7 @@ from quantrules.rule_eval import Cells, batch_values
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
                                    load_boxes, sigmoid, soften_grad, soften_scores)
-from scalar_oracle import surrogate_f1_grad
+from scalar_oracle import compute_bounds, surrogate_f1_grad
 
 
 def box_dataset(boxes):
@@ -45,7 +44,7 @@ def summarized(ds, statistic, rows):
 
 def f1_of(rule, ds, n, label_column):
     value, valued = Cells(ds, np.arange(n)[None], label_column,
-                          StatisticRegistry.from_dataset(ds)).batch_values(rule)
+                          StatisticRegistry.from_dataset(ds), [rule]).batch_values(rule)
     (value,) = value[valued]
     return float(value)
 
