@@ -46,10 +46,9 @@ import numpy as np
 
 from .dataset import checked_rows
 from .errors import DivergenceError, ResolutionError, TypeMismatchError
-from .rule_eval import Cells, applies, outside
+from .rule_eval import Cells, applies, outside, reads
 from .schema import LOGIC, PAIRED
-from .statistics import (PER_SAMPLE, StatisticRegistry, f1_from_counts, soften_grad,
-                         summarize)
+from .statistics import StatisticRegistry, f1_from_counts, soften_grad, summarize
 
 LOSS_CLIP = 1.0
 
@@ -187,22 +186,13 @@ class RuleGroups:
                                    for lit in rule.literals], crule.lo, crule.hi))
                     continue
                 stat = registry.resolve(rule.statistic)
-                if stat.arity == PER_SAMPLE:
-                    into, column = sample, rule.statistic
-                elif stat.kind == "summary":
-                    into, column = summary, stat.column
-                else:
-                    raise TypeMismatchError(
-                        f"statistic {stat.name!r} has no per-minibatch evaluator")
+                column, at_each = reads(stat)
+                into = sample if at_each else summary
                 src = row(pool, data, column, cells.statistic)
                 # an unpaired rule's s1 is score column 0 in the bucket
                 # (-inf, inf]: always present and inside
                 s1 = (0, -math.inf, math.inf)
                 if rule.kind == PAIRED:
-                    if crule.s1_lo is None or crule.s1_hi is None:
-                        raise ResolutionError("paired rule has no learned s1 interval")
-                    if registry.resolve(rule.s1).arity != PER_SAMPLE:
-                        raise TypeMismatchError(f"statistic {rule.s1!r} is not per-sample")
                     s1 = (row(pool, data, rule.s1, cells.statistic), crule.s1_lo, crule.s1_hi)
                 guard = -1 if rule.guard is None or str(rule.guard) not in classes \
                     else classes.index(str(rule.guard))

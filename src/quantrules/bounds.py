@@ -4,7 +4,8 @@ For each abstract rule, statistics are collected over seeded minibatches of
 the training and validation sets, quantile bounds are taken on each side,
 and the rule is kept only when the two bound intervals overlap strongly
 under the interval Jaccard index. Every rule's values are read the same
-way, by ``collect_statistics`` from a batch set's ``rule_eval.Cells``.
+way, by ``collect_statistics`` through ``rule_eval.Cells.values`` on the
+reader of the rule's batch size (``rule_eval.batch_sets``).
 
 ``learn_and_select`` selects a whole rule list over arrays: it stacks the
 values of the rules with equal value counts and quantile levels into
@@ -20,13 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import schema as schema_mod
 from .dataset import bucket_edges as fit_bucket_edges
-from .dataset import sample_minibatches, sorted_percentiles
+from .dataset import sorted_percentiles
 from .errors import EmptyStatisticError, QuantrulesError
-from .rule_eval import Cells, applies
-from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
-from .statistics import PER_SAMPLE, StatisticRegistry
+from .rule_eval import Cells, applies, batch_sets
+from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
+from .statistics import StatisticRegistry
 
 INF = float("inf")
 
@@ -90,8 +90,7 @@ def s1_bucket_interval(rule, edges):
     Bucket j covers (edge[j-1], edge[j]] with open ends at the extremes.
     """
     if edges is None:
-        raise EmptyStatisticError(
-            f"rule {schema_mod.rule_signature(rule)}: no rows for bucket edges")
+        raise EmptyStatisticError(f"rule {rule.signature}: no rows for bucket edges")
     lo = -INF if rule.s1_bucket == 0 else edges[rule.s1_bucket - 1]
     hi = INF if rule.s1_bucket == rule.s1_bucket_count - 1 else edges[rule.s1_bucket]
     return float(lo), float(hi)
@@ -100,13 +99,10 @@ def s1_bucket_interval(rule, edges):
 def collect_statistics(rule, cells, s1_interval=None):
     """A rule's statistic values over the minibatches ``cells`` reads, a
     (count, size) row matrix: per-sample values pooled across batches in
-    row-major order, or one value per batch with a usable row
-    (``Cells.batch_values``), matching the rule's statistic."""
-    if cells.registry.resolve(rule.statistic).arity == PER_SAMPLE:
-        _, values, mask = cells.applicable(rule, s1_interval)
-        return values[mask]
-    value, valued = cells.batch_values(rule, s1_interval)
-    return value[valued]
+    row-major order, or one value per batch with a usable row, as
+    ``Cells.values`` reads the rule."""
+    values, mask = cells.values(rule, s1_interval)
+    return values[mask]
 
 
 def _collect(signature, per_set):
@@ -253,22 +249,6 @@ class _Selection:
         self.values, self.held = {}, 0
 
 
-def _group_batches(rules, train, valid, job, label_column, registry):
-    """Per batch size, the readers of the train and valid batch sets, each
-    made with every logic rule of that size."""
-    sizes = {job.batch_size or rule.batch_size for rule in rules}
-    groups = {}
-    for size in sizes:
-        logic = [rule for rule in rules
-                 if rule.kind == LOGIC and (job.batch_size or rule.batch_size) == size]
-        groups[size] = tuple(
-            Cells(dataset, sample_minibatches(dataset, size, count, seed),
-                  label_column, registry, logic)
-            for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
-                                         (valid, job.n_valid_batches, job.valid_seed)))
-    return groups
-
-
 def learn_and_select(rules, train, valid, job, *, registry=None,
                      label_column=None, log=None):
     """Learn train bounds for each rule and keep the consistent ones.
@@ -293,10 +273,12 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
         label_column = train.label_column
     if not rules:
         return []
-    groups = _group_batches(rules, train, valid, job, label_column, registry)
+    readers = [batch_sets(dataset, rules, lambda rule: job.batch_size or rule.batch_size,
+                          count, seed, label_column, registry)
+               for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
+                                            (valid, job.n_valid_batches, job.valid_seed))]
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
-    signatures = [schema_mod.rule_signature(rule) for rule in rules]
     everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
     s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
     s1_intervals = {}  # paired rule position -> its learned s1 interval
@@ -312,9 +294,8 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                 if key not in s1_edges:
                     s1_edges[key] = s1_bucket_edges(rule, everywhere)
                 s1_interval = s1_intervals[i] = s1_bucket_interval(rule, s1_edges[key])
-            t_vals, v_vals = _collect(
-                signatures[i], (collect_statistics(rule, cells, s1_interval)
-                                for cells in groups[job.batch_size or rule.batch_size]))
+            t_vals, v_vals = _collect(rule.signature, (
+                collect_statistics(rule, reader(rule), s1_interval) for reader in readers))
             selection.add(i, t_vals, v_vals, quantile_levels(delta, rule.sided))
         except EmptyStatisticError as exc:
             skipped[i] = str(exc)
@@ -326,17 +307,17 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
 
     selected = []
     for i in range(read):
-        rule, signature = rules[i], signatures[i]
+        rule = rules[i]
         if i in skipped:
             if log is not None:
-                log.append({"event": "skipped", "signature": signature,
+                log.append({"event": "skipped", "signature": rule.signature,
                             "reason": skipped[i]})
             continue
         if i in selection.errors:
             raise selection.errors[i]
         if score[i] <= 1.0 - job.epsilon:
             if log is not None:
-                log.append({"event": "rejected", "signature": signature,
+                log.append({"event": "rejected", "signature": rule.signature,
                             "jaccard": score[i]})
             continue
         s1_interval = s1_intervals.get(i)
@@ -348,10 +329,10 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
             rule=rule, lo=lo[i], hi=hi[i], delta=delta,
             s1_lo=None if s1_interval is None else s1_interval[0],
             s1_hi=None if s1_interval is None else s1_interval[1],
-            provenance=dict(provenance), signature=signature,
+            provenance=dict(provenance),
         ))
         if log is not None:
-            log.append({"event": "selected", "signature": signature, "jaccard": score[i]})
+            log.append({"event": "selected", "signature": rule.signature, "jaccard": score[i]})
     if error is not None:
         raise error
     return selected

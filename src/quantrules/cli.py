@@ -17,7 +17,8 @@ import yaml
 
 from . import adaptation, bounds, rules_io, violations
 from .dataset import FeatureSpec, load_table
-from .errors import DivergenceError, ParseError, QuantrulesError, ResolutionError
+from .errors import (DivergenceError, ParseError, QuantrulesError, ResolutionError, is_int,
+                     is_number)
 from .model import SoftmaxModel
 from .schema import enumerate_abstract_rules, parse_schema
 from .statistics import StatisticRegistry, load_boxes
@@ -39,26 +40,18 @@ class _Logger:
                 fh.write("\n".join(self.lines) + "\n")
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
-
-
 # value kinds of config keys; a trailing "?" also accepts null (unset). The
 # ranges are comparisons, so NaN is out of every range and no int overflows.
 _VALUE_KINDS = {
-    "int": (_is_int, "an integer"),
-    "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "number": (_is_number, "a number"),
-    "rate": (lambda v: _is_number(v) and 0 <= v < math.inf, "a number in [0, inf)"),
-    "positive": (lambda v: _is_number(v) and 0 < v < math.inf, "a number in (0, inf)"),
-    "clip": (lambda v: _is_number(v) and v > 0, "a number > 0"),
-    "fraction": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "int": (is_int, "an integer"),
+    "count": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "number": (is_number, "a number"),
+    "rate": (lambda v: is_number(v) and 0 <= v < math.inf, "a number in [0, inf)"),
+    "positive": (lambda v: is_number(v) and 0 < v < math.inf, "a number in (0, inf)"),
+    "clip": (lambda v: is_number(v) and v > 0, "a number > 0"),
+    "fraction": (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "ints": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)),
+    "ints": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_int, v)),
              "a list of integers with at least one entry"),
     "list": (lambda v: isinstance(v, list), "a list"),
 }

@@ -2,17 +2,19 @@
 
 A rule applies to the rows of its guard class; a paired rule only to those
 whose first statistic lies in its learned bucket (s1_lo, s1_hi]; rows
-missing a cell the rule reads are left out. This module holds the only
-copy of these semantics, so bound learning, violation counting and the
-adaptation loss agree on which rows a rule covers.
+missing a cell the rule reads are left out. A rule on a per-sample statistic
+is read at each position, a summary or logic rule once per batch
+(``reads``). This module holds the only copy of these semantics, so bound
+learning, violation counting and the adaptation loss agree on which rows a
+rule covers and how it is read.
 
 ``Cells`` reads the cells of one (table, rows) set: each distinct
 statistic, literal and guard class once, however many rules read it.
-``Cells.applicable`` gives a non-logic rule's values and the mask of the
-positions it applies to (``applies``); ``Cells.batch_values`` gives any
-batch-level rule's value on each batch: a summary rule's through
-``batch_values``, a logic rule's from the count kernel. Mining and
-violation counting read every rule this way, one rule at a time.
+``Cells.values`` reads any rule: its values and the mask of the positions,
+or batches, it applies to; a summary rule's through ``batch_values``, a
+logic rule's from the count kernel. ``batch_sets`` makes the reader of each
+minibatch size. Mining and violation counting read every rule this way, one
+rule at a time.
 
 Logic rules, almost all of the rules mining learns, are scored by the count
 kernel ``score_logic_rules``: every logic rule of a batch set at once, from
@@ -22,12 +24,12 @@ The kernel gathers its own indicators chunk by chunk, so its memory does
 not grow with the number of batches.
 
 The adaptation loss (``adaptation.RuleGroups``) reads its data cells with a
-``Cells`` over the whole test table, masks all statistic rules of a batch
-with one ``applies`` call, and counts violations with ``outside``, as
-violation counting does. Its hinge, surrogate F1 and gradient passes stay
-apart from the kernel: they need the softened model scores and d loss /
-d probs, which change every iteration, while the kernel counts hard cells
-only.
+``Cells`` over the whole test table, sorts its rules with ``reads``, masks
+all statistic rules of a batch with one ``applies`` call, and counts
+violations with ``outside``, as violation counting does. Its hinge,
+surrogate F1 and gradient passes stay apart from the kernel: they need the
+softened model scores and d loss / d probs, which change every iteration,
+while the kernel counts hard cells only.
 """
 from __future__ import annotations
 
@@ -35,10 +37,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import sample_minibatches
 from .errors import ResolutionError, TypeMismatchError
-from .schema import LOGIC, PAIRED, rule_signature
+from .schema import LOGIC, PAIRED
 from .statistics import (PER_SAMPLE, f1_from_counts, literal_cells, match_class,
                          sample_values_aligned, summarize)
+
+
+def reads(stat):
+    """The per-sample statistic a rule on ``stat`` reads, and whether the rule
+    is read at each position (a per-sample statistic) or once per batch (a
+    summary of a column). Any other statistic raises TypeMismatchError."""
+    if stat.arity == PER_SAMPLE:
+        return stat.name, True
+    if stat.kind == "summary":
+        return stat.column, False
+    raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
+
+
+def per_sample(rule, registry):
+    """Whether ``rule`` is read at each position; ``registry`` resolves its
+    statistic."""
+    return rule.kind != LOGIC and reads(registry.resolve(rule.statistic))[1]
 
 
 def applies(guard, present, s1=None, s1_present=None, s1_lo=None, s1_hi=None):
@@ -106,37 +126,50 @@ class Cells:
                                                   self.label_column, cls))
         return self._guards[cls]
 
-    def applicable(self, rule, s1_interval=None):
-        """A non-logic rule's (statistic, values, mask). ``values`` are its
-        per-sample statistic's, or a summary statistic's column; ``mask``
-        marks the positions the rule applies to. A paired rule needs its
-        learned first-statistic interval ``s1_interval``."""
+    def values(self, rule, s1_interval=None):
+        """A rule's (values, mask): a per-sample rule's values at each
+        position and the positions it applies to, or a summary or logic
+        rule's value on each batch of the (B, m) batch matrix and the batches
+        with a usable row. A logic rule's row comes from the count kernel,
+        which raises the rule's read error instead if it has one; a logic
+        rule the reader was not made with raises ValueError naming it. A
+        paired rule needs its learned first-statistic interval."""
+        if rule.kind == LOGIC:
+            r = self._logic_row.get(rule)
+            if r is None:
+                raise ValueError(f"rule {rule.signature}: not among the logic rules "
+                                 f"this reader was made with")
+            if self._scores.errors[r] is not None:
+                raise self._scores.errors[r]
+            return self._scores.value[r], self._scores.valued[r]
         stat = self.registry.resolve(rule.statistic)
+        column, at_each = reads(stat)
         s1 = ()
         if rule.kind == PAIRED:
             if s1_interval is None:
                 raise ValueError("paired rules need a learned s1 interval")
             s1 = (*self.statistic(rule.s1), *s1_interval)
         guard = self.guard(rule.guard)
-        if stat.arity != PER_SAMPLE and stat.kind != "summary":
-            raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
-        values, present = self.statistic(stat.name if stat.arity == PER_SAMPLE
-                                         else stat.column)
-        return stat, values, applies(guard, present, *s1)
+        values, present = self.statistic(column)
+        mask = applies(guard, present, *s1)
+        return (values, mask) if at_each else batch_values(stat, values, mask)
 
-    def batch_values(self, rule, s1_interval=None):
-        """A batch-level rule's (value, valued) on each batch of the (B, m)
-        batch matrix: a logic rule's F1 row from the count kernel, which
-        raises the rule's read error instead if it has one, or a summary
-        rule's ``batch_values`` over its ``applicable`` positions. A logic
-        rule the reader was not made with raises ValueError naming it."""
-        if rule.kind != LOGIC:
-            return batch_values(*self.applicable(rule, s1_interval))
-        r = self._logic_row.get(rule)
-        if r is None:
-            raise ValueError(f"rule {rule_signature(rule)}: not among the logic rules "
-                             f"this reader was made with")
-        return self._scores.rule(r)
+
+def batch_sets(dataset, rules, size_of, count, seed, label_column, registry):
+    """A function from a rule to the reader of its minibatch set: ``count``
+    minibatches of ``dataset`` of the rule's size ``size_of(rule)``, drawn
+    with ``seed``. The reader of a size is made on first use, with the logic
+    rules of that size among ``rules``."""
+    readers = {}
+
+    def reader(rule):
+        size = size_of(rule)
+        if size not in readers:
+            readers[size] = Cells(dataset, sample_minibatches(dataset, size, count, seed),
+                                  label_column, registry,
+                                  [r for r in rules if r.kind == LOGIC and size_of(r) == size])
+        return readers[size]
+    return reader
 
 
 def batch_values(stat, values, mask):
@@ -166,13 +199,6 @@ class LogicScores:
     value: np.ndarray
     valued: np.ndarray
     errors: list
-
-    def rule(self, r):
-        """Rule r's (value, valued) rows; raises the rule's error instead if
-        it has one."""
-        if self.errors[r] is not None:
-            raise self.errors[r]
-        return self.value[r], self.valued[r]
 
 
 # cells of U and of LU per chunk of batches: 256 KiB each in float32, so the

@@ -24,6 +24,7 @@ default 0.98), ``batch`` (minibatch size, default 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -83,6 +84,8 @@ class AbstractRule:
     ``statistic`` holds the bounded statistic (for paired rules the second
     statistic of the pair); logic rules carry a conjunction of ``literals``
     implying ``consequent`` and are scored by the ``f1`` statistic.
+    ``signature`` is ``rule_signature(rule)``, taken once, when the rule is
+    made.
     """
 
     kind: str
@@ -99,12 +102,14 @@ class AbstractRule:
 
     def __post_init__(self):
         # rules key dicts in mining and counting; the generated hash would
-        # rehash every field, literals included, on each lookup. The hash is
-        # written to __dict__ directly, which is cheaper than object.__setattr__
+        # rehash every field, literals included, on each lookup. The hash and
+        # the signature are written to __dict__ directly, which is cheaper than
+        # object.__setattr__; the hash first, so rule_signature may hash the rule
         self.__dict__["_hash"] = hash((
             self.kind, self.sided, self.guard, self.statistic, self.literals,
             self.consequent, self.s1, self.s1_bucket, self.s1_bucket_count,
             self.delta, self.batch_size))
+        self.__dict__["signature"] = rule_signature(self)
 
     def __hash__(self):
         return self._hash
@@ -114,10 +119,9 @@ class AbstractRule:
 class ConcreteRule:
     """An abstract rule instantiated with learned quantile bounds.
 
-    ``lo``/``hi`` may be -inf/+inf for one-sided rules. Paired rules also
-    carry the learned first-statistic bucket interval (s1_lo, s1_hi].
-    ``signature`` is ``rule_signature(rule)``, taken once: a caller that
-    already holds it passes it, otherwise it is computed here.
+    ``lo``/``hi`` may be -inf/+inf for one-sided rules. A paired rule also
+    carries its learned first-statistic bucket interval (s1_lo, s1_hi], and no
+    other rule does; a logic rule has at least one literal and a consequent.
     """
 
     rule: AbstractRule
@@ -127,18 +131,26 @@ class ConcreteRule:
     s1_lo: float | None = None
     s1_hi: float | None = None
     provenance: dict = field(default_factory=dict)
-    signature: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        import math
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise ValueError("rule bounds cannot be NaN")
         if self.lo > self.hi:
             raise ValueError(f"lower bound {self.lo} exceeds upper bound {self.hi}")
         if math.isinf(self.lo) and math.isinf(self.hi):
             raise ValueError("at least one bound must be finite")
-        if self.signature is None:
-            object.__setattr__(self, "signature", rule_signature(self.rule))
+        rule = self.rule
+        paired = rule.kind == PAIRED
+        if paired != (self.s1_lo is not None) or paired != (self.s1_hi is not None):
+            raise ValueError(f"rule {self.signature}: a paired rule has a learned s1 "
+                             f"interval (s1_lo, s1_hi], and no other rule has one")
+        if rule.kind == LOGIC and not (rule.literals and rule.consequent is not None):
+            raise ValueError(f"rule {self.signature}: a logic rule needs at least one "
+                             f"literal and a consequent")
+
+    @property
+    def signature(self):
+        return self.rule.signature
 
 
 def rule_signature(rule: AbstractRule) -> str:
@@ -349,5 +361,5 @@ def enumerate_abstract_rules(schema, features=(), feature_groups=None):
             rules.extend(_iter_paired(t))
     by_signature = {}  # of rules with equal signatures, the first enumerated
     for rule in rules:
-        by_signature.setdefault(rule_signature(rule), rule)
+        by_signature.setdefault(rule.signature, rule)
     return [by_signature[sig] for sig in sorted(by_signature)]

@@ -1,30 +1,30 @@
 """Rule violation counting over a test set.
 
 Learned intervals are closed, so a statistic exactly at a bound satisfies
-its rule. Per-sample rules are checked on every applicable row, read by
-one ``rule_eval.Cells`` of the whole table; minibatch rules are checked on
-seeded batches, read by ``Cells.batch_values`` of their batch size's
-reader, and a violated batch attributes one violation to every member row
-so the per-rule and per-sample margins both sum to the same total.
+its rule. Every rule is read by ``rule_eval.Cells.values``: a per-sample rule
+on every applicable row, by one ``Cells`` of the whole table, and a minibatch
+rule on each of its seeded batches, by the reader of its batch size
+(``rule_eval.batch_sets``). A violated position charges one violation to its
+row, and a violated batch one to every member row, so the per-rule and
+per-sample margins both sum to the same total.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import sample_minibatches
-from .errors import EmptyStatisticError, ParseError, ResolutionError
-from .rule_eval import Cells, outside
-from .schema import LOGIC
-from .statistics import PER_SAMPLE, StatisticRegistry
+from .errors import (INT64_MAX, EmptyStatisticError, ParseError, ResolutionError,
+                     check_count, check_fields)
+from .rule_eval import Cells, batch_sets, outside, per_sample
+from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(eq=False)
@@ -79,41 +79,28 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     sample_counts = np.zeros(test.n_rows, dtype=np.int64)
     per_rule, unevaluable = [], []
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
-    batch_sets = {}  # batch size -> Cells of its batch matrix
-
-    def size_of(rule):
-        return rule.batch_size if rule.batch_size > 1 else None
-
-    def batch_set(size):
-        """A batch size's reader, made with all of its logic rules when the
-        first rule of that size is counted."""
-        if size not in batch_sets:
-            if batching is None:
-                raise ValueError("minibatch rules need a (batch_size, count, seed) batching")
-            fallback, count, seed = batching
-            batch_sets[size] = Cells(
-                test, sample_minibatches(test, size or fallback, count, seed), label_column,
-                registry, [c.rule for c in rules
-                           if c.rule.kind == LOGIC and size_of(c.rule) == size])
-        return batch_sets[size]
+    if batching is not None:
+        fallback, count, seed = batching
+        batch_set = batch_sets(test, [c.rule for c in rules],
+                               lambda rule: rule.batch_size if rule.batch_size > 1 else fallback,
+                               count, seed, label_column, registry)
 
     for crule in rules:
-        rule, s1_interval = crule.rule, (crule.s1_lo, crule.s1_hi)
+        rule = crule.rule
         try:
-            if registry.resolve(rule.statistic).arity == PER_SAMPLE:
-                _, values, mask = everywhere.applicable(rule, s1_interval)
-                violated = mask & outside(values, crule.lo, crule.hi)
-                sample_counts += violated
-                v, n = int(violated.sum()), int(mask.sum())
+            if per_sample(rule, registry):
+                cells = everywhere
+            elif batching is None:
+                raise ValueError("minibatch rules need a (batch_size, count, seed) batching")
             else:
-                cells = batch_set(size_of(rule))
-                value, valued = cells.batch_values(rule, s1_interval)
-                # a valued batch outside [lo, hi] charges a violation to each
-                # of its positions
-                violated = valued & outside(value, crule.lo, crule.hi)
-                np.add.at(sample_counts, cells.rows[violated], 1)
-                size = cells.rows.shape[-1]
-                v, n = int(violated.sum()) * size, int(valued.sum()) * size
+                cells = batch_set(rule)
+            values, mask = cells.values(rule, (crule.s1_lo, crule.s1_hi))
+            # a violated position charges its row, a violated batch each of its
+            # rows; a batch counts as many evaluations as it has rows
+            violated = mask & outside(values, crule.lo, crule.hi)
+            np.add.at(sample_counts, cells.rows[violated], 1)
+            size = math.prod(cells.rows.shape[mask.ndim:])
+            v, n = int(violated.sum()) * size, int(mask.sum()) * size
         except (ResolutionError, EmptyStatisticError):
             v, n = 0, 0  # rule not evaluable on this dataset; recorded as skipped
             unevaluable.append(crule.signature)
@@ -169,29 +156,6 @@ def report_to_json(report: ViolationReport) -> str:
     return text + "\n"
 
 
-def _fields(obj, where, keys):
-    """``obj``, if it is an object with exactly ``keys``; else ParseError
-    naming ``where`` and the key."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where} must be an object, got {obj!r}")
-    for key in obj:
-        if key not in keys:
-            raise ParseError(f"{where}: unknown key {key!r}")
-    for key in keys:
-        if key not in obj:
-            raise ParseError(f"{where}: missing key {key!r}")
-    return obj
-
-
-def _count(obj, key, where):
-    value = obj[key]
-    if type(value) is not int or value < 0:
-        raise ParseError(f"{where}: {key} must be a non-negative integer, got {value!r}")
-    if value > _INT64_MAX:
-        raise ParseError(f"{where}: {key} {value} exceeds the int64 maximum {_INT64_MAX}")
-    return value
-
-
 def _number(obj, key, where):
     value = obj[key]
     if type(value) not in (int, float):
@@ -208,14 +172,14 @@ def _sample_counts(entries, where):
     total = 0
     for i, entry in enumerate(entries):
         at = f"{where}: per_sample[{i}]"
-        count = _count(_fields(entry, at, ("sample", "violations")), "violations", at)
-        if _count(entry, "sample", at) != i:
+        count = check_count(check_fields(entry, at, ("sample", "violations")), "violations", at)
+        if check_count(entry, "sample", at) != i:
             raise ParseError(f"{at}: sample must be {i} (ids run 0..n-1 in "
                              f"order), got {entry['sample']}")
         total += count
-        if total > _INT64_MAX:
+        if total > INT64_MAX:
             raise ParseError(f"{at}: the per-sample violations sum past the int64 "
-                             f"maximum {_INT64_MAX}")
+                             f"maximum {INT64_MAX}")
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
@@ -224,7 +188,7 @@ def report_from_obj(obj, where="report") -> ViolationReport:
     """Parse a report.json document. A malformed one raises ParseError
     naming ``where`` and the field; a broken accounting identity raises
     AssertionError (ViolationReport.validate)."""
-    _fields(obj, where, ("format_version", "per_rule", "per_sample", "totals"))
+    check_fields(obj, where, ("format_version", "per_rule", "per_sample", "totals"))
     if obj["format_version"] != REPORT_FORMAT_VERSION:
         raise ParseError(f"{where}: unsupported report format_version "
                          f"{obj['format_version']!r} (expected {REPORT_FORMAT_VERSION})")
@@ -233,25 +197,25 @@ def report_from_obj(obj, where="report") -> ViolationReport:
     per_rule = []
     for i, entry in enumerate(obj["per_rule"]):
         at = f"{where}: per_rule[{i}]"
-        _fields(entry, at, ("signature", "violations", "evaluations"))
+        check_fields(entry, at, ("signature", "violations", "evaluations"))
         if not isinstance(entry["signature"], str):
             raise ParseError(f"{at}: signature must be a string, "
                              f"got {entry['signature']!r}")
-        per_rule.append((entry["signature"], _count(entry, "violations", at),
-                         _count(entry, "evaluations", at)))
+        per_rule.append((entry["signature"], check_count(entry, "violations", at),
+                         check_count(entry, "evaluations", at)))
     per_sample = _sample_counts(obj["per_sample"], where)
     at = f"{where}: totals"
-    totals = _fields(obj["totals"], at, ("violations", "per_sample_mean",
-                                         "per_sample_std", "rules", "samples"))
+    totals = check_fields(obj["totals"], at, ("violations", "per_sample_mean",
+                                              "per_sample_std", "rules", "samples"))
     for key, name, listed in (("rules", "per_rule", len(per_rule)),
                               ("samples", "per_sample", len(per_sample))):
-        if _count(totals, key, at) != listed:
+        if check_count(totals, key, at) != listed:
             raise ParseError(f"{at}: {key} is {totals[key]} but {name} has "
                              f"{listed} entries")
     report = ViolationReport(
         per_rule=per_rule,
         per_sample=per_sample,
-        total_violations=_count(totals, "violations", at),
+        total_violations=check_count(totals, "violations", at),
         per_sample_mean=_number(totals, "per_sample_mean", at),
         per_sample_std=_number(totals, "per_sample_std", at),
     )

@@ -496,7 +496,8 @@ def test_one_mask_and_two_hinges_per_batch():
 ], ids=["statistic", "formula", "column", "non-boolean", "consequent", "s1"])
 def test_unevaluable_rule_fails_when_grouped(rule, reason):
     ds, model = tiny_setup()
-    crule = ConcreteRule(rule=rule, lo=0.0, hi=1.0, delta=0.02, s1_lo=0.0, s1_hi=1.0)
+    s1 = (0.0, 1.0) if rule.kind == "paired" else (None, None)
+    crule = ConcreteRule(rule=rule, lo=0.0, hi=1.0, delta=0.02, s1_lo=s1[0], s1_hi=s1[1])
     with pytest.raises(ResolutionError, match=f"rule {re.escape(crule.signature)}: .*"
                                               + re.escape(reason)):
         RuleGroups([data_rule(0.0, 1.0), crule], model, ds)

@@ -107,9 +107,9 @@ def test_mine_records_batch_size_and_delta_overrides(tmp_path, monkeypatch):
     assert load_rules(tmp_path / "rules.jsonl")[0] == saved
 
 
-def test_mine_takes_each_rule_signature_at_most_twice(tmp_path, capsys, monkeypatch):
-    """Once to sort and dedup the enumerated rules, once to select a rule,
-    log it and write it out."""
+def test_mine_takes_each_rule_signature_once(tmp_path, capsys, monkeypatch):
+    """Once, when the rule is made: enumeration sorts and dedups the rules by
+    it, and selection logs it and writes it out."""
     cfg = write_workspace(tmp_path)
     calls, signature = Counter(), schema.rule_signature
 
@@ -121,7 +121,7 @@ def test_mine_takes_each_rule_signature_at_most_twice(tmp_path, capsys, monkeypa
     assert main(["mine", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert f" enumerated={len(calls)} " in out and "selected=0 " not in out
-    assert max(calls.values()) <= 2
+    assert max(calls.values()) == 1
 
 
 def test_mine_empty_label_schema_exits_2(tmp_path, capsys):
@@ -749,6 +749,61 @@ def test_evaluate_logs_unevaluable_rules(tmp_path, capsys):
     assert list(report) == ["format_version", "per_rule", "per_sample", "totals"]
     assert report["per_rule"][0] == {"signature": ghost.signature, "violations": 0,
                                      "evaluations": 0}
+
+
+# one rule of each kind, and edits of one field of one of them; each edited
+# file must exit 2 naming the file, the line and the field
+FIELD_RULES = [
+    ConcreteRule(rule=AbstractRule(kind="conditional", guard="a", statistic="x0"),
+                 lo=-1.0, hi=1.0, delta=0.02),
+    ConcreteRule(rule=AbstractRule(kind="logic", statistic="f1", literals=(Literal("flag"),),
+                                   consequent="b", batch_size=64), lo=0.1, hi=0.9, delta=0.02),
+    ConcreteRule(rule=AbstractRule(kind="paired", guard="a", statistic="x1", s1="x0",
+                                   s1_bucket=0, s1_bucket_count=2),
+                 lo=0.0, hi=4.0, delta=0.02, s1_lo=-np.inf, s1_hi=0.0),
+]
+
+
+@pytest.mark.parametrize("at, edit, field", [
+    (0, {"sideways": 1}, "unknown key 'sideways'"),
+    (0, {"sided": "sideways"}, "sided must be"),
+    (0, {"delta": 5}, "delta must be"),
+    (0, {"lo": "0.09"}, "lo must be"),
+    (0, {"hi": float("nan")}, "hi must be"),
+    (0, {"sided": "lower"}, "hi must be null"),
+    (0, {"sided": "upper"}, "lo must be null"),
+    (0, {"signature": FIELD_RULES[1].signature}, "signature"),
+    (1, {"literals": [["flag", "yes"]]}, "literals must be"),
+    (0, {"s1": "x1", "s1_bucket": 0, "s1_bucket_count": 2}, "has no s1"),
+    (0, {"s1_lo": 0.0, "s1_hi": 1.0}, "has no s1_lo"),
+    (1, {"batch_size": "128"}, "batch_size must be"),
+    (1, {"batch_size": 2.5}, "batch_size must be"),
+    (1, {"literals": []}, "needs literals"),
+    (1, {"guard": "a"}, "has no guard"),
+    (0, {"statistic": "f1"}, "statistic is f1"),
+    (2, {"s1": None}, "needs s1"),
+    (2, {"s1_bucket": 2}, "s1_bucket 2 is not below"),
+    (2, {"kind": "conditional"}, "has no s1"),
+    (2, {"provenance": []}, "provenance must be"),
+], ids=["unknown-key", "sided", "delta", "lo", "nan-bound", "lower-with-hi", "upper-with-lo",
+        "signature", "literal", "s1-on-conditional", "s1-interval-on-conditional",
+        "batch-size-string", "batch-size-float", "no-literals", "guard-on-logic",
+        "f1-on-conditional", "paired-without-s1", "s1-bucket", "kind", "provenance"])
+def test_evaluate_bad_rule_field_exits_2(tmp_path, capsys, at, edit, field):
+    cfg = write_workspace(tmp_path)
+    path = tmp_path / "rules.jsonl"
+    save_rules(path, FIELD_RULES)
+    assert main(["evaluate", "--config", str(cfg)]) == 0  # the file as written is read
+    lines = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1 + at])
+    obj.update(edit)
+    lines[1 + at] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line {2 + at}: " in err and field in err, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("rule, reason", [

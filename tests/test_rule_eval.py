@@ -105,7 +105,7 @@ def test_batch_matrix_matches_per_batch_oracle(seed, n, count, size, lo, width,
     shapes[3:3] = UNEVALUABLE[:2]
     shapes.append(UNEVALUABLE[2])
     crules = concrete(shapes, lo, lo + width)
-    batched = mock.patch.object(violations, "sample_minibatches", lambda *args: rows)
+    batched = mock.patch.object(rule_eval, "sample_minibatches", lambda *args: rows)
     with batched:
         report = violations.evaluate(crules, ds, batching=(size, count + 1, seed),
                                      label_column=label_column, registry=registry)
@@ -221,7 +221,7 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
     unlisted = Cells(ds, rows, label_column, registry)
     with pytest.raises(ValueError, match=re.escape(f"rule {rule_signature(rules[0])}: "
                                                    "not among the logic rules")):
-        unlisted.batch_values(rules[0])
+        unlisted.values(rules[0])
     assert scores.value.shape == scores.valued.shape == (len(rules), count + 1)
     for r, rule in enumerate(rules):
         alone = score_logic_rules([rule], ds, rows, label_column)
@@ -232,13 +232,13 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
             for error in (scores.errors[r], alone.errors[0]):
                 assert type(error) is type(exc) and str(error) == str(exc), rule
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                listed.batch_values(rule)
+                listed.values(rule)
             continue
         assert scores.errors[r] is None, rule
         assert scores.valued[r].tolist() == [v is not None for v in batches], rule
         expect = np.array([0.0 if v is None else v for v in batches])
         assert scores.value[r].tobytes() == expect.tobytes(), rule
-        value, valued = listed.batch_values(rule)
+        value, valued = listed.values(rule)
         assert value.tobytes() == alone.value[0].tobytes(), rule
         assert valued.tobytes() == alone.valued[0].tobytes(), rule
         got = collect_statistics(rule, listed)

@@ -1,10 +1,11 @@
+import re
 from dataclasses import fields, replace
 from itertools import combinations, product
 
 import pytest
 
 from quantrules.errors import ParseError, ResolutionError
-from quantrules.schema import (CONDITIONAL, LOGIC, PAIRED, AbstractRule,
+from quantrules.schema import (CONDITIONAL, LOGIC, PAIRED, AbstractRule, ConcreteRule,
                                Literal, enumerate_abstract_rules, parse_schema,
                                rule_signature)
 
@@ -196,3 +197,31 @@ def test_signature_distinguishes_guards():
     r1 = AbstractRule(kind=CONDITIONAL, guard="car", statistic="width")
     r2 = AbstractRule(kind=CONDITIONAL, guard="person", statistic="width")
     assert rule_signature(r1) != rule_signature(r2)
+
+
+def test_rule_takes_its_signature_when_made():
+    rule = AbstractRule(kind=LOGIC, statistic="f1", consequent="y",
+                        literals=(Literal("b"), Literal("a", True)))
+    assert rule.signature == rule_signature(rule)
+    crule = ConcreteRule(rule=rule, lo=0.1, hi=0.9, delta=0.02)
+    assert crule.signature is rule.signature
+
+
+PAIRED_RULE = AbstractRule(kind=PAIRED, guard="car", statistic="width", s1="height",
+                           s1_bucket=0, s1_bucket_count=2)
+
+
+@pytest.mark.parametrize("rule, s1, reason", [
+    (PAIRED_RULE, (None, None), "a paired rule has a learned s1 interval"),
+    (PAIRED_RULE, (0.0, None), "a paired rule has a learned s1 interval"),
+    (AbstractRule(kind=CONDITIONAL, statistic="width"), (0.0, 1.0),
+     "no other rule has one"),
+    (AbstractRule(kind=LOGIC, statistic="f1", consequent="y"), (None, None),
+     "at least one literal and a consequent"),
+    (AbstractRule(kind=LOGIC, statistic="f1", literals=(Literal("a"),)), (None, None),
+     "at least one literal and a consequent"),
+], ids=["paired-without-s1", "paired-half-s1", "conditional-with-s1", "logic-no-literal",
+        "logic-no-consequent"])
+def test_concrete_rule_checks_its_structure_against_its_kind(rule, s1, reason):
+    with pytest.raises(ValueError, match=f"rule {re.escape(rule.signature)}: .*{reason}"):
+        ConcreteRule(rule=rule, lo=0.0, hi=1.0, delta=0.02, s1_lo=s1[0], s1_hi=s1[1])

@@ -9,7 +9,7 @@ from conftest import make_dataset
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
 from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
                                TypeMismatchError)
-from quantrules.rule_eval import Cells, batch_values
+from quantrules.rule_eval import Cells
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
                                    load_boxes, sigmoid, soften_grad, soften_scores)
@@ -31,20 +31,16 @@ def formula(literals, consequent):
 
 
 def evaluated(ds, statistic, rows, registry=None):
-    """A conditional rule on ``statistic`` at ``rows`` of ``ds``: (statistic,
-    values, applicability mask)."""
+    """A conditional rule on ``statistic`` at ``rows`` of ``ds``: (values,
+    mask) of a per-sample rule at each position, or of a summary rule on each
+    batch (the last axis of ``rows``)."""
     cells = Cells(ds, rows, None, registry or StatisticRegistry.from_dataset(ds))
-    return cells.applicable(AbstractRule(kind="conditional", statistic=statistic))
-
-
-def summarized(ds, statistic, rows):
-    """(value, valued) of a summary rule on each batch of ``rows``."""
-    return batch_values(*evaluated(ds, statistic, rows))
+    return cells.values(AbstractRule(kind="conditional", statistic=statistic))
 
 
 def f1_of(rule, ds, n, label_column):
     value, valued = Cells(ds, np.arange(n)[None], label_column,
-                          StatisticRegistry.from_dataset(ds), [rule]).batch_values(rule)
+                          StatisticRegistry.from_dataset(ds), [rule]).values(rule)
     (value,) = value[valued]
     return float(value)
 
@@ -53,7 +49,7 @@ def f1_of(rule, ds, n, label_column):
 
 def test_aspect_ratio_is_width_over_height():
     ds = box_dataset([(0, 0, 10, 20)])
-    _, values, mask = evaluated(ds, "aspect_ratio", [0])
+    values, mask = evaluated(ds, "aspect_ratio", [0])
     assert values[mask].tolist() == [0.5]
 
 
@@ -63,30 +59,30 @@ def test_box_statistics_coordinate_arithmetic():
     expected = {"width": 4.0, "height": 6.0, "aspect_ratio": 4.0 / 6.0,
                 "area": 24.0, "center_x": 4.0, "bottom_y": 9.0}
     for name, want in expected.items():
-        _, values, mask = evaluated(ds, name, [0])
+        values, mask = evaluated(ds, name, [0])
         assert values[mask].tolist() == [want], name
 
 
 def test_batch_mean_summary():
     ds = make_dataset({"c": (NUMERIC, [1.0, 2.0, 3.0])})
-    value, valued = summarized(ds, "mean(c)", [[0, 1, 2]])
+    value, valued = evaluated(ds, "mean(c)", [[0, 1, 2]])
     assert valued.tolist() == [True] and value.tolist() == [2.0]
 
 
 def test_missing_rows_are_skipped():
     ds = make_dataset({"c": (NUMERIC, [1.0, 0.0, 3.0])},
                       missing={"c": [False, True, False]})
-    _, values, mask = evaluated(ds, "c", [0, 1, 2])
+    values, mask = evaluated(ds, "c", [0, 1, 2])
     assert values[mask].tolist() == [1.0, 3.0]
-    _, _, mask = evaluated(ds, "mean(c)", [0, 1, 2])
+    _, mask = evaluated(ds, "mean(c)", [[0], [1], [2]])  # one row per batch
     assert mask.tolist() == [True, False, True]
-    assert summarized(ds, "mean(c)", [[0, 1, 2]])[0].tolist() == [2.0]
+    assert evaluated(ds, "mean(c)", [[0, 1, 2]])[0].tolist() == [2.0]
 
 
 def test_all_missing_raises_empty_statistic():
     ds = make_dataset({"c": (NUMERIC, [0.0, 0.0])}, missing={"c": [True, True]})
     for name in ("c", "mean(c)"):
-        _, _, mask = evaluated(ds, name, [0, 1])
+        _, mask = evaluated(ds, name, [0, 1])
         assert not mask.any(), name
         with pytest.raises(EmptyStatisticError):
             compute_bounds(AbstractRule(kind="conditional", statistic=name), ds, [[0, 1]])
@@ -115,7 +111,7 @@ def test_lifted_summaries_are_permutation_invariant(values, rnd):
     shuffled = rows[:]
     rnd.shuffle(shuffled)
     for name in (f"mean(c)", f"std(c)"):
-        a, b = summarized(ds, name, [rows, shuffled])[0]  # one batch each
+        a, b = evaluated(ds, name, [rows, shuffled])[0]  # one batch each
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 

@@ -56,7 +56,7 @@ def test_check_outside_upper_bound_carries_value():
     ds = box_ds([5.0])
     rule = aspect_rule()
     cells = Cells(ds, np.array([0]), "label", StatisticRegistry.from_dataset(ds))
-    _, values, mask = cells.applicable(rule.rule)
+    values, mask = cells.values(rule.rule)
     assert mask.tolist() == [True] and values.tolist() == [5.0]
     assert not rule.lo <= values[0] <= rule.hi
 
