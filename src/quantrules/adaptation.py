@@ -15,12 +15,13 @@ backward pass. No batch table is built. ``RuleGroups`` reads everything
 else once per run. It rejects a test table that already holds a model
 output column, resolves the rules' statistics from the table's columns
 and the model's outputs, and keeps the rules in two tables: statistic
-rules (per-sample, paired and summary rules) and logic rules. Every cell
-that reads only data columns is read once, on the whole test table, by the
-rule reader ``rule_eval.Cells``, and stacked per distinct statistic or
-literal, not per rule; each batch gathers the stacks by its rows. Only the
-model outputs change from batch to batch: the score columns
-``probs[:, j]`` and the predicted class, which is the guard.
+rules (per-sample, paired and summary rules) and logic rules. Every data
+cell is read once, on the whole test table: each distinct statistic by
+``rule_eval.Cells``, and each distinct literal through the logic rules'
+``rule_eval.LogicTable``, whose literal ids the count kernel reads too.
+Each batch gathers these stacks by its rows. Only the model outputs change
+from batch to batch: the score columns ``probs[:, j]`` and the predicted
+class, which is the guard.
 
 Each batch takes one pool gather and one ``rule_eval.applies`` mask, the
 mask violation counting uses, for all statistic rules, and one array pass
@@ -29,11 +30,9 @@ and logic rules have one value per batch, and every such value outside its
 bounds goes through one shared ``hinge`` call. Each rule's reductions (a
 mean, a std, the surrogate F1's sums) stay 1-d reductions over its own
 compacted values, and the losses and d loss / d probs are summed in rule
-order, so the result is bit-equal to evaluating the rules one by one.
-
-The passes stay here, apart from ``rule_eval.score_logic_rules``: the loss
-needs the softened scores and their derivatives on each iteration's batch,
-while the kernel counts hard cells of whole batch sets.
+order, so the result is bit-equal to evaluating the rules one by one. The
+passes need the softened scores and their derivatives on each iteration's
+batch, so they stay apart from the count kernel, which counts hard cells.
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ import numpy as np
 
 from .dataset import checked_rows
 from .errors import DivergenceError, ResolutionError, TypeMismatchError
-from .rule_eval import Cells, applies, outside, reads
+from .rule_eval import Cells, LogicTable, applies, outside, reads
 from .schema import LOGIC, PAIRED
 from .statistics import StatisticRegistry, f1_from_counts, soften_grad, summarize
 
@@ -161,18 +160,25 @@ class RuleGroups:
         self.rules = list(rules)
         classes = list(model.class_names)
         self._n_classes = len(classes)
+        # logic rules: literal stacks in the table's id order, which its ids index
+        self._logic_at = [r for r, crule in enumerate(self.rules) if crule.rule.kind == LOGIC]
+        if self._logic_at:
+            self._logic = LogicTable([self.rules[r].rule for r in self._logic_at])
+            self._holds, self._present, failed = self._logic.read(table, cells.rows)
+            self._logic_lo = np.array([self.rules[r].lo for r in self._logic_at])
+            self._logic_hi = np.array([self.rules[r].hi for r in self._logic_at])
         # stack rows in the order first read: the value pool of a batch is its
         # score columns, then the data statistics at its rows
         pool = {model.score_column(c): j for j, c in enumerate(classes)}
-        literals, data, truth = {}, [], []
+        data = []
 
-        def row(index, stack, key, read):  # key's row, read onto stack on first use
-            if key not in index:
-                stack.append(read(key))
-                index[key] = len(index)
-            return index[key]
+        def row(key):  # key's pool row, read onto data on first use
+            if key not in pool:
+                data.append(cells.statistic(key))
+                pool[key] = len(pool)
+            return pool[key]
 
-        sample, summary, logic = [], [], []  # table rows, each in rule order
+        sample, summary = [], []  # table rows, each in rule order
         for r, crule in enumerate(self.rules):
             rule = crule.rule
             try:
@@ -181,19 +187,20 @@ class RuleGroups:
                         raise ResolutionError(
                             f"consequent {rule.consequent!r} is not a model class; "
                             f"classes: {', '.join(classes)}")
-                    logic.append((r, classes.index(rule.consequent),
-                                  [row(literals, truth, lit, cells.literal)
-                                   for lit in rule.literals], crule.lo, crule.hi))
+                    ids = self._logic.ids[self._logic.row[rule]]
+                    error = next((failed[j] for j in ids if failed[j] is not None), None)
+                    if error is not None:  # the rule's first literal that cannot be read
+                        raise error
                     continue
                 stat = registry.resolve(rule.statistic)
                 column, at_each = reads(stat)
                 into = sample if at_each else summary
-                src = row(pool, data, column, cells.statistic)
+                src = row(column)
                 # an unpaired rule's s1 is score column 0 in the bucket
                 # (-inf, inf]: always present and inside
                 s1 = (0, -math.inf, math.inf)
                 if rule.kind == PAIRED:
-                    s1 = (row(pool, data, rule.s1, cells.statistic), crule.s1_lo, crule.s1_hi)
+                    s1 = (row(rule.s1), crule.s1_lo, crule.s1_hi)
                 guard = -1 if rule.guard is None or str(rule.guard) not in classes \
                     else classes.index(str(rule.guard))
                 into.append((r, stat, src, guard, rule.guard is None,
@@ -215,19 +222,8 @@ class RuleGroups:
             self._s1_bucket = (s1_lo[:, None], s1_hi[:, None]) if paired.any() else None
             # the per-sample rules' bounds as (rules, 1) columns
             self._lo, self._hi = lo[:len(sample), None], hi[:len(sample), None]
-        # logic rules: literal rows padded to the longest with the always-true
-        # row, which ends the literal stacks
-        self._logic_at = [r for r, *_ in logic]
-        if logic:
-            _, cls, lits, lo, hi = zip(*logic)
-            width = max(map(len, lits))
-            self._lits = np.array([ids + [len(truth)] * (width - len(ids)) for ids in lits])
-            self._cls = np.array(cls)[:, None]
-            # the distinct consequent classes, and each rule's among them
-            self._classes, self._class_at = np.unique(cls, return_inverse=True)
-            self._logic_lo, self._logic_hi = np.array(lo), np.array(hi)
-            self._truth = np.array([t for t, _ in truth] + [np.ones(n)])
-            self._present = np.array([p for _, p in truth] + [np.ones(n, bool)])
+        if self._logic_at:  # the table's consequents as model classes
+            self._classes = np.array([classes.index(c) for c in self._logic.consequents])
 
     # -- one batch ---------------------------------------------------------------
 
@@ -323,21 +319,20 @@ class RuleGroups:
         rule's usable positions, where a is the antecedent and c the softened
         consequent score. It tends to the exact F1 of the thresholded scores
         as the temperature tends to 0."""
-        # (rules, literals, m) cells at the batch rows; products of 0/1 are exact
-        cells = (self._lits[:, :, None], out.rows)
-        antecedent = self._truth[cells].prod(axis=1)
+        # (rules, literals, m) cells at the batch rows; a literal holds only if present
+        cells = (self._logic.ids[:, :, None], out.rows)
+        antecedent = self._holds[cells].all(axis=1)
         usable = self._present[cells].all(axis=1)
-        consequent = pred == self._cls
-        predicted = (antecedent == 1.0) & usable
-        n_predicted = predicted.sum(axis=1)
-        f1 = f1_from_counts((predicted & consequent).sum(axis=1), n_predicted,
+        consequent = (pred == self._classes[:, None])[self._logic.consequent]
+        n_predicted = antecedent.sum(axis=1)
+        f1 = f1_from_counts((antecedent & consequent).sum(axis=1), n_predicted,
                             (consequent & usable).sum(axis=1))
         valued = usable.any(axis=1)
         violations = len(out.rows) * int(np.count_nonzero(
             valued & outside(f1, self._logic_lo, self._logic_hi)))
         # softened consequent scores and d soft / d score, once per class
         soft, dsoft = soften_grad(out.probs.T[self._classes], temperature)
-        soft, dsoft = soft[self._class_at], dsoft[self._class_at]
+        soft, dsoft = soft[self._logic.consequent], dsoft[self._logic.consequent]
         hits = antecedent * soft
         for k in np.flatnonzero(valued):
             r, keep = self._logic_at[k], usable[k]
@@ -348,7 +343,7 @@ class RuleGroups:
                 continue
             dvalue = None if denom == 0.0 else np.where(
                 keep, ((2.0 * antecedent[k] - value) / denom) * dsoft[k], 0.0)
-            batch.append((r, value, self._cls[k, 0], dvalue))
+            batch.append((r, value, self._classes[self._logic.consequent[k]], dvalue))
         return violations
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import sorted_percentiles
 from .errors import EmptyStatisticError, QuantrulesError
-from .rule_eval import Cells, applies, batch_sets
+from .rule_eval import Cells, applies, batch_sets, logic_tables
 from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import StatisticRegistry
 
@@ -273,8 +273,9 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
         label_column = train.label_column
     if not rules:
         return []
-    readers = [batch_sets(dataset, rules, lambda rule: job.batch_size or rule.batch_size,
-                          count, seed, label_column, registry)
+    size_of = lambda rule: job.batch_size or rule.batch_size
+    tables = logic_tables(rules, size_of)  # shared by train and valid
+    readers = [batch_sets(dataset, tables, size_of, count, seed, label_column, registry)
                for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
                                             (valid, job.n_valid_batches, job.valid_seed))]
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,

@@ -114,6 +114,10 @@ def _load_config(path, command):
         _check_keys(path, where, entry, _FEATURE_KEYS)
         if "column" not in entry:
             raise ParseError(f"{path}: {where}: missing key 'column'")
+    adapt_cfg = cfg.get("adapt") or {}
+    if "iterations" in adapt_cfg and "epochs" in adapt_cfg:
+        raise ParseError(f"{path}: section 'adapt': keys 'iterations' and 'epochs' are "
+                         f"both set; set one of them")
     for name, keys in _NEEDED_KEYS[command].items():
         if name not in cfg:
             raise ParseError(f"{path}: config has no section {name!r}, "
@@ -133,6 +137,20 @@ def _feature_specs(data_cfg):
     for entry in entries:
         specs.append(FeatureSpec(entry["column"], entry.get("buckets")))
     return specs
+
+
+def _header_edges(rules_path, header, specs):
+    """The bucket edges of a rules file's header, if they hold exactly n - 1
+    edges for each features column with ``buckets: n``; else ParseError
+    naming the rules file and the column."""
+    edges = header["bucket_edges"]
+    for spec in specs or ():
+        got = edges.get(spec.source)
+        if spec.buckets is not None and (got is None or len(got) != spec.buckets - 1):
+            raise ParseError(f"{rules_path}: header bucket_edges of column {spec.source!r} "
+                             f"must hold {spec.buckets - 1} edges, as its features entry has "
+                             f"buckets: {spec.buckets}; got {got!r}")
+    return edges
 
 
 def _load_with_model(path, specs, edges, model):
@@ -195,7 +213,8 @@ def cmd_evaluate(cfg, args) -> int:
     model = None
     if eval_cfg.get("model_in"):
         model = SoftmaxModel.load(eval_cfg["model_in"])
-    test = _load_with_model(data_cfg["test"], specs, header.get("bucket_edges"), model)
+    test = _load_with_model(data_cfg["test"], specs,
+                            _header_edges(eval_cfg["rules"], header, specs), model)
 
     label_column = data_cfg.get("prediction_column", "pred")
     if not test.has_column(label_column):
@@ -242,7 +261,8 @@ def cmd_adapt(cfg, args) -> int:
     specs = _feature_specs(data_cfg)
     rules, header = rules_io.load_rules(adapt_cfg["rules"])
     model = SoftmaxModel.load(adapt_cfg["model_in"])
-    test = _load_with_model(data_cfg["test"], specs, header.get("bucket_edges"), None)
+    test = _load_with_model(data_cfg["test"], specs,
+                            _header_edges(adapt_cfg["rules"], header, specs), None)
     # every rule must be evaluable on the test columns and the model outputs
     try:
         groups = adaptation.RuleGroups(rules, model, test)
@@ -251,13 +271,11 @@ def cmd_adapt(cfg, args) -> int:
 
     seed = args.seed if args.seed is not None else adapt_cfg.get("seed", 0)
     batch_size = adapt_cfg.get("batch_size", 128)
-    if "iterations" in adapt_cfg:
-        iterations = adapt_cfg["iterations"]
-    elif "epochs" in adapt_cfg:
+    if "epochs" in adapt_cfg:  # _load_config refuses it next to iterations
         iterations = adaptation.iterations_for_epochs(adapt_cfg["epochs"],
                                                       test.n_rows, batch_size)
     else:
-        iterations = 1000
+        iterations = adapt_cfg.get("iterations", 1000)
     config = adaptation.AdaptationConfig(
         iterations=iterations,
         batch_size=batch_size,

@@ -8,32 +8,23 @@ is read at each position, a summary or logic rule once per batch
 learning, violation counting and the adaptation loss agree on which rows a
 rule covers and how it is read.
 
-``Cells`` reads the cells of one (table, rows) set: each distinct
-statistic, literal and guard class once, however many rules read it.
-``Cells.values`` reads any rule: its values and the mask of the positions,
-or batches, it applies to; a summary rule's through ``batch_values``, a
-logic rule's from the count kernel. ``batch_sets`` makes the reader of each
-minibatch size. Mining and violation counting read every rule this way, one
-rule at a time.
+``Cells`` reads the cells of one (table, rows) set: each distinct statistic
+and guard class once, however many rules read it. ``Cells.values`` reads
+any rule: its values and the mask of the positions, or batches, it applies
+to; a summary rule's through ``batch_values``, a logic rule's from the count
+kernel. ``batch_sets`` makes the reader of each minibatch size. Mining and
+violation counting read every rule this way, one rule at a time.
 
-Logic rules, almost all of the rules mining learns, are scored by the count
-kernel ``score_logic_rules``: every logic rule of a batch set at once, from
-integer counts. A batch-set reader runs it once, when it is made, over the
-logic rules it is given, and only those: it is the one way into the kernel.
-The kernel gathers its own indicators chunk by chunk, so its memory does
-not grow with the number of batches.
-
-The adaptation loss (``adaptation.RuleGroups``) reads its data cells with a
-``Cells`` over the whole test table, sorts its rules with ``reads``, masks
-all statistic rules of a batch with one ``applies`` call, and counts
-violations with ``outside``, as violation counting does. Its hinge,
-surrogate F1 and gradient passes stay apart from the kernel: they need the
-softened model scores and d loss / d probs, which change every iteration,
-while the kernel counts hard cells only.
+Logic rules, almost all of the rules mining learns, are encoded once as
+literal and consequent ids by a ``LogicTable``, one per batch size
+(``logic_tables``), which the readers of every batch set of that size
+share. A reader runs the count kernel ``score_logic_rules`` on its table
+when it is made: every rule at once, from integer counts, chunk by chunk.
+The adaptation loss (``adaptation.RuleGroups``) reads its literals through
+a ``LogicTable`` too, its statistics with a ``Cells`` of the whole test
+table, and masks and counts with ``applies`` and ``outside``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +44,6 @@ def reads(stat):
     if stat.kind == "summary":
         return stat.column, False
     raise TypeMismatchError(f"statistic {stat.name!r} has no per-minibatch evaluator")
-
-
-def per_sample(rule, registry):
-    """Whether ``rule`` is read at each position; ``registry`` resolves its
-    statistic."""
-    return rule.kind != LOGIC and reads(registry.resolve(rule.statistic))[1]
 
 
 def applies(guard, present, s1=None, s1_present=None, s1_lo=None, s1_hi=None):
@@ -84,25 +69,23 @@ class Cells:
     a whole table, one minibatch, or a (count, m) matrix of minibatches as
     ``sample_minibatches`` draws them. Rows may repeat.
 
-    Each distinct per-sample statistic (values and present mask), literal
-    (0/1 truth and present mask) and guard class (mask) is read once, on
-    first use, and kept; ``statistics`` and ``literals`` list them in that
-    order. Guard classes are read from ``label_column`` with ``match_class``,
-    so a numeric class column compares numbers. ``registry`` resolves
-    statistic names. Read errors are raised, never kept. The count kernel
-    scores the ``logic_rules`` of a (B, m) batch matrix when it is made.
+    Each distinct per-sample statistic (values and present mask) and guard
+    class (mask) is read once, on first use, and kept. Guard classes are
+    read from ``label_column`` with ``match_class``, so a numeric class
+    column compares numbers. ``registry`` resolves statistic names. Read
+    errors are raised, never kept. The count kernel scores the rules of the
+    ``LogicTable`` ``logic`` on a (B, m) batch matrix when the reader is made.
     """
 
-    def __init__(self, dataset, rows, label_column, registry, logic_rules=()):
+    def __init__(self, dataset, rows, label_column, registry, logic=None):
         self.dataset, self.rows = dataset, np.asarray(rows, dtype=int)
         self.label_column, self.registry = label_column, registry
         self.statistics = {}  # name -> (values, present)
-        self.literals = {}  # literal -> (truth, present)
         self._guards = {}  # class -> mask
-        self._scores = (score_logic_rules(logic_rules, dataset, self.rows, label_column)
-                        if logic_rules else None)
-        # keyed by the rule: a lookup with the same object skips __eq__
-        self._logic_row = {rule: r for r, rule in enumerate(logic_rules)}
+        self.logic = logic
+        if logic is not None:
+            self._value, self._valued, self._errors = score_logic_rules(
+                logic, dataset, self.rows, label_column)
 
     def statistic(self, name):
         """(values, present) of the per-sample statistic ``name``; missing
@@ -111,12 +94,6 @@ class Cells:
             self.statistics[name] = sample_values_aligned(
                 self.registry.resolve(name), self.dataset, self.rows)
         return self.statistics[name]
-
-    def literal(self, lit):
-        """(0/1 truth, present) of a literal's column."""
-        if lit not in self.literals:
-            self.literals[lit] = literal_cells(lit, self.dataset, self.rows)
-        return self.literals[lit]
 
     def guard(self, cls):
         """Mask of the rows of class ``cls``; every row when ``cls`` is None."""
@@ -132,16 +109,16 @@ class Cells:
         rule's value on each batch of the (B, m) batch matrix and the batches
         with a usable row. A logic rule's row comes from the count kernel,
         which raises the rule's read error instead if it has one; a logic
-        rule the reader was not made with raises ValueError naming it. A
-        paired rule needs its learned first-statistic interval."""
+        rule not in the reader's table raises ValueError naming it. A paired
+        rule needs its learned first-statistic interval."""
         if rule.kind == LOGIC:
-            r = self._logic_row.get(rule)
+            r = None if self.logic is None else self.logic.row.get(rule)
             if r is None:
                 raise ValueError(f"rule {rule.signature}: not among the logic rules "
                                  f"this reader was made with")
-            if self._scores.errors[r] is not None:
-                raise self._scores.errors[r]
-            return self._scores.value[r], self._scores.valued[r]
+            if self._errors[r] is not None:
+                raise self._errors[r]
+            return self._value[r], self._valued[r]
         stat = self.registry.resolve(rule.statistic)
         column, at_each = reads(stat)
         s1 = ()
@@ -155,19 +132,28 @@ class Cells:
         return (values, mask) if at_each else batch_values(stat, values, mask)
 
 
-def batch_sets(dataset, rules, size_of, count, seed, label_column, registry):
+def logic_tables(rules, size_of):
+    """A ``LogicTable`` of the logic rules among ``rules`` for each minibatch
+    size ``size_of(rule)``, keyed by the size."""
+    by_size = {}
+    for rule in rules:
+        if rule.kind == LOGIC:
+            by_size.setdefault(size_of(rule), []).append(rule)
+    return {size: LogicTable(group) for size, group in by_size.items()}
+
+
+def batch_sets(dataset, tables, size_of, count, seed, label_column, registry):
     """A function from a rule to the reader of its minibatch set: ``count``
     minibatches of ``dataset`` of the rule's size ``size_of(rule)``, drawn
-    with ``seed``. The reader of a size is made on first use, with the logic
-    rules of that size among ``rules``."""
+    with ``seed``. The reader of a size is made on first use, with that
+    size's table of ``tables`` (``logic_tables``)."""
     readers = {}
 
     def reader(rule):
         size = size_of(rule)
         if size not in readers:
             readers[size] = Cells(dataset, sample_minibatches(dataset, size, count, seed),
-                                  label_column, registry,
-                                  [r for r in rules if r.kind == LOGIC and size_of(r) == size])
+                                  label_column, registry, tables.get(size))
         return readers[size]
     return reader
 
@@ -186,19 +172,54 @@ def batch_values(stat, values, mask):
     return value, valued
 
 
-@dataclass(frozen=True)
-class LogicScores:
-    """Logic rules scored on one (B, m) batch set by ``score_logic_rules``.
+class LogicTable:
+    """The logic rules of a non-empty rule list as literal and consequent ids.
 
-    Row r of ``value``, (R, B), holds rule r's F1 on each batch, and row r of
-    ``valued`` whether the batch has a usable row (the F1 is 0 where it has
-    none). ``errors[r]`` is the ResolutionError or TypeMismatchError that
-    reading rule r's cells raises, or None.
+    ``literals`` are the rules' distinct literals, sorted; id
+    ``len(literals)`` is the always-true literal. Row r of ``ids`` holds rule
+    r's literal ids in rule order, left-padded with the always-true id.
+    ``consequent[r]`` is the position of rule r's class in ``consequents``,
+    and ``row`` maps a rule to its row. ``groups`` holds, per set of rules
+    that share all ids but the last: those ids without padding, the rules'
+    rows, the slice from their least to their greatest last id, each last
+    id's place in it, and their consequent positions.
     """
 
-    value: np.ndarray
-    valued: np.ndarray
-    errors: list
+    def __init__(self, rules):
+        self.literals = sorted({lit for rule in rules for lit in rule.literals})
+        index = {lit: j for j, lit in enumerate(self.literals)}
+        pad, width = len(self.literals), max(len(rule.literals) for rule in rules)
+        self.ids = np.array([[pad] * (width - len(rule.literals))
+                             + [index[lit] for lit in rule.literals] for rule in rules])
+        classes = {}
+        self.consequent = np.array([classes.setdefault(rule.consequent, len(classes))
+                                    for rule in rules])
+        self.consequents = list(classes)
+        # keyed by the rule: a lookup with the same object skips __eq__
+        self.row = {rule: r for r, rule in enumerate(rules)}
+        prefixes, inverse = np.unique(self.ids[:, :-1], axis=0, return_inverse=True)
+        order = np.argsort(inverse.ravel(), kind="stable")
+        members = np.split(order, np.flatnonzero(np.diff(inverse.ravel()[order])) + 1)
+        last = self.ids[:, -1]
+        self.groups = [(prefix[prefix != pad], r, slice(last[r].min(), last[r].max() + 1),
+                        last[r] - last[r].min(), self.consequent[r])
+                       for prefix, r in zip(prefixes, members)]
+
+    def read(self, dataset, rows):
+        """(holds, present, errors): each literal's masks of true, present cells
+        and of present cells at ``rows``, in id order, then the always-true
+        row; and each row's read error or None. A failed literal has no cell."""
+        rows = np.asarray(rows, dtype=int)
+        holds = np.ones((len(self.literals) + 1, *rows.shape), dtype=bool)
+        present = np.ones(holds.shape, dtype=bool)
+        errors = [None] * len(holds)
+        for j, lit in enumerate(self.literals):
+            try:
+                truth, present[j] = literal_cells(lit, dataset, rows)
+                holds[j] = present[j] & (truth == 1.0)
+            except (ResolutionError, TypeMismatchError) as exc:
+                holds[j], present[j], errors[j] = False, False, exc
+        return holds, present, errors
 
 
 # cells of U and of LU per chunk of batches: 256 KiB each in float32, so the
@@ -208,85 +229,67 @@ class LogicScores:
 _CHUNK_CELLS = 2**16
 
 
-def score_logic_rules(rules, dataset, rows, label_column) -> LogicScores:
-    """Per-batch F1 of every logic rule in ``rules`` on the (B, m) row matrix
-    ``rows``, with consequent classes read from ``label_column``.
+def score_logic_rules(table, dataset, rows, label_column):
+    """(value, valued, errors) of every rule of the ``LogicTable`` ``table``
+    on the (B, m) row matrix ``rows``, with consequent classes read from
+    ``label_column``: each rule's F1 on each batch, as an (R, B) matrix,
+    whether the batch has a usable row (the F1 is 0 where it has none), and
+    the read error each rule raises first, its literals' in rule order, then
+    its consequent's, or None.
 
-    For a chunk of b batches, each literal's cells are gathered once, into
+    For a chunk of b batches, each literal's cells are read once, into
     (b, k, m) indicators of a present cell (``U``) and of a true, present
-    cell (``LU``); the label's present mask ``y`` and each class's mask are
-    gathered once too. Rules that share all literals but the last share one
-    prefix mask, and one batched matmul over their last literals counts, per
-    batch, the predicted positives, the usable positions, and per class the
-    true positives and the consequent positions. The counts are exact
-    integers, so the F1 does not depend on the order of the positions.
+    cell (``LU``). The rules of a prefix group share one prefix mask, and one
+    batched matmul over their last literals counts, per batch, the predicted
+    positives, the usable positions, and per class the true positives and
+    the consequent positions: exact integers, whatever the order of the sum.
     """
     rows = np.asarray(rows, dtype=int)
     n_batches, m = rows.shape
-    literals = sorted({lit for rule in rules for lit in rule.literals})
-    consequents = list(dict.fromkeys(rule.consequent for rule in rules))
     # which reads fail depends on column kinds only, so no row is read
-    failed = {lit: _read_error(literal_cells, lit, dataset, rows[:0]) for lit in literals}
-    failed.update((cls, _read_error(match_class, dataset, rows[:0], label_column, cls))
-                  for cls in consequents)
-    errors = [next((failed[key] for key in (*rule.literals, rule.consequent)
-                    if failed[key] is not None), None) for rule in rules]
+    _, _, failed = table.read(dataset, rows[:0])
+    class_failed = []
+    for cls in table.consequents:
+        try:
+            match_class(dataset, rows[:0], label_column, cls)
+            class_failed.append(None)
+        except (ResolutionError, TypeMismatchError) as exc:
+            class_failed.append(exc)
+    # each rule's first error: its literals' in rule order, then its class's
+    keyed = np.array(failed + class_failed, dtype=object)[
+        np.column_stack([table.ids, len(failed) + table.consequent])]
+    errors = keyed[np.arange(len(keyed)), np.not_equal(keyed, None).argmax(axis=1)]
 
-    column = {lit: j for j, lit in enumerate(literals)}
-    prefixes = {}  # prefix columns -> [(rule index, last column, label mask index)]
-    for r, rule in enumerate(rules):
-        if errors[r] is None:
-            cols = [column[lit] for lit in rule.literals]
-            prefixes.setdefault(tuple(cols[:-1]), []).append(
-                (r, cols[-1], 1 + consequents.index(rule.consequent)))
-    groups = [(prefix, *map(np.array, zip(*members))) for prefix, members in prefixes.items()]
-
-    value = np.zeros((len(rules), n_batches))
-    valued = np.zeros((len(rules), n_batches), dtype=bool)
+    value = np.zeros((len(table.ids), n_batches))
+    valued = np.zeros((len(table.ids), n_batches), dtype=bool)
     # float32 sums of 0/1 cells are exact below 2**24 positions
     dtype = np.float32 if m < 2**24 else np.float64
     # equal chunks of batches, each with about _CHUNK_CELLS cells in U
-    chunks = -(-n_batches * len(literals) * m // _CHUNK_CELLS)
+    chunks = -(-n_batches * len(table.literals) * m // _CHUNK_CELLS)
     step = -(-n_batches // chunks)
     for b in range(0, n_batches, step):
         part = rows[b:b + step]
-        U = np.zeros((part.shape[0], len(literals), m), dtype=dtype)
-        LU = np.zeros_like(U)
-        for j, lit in enumerate(literals):
-            if failed[lit] is None:
-                truth, present = literal_cells(lit, dataset, part)
-                U[:, j, :] = present
-                LU[:, j, :] = present & (truth == 1.0)
+        holds, present, _ = table.read(dataset, part)
+        U = np.moveaxis(present, 0, 1).astype(dtype, order="C")
+        LU = np.moveaxis(holds, 0, 1).astype(dtype, order="C")
         y = ~dataset.missing(label_column)[part]
-        # (b, m, 1 + classes): y, then each class's mask
-        label_masks = np.stack([y] + [
-            np.zeros_like(y) if failed[cls] is not None
+        # (b, m, classes + 1): each consequent's mask, then y
+        label_masks = np.stack([
+            np.zeros_like(y) if error is not None
             else match_class(dataset, part, label_column, cls) & y
-            for cls in consequents], axis=-1).astype(dtype)
+            for cls, error in zip(table.consequents, class_failed)] + [y],
+            axis=-1).astype(dtype)
 
-        for prefix, r, last, cls in groups:
+        for prefix, r, span, at, cls in table.groups:
             gp = gu = label_masks
             for j in prefix:
                 gp = gp * LU[:, j, :, None]
                 gu = gu * U[:, j, :, None]
-            # (b, span, 1 + classes) counts for the span of last columns, read
-            # through a view: gathering just the last columns would copy them
-            first = last.min()
-            span = slice(first, last.max() + 1)
-            at = last - first
+            # (b, span, classes + 1) counts for the span of last ids, read
+            # through a view: gathering just the last ids would copy them
             pred = (LU[:, span, :] @ gp).astype(np.int64)
             usable = (U[:, span, :] @ gu).astype(np.int64)
             value[r, b:b + step] = f1_from_counts(
-                pred[:, at, cls], pred[:, at, 0], usable[:, at, cls]).T
-            valued[r, b:b + step] = (usable[:, at, 0] > 0).T
-    return LogicScores(value, valued, errors)
-
-
-def _read_error(read, *args):
-    """The ResolutionError or TypeMismatchError that ``read(*args)`` raises,
-    or None."""
-    try:
-        read(*args)
-    except (ResolutionError, TypeMismatchError) as exc:
-        return exc
-    return None
+                pred[:, at, cls], pred[:, at, -1], usable[:, at, cls]).T
+            valued[r, b:b + step] = (usable[:, at, -1] > 0).T
+    return value, valued, errors

@@ -168,10 +168,36 @@ def save_rules(path, rules, bucket_edges=None):
             fh.write(json.dumps(rule_to_obj(crule)) + "\n")
 
 
+def _is_edges(value):
+    return (isinstance(value, list) and all(is_number(e) and math.isfinite(e) for e in value)
+            and all(a <= b for a, b in zip(value, value[1:])))
+
+
+def _check_header(header, where):
+    """Raise ParseError naming ``where`` and the field unless ``header`` holds
+    exactly the format_version this module writes and bucket_edges, an object
+    of column -> list of finite, non-decreasing numbers."""
+    if isinstance(header, dict) and "format_version" in header:
+        version = header["format_version"]
+        if not (is_int(version) and version == FORMAT_VERSION):
+            raise ParseError(f"{where}: rules file format_version {version!r} is not "
+                             f"supported (expected {FORMAT_VERSION})")
+    check_fields(header, where, ("format_version", "bucket_edges"))
+    edges = header["bucket_edges"]
+    if not isinstance(edges, dict):
+        raise ParseError(f"{where}: bucket_edges must be an object of column -> edges, "
+                         f"got {edges!r}")
+    for column, values in edges.items():
+        if not _is_edges(values):
+            raise ParseError(f"{where}: bucket_edges of column {column!r} must be a list "
+                             f"of finite, non-decreasing numbers, got {values!r}")
+
+
 def load_rules(path):
-    """Returns (rules, header); refuses files written at another version. A
-    rule line that is not JSON, or not a rule ``rule_from_obj`` reads, raises
-    ParseError naming the file, the line and the field."""
+    """Returns (rules, header). A header other than ``save_rules`` writes, at
+    this format version, or a rule line that is not JSON, or not a rule
+    ``rule_from_obj`` reads, raises ParseError naming the file, the line and
+    the field."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = [(n, line) for n, line in enumerate(fh.read().splitlines(), start=1)
@@ -183,11 +209,7 @@ def load_rules(path):
         header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad header: {exc}", line=lineno)
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ParseError(
-            f"{path}: rules file format_version {version!r} is not supported "
-            f"(expected {FORMAT_VERSION})")
+    _check_header(header, f"{path}: header")
     rules = []
     for lineno, line in lines[1:]:
         where = f"{path}: line {lineno}"

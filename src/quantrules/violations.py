@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (INT64_MAX, EmptyStatisticError, ParseError, ResolutionError,
                      check_count, check_fields)
-from .rule_eval import Cells, batch_sets, outside, per_sample
+from .rule_eval import Cells, batch_sets, logic_tables, outside, reads
+from .schema import LOGIC
 from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
@@ -81,14 +82,14 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
     if batching is not None:
         fallback, count, seed = batching
-        batch_set = batch_sets(test, [c.rule for c in rules],
-                               lambda rule: rule.batch_size if rule.batch_size > 1 else fallback,
+        size_of = lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
+        batch_set = batch_sets(test, logic_tables([c.rule for c in rules], size_of), size_of,
                                count, seed, label_column, registry)
 
     for crule in rules:
         rule = crule.rule
         try:
-            if per_sample(rule, registry):
+            if rule.kind != LOGIC and reads(registry.resolve(rule.statistic))[1]:  # per sample
                 cells = everywhere
             elif batching is None:
                 raise ValueError("minibatch rules need a (batch_size, count, seed) batching")

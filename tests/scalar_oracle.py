@@ -31,7 +31,7 @@ from quantrules import bounds
 from quantrules.bounds import Interval, quantile_levels, s1_bucket_edges, s1_bucket_interval
 from quantrules.dataset import checked_rows
 from quantrules.errors import DivergenceError, EmptyStatisticError, ResolutionError
-from quantrules.rule_eval import Cells
+from quantrules.rule_eval import Cells, LogicTable
 from quantrules.schema import LOGIC, PAIRED, rule_signature
 from quantrules.statistics import (PER_SAMPLE, Statistic, StatisticRegistry,
                                    literal_cells, match_class,
@@ -409,7 +409,7 @@ def compute_bounds(rule, dataset, rows, delta=None, sided=None, *, registry=None
         everywhere = Cells(dataset, np.arange(dataset.n_rows), label_column, registry)
         s1_interval = s1_bucket_interval(rule, s1_bucket_edges(rule, everywhere))
     cells = Cells(dataset, rows, label_column, registry,
-                  [rule] if rule.kind == LOGIC else ())
+                  LogicTable([rule]) if rule.kind == LOGIC else None)
     values = bounds.collect_statistics(rule, cells, s1_interval)
     if values.size == 0:
         raise EmptyStatisticError(f"rule {rule_signature(rule)}: no statistic values collected")

@@ -493,7 +493,13 @@ def test_one_mask_and_two_hinges_per_batch():
      "consequent 'q' is not a model class"),
     (AbstractRule(kind="paired", statistic="v", s1="mean(v)", s1_bucket=0,
                   s1_bucket_count=2), "'mean(v)' is not per-sample"),
-], ids=["statistic", "formula", "column", "non-boolean", "consequent", "s1"])
+    # a rule's consequent is checked first, then its literals in rule order
+    (AbstractRule(kind="logic", statistic="f1", consequent="q",
+                  literals=(Literal("flag"), Literal("zz"))), "consequent 'q' is not"),
+    (AbstractRule(kind="logic", statistic="f1", consequent="a",
+                  literals=(Literal("flag"), Literal("v"), Literal("zz"))), "non-boolean"),
+], ids=["statistic", "formula", "column", "non-boolean", "consequent", "s1",
+        "consequent-first", "first-literal"])
 def test_unevaluable_rule_fails_when_grouped(rule, reason):
     ds, model = tiny_setup()
     s1 = (0.0, 1.0) if rule.kind == "paired" else (None, None)

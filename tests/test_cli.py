@@ -226,6 +226,73 @@ def test_evaluate_version_mismatch_exits_2(tmp_path, capsys):
     assert "format_version" in capsys.readouterr().err
 
 
+def _set_edges(edges):
+    def change(header):
+        header["bucket_edges"] = edges
+        return header
+    return change
+
+
+@pytest.mark.parametrize("command", ["evaluate", "adapt"])
+@pytest.mark.parametrize("change, field", [
+    (_set_edges("x"), "bucket_edges"),
+    (_set_edges({"x0": [-0.5]}), "'x0'"),  # buckets: 3 needs 2 edges
+    (_set_edges({"x0": [0.5, -0.5]}), "'x0'"),
+    (_set_edges({}), "'x0'"),
+    (_set_edges({"x0": [None, None]}), "'x0'"),
+    (_set_edges({"x0": [-0.5, float("nan")]}), "'x0'"),
+    (_set_edges({"x0": [-0.5, True]}), "'x0'"),
+    (lambda h: dict(h, format_version=True), "format_version"),
+    (lambda h: dict(h, format_version=1.0), "format_version"),
+    (lambda h: dict(h, extra=1), "'extra'"),
+    (lambda h: {"format_version": 1}, "'bucket_edges'"),
+    (lambda h: [1], "[1]"),
+], ids=["edges-str", "edges-short", "edges-reversed", "edges-missing", "edges-null",
+        "edges-nan", "edges-bool", "version-bool", "version-float", "unknown-key",
+        "no-edges", "not-object"])
+def test_rules_header_faults_exit_2_naming_file_and_field(tmp_path, capsys, command,
+                                                          change, field):
+    """The rules header holds exactly format_version 1 and bucket_edges, with
+    n - 1 finite, non-decreasing edges for each features column of n
+    buckets; anything else fails before the test table's edges are used."""
+    cfg_path = write_workspace(tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    cfg["data"]["features"] = [{"column": "x0", "buckets": 3}, {"column": "x1"},
+                               {"column": "flag"}, {"column": "label"}]
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    _write_model(tmp_path)
+    _add_adapt_section(cfg_path, tmp_path)
+    rules = tmp_path / "rules.jsonl"
+    save_rules(rules, [ConcreteRule(rule=AbstractRule(kind="conditional", statistic="x1"),
+                                    lo=-1e9, hi=1e9, delta=0.02)],
+               bucket_edges={"x0": [-0.5, 0.5]})
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    header, *lines = rules.read_text(encoding="utf-8").splitlines()
+    header = json.dumps(change(json.loads(header)))
+    rules.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rules}: header" in err and field in err
+
+
+@pytest.mark.parametrize("command", ["adapt", "mine", "evaluate"])
+@pytest.mark.parametrize("iterations, epochs", [(3, 1), (1, 1)])
+def test_adapt_iterations_and_epochs_together_exit_2(tmp_path, capsys, command,
+                                                     iterations, epochs):
+    """A config that sets both adapt.iterations and adapt.epochs fails, naming
+    both keys, instead of running one and dropping the other."""
+    cfg_path = write_workspace(tmp_path)
+    _write_model(tmp_path)
+    assert main(["mine", "--config", str(cfg_path)]) == 0
+    _add_adapt_section(cfg_path, tmp_path, iterations=iterations, epochs=epochs)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "'iterations'" in err and "'epochs'" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_evaluate_shifted_data_has_more_violations(tmp_path, capsys):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()

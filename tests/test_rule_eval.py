@@ -16,7 +16,7 @@ from quantrules import rule_eval, violations
 from quantrules.bounds import BoundJob, Interval, collect_statistics, learn_and_select
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
 from quantrules.errors import EmptyStatisticError, QuantrulesError, TypeMismatchError
-from quantrules.rule_eval import Cells, score_logic_rules
+from quantrules.rule_eval import Cells, LogicTable, score_logic_rules
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, rule_signature
 from quantrules.statistics import StatisticRegistry, match_class, sample_values_aligned
 from scalar_oracle import compute_bounds, jaccard
@@ -94,7 +94,7 @@ def test_batch_matrix_matches_per_batch_oracle(seed, n, count, size, lo, width,
     shapes = rule_shapes((s1_lo, s1_lo + s1_width), CLASSES[label_column])
 
     cells = Cells(ds, rows, label_column, registry,  # shared by every rule
-                  [rule for rule, _ in shapes if rule.kind == "logic"])
+                  LogicTable([rule for rule, _ in shapes if rule.kind == "logic"]))
     for rule, s1_interval in shapes:
         got = collect_statistics(rule, cells, s1_interval)
         expect = oracle.collect_statistics(rule, ds, rows, registry, label_column,
@@ -216,31 +216,32 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
 
     # small chunk budgets split the batches into chunks of one or more
     with mock.patch.object(rule_eval, "_CHUNK_CELLS", chunk_cells):
-        scores = score_logic_rules(rules, ds, rows, label_column)
-        listed = Cells(ds, rows, label_column, registry, rules)
+        value, valued, errors = score_logic_rules(LogicTable(rules), ds, rows, label_column)
+        listed = Cells(ds, rows, label_column, registry, LogicTable(rules))
     unlisted = Cells(ds, rows, label_column, registry)
     with pytest.raises(ValueError, match=re.escape(f"rule {rule_signature(rules[0])}: "
                                                    "not among the logic rules")):
         unlisted.values(rules[0])
-    assert scores.value.shape == scores.valued.shape == (len(rules), count + 1)
+    assert value.shape == valued.shape == (len(rules), count + 1)
+    assert errors.shape == (len(rules),)
     for r, rule in enumerate(rules):
-        alone = score_logic_rules([rule], ds, rows, label_column)
+        alone = score_logic_rules(LogicTable([rule]), ds, rows, label_column)
         try:
             batches = [oracle.evaluate_batch(rule, ds, b, label_column, registry).value
                        for b in rows]
         except QuantrulesError as exc:
-            for error in (scores.errors[r], alone.errors[0]):
+            for error in (errors[r], alone[2][0]):
                 assert type(error) is type(exc) and str(error) == str(exc), rule
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 listed.values(rule)
             continue
-        assert scores.errors[r] is None, rule
-        assert scores.valued[r].tolist() == [v is not None for v in batches], rule
+        assert errors[r] is None, rule
+        assert valued[r].tolist() == [v is not None for v in batches], rule
         expect = np.array([0.0 if v is None else v for v in batches])
-        assert scores.value[r].tobytes() == expect.tobytes(), rule
-        value, valued = listed.values(rule)
-        assert value.tobytes() == alone.value[0].tobytes(), rule
-        assert valued.tobytes() == alone.valued[0].tobytes(), rule
+        assert value[r].tobytes() == expect.tobytes(), rule
+        got_value, got_valued = listed.values(rule)
+        assert got_value.tobytes() == alone[0][0].tobytes(), rule
+        assert got_valued.tobytes() == alone[1][0].tobytes(), rule
         got = collect_statistics(rule, listed)
         want = oracle.collect_statistics(rule, ds, rows, registry, label_column)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule
@@ -256,9 +257,9 @@ def test_kernel_runs_once_per_batch_set():
     rules = mixed_rules(drawn, (2, 3))  # two logic rules of each batch size
     calls, score = [], rule_eval.score_logic_rules
 
-    def counted(logic_rules, dataset, rows, label_column):
-        calls.append((len(logic_rules), rows.shape))
-        return score(logic_rules, dataset, rows, label_column)
+    def counted(table, dataset, rows, label_column):
+        calls.append((len(table.ids), rows.shape))
+        return score(table, dataset, rows, label_column)
 
     with mock.patch.object(rule_eval, "score_logic_rules", counted):
         learn_and_select(rules, train, valid, BoundJob(n_train_batches=5, n_valid_batches=4),
@@ -268,6 +269,66 @@ def test_kernel_runs_once_per_batch_set():
         violations.evaluate(concrete([(rule, None) for rule in rules], -1.0, 1.0), test,
                             batching=(2, 6, 0), label_column="y")
         assert sorted(calls) == [(2, (6, 2)), (2, (6, 3))]
+
+
+def test_learn_and_select_shares_one_table_per_batch_size():
+    """One ``learn_and_select`` call builds one LogicTable per batch size, of
+    that size's logic rules, and the train and valid readers of the size both
+    score that table."""
+    rng = np.random.default_rng(1)
+    train, valid = (logic_dataset(rng, 40) for _ in range(2))
+    drawn = [([A], 0, "two"), ([A, Literal("B")], 1, "lower"), ([NOT_A], 1, "upper"),
+             ([Literal("C")], 0, "two"), ([Literal("B")], 2, "two")]
+    rules = mixed_rules(drawn, (2, 3))
+    tables, scored = [], []
+    make, score = rule_eval.LogicTable, rule_eval.score_logic_rules
+
+    def built(logic_rules):
+        tables.append(make(logic_rules))
+        return tables[-1]
+
+    def counted(table, dataset, rows, label_column):
+        scored.append((table, dataset, rows.shape))
+        return score(table, dataset, rows, label_column)
+
+    with mock.patch.object(rule_eval, "LogicTable", built), \
+            mock.patch.object(rule_eval, "score_logic_rules", counted):
+        learn_and_select(rules, train, valid, BoundJob(n_train_batches=5, n_valid_batches=4),
+                         label_column="y")
+    logic = [rule for rule in rules if rule.kind == "logic"]
+    assert sorted([list(t.row) for t in tables], key=len) == [
+        [rule for rule in logic if rule.batch_size == size] for size in (3, 2)]
+    for table in tables:
+        size = next(iter(table.row)).batch_size
+        assert sorted(((d is valid, shape) for t, d, shape in scored if t is table)) == [
+            (False, (5, size)), (True, (4, size))]
+    assert len(scored) == 4
+
+
+def test_logic_table_pads_ids_on_the_left_with_the_always_true_literal():
+    """A rule's literal ids keep its literal order, padded on the left with
+    the always-true id; rules that share all ids but the last form a group."""
+    B = Literal("B")
+    rules = [logic_rule([A], "b"), logic_rule([B, NOT_A, A], "a"), logic_rule([NOT_A, B], "b"),
+             logic_rule([NOT_A, A], "b")]
+    table = LogicTable(rules)
+    assert table.literals == [A, NOT_A, B]
+    assert table.ids.tolist() == [[3, 3, 0], [2, 1, 0], [3, 1, 2], [3, 1, 0]]
+    assert table.consequents == ["b", "a"] and table.consequent.tolist() == [0, 1, 0, 0]
+    assert table.row == {rule: r for r, rule in enumerate(rules)}
+    # (prefix, rows, last ids as the span and places give them, consequents)
+    assert sorted((p.tolist(), r.tolist(), np.arange(4)[span][at].tolist(), cls.tolist())
+                  for p, r, span, at, cls in table.groups) == [
+        ([], [0], [0], [0]), ([1], [2, 3], [2, 0], [0, 0]), ([2, 1], [1], [0], [1])]
+    ds = logic_dataset(np.random.default_rng(2), 6)
+    rows = np.array([[0, 1, 2], [3, 4, 5]])
+    holds, present, errors = table.read(ds, rows)
+    assert holds.shape == present.shape == (4, 2, 3) and errors == [None] * 4
+    assert holds[3].all() and present[3].all()
+    for j, lit in enumerate(table.literals):
+        truth, want_present = oracle.literal_cells(lit, ds, rows)
+        assert holds[j].tolist() == (want_present & (truth == 1.0)).tolist()
+        assert present[j].tolist() == want_present.tolist()
 
 
 def select_alone(rules, train, valid, job, label_column, log):
@@ -289,7 +350,7 @@ def select_alone(rules, train, valid, job, label_column, log):
             log.append({"event": "skipped", "signature": rule_signature(rule),
                         "reason": str(exc)})
             continue
-        logic = [rule] if rule.kind == "logic" else []
+        logic = LogicTable([rule]) if rule.kind == "logic" else None
         pooled = np.concatenate([collect_statistics(rule, Cells(ds, rows, label_column,
                                                                 registry, logic))
                                  for ds, rows in sets])
@@ -373,7 +434,7 @@ def check_selected_alone(seed, n_train, n_valid, n_tb, n_vb, sizes, delta, epsil
     assert [(c.lo.hex(), c.hi.hex()) for c in got] == [(c.lo.hex(), c.hi.hex()) for c in want]
 
     rows = {size: sample_minibatches(train, size, n_tb, job.train_seed) for size in sizes}
-    valued = [score_logic_rules([rule], train, rows[rule.batch_size], "y").valued[0]
+    valued = [score_logic_rules(LogicTable([rule]), train, rows[rule.batch_size], "y")[1][0]
               for rule in rules if rule.kind == "logic"]
     return sum(0 < v.sum() < v.size for v in valued), None
 
