@@ -1,10 +1,11 @@
 """Tabular datasets: typed columns, bucket-derived boolean features, splits, minibatches.
 
-Columns come in three kinds: ``boolean`` (values in {0, 1}), ``numeric``
-(finite reals), and ``label`` (categorical strings, stored as a numpy ``str``
-array whatever the input dtype). Missing cells are tracked per column in a
-boolean mask; a missing row is excluded from any statistic that reads the
-column but stays in the dataset.
+Columns come in three kinds: ``boolean`` (values in {0, 1}, stored as a
+numpy ``bool`` array, one byte a cell, whether given as bool, int or float),
+``numeric`` (finite reals, stored as float64), and ``label`` (categorical
+strings, stored as a numpy ``str`` array whatever the input dtype). Missing
+cells are tracked per column in a boolean mask; a missing row is excluded
+from any statistic that reads the column but stays in the dataset.
 """
 from __future__ import annotations
 
@@ -72,6 +73,10 @@ class Dataset:
                 raise ValueError(f"no values for column {name!r}")
             if kind == LABEL:
                 arr = np.asarray(values[name], dtype=str)
+            elif kind == BOOLEAN:
+                arr = np.asarray(values[name])
+                if arr.dtype != bool:
+                    arr = np.asarray(arr, dtype=float)
             else:
                 arr = np.asarray(values[name], dtype=float)
             if arr.ndim != 1:
@@ -89,12 +94,13 @@ class Dataset:
             present = ~mask if mask is not None else np.ones(arr.shape[0], dtype=bool)
             if kind == NUMERIC and not np.isfinite(arr[present]).all():
                 raise ValueError(f"non-finite value in numeric column {name!r}")
-            if kind == BOOLEAN:
+            if kind == BOOLEAN and arr.dtype != bool:
                 # not np.isin, which on a column of no rows sorts through
                 # np.unique and so imports numpy.ma, about 1 MB
                 cells = arr[present]
                 if not ((cells == 0.0) | (cells == 1.0)).all():
                     raise ValueError(f"boolean column {name!r} contains values outside {{0, 1}}")
+                arr = arr == 1.0
             self._values[name] = arr
         self.n_rows = n_rows if n_rows is not None else 0
         self._none_missing = np.zeros(self.n_rows, dtype=bool)
@@ -201,11 +207,9 @@ def bucket_index(values, edges) -> np.ndarray:
 
 
 def bucket_indicators(values, edges, count) -> np.ndarray:
-    """(n, count) 0/1 matrix; exactly one indicator set per row."""
-    idx = bucket_index(values, edges)
-    out = np.zeros((len(idx), count))
-    out[np.arange(len(idx)), idx] = 1.0
-    return out
+    """(count, n) bool matrix: row j is the indicator of bucket j, so each
+    indicator is contiguous; exactly one row is set in each column."""
+    return bucket_index(values, edges) == np.arange(count)[:, None]
 
 
 def _infer_kind(cells):
@@ -369,7 +373,9 @@ def load_table(path, specs=None, edges=None) -> Dataset:
                 i = int(np.flatnonzero(present)[bad[0]])
                 raise ParseError(f"{path}: non-finite value {cells[i].strip()!r} in "
                                  f"column {spec.source!r}", line=i + 2)
-            arr = np.zeros(len(cells))
+            # a boolean column is stored as bool; a bucketed one is read as numbers
+            arr = np.zeros(len(cells), dtype=bool if kind == BOOLEAN
+                           and spec.buckets is None else float)
             arr[present] = parsed
         del cells
 
@@ -389,13 +395,14 @@ def load_table(path, specs=None, edges=None) -> Dataset:
             col_edges = bucket_edges(parsed, spec.buckets)
         fitted[spec.source] = col_edges
         indicators = bucket_indicators(arr, col_edges, spec.buckets)
-        indicators[~present] = 0.0
+        indicators &= present
+        absent = None if present.all() else ~present  # shared by the indicators
         for j, name in enumerate(spec.derived_names()):
             columns.append((name, BOOLEAN))
-            values[name] = indicators[:, j]
+            values[name] = indicators[j]
             sources[name] = spec.source
-            if not present.all():
-                missing[name] = ~present
+            if absent is not None:
+                missing[name] = absent
 
     return Dataset(columns, values, missing, fitted, sources, origin=str(path))
 

@@ -216,7 +216,7 @@ class LogicTable:
         for j, lit in enumerate(self.literals):
             try:
                 truth, present[j] = literal_cells(lit, dataset, rows)
-                holds[j] = present[j] & (truth == 1.0)
+                holds[j] = present[j] & truth
             except (ResolutionError, TypeMismatchError) as exc:
                 holds[j], present[j], errors[j] = False, False, exc
         return holds, present, errors

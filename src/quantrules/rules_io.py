@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ParseError, check_fields, is_int, is_number
 from .schema import (CONDITIONAL, LOGIC, LOWER, PAIRED, SIDEDNESS, UPPER, AbstractRule,
-                     ConcreteRule, Literal)
+                     ConcreteRule, literal_of)
 
 FORMAT_VERSION = 1
 
@@ -100,12 +100,13 @@ _USED_BY = {"guard": (CONDITIONAL, PAIRED), "literals": (LOGIC,), "consequent": 
 _NEEDED = ("literals", "consequent", "s1", "s1_bucket", "s1_bucket_count")
 
 
-def rule_from_obj(obj, where="rule") -> ConcreteRule:
+def rule_from_obj(obj, where="rule", interned=None) -> ConcreteRule:
     """The concrete rule of a ``rule_to_obj`` object. Anything else raises
     ParseError naming ``where`` and the first field at fault: a missing or
     unknown key, a value of the wrong type or range, a field the rule's kind
     does not use or one it needs left empty, bounds the rule cannot hold,
-    or a signature that is not the rule's own."""
+    or a signature that is not the rule's own. The rule's literals come from
+    ``interned`` (``schema.literal_of``), when given."""
     check_fields(obj, where, _RULE_FIELDS)
     for key, (ok, expected) in _RULE_FIELDS.items():
         if not ok(obj[key]):
@@ -128,6 +129,8 @@ def rule_from_obj(obj, where="rule") -> ConcreteRule:
         raise ParseError(f"{where}: s1_bucket {obj['s1_bucket']} is not below "
                          f"s1_bucket_count {obj['s1_bucket_count']}")
     paired = kind == PAIRED
+    if interned is None:
+        interned = {}
     try:
         crule = ConcreteRule(
             rule=AbstractRule(
@@ -135,7 +138,7 @@ def rule_from_obj(obj, where="rule") -> ConcreteRule:
                 sided=obj["sided"],
                 guard=obj["guard"],
                 statistic=obj["statistic"],
-                literals=tuple(Literal(f, n) for f, n in obj["literals"]),
+                literals=tuple(literal_of(interned, f, n) for f, n in obj["literals"]),
                 consequent=obj["consequent"],
                 s1=obj["s1"],
                 s1_bucket=obj["s1_bucket"],
@@ -197,7 +200,7 @@ def load_rules(path):
     """Returns (rules, header). A header other than ``save_rules`` writes, at
     this format version, or a rule line that is not JSON, or not a rule
     ``rule_from_obj`` reads, raises ParseError naming the file, the line and
-    the field."""
+    the field. Each distinct literal of the file is one ``Literal`` object."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = [(n, line) for n, line in enumerate(fh.read().splitlines(), start=1)
@@ -210,12 +213,12 @@ def load_rules(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad header: {exc}", line=lineno)
     _check_header(header, f"{path}: header")
-    rules = []
+    rules, interned = [], {}
     for lineno, line in lines[1:]:
         where = f"{path}: line {lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{where}: bad rule object: {exc}") from None
-        rules.append(rule_from_obj(obj, where))
+        rules.append(rule_from_obj(obj, where, interned))
     return rules, header

@@ -310,20 +310,34 @@ def _iter_conditional(t):
                                statistic=stat, delta=t.delta, batch_size=t.batch_size)
 
 
-def _iter_logic(t, features, feature_groups):
+def literal_of(interned, feature, negated):
+    """The ``Literal`` (feature, negated) of ``interned``, a dict from such
+    pairs to literals, made and added on first use: the rules that share a
+    dict share one object per distinct literal, so a lookup of one in a set
+    or dict stops at the identity check."""
+    lit = interned.get((feature, negated))
+    if lit is None:
+        lit = interned[feature, negated] = Literal(feature, negated)
+    return lit
+
+
+def _iter_logic(t, features, feature_groups, interned):
     if t.max_literals > len(features):
         raise ValueError(
             f"max_literals={t.max_literals} exceeds the {len(features)} available features")
     groups = feature_groups or {}
     signs = (False, True) if t.signed_literals else (False,)
     ordered = sorted(features)
+    for f in ordered:
+        for neg in signs:
+            literal_of(interned, f, neg)
     for size in range(1, t.max_literals + 1):
         for combo in combinations(ordered, size):
             used = [groups.get(f, f) for f in combo]
             if len(set(used)) != len(used):
                 continue  # two indicators of one bucketed column are mutually exclusive
             for assignment in product(signs, repeat=size):
-                literals = tuple(Literal(f, neg) for f, neg in zip(combo, assignment))
+                literals = tuple(map(interned.__getitem__, zip(combo, assignment)))
                 for cls in t.labels:
                     yield AbstractRule(kind=LOGIC, sided=t.sided, statistic="f1",
                                        literals=literals, consequent=cls,
@@ -349,14 +363,15 @@ def enumerate_abstract_rules(schema, features=(), feature_groups=None):
     ``features`` are the boolean feature names available to logic templates;
     ``feature_groups`` maps bucket-derived features to their source column so
     mutually exclusive indicators never share a conjunction. Output order is
-    lexicographic by signature and stable across runs.
+    lexicographic by signature and stable across runs. Each distinct literal
+    is one ``Literal`` object, shared by every rule that holds it.
     """
-    rules = []
+    rules, interned = [], {}
     for t in schema.templates:
         if t.kind == CONDITIONAL:
             rules.extend(_iter_conditional(t))
         elif t.kind == LOGIC:
-            rules.extend(_iter_logic(t, features, feature_groups))
+            rules.extend(_iter_logic(t, features, feature_groups, interned))
         elif t.kind == PAIRED:
             rules.extend(_iter_paired(t))
     by_signature = {}  # of rules with equal signatures, the first enumerated

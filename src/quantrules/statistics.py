@@ -111,7 +111,7 @@ def sample_values_aligned(stat, dataset, rows):
     ``rows`` is an index array of any shape, e.g. one minibatch or a
     (count, size) matrix of them, and may repeat rows: both results have
     its shape. Invalid positions (missing cells) hold zeros and are marked
-    False.
+    False. Values are float64, a boolean column's included.
     """
     rows = np.asarray(rows, dtype=int)
     if stat.arity != PER_SAMPLE:
@@ -119,7 +119,8 @@ def sample_values_aligned(stat, dataset, rows):
     if stat.kind == "column":
         _require_column(dataset, stat.column)
         valid = ~dataset.missing(stat.column)[rows]
-        return dataset.values(stat.column)[rows], valid
+        # a boolean column's cells read as the numbers 0.0 and 1.0
+        return dataset.values(stat.column)[rows].astype(float, copy=False), valid
     if stat.kind == "box":
         valid = np.ones(rows.shape, dtype=bool)
         for c in BOX_COLUMNS:
@@ -152,7 +153,9 @@ def match_class(dataset, rows, column, class_value):
 
 
 def literal_cells(lit, dataset, rows):
-    """A literal's 0/1 truth at ``rows`` and the mask of its present cells.
+    """A literal's truth at ``rows`` as a bool array, the column's cells or,
+    for a negated literal, their complement, and the mask of its present
+    cells. A missing cell's truth is meaningless.
 
     Raises ResolutionError for an absent column and TypeMismatchError for a
     column that is not boolean.
@@ -162,7 +165,7 @@ def literal_cells(lit, dataset, rows):
         raise TypeMismatchError(
             f"literal {lit.feature!r} refers to a non-boolean column")
     vals = dataset.values(lit.feature)[rows]
-    return (1.0 - vals) if lit.negated else vals, ~dataset.missing(lit.feature)[rows]
+    return ~vals if lit.negated else vals, ~dataset.missing(lit.feature)[rows]
 
 
 def f1_from_counts(tp, predicted, consequent):

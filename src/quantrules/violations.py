@@ -64,7 +64,21 @@ class ViolationReport:
                 raise AssertionError(f"rule {sig}: count {v} outside [0, {n}]")
 
 
-def evaluate(rules, test, batching=None, *, label_column=None, registry=None) -> ViolationReport:
+def _size_of(fallback):
+    """A rule's minibatch size: its own, or ``fallback`` when it carries none."""
+    return lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
+
+
+def logic_tables_at(rules, batch_size):
+    """The logic tables (``rule_eval.logic_tables``) ``evaluate`` reads the
+    concrete ``rules`` with at the fallback ``batch_size``. They do not depend
+    on the test set or the seed, so one set serves every evaluation of these
+    rules at this batch size."""
+    return logic_tables([c.rule for c in rules], _size_of(batch_size))
+
+
+def evaluate(rules, test, batching=None, *, label_column=None, registry=None,
+             tables=None) -> ViolationReport:
     """Count violations of every rule over a test dataset.
 
     ``batching`` is (batch_size, count, seed) for minibatch rules; the
@@ -72,6 +86,8 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     are checked on every row, the others on each batch. Rules whose columns
     are absent are skipped with zero evaluations rather than failing the
     run; their signatures are kept in the report's ``unevaluable`` list.
+    ``tables`` are ``logic_tables_at(rules, batch_size)``, made here when
+    None; a caller that evaluates the rules more than once makes them once.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(test)
@@ -82,9 +98,10 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None) ->
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
     if batching is not None:
         fallback, count, seed = batching
-        size_of = lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
-        batch_set = batch_sets(test, logic_tables([c.rule for c in rules], size_of), size_of,
-                               count, seed, label_column, registry)
+        if tables is None:
+            tables = logic_tables_at(rules, fallback)
+        batch_set = batch_sets(test, tables, _size_of(fallback), count, seed,
+                               label_column, registry)
 
     for crule in rules:
         rule = crule.rule

@@ -18,9 +18,15 @@ which ``bounds.learn_and_select`` and ``dataset.bucket_edges`` replaced
 with sorted-row array passes: ``percentile`` sorts one rule's values on
 each call, ``interval_from_values`` and ``jaccard`` act on one rule's
 values and intervals, and ``compute_bounds`` reads one rule's values with
-a reader of its own. Last comes ``report_to_obj``, the report.json
+a reader of its own. Then comes ``report_to_obj``, the report.json
 document as Python objects, which ``violations.report_to_json`` writes
 without building the per-sample entries.
+
+Last is the storage that bool columns replaced: ``FloatTable`` holds every
+column but a label column as float64, with bucket indicators built as an
+(n, count) 0/1 float matrix (``float_bucket_indicators``), and the
+``float_*`` readers read literals, per-sample values, mean/std summaries
+and logic-rule F1 from it as the package read them then.
 """
 import math
 from dataclasses import dataclass
@@ -29,13 +35,13 @@ import numpy as np
 
 from quantrules import bounds
 from quantrules.bounds import Interval, quantile_levels, s1_bucket_edges, s1_bucket_interval
-from quantrules.dataset import checked_rows
-from quantrules.errors import DivergenceError, EmptyStatisticError, ResolutionError
+from quantrules.dataset import BOOLEAN, LABEL, checked_rows
+from quantrules.errors import (DivergenceError, EmptyStatisticError, ResolutionError,
+                               TypeMismatchError)
 from quantrules.rule_eval import Cells, LogicTable
 from quantrules.schema import LOGIC, PAIRED, rule_signature
 from quantrules.statistics import (PER_SAMPLE, Statistic, StatisticRegistry,
-                                   literal_cells, match_class,
-                                   sample_values_aligned, soften_scores)
+                                   match_class, sample_values_aligned, soften_scores)
 from quantrules.violations import REPORT_FORMAT_VERSION
 
 
@@ -72,7 +78,7 @@ def formula_parts(formula, dataset, rows, label_column):
     antecedent = np.ones(len(rows))
     usable = np.ones(len(rows), dtype=bool)
     for lit in formula.literals:
-        truth, present = literal_cells(lit, dataset, rows)
+        truth, present = float_literal_cells(lit, dataset, rows)
         usable &= present
         antecedent *= truth
     usable &= ~dataset.missing(label_column)[rows]
@@ -435,3 +441,89 @@ def report_to_obj(report) -> dict:
             "samples": len(report.per_sample),
         },
     }
+
+
+# -- float64 storage -------------------------------------------------------------
+
+def float_bucket_indicators(values, edges, count):
+    """(n, count) 0/1 float matrix: row i sets the bucket of ``values[i]``,
+    ties going to the lower bucket."""
+    idx = np.searchsorted(np.asarray(edges, dtype=float), np.asarray(values, dtype=float),
+                          side="left")
+    out = np.zeros((len(idx), count))
+    out[np.arange(len(idx)), idx] = 1.0
+    return out
+
+
+class FloatTable:
+    """A table with every column but a label column stored as float64.
+
+    ``columns`` maps a name to (kind, values, missing mask). It answers the
+    reads ``match_class`` and the ``float_*`` readers make of a ``Dataset``.
+    """
+
+    def __init__(self, columns):
+        self._columns = {name: (kind, vals if kind == LABEL else np.asarray(vals, dtype=float),
+                                np.asarray(missing, dtype=bool))
+                         for name, (kind, vals, missing) in columns.items()}
+
+    def has_column(self, name):
+        return name in self._columns
+
+    def kind(self, name):
+        return self._columns[name][0]
+
+    def values(self, name):
+        return self._columns[name][1]
+
+    def missing(self, name):
+        return self._columns[name][2]
+
+
+def float_literal_cells(lit, table, rows):
+    """A literal's 0/1 float truth at ``rows`` and the mask of its present
+    cells, read from a boolean column of a ``FloatTable`` or a ``Dataset``."""
+    if not table.has_column(lit.feature):
+        raise ResolutionError(f"column {lit.feature!r} not present in dataset")
+    if table.kind(lit.feature) != BOOLEAN:
+        raise TypeMismatchError(f"literal {lit.feature!r} refers to a non-boolean column")
+    vals = table.values(lit.feature)[rows]
+    return (1.0 - vals) if lit.negated else vals, ~table.missing(lit.feature)[rows]
+
+
+def float_literal_read(literals, table, rows):
+    """(holds, present): each literal's masks of true, present cells and of
+    present cells at ``rows``, in the order of ``literals``."""
+    holds, present = [], []
+    for lit in literals:
+        truth, here = float_literal_cells(lit, table, rows)
+        holds.append(here & (truth == 1.0))
+        present.append(here)
+    return np.array(holds), np.array(present)
+
+
+def float_sample_values(table, column, rows):
+    """(values, present) of ``column`` at ``rows``."""
+    return table.values(column)[rows], ~table.missing(column)[rows]
+
+
+def float_summaries(table, column, summary, rows):
+    """The mean or std of ``column``'s present cells in each batch (row) of
+    the (B, m) matrix ``rows``; None for a batch with no present cell."""
+    out = []
+    for batch in rows:
+        vals, present = float_sample_values(table, column, batch)
+        vals = vals[present]
+        out.append(None if vals.size == 0 else
+                   float(vals.mean()) if summary == "mean" else float(vals.std()))
+    return out
+
+
+def float_f1(rule, table, rows, label_column):
+    """A logic rule's F1 on each batch (row) of the (B, m) matrix ``rows``;
+    None for a batch with no usable row."""
+    out = []
+    for batch in rows:
+        antecedent, consequent, usable = formula_parts(rule, table, batch, label_column)
+        out.append(exact_f1(antecedent[usable], consequent[usable]))
+    return out

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from quantrules import cli, rules_io, schema
+from quantrules import cli, rule_eval, rules_io, schema
 from quantrules.cli import _load_config, main
 from quantrules.model import SoftmaxModel
 from quantrules.rules_io import load_rules, save_rules
@@ -164,6 +164,40 @@ def test_evaluate_roundtrip_and_seeds(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     totals = report["totals"]
     assert totals["violations"] == sum(r["violations"] for r in report["per_rule"])
+
+
+def test_evaluate_seeds_builds_one_logic_table_per_batch_size(tmp_path, capsys, monkeypatch):
+    """``evaluate --seeds 8,9,10`` builds one LogicTable per batch size for all
+    three seeds, and logs the totals that one evaluate per seed gives."""
+    cfg = write_workspace(tmp_path)
+    rules = [ConcreteRule(rule=AbstractRule(kind="logic", statistic="f1", consequent=cls,
+                                            literals=(Literal("flag", neg),), batch_size=size),
+                          lo=0.4, hi=0.6, delta=0.02)
+             for size in (32, 64) for cls in ("a", "b") for neg in (False, True)]
+    rules.append(ConcreteRule(rule=AbstractRule(kind="conditional", statistic="mean(x0)",
+                                                batch_size=64), lo=-0.1, hi=0.1, delta=0.02))
+    save_rules(tmp_path / "rules.jsonl", rules)
+    totals = []
+    for seed in ("8", "9", "10"):
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--seed", seed]) == 0
+        totals.append(int(re.search(r" total_violations=(\d+) ", capsys.readouterr().out)[1]))
+    tables, make = [], rule_eval.LogicTable
+
+    def built(logic_rules):
+        tables.append(make(logic_rules))
+        return tables[-1]
+
+    monkeypatch.setattr(rule_eval, "LogicTable", built)
+    assert main(["evaluate", "--config", str(cfg), "--seeds", "8,9,10"]) == 0
+    out = capsys.readouterr().out
+    assert len(tables) == 2  # one per batch size, of that size's logic rules
+    assert {frozenset(rule.signature for rule in t.row) for t in tables} == {
+        frozenset(c.signature for c in rules[:-1] if c.rule.batch_size == size)
+        for size in (32, 64)}
+    assert min(totals) > 0
+    assert f" total_violations_mean={float(np.mean(totals))} " in out
+    assert f" total_violations_std={float(np.std(totals))} " in out
 
 
 @pytest.mark.parametrize("seeds", ["1,,2", "1,a", ""])

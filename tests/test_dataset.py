@@ -178,10 +178,10 @@ def _load_table_oracle(path, specs=None, edges=None):
             col_edges = bucket_edges(raw[present], spec.buckets)
         fitted[spec.source] = col_edges
         indicators = bucket_indicators(raw, col_edges, spec.buckets)
-        indicators[~present] = 0.0
+        indicators[:, ~present] = False
         for j, name in enumerate(spec.derived_names()):
             columns.append((name, BOOLEAN))
-            values[name] = indicators[:, j]
+            values[name] = indicators[j]
             sources[name] = spec.source
             if not present.all():
                 missing[name] = ~present
@@ -390,8 +390,9 @@ def test_bucket_edges_empty_error():
 
 def test_bucket_tie_goes_to_lower_bucket():
     ind = bucket_indicators([2.75, 2.7500001], [2.75, 4.5, 6.25], 4)
-    assert ind[0].tolist() == [1, 0, 0, 0]
-    assert ind[1].tolist() == [0, 1, 0, 0]
+    assert ind.dtype == bool and ind.shape == (4, 2)
+    assert ind[:, 0].tolist() == [1, 0, 0, 0]
+    assert ind[:, 1].tolist() == [0, 1, 0, 0]
 
 
 @settings(max_examples=50)
@@ -400,7 +401,7 @@ def test_bucket_tie_goes_to_lower_bucket():
 def test_bucket_indicators_partition_rows(values, count):
     edges = bucket_edges(values, count)
     ind = bucket_indicators(values, edges, count)
-    assert np.array_equal(ind.sum(axis=1), np.ones(len(values)))
+    assert np.array_equal(ind.sum(axis=0), np.ones(len(values)))
 
 
 # -- split ----------------------------------------------------------------------

@@ -326,7 +326,7 @@ def test_logic_table_pads_ids_on_the_left_with_the_always_true_literal():
     assert holds.shape == present.shape == (4, 2, 3) and errors == [None] * 4
     assert holds[3].all() and present[3].all()
     for j, lit in enumerate(table.literals):
-        truth, want_present = oracle.literal_cells(lit, ds, rows)
+        truth, want_present = oracle.float_literal_cells(lit, ds, rows)
         assert holds[j].tolist() == (want_present & (truth == 1.0)).tolist()
         assert present[j].tolist() == want_present.tolist()
 

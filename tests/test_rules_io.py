@@ -4,7 +4,8 @@ import pytest
 
 from quantrules.errors import ParseError
 from quantrules.rules_io import FORMAT_VERSION, load_rules, save_rules
-from quantrules.schema import AbstractRule, ConcreteRule, Literal
+from quantrules.schema import (AbstractRule, ConcreteRule, Literal, enumerate_abstract_rules,
+                               parse_schema)
 
 
 def sample_rules():
@@ -81,3 +82,28 @@ def test_missing_header_is_parse_error(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(ParseError):
         load_rules(path)
+
+
+def _one_object_per_literal(rules):
+    """True when every occurrence of a literal among ``rules`` is one object."""
+    seen = {}
+    return all(seen.setdefault(lit, lit) is lit for rule in rules for lit in rule.literals)
+
+
+def test_each_distinct_literal_is_one_object(tmp_path):
+    """Enumeration and load_rules make each (feature, negated) literal once,
+    across templates and rule lines."""
+    text = "".join(f"template logic_implication\nlabels: {labels}\nmax_literals: 2\n"
+                   f"literals: signed\nbatch: {batch}\n\n"
+                   for labels, batch in (("a b", 8), ("c", 16)))
+    rules = enumerate_abstract_rules(parse_schema(text), ["f", "g", "h"])
+    literals = [lit for rule in rules for lit in rule.literals]
+    assert len(set(literals)) == 6 and len(literals) > 6  # literals recur
+    assert _one_object_per_literal(rules)
+
+    crules = [ConcreteRule(rule=rule, lo=0.0, hi=1.0, delta=rule.delta) for rule in rules]
+    path = tmp_path / "rules.jsonl"
+    save_rules(path, crules)
+    loaded, _ = load_rules(path)
+    assert [c.rule for c in loaded] == rules
+    assert _one_object_per_literal([c.rule for c in loaded])
