@@ -11,7 +11,8 @@ the normalization parameters whenever the loss is positive.
 
 ``forward_batch`` records one batch's output as a ``BatchView``: its rows
 of the test table, the model's probabilities and the cache for the
-backward pass. No batch table is built. ``RuleGroups`` reads everything
+backward pass. No batch table is built: each batch gathers its rows of
+the feature matrix that the loop builds once. ``RuleGroups`` reads everything
 else once per run. It rejects a test table that already holds a model
 output column, resolves the rules' statistics from the table's columns
 and the model's outputs, and keeps the rules in two tables: statistic
@@ -101,11 +102,12 @@ def iterations_for_epochs(epochs, n_rows, batch_size) -> int:
     return int(epochs) * int(math.ceil(n_rows / batch_size))
 
 
-def forward_batch(model, table, rows) -> BatchView:
-    """``model``'s output on ``rows`` of ``table``; raises DivergenceError if a
+def forward_batch(model, features, rows) -> BatchView:
+    """``model``'s output on ``rows`` of a table whose feature matrix
+    (``model.feature_matrix``) is ``features``; raises DivergenceError if a
     probability is not finite."""
     rows = np.asarray(rows, dtype=int)
-    probs, cache = model.forward(model.feature_matrix(table, rows))
+    probs, cache = model.forward(features[rows])
     if not np.isfinite(probs).all():
         raise DivergenceError("model produced non-finite output probabilities")
     return BatchView(model, rows, probs, cache)
@@ -367,6 +369,7 @@ def adapt(model, rules, test, config: AdaptationConfig, groups=None):
     """
     if groups is None:
         groups = RuleGroups(rules, model, test)
+    features = model.feature_matrix(test)  # each batch gathers its rows
     work = model.copy()
     frozen = work.frozen_checksum()
     rng = np.random.default_rng(config.seed)
@@ -376,7 +379,7 @@ def adapt(model, rules, test, config: AdaptationConfig, groups=None):
     for it in range(config.iterations):
         rows = rng.choice(n, size=config.batch_size, replace=replace)
         try:
-            out = forward_batch(work, test, rows)
+            out = forward_batch(work, features, rows)
             loss, dscale, dshift, violations = total_loss_grad(
                 groups, out, config.temperature)
         except DivergenceError as exc:
@@ -418,8 +421,9 @@ def grad_check(model, rules, dataset, rows, step=1e-5, temperature=1.0) -> float
         raise ValueError(f"step must lie in (0, 1e-2], got {step}")
     rows = checked_rows(dataset, rows)
     groups = RuleGroups(rules, model, dataset)
+    features = model.feature_matrix(dataset)
     loss0, dscale, dshift, _ = total_loss_grad(
-        groups, forward_batch(model, dataset, rows), temperature)
+        groups, forward_batch(model, features, rows), temperature)
     if loss0 <= 0.0:
         raise ValueError("grad_check needs a batch with positive total loss")
     analytic = np.concatenate([dscale, dshift])
@@ -427,7 +431,7 @@ def grad_check(model, rules, dataset, rows, step=1e-5, temperature=1.0) -> float
     def loss_at(scale, shift):
         probe = model.copy()
         probe.scale, probe.shift = scale, shift
-        return total_loss_grad(groups, forward_batch(probe, dataset, rows),
+        return total_loss_grad(groups, forward_batch(probe, features, rows),
                                temperature)[0]
 
     d = len(model.feature_names)

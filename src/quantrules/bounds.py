@@ -3,9 +3,11 @@
 For each abstract rule, statistics are collected over seeded minibatches of
 the training and validation sets, quantile bounds are taken on each side,
 and the rule is kept only when the two bound intervals overlap strongly
-under the interval Jaccard index. Every rule's values are read the same
-way, by ``collect_statistics`` through ``rule_eval.Cells.values`` on the
-reader of the rule's batch size (``rule_eval.batch_sets``).
+under the interval Jaccard index. Every rule's values are read on the
+reader of the rule's batch size (``rule_eval.batch_sets``): a logic rule's
+from the count kernel's matrices, which ``_select_logic`` reads for all
+logic rules of a size at once, and any other rule's by
+``collect_statistics`` through ``rule_eval.Cells.values``.
 
 ``learn_and_select`` selects a whole rule list over arrays: it stacks the
 values of the rules with equal value counts and quantile levels into
@@ -25,7 +27,7 @@ from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import sorted_percentiles
 from .errors import EmptyStatisticError, QuantrulesError
 from .rule_eval import Cells, applies, batch_sets, logic_tables
-from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
+from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import StatisticRegistry
 
 INF = float("inf")
@@ -105,6 +107,11 @@ def collect_statistics(rule, cells, s1_interval=None):
     return values[mask]
 
 
+def _empty(signature):
+    """The reason a rule with no statistic values on a batch set is skipped."""
+    return f"rule {signature}: no statistic values collected"
+
+
 def _collect(signature, per_set):
     """One rule's statistic values of each batch set, drawn from ``per_set``
     one set at a time, so a later set is not evaluated after an empty one.
@@ -115,7 +122,7 @@ def _collect(signature, per_set):
     collected = []
     for values in per_set:
         if values.size == 0:
-            raise EmptyStatisticError(f"rule {signature}: no statistic values collected")
+            raise EmptyStatisticError(_empty(signature))
         collected.append(values)
     return collected
 
@@ -217,10 +224,10 @@ _CHUNK_CELLS = 2**15
 
 
 class _Selection:
-    """Bounds and Jaccard scores of rules added one at a time and computed
-    over arrays: the rules with equal counts of train and valid values and
-    equal quantile levels are stacked into (R, n) matrices. The values held
-    are computed before they would pass _CHUNK_CELLS cells.
+    """Bounds and Jaccard scores of rules computed over arrays: rules added
+    one at a time with equal counts of train and valid values and equal
+    quantile levels are stacked into (R, n) matrices, computed before they
+    would pass _CHUNK_CELLS cells; ``store`` takes such matrices whole.
     """
 
     def __init__(self, n_rules):
@@ -240,13 +247,85 @@ class _Selection:
         self.held += t_vals.size + v_vals.size
 
     def compute(self):
-        """Store the train bounds and Jaccard score of each rule held, or the
-        error it raises, at its position."""
+        """``store`` the rules held."""
         for (_, _, levels), (positions, ts, vs) in self.values.items():
-            lo, hi, score, errors = _select_rows(np.stack(ts), np.stack(vs), levels)
-            self.lo[positions], self.hi[positions], self.score[positions] = lo, hi, score
-            self.errors.update((positions[k], exc) for k, exc in errors.items())
+            self.store(positions, np.stack(ts), np.stack(vs), levels)
         self.values, self.held = {}, 0
+
+    def store(self, positions, t_vals, v_vals, levels):
+        """Store the train bounds and Jaccard score of the rule at each of
+        ``positions``, whose values are the rows of the (R, n_t) train and
+        (R, n_v) valid matrices, or the error it raises, at its position."""
+        lo, hi, score, errors = _select_rows(t_vals, v_vals, levels)
+        self.lo[positions], self.hi[positions], self.score[positions] = lo, hi, score
+        self.errors.update((int(positions[k]), exc) for k, exc in errors.items())
+
+
+def _select_logic(rules, positions, readers, delta_of, selection, skipped, failed):
+    """Read and select the logic rules at ``positions`` of ``rules``, all of
+    one batch size, as ``learn_and_select`` would one at a time, from the
+    count kernel's matrices of the train and the valid reader (``readers``).
+
+    Each rule is skipped (its reason into ``skipped``), fails (its error into
+    ``failed``) or is stored in ``selection``, by position: a train read
+    error, then no train value, then a valid read error, then no valid
+    value, then a ``quantile_levels`` error. A reader is made at the first
+    rule that reaches it, and an error in making it fails that rule. Rules
+    with equal train and valid value counts and levels are stored as blocks
+    of at most _CHUNK_CELLS batch cells.
+    """
+    block = [rules[i] for i in positions]
+    positions = np.asarray(positions)
+    go = np.ones(len(block), dtype=bool)
+    scores = []
+    for reader in readers:
+        if not go.any():
+            return
+        try:
+            cells = reader(block[go.argmax()])
+        except (QuantrulesError, ValueError) as exc:
+            failed[int(positions[go.argmax()])] = exc
+            return
+        value, valued, at, errors = cells.logic_scores(block)
+        bad = go & np.not_equal(errors, None)
+        failed.update((int(positions[k]), errors[k]) for k in np.flatnonzero(bad))
+        count = valued.sum(axis=1)[at]
+        empty = go & ~bad & (count == 0)
+        skipped.update((int(positions[k]), _empty(block[k].signature))
+                       for k in np.flatnonzero(empty))
+        go &= ~bad & ~empty
+        scores.append((value, valued, at, count))
+
+    # the levels of each distinct (delta, sidedness), or the error they raise
+    levels, level_of = [], {}
+    level = np.zeros(len(block), dtype=int)
+    for k in np.flatnonzero(go):
+        key = (delta_of(block[k]), block[k].sided)
+        if key not in level_of:
+            try:
+                levels.append(quantile_levels(*key))
+                level_of[key] = len(levels) - 1
+            except ValueError as exc:
+                level_of[key] = exc
+        if isinstance(level_of[key], ValueError):
+            failed[int(positions[k])], go[k] = level_of[key], False
+        else:
+            level[k] = level_of[key]
+
+    # blocks of equal (train count, valid count, levels), in chunks of rows
+    (t_value, t_valued, t_at, n_t), (v_value, v_valued, v_at, n_v) = scores
+    ks = np.flatnonzero(go)
+    ks = ks[np.lexsort((level[ks], n_v[ks], n_t[ks]))]
+    key = np.column_stack([n_t[ks], n_v[ks], level[ks]])
+    cuts = np.flatnonzero((np.diff(key, axis=0) != 0).any(axis=1)) + 1
+    step = max(1, _CHUNK_CELLS // (t_value.shape[1] + v_value.shape[1]))
+    for group in np.split(ks, cuts):
+        for part in (group[s:s + step] for s in range(0, len(group), step)):
+            t, v, k = t_at[part], v_at[part], part[0]
+            selection.store(positions[part],
+                            t_value[t][t_valued[t]].reshape(len(part), n_t[k]),
+                            v_value[v][v_valued[v]].reshape(len(part), n_v[k]),
+                            levels[level[k]])
 
 
 def learn_and_select(rules, train, valid, job, *, registry=None,
@@ -258,10 +337,12 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     collapses to nothing are skipped and reported through ``log`` (a list
     receiving dict entries), never raised. Output preserves input order.
 
-    The rules' values are read one rule at a time, each through
-    ``collect_statistics`` on the readers of its batch size, which score all
-    of that size's logic rules at once. Bounds and scores are then computed
-    over arrays (``_Selection``). Events and rules come out in input order.
+    A rule's values are read through the readers of its batch size. Each
+    other rule is read on its own, through ``collect_statistics``; the logic
+    rules of a size are read and selected together, at the first of them,
+    from the matrices of the count kernel, which each reader runs once
+    (``_select_logic``). Bounds and scores are computed over arrays
+    (``_Selection``). Events and rules come out in input order.
     A read error, or an error of a rule's checks (a NaN value, an infinite
     bound), is raised at its own rule, after the events of the rules before
     it are logged. A selected rule records the batch size and delta its
@@ -281,14 +362,26 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
     everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
+    delta_of = lambda rule: job.delta if job.delta is not None else rule.delta
+    logic = {}  # batch size -> positions of its logic rules, until they are selected
+    for i, rule in enumerate(rules):
+        if rule.kind == LOGIC:
+            logic.setdefault(size_of(rule), []).append(i)
     s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
     s1_intervals = {}  # paired rule position -> its learned s1 interval
     skipped = {}  # rule position -> reason
+    failed = {}  # logic rule position -> the error raised at it
     selection = _Selection(len(rules))
     read, error = len(rules), None
     for i, rule in enumerate(rules):
-        delta = job.delta if job.delta is not None else rule.delta
         try:
+            if rule.kind == LOGIC:  # with all of its size, at the first
+                if size_of(rule) in logic:
+                    _select_logic(rules, logic.pop(size_of(rule)), readers, delta_of,
+                                  selection, skipped, failed)
+                if i in failed:
+                    raise failed[i]
+                continue
             s1_interval = None
             if rule.kind == PAIRED:
                 key = (rule.guard, rule.s1, rule.s1_bucket_count)
@@ -297,7 +390,7 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                 s1_interval = s1_intervals[i] = s1_bucket_interval(rule, s1_edges[key])
             t_vals, v_vals = _collect(rule.signature, (
                 collect_statistics(rule, reader(rule), s1_interval) for reader in readers))
-            selection.add(i, t_vals, v_vals, quantile_levels(delta, rule.sided))
+            selection.add(i, t_vals, v_vals, quantile_levels(delta_of(rule), rule.sided))
         except EmptyStatisticError as exc:
             skipped[i] = str(exc)
         except (QuantrulesError, ValueError) as exc:  # raised after the earlier rules' events
@@ -322,7 +415,7 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
                             "jaccard": score[i]})
             continue
         s1_interval = s1_intervals.get(i)
-        delta = job.delta if job.delta is not None else rule.delta
+        delta = delta_of(rule)
         size = job.batch_size or rule.batch_size
         if (size, delta) != (rule.batch_size, rule.delta):  # a copy only where the job overrides
             rule = replace(rule, batch_size=size, delta=delta)

@@ -145,9 +145,15 @@ class Dataset:
     # -- derivation --------------------------------------------------------
 
     def take(self, rows) -> "Dataset":
+        """The table of ``rows``; columns that share a missing mask (the
+        indicators of one bucketed source) share one taken mask."""
         rows = np.asarray(rows, dtype=int)
         values = {n: self._values[n][rows] for n in self._values}
-        missing = {n: m[rows] for n, m in self._missing.items()}
+        taken = {}  # id of a mask -> the mask at rows
+        for m in self._missing.values():
+            if id(m) not in taken:
+                taken[id(m)] = m[rows]
+        missing = {n: taken[id(m)] for n, m in self._missing.items()}
         return Dataset(self._columns, values, missing, self.bucket_edges,
                        self.sources, self.origin)
 

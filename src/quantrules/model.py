@@ -97,15 +97,14 @@ class SoftmaxModel:
 
     # -- dataset integration ---------------------------------------------------
 
-    def feature_matrix(self, dataset, rows=None):
+    def feature_matrix(self, dataset):
         """The (rows, features) float64 matrix of the model's feature columns
-        at ``rows``, every row when None; boolean columns read as 0/1."""
-        rows = np.arange(dataset.n_rows) if rows is None else np.asarray(rows, dtype=int)
+        of ``dataset``; boolean columns read as 0/1."""
         cols = []
         for name in self.feature_names:
             if not dataset.has_column(name):
                 raise ValueError(f"model feature {name!r} not in dataset")
-            cols.append(dataset.values(name)[rows])
+            cols.append(dataset.values(name))
         return np.stack(cols, axis=1).astype(float, copy=False)
 
     def score_column(self, class_name) -> str:

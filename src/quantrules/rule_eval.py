@@ -13,16 +13,19 @@ and guard class once, however many rules read it. ``Cells.values`` reads
 any rule: its values and the mask of the positions, or batches, it applies
 to; a summary rule's through ``batch_values``, a logic rule's from the count
 kernel. ``batch_sets`` makes the reader of each minibatch size. Mining and
-violation counting read every rule this way, one rule at a time.
+violation counting read every other rule this way, one rule at a time, and
+the logic rules of a batch set all at once, through ``Cells.logic_scores``.
 
 Logic rules, almost all of the rules mining learns, are encoded once as
 literal and consequent ids by a ``LogicTable``, one per batch size
 (``logic_tables``), which the readers of every batch set of that size
 share. A reader runs the count kernel ``score_logic_rules`` on its table
-when it is made: every rule at once, from integer counts, chunk by chunk.
-The adaptation loss (``adaptation.RuleGroups``) reads its literals through
-a ``LogicTable`` too, its statistics with a ``Cells`` of the whole test
-table, and masks and counts with ``applies`` and ``outside``.
+when it is made. The kernel packs each literal's cells of each batch into
+uint64 words, 64 rows a word, ANDs a rule's words and counts set bits:
+every rule's integer counts, a fixed budget of words at a time. The
+adaptation loss (``adaptation.RuleGroups``) reads its literals through a
+``LogicTable`` too, unpacked, its statistics with a ``Cells`` of the whole
+test table, and masks and counts with ``applies`` and ``outside``.
 """
 from __future__ import annotations
 
@@ -87,6 +90,30 @@ class Cells:
             self._value, self._valued, self._errors = score_logic_rules(
                 logic, dataset, self.rows, label_column)
 
+    def logic_scores(self, rules):
+        """The count kernel's view of the logic ``rules``, for all at once:
+        the (R, B) value and valued matrices of the reader's table, each
+        rule's row in them, and, as an object array, the error ``values``
+        raises for each rule (its read error, or a ValueError naming a rule
+        not in the table) or None. The row of a rule with an error is 0, and
+        what it holds means nothing; a reader without a table has one such
+        row."""
+        table = self.logic
+        row = {} if table is None else table.row
+        at = np.fromiter((row.get(rule, -1) for rule in rules), dtype=int, count=len(rules))
+        errors = np.full(len(rules), None, dtype=object)
+        if table is None:
+            value = np.zeros((1, len(self.rows)))
+            valued = value.astype(bool)
+        else:
+            value, valued = self._value, self._valued
+            errors[at >= 0] = self._errors[at[at >= 0]]
+        for k in np.flatnonzero(at < 0):
+            at[k] = 0
+            errors[k] = ValueError(f"rule {rules[k].signature}: not among the logic "
+                                   f"rules this reader was made with")
+        return value, valued, at, errors
+
     def statistic(self, name):
         """(values, present) of the per-sample statistic ``name``; missing
         cells hold 0."""
@@ -112,13 +139,10 @@ class Cells:
         rule not in the reader's table raises ValueError naming it. A paired
         rule needs its learned first-statistic interval."""
         if rule.kind == LOGIC:
-            r = None if self.logic is None else self.logic.row.get(rule)
-            if r is None:
-                raise ValueError(f"rule {rule.signature}: not among the logic rules "
-                                 f"this reader was made with")
-            if self._errors[r] is not None:
-                raise self._errors[r]
-            return self._value[r], self._valued[r]
+            value, valued, at, errors = self.logic_scores([rule])
+            if errors[0] is not None:
+                raise errors[0]
+            return value[at[0]], valued[at[0]]
         stat = self.registry.resolve(rule.statistic)
         column, at_each = reads(stat)
         s1 = ()
@@ -179,54 +203,74 @@ class LogicTable:
     ``len(literals)`` is the always-true literal. Row r of ``ids`` holds rule
     r's literal ids in rule order, left-padded with the always-true id.
     ``consequent[r]`` is the position of rule r's class in ``consequents``,
-    and ``row`` maps a rule to its row. ``groups`` holds, per set of rules
-    that share all ids but the last: those ids without padding, the rules'
-    rows, the slice from their least to their greatest last id, each last
-    id's place in it, and their consequent positions.
+    and ``row`` maps a rule to its row.
     """
 
     def __init__(self, rules):
-        self.literals = sorted({lit for rule in rules for lit in rule.literals})
+        every = [lit for rule in rules for lit in rule.literals]
+        self.literals = sorted(set(every))
         index = {lit: j for j, lit in enumerate(self.literals)}
-        pad, width = len(self.literals), max(len(rule.literals) for rule in rules)
-        self.ids = np.array([[pad] * (width - len(rule.literals))
-                             + [index[lit] for lit in rule.literals] for rule in rules])
+        lengths = np.array([len(rule.literals) for rule in rules])
+        self.ids = np.full((len(rules), lengths.max()), len(self.literals))
+        # each row's last lengths[r] places, which row-major order fills in turn
+        self.ids[np.arange(lengths.max()) >= lengths.max() - lengths[:, None]] = np.fromiter(
+            map(index.__getitem__, every), dtype=int, count=len(every))
         classes = {}
         self.consequent = np.array([classes.setdefault(rule.consequent, len(classes))
                                     for rule in rules])
         self.consequents = list(classes)
         # keyed by the rule: a lookup with the same object skips __eq__
         self.row = {rule: r for r, rule in enumerate(rules)}
-        prefixes, inverse = np.unique(self.ids[:, :-1], axis=0, return_inverse=True)
-        order = np.argsort(inverse.ravel(), kind="stable")
-        members = np.split(order, np.flatnonzero(np.diff(inverse.ravel()[order])) + 1)
-        last = self.ids[:, -1]
-        self.groups = [(prefix[prefix != pad], r, slice(last[r].min(), last[r].max() + 1),
-                        last[r] - last[r].min(), self.consequent[r])
-                       for prefix, r in zip(prefixes, members)]
 
     def read(self, dataset, rows):
         """(holds, present, errors): each literal's masks of true, present cells
         and of present cells at ``rows``, in id order, then the always-true
         row; and each row's read error or None. A failed literal has no cell."""
+        return self._read(dataset, rows, np.asarray)
+
+    def words(self, dataset, rows):
+        """``read``, with each mask packed along the last axis of ``rows``
+        into uint64 words (``pack_words``)."""
+        return self._read(dataset, rows, pack_words)
+
+    def _read(self, dataset, rows, pack):
         rows = np.asarray(rows, dtype=int)
-        holds = np.ones((len(self.literals) + 1, *rows.shape), dtype=bool)
-        present = np.ones(holds.shape, dtype=bool)
+        ones = pack(np.ones(rows.shape, dtype=bool))
+        holds = np.empty((len(self.literals) + 1, *ones.shape), dtype=ones.dtype)
+        holds[-1] = ones
+        present = holds.copy()
         errors = [None] * len(holds)
         for j, lit in enumerate(self.literals):
             try:
-                truth, present[j] = literal_cells(lit, dataset, rows)
-                holds[j] = present[j] & truth
+                truth, cells = literal_cells(lit, dataset, rows)
+                holds[j], present[j] = pack(cells & truth), pack(cells)
             except (ResolutionError, TypeMismatchError) as exc:
-                holds[j], present[j], errors[j] = False, False, exc
+                holds[j], present[j], errors[j] = 0, 0, exc
         return holds, present, errors
 
 
-# cells of U and of LU per chunk of batches: 256 KiB each in float32, so the
-# kernel's memory does not grow with the number of batches. Larger chunks
-# saved little time and raised the peak RSS of a process that mines
-# repeatedly (see CHANGES.md).
-_CHUNK_CELLS = 2**16
+def pack_words(masks):
+    """Bool ``masks`` packed along their last axis into uint64 words, 64 cells
+    a word; the bits past the last cell are 0, so they count nowhere."""
+    n_bytes = -(-masks.shape[-1] // 8)
+    packed = np.zeros((*masks.shape[:-1], -(-n_bytes // 8) * 8), dtype=np.uint8)
+    packed[..., :n_bytes] = np.packbits(masks, axis=-1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _count(words):
+    """Set bits of ``words`` along the last axis, as int64: one add per word
+    of a batch, several times faster than a reduction over so short an axis."""
+    bits = np.bitwise_count(words)
+    total = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for w in range(bits.shape[-1]):
+        total += bits[..., w]
+    return total
+
+
+# words per chunk array of the count kernel, 256 KiB, however many rules and
+# batches: memory follows this, not the rule count
+_CHUNK_WORDS = 2**15
 
 
 def score_logic_rules(table, dataset, rows, label_column):
@@ -237,21 +281,23 @@ def score_logic_rules(table, dataset, rows, label_column):
     the read error each rule raises first, its literals' in rule order, then
     its consequent's, or None.
 
-    For a chunk of b batches, each literal's cells are read once, into
-    (b, k, m) indicators of a present cell (``U``) and of a true, present
-    cell (``LU``). The rules of a prefix group share one prefix mask, and one
-    batched matmul over their last literals counts, per batch, the predicted
-    positives, the usable positions, and per class the true positives and
-    the consequent positions: exact integers, whatever the order of the sum.
+    Each literal's holds and present masks, the label's present mask ``y``
+    and each class's mask within ``y`` are packed into words per batch
+    (``LogicTable.words``). A rule's antecedent is the AND of its literals'
+    holds words, its usable cells the AND of their present words, and its
+    counts are set bits: true positives (antecedent and class), predicted
+    positives (antecedent and y), actual positives (usable and class) and
+    usable rows (usable and y). The counts are exact integers, so the F1 does
+    not depend on how rules or words are chunked.
     """
     rows = np.asarray(rows, dtype=int)
-    n_batches, m = rows.shape
-    # which reads fail depends on column kinds only, so no row is read
-    _, _, failed = table.read(dataset, rows[:0])
-    class_failed = []
-    for cls in table.consequents:
+    holds, present, failed = table.words(dataset, rows)
+    y_mask = ~dataset.missing(label_column)[rows]
+    y = pack_words(y_mask)
+    classes, class_failed = np.zeros((len(table.consequents), *y.shape), y.dtype), []
+    for c, cls in enumerate(table.consequents):
         try:
-            match_class(dataset, rows[:0], label_column, cls)
+            classes[c] = pack_words(match_class(dataset, rows, label_column, cls) & y_mask)
             class_failed.append(None)
         except (ResolutionError, TypeMismatchError) as exc:
             class_failed.append(exc)
@@ -260,36 +306,17 @@ def score_logic_rules(table, dataset, rows, label_column):
         np.column_stack([table.ids, len(failed) + table.consequent])]
     errors = keyed[np.arange(len(keyed)), np.not_equal(keyed, None).argmax(axis=1)]
 
-    value = np.zeros((len(table.ids), n_batches))
-    valued = np.zeros((len(table.ids), n_batches), dtype=bool)
-    # float32 sums of 0/1 cells are exact below 2**24 positions
-    dtype = np.float32 if m < 2**24 else np.float64
-    # equal chunks of batches, each with about _CHUNK_CELLS cells in U
-    chunks = -(-n_batches * len(table.literals) * m // _CHUNK_CELLS)
-    step = -(-n_batches // chunks)
-    for b in range(0, n_batches, step):
-        part = rows[b:b + step]
-        holds, present, _ = table.read(dataset, part)
-        U = np.moveaxis(present, 0, 1).astype(dtype, order="C")
-        LU = np.moveaxis(holds, 0, 1).astype(dtype, order="C")
-        y = ~dataset.missing(label_column)[part]
-        # (b, m, classes + 1): each consequent's mask, then y
-        label_masks = np.stack([
-            np.zeros_like(y) if error is not None
-            else match_class(dataset, part, label_column, cls) & y
-            for cls, error in zip(table.consequents, class_failed)] + [y],
-            axis=-1).astype(dtype)
-
-        for prefix, r, span, at, cls in table.groups:
-            gp = gu = label_masks
-            for j in prefix:
-                gp = gp * LU[:, j, :, None]
-                gu = gu * U[:, j, :, None]
-            # (b, span, classes + 1) counts for the span of last ids, read
-            # through a view: gathering just the last ids would copy them
-            pred = (LU[:, span, :] @ gp).astype(np.int64)
-            usable = (U[:, span, :] @ gu).astype(np.int64)
-            value[r, b:b + step] = f1_from_counts(
-                pred[:, at, cls], pred[:, at, -1], usable[:, at, cls]).T
-            valued[r, b:b + step] = (usable[:, at, -1] > 0).T
+    value = np.zeros((len(table.ids), len(rows)))
+    valued = np.zeros(value.shape, dtype=bool)
+    step = max(1, _CHUNK_WORDS // max(y.size, 1))
+    for s in range(0, len(table.ids), step):
+        ids, cls = table.ids[s:s + step], table.consequent[s:s + step]
+        antecedent, usable = holds[ids[:, 0]], present[ids[:, 0]]
+        for j in ids.T[1:]:
+            antecedent &= holds[j]
+            usable &= present[j]
+        label = classes[cls]
+        value[s:s + step] = f1_from_counts(_count(antecedent & label), _count(antecedent & y),
+                                           _count(usable & label))
+        valued[s:s + step] = _count(usable & y) > 0
     return value, valued, errors

@@ -73,6 +73,14 @@ class Literal:
     feature: str
     negated: bool = False
 
+    def __post_init__(self):
+        # hashed once: tables and rule hashes look literals up by the million,
+        # and the generated hash would build a tuple of the fields each time
+        self.__dict__["_hash"] = hash((self.feature, self.negated))
+
+    def __hash__(self):
+        return self._hash
+
     def __str__(self):
         return ("!" if self.negated else "") + self.feature
 

@@ -6,7 +6,9 @@ on every applicable row, by one ``Cells`` of the whole table, and a minibatch
 rule on each of its seeded batches, by the reader of its batch size
 (``rule_eval.batch_sets``). A violated position charges one violation to its
 row, and a violated batch one to every member row, so the per-rule and
-per-sample margins both sum to the same total.
+per-sample margins both sum to the same total. The logic rules of a batch
+set are counted together, from the count kernel's matrices, and each batch
+is charged its violated rules with one add for the set (``_charge_logic``).
 """
 from __future__ import annotations
 
@@ -77,6 +79,53 @@ def logic_tables_at(rules, batch_size):
     return logic_tables([c.rule for c in rules], _size_of(batch_size))
 
 
+def _charge(cells, crule, sample_counts):
+    """The (violations, evaluations) of the concrete rule ``crule`` read on
+    ``cells``, its violations charged into ``sample_counts``: a violated
+    position charges its row, a violated batch each of its rows, and a batch
+    counts as many evaluations as it has rows."""
+    values, mask = cells.values(crule.rule, (crule.s1_lo, crule.s1_hi))
+    violated = mask & outside(values, crule.lo, crule.hi)
+    np.add.at(sample_counts, cells.rows[violated], 1)
+    size = math.prod(cells.rows.shape[mask.ndim:])
+    return int(violated.sum()) * size, int(mask.sum()) * size
+
+
+# batch cells per chunk of logic rules that ``_charge_logic`` reads, 256 KiB
+# of float64, however many rules share the batch set
+_CHUNK_CELLS = 2**15
+
+
+def _charge_logic(rules, positions, batch_set, sample_counts, counted):
+    """Count the violations of the concrete logic rules at ``positions`` of
+    ``rules``, all of one batch size, on the batch set ``batch_set`` reads
+    them on, from the count kernel's matrices, as ``_charge`` counts a rule
+    on its own. Each batch's violations are charged to each of its rows with
+    one add for the whole set, into ``sample_counts``. Each rule's
+    (violations, evaluations), or the error reading it raises, goes into
+    ``counted`` at its position. An error in making the reader is raised.
+    """
+    block = [rules[i].rule for i in positions]
+    cells = batch_set(block[0])
+    value, valued, at, errors = cells.logic_scores(block)
+    ok = np.equal(errors, None)
+    lo = np.array([rules[i].lo for i in positions], dtype=float)[:, None]
+    hi = np.array([rules[i].hi for i in positions], dtype=float)[:, None]
+    size = cells.rows.shape[1]
+    per_batch = np.zeros(len(cells.rows), dtype=np.int64)
+    counts = np.zeros((2, len(block)), dtype=np.int64)  # violated, valued batches
+    step = max(1, _CHUNK_CELLS // max(len(cells.rows), 1))
+    for s in range(0, len(block), step):
+        part = slice(s, s + step)
+        mask = valued[at[part]] & ok[part, None]
+        violated = mask & outside(value[at[part]], lo[part], hi[part])
+        per_batch += violated.sum(axis=0)
+        counts[:, part] = violated.sum(axis=1), mask.sum(axis=1)
+    np.add.at(sample_counts, cells.rows, per_batch[:, None])
+    for i, v, n, good, error in zip(positions, *(counts * size).tolist(), ok, errors):
+        counted[i] = (v, n) if good else error
+
+
 def evaluate(rules, test, batching=None, *, label_column=None, registry=None,
              tables=None) -> ViolationReport:
     """Count violations of every rule over a test dataset.
@@ -96,29 +145,34 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None,
     sample_counts = np.zeros(test.n_rows, dtype=np.int64)
     per_rule, unevaluable = [], []
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
+    logic = {}  # batch size -> positions of its logic rules, until they are counted
+    counted = {}  # logic rule position -> its (violations, evaluations) or error
     if batching is not None:
         fallback, count, seed = batching
+        size_of = _size_of(fallback)
         if tables is None:
             tables = logic_tables_at(rules, fallback)
-        batch_set = batch_sets(test, tables, _size_of(fallback), count, seed,
-                               label_column, registry)
+        batch_set = batch_sets(test, tables, size_of, count, seed, label_column, registry)
+        for i, crule in enumerate(rules):
+            if crule.rule.kind == LOGIC:
+                logic.setdefault(size_of(crule.rule), []).append(i)
 
-    for crule in rules:
+    for i, crule in enumerate(rules):
         rule = crule.rule
         try:
             if rule.kind != LOGIC and reads(registry.resolve(rule.statistic))[1]:  # per sample
-                cells = everywhere
+                v, n = _charge(everywhere, crule, sample_counts)
             elif batching is None:
                 raise ValueError("minibatch rules need a (batch_size, count, seed) batching")
+            elif rule.kind == LOGIC:  # with all of its size, at the first
+                if size_of(rule) in logic:
+                    _charge_logic(rules, logic.pop(size_of(rule)), batch_set, sample_counts,
+                                  counted)
+                if isinstance(counted[i], Exception):
+                    raise counted[i]
+                v, n = counted[i]
             else:
-                cells = batch_set(rule)
-            values, mask = cells.values(rule, (crule.s1_lo, crule.s1_hi))
-            # a violated position charges its row, a violated batch each of its
-            # rows; a batch counts as many evaluations as it has rows
-            violated = mask & outside(values, crule.lo, crule.hi)
-            np.add.at(sample_counts, cells.rows[violated], 1)
-            size = math.prod(cells.rows.shape[mask.ndim:])
-            v, n = int(violated.sum()) * size, int(mask.sum()) * size
+                v, n = _charge(batch_set(rule), crule, sample_counts)
         except (ResolutionError, EmptyStatisticError):
             v, n = 0, 0  # rule not evaluable on this dataset; recorded as skipped
             unevaluable.append(crule.signature)

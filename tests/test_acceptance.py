@@ -186,7 +186,7 @@ def _const_output(value):
     ds = make_dataset({"x0": (NUMERIC, [0.0]), "v": (NUMERIC, [value])})
     model = SoftmaxModel(["x0"], ["a", "b"], np.ones(1), np.zeros(1),
                          np.zeros((1, 2)), np.zeros(2))
-    return ds, forward_batch(model, ds, [0])
+    return ds, forward_batch(model, model.feature_matrix(ds), [0])
 
 
 def _loss(rules, batch):
@@ -209,7 +209,7 @@ def _saturated_setup(seed):
     })
     model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
                          np.array([[800.0, -800.0], [0.0, 0.0]]), np.zeros(2))
-    out = forward_batch(model, ds, np.arange(n))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(n))
     assert set(np.unique(out.probs)) <= {0.0, 1.0}
     return ds, model, out
 
@@ -275,7 +275,7 @@ def test_c07_gradient_fidelity():
             ["x0", "x1"], ["a", "b"],
             scale=rng.uniform(0.5, 1.5, 2), shift=rng.uniform(-0.3, 0.3, 2),
             weights=rng.normal(0, 0.8, (2, 2)), bias=rng.normal(0, 0.2, 2))
-        out = forward_batch(model, ds, np.arange(n))
+        out = forward_batch(model, model.feature_matrix(ds), np.arange(n))
         phi_mean = float(out.probs[:, 1].mean())
         mean_rule = ConcreteRule(
             rule=AbstractRule(kind="conditional", statistic="mean(score_b)"),

@@ -58,7 +58,7 @@ def const_output(value):
                        "v": (NUMERIC, [value])})
     model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
                          np.zeros((2, 2)), np.zeros(2))
-    return ds, forward_batch(model, ds, [0])
+    return ds, forward_batch(model, model.feature_matrix(ds), [0])
 
 
 # -- loss arithmetic -------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_array_hinge_takes_one_bound_pair_per_row():
 def test_loss_zero_iff_check_satisfied_randomized():
     rng = np.random.default_rng(7)
     ds, model = tiny_setup(n=32, seed=1)
-    out = forward_batch(model, ds, np.arange(32))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(32))
     for _ in range(200):
         lo = rng.uniform(-0.5, 1.0)
         hi = lo + rng.uniform(0.05, 1.0)
@@ -229,7 +229,7 @@ def test_in_pass_violations_match_check_rule_recount(seed, size, lo, width, s1_l
     rng = np.random.default_rng(seed)
     ds, model = random_setup(rng)
     rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
-    out = forward_batch(model, ds, rows)
+    out = forward_batch(model, model.feature_matrix(ds), rows)
     rules = recount_rules(lo, lo + width, s1_lo, s1_lo + s1_width)
     _, _, _, violations = loss_grad(rules, ds, out)
 
@@ -255,7 +255,7 @@ def test_forward_batch_columns_equal_predict_columns(seed, size, lo, width, s1_l
     rng = np.random.default_rng(seed)
     ds, model = random_setup(rng)
     rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
-    out = forward_batch(model, ds, rows)
+    out = forward_batch(model, model.feature_matrix(ds), rows)
     assert np.array_equal(out.rows, rows)
     got, expected = model.output_columns(out.probs), model.predict_columns(ds.take(rows))
     assert [(name, kind) for name, kind, _ in got] == \
@@ -269,7 +269,7 @@ def test_forward_batch_columns_equal_predict_columns(seed, size, lo, width, s1_l
     rules = recount_rules(lo, lo + width, s1_lo, s1_lo + s1_width)
     loss, dscale, dshift, violations = loss_grad(rules, ds, out)
     loss_t, dscale_t, dshift_t, violations_t = loss_grad(
-        rules, taken, forward_batch(model, taken, np.arange(size)))
+        rules, taken, forward_batch(model, model.feature_matrix(taken), np.arange(size)))
     assert loss == loss_t and violations == violations_t
     assert np.array_equal(dscale, dscale_t) and np.array_equal(dshift, dshift_t)
 
@@ -373,7 +373,7 @@ def test_grouped_loss_equals_per_rule_oracle(seed, size, gain, temperature, rule
     rng = np.random.default_rng(seed)
     ds, model = differential_setup(rng, 16, gain)
     rows = rng.choice(ds.n_rows, size=size, replace=True)  # rows may repeat
-    out = forward_batch(model, ds, rows)
+    out = forward_batch(model, model.feature_matrix(ds), rows)
     expected, dprobs = with_dprobs(
         model, lambda: oracle_loss_grad(rules, ds, out, temperature))
     groups = RuleGroups(rules, model, ds)  # data cells read once, at all rows
@@ -397,7 +397,7 @@ def test_grouped_gradient_sums_in_rule_order(seed):
     loss is then its own mean or surrogate, not rounded into a sum."""
     rng = np.random.default_rng(seed)
     ds, model = differential_setup(rng, 16, 3.0)
-    out = forward_batch(model, ds, rng.choice(16, size=64, replace=True))
+    out = forward_batch(model, model.feature_matrix(ds), rng.choice(16, size=64, replace=True))
     flag, not_flag = (Literal("flag"),), (Literal("flag", True),)
     conditional = [AbstractRule(kind="conditional", statistic=stat, guard=guard)
                    for stat in ("score_a", "mean(score_a)", "std(score_a)")
@@ -425,7 +425,7 @@ def test_grouped_loss_at_a_subnormal_score():
                       missing={"flag": np.array([True, False, False])})
     model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2), np.zeros(2),
                          np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2))
-    out = forward_batch(model, ds, np.arange(3))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(3))
     assert out.probs[0, 1] == 5e-324
     rule = ConcreteRule(rule=AbstractRule(kind="logic", sided="lower", statistic="f1",
                                           literals=(Literal("flag"),), consequent="b"),
@@ -453,7 +453,7 @@ def test_one_mask_and_two_hinges_per_batch():
     its bounds. The result is the per-rule oracle's."""
     rng = np.random.default_rng(3)
     ds, model = differential_setup(rng, 16, 3.0)
-    out = forward_batch(model, ds, rng.choice(16, size=32, replace=True))
+    out = forward_batch(model, model.feature_matrix(ds), rng.choice(16, size=32, replace=True))
     rules = [ConcreteRule(rule=rule, lo=1.2, hi=1.5, delta=0.02) for rule in (
         AbstractRule(kind="conditional", statistic="score_a"),
         AbstractRule(kind="conditional", statistic="mean(score_b)", guard="a"),
@@ -534,7 +534,7 @@ def mean_score_rule(lo, hi, sided="two", cls="b"):
 
 def test_grad_check_quadratic_region():
     ds, model = tiny_setup(n=24, seed=2)
-    out = forward_batch(model, ds, np.arange(24))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(24))
     phi = float(out.probs[:, 1].mean())
     rule = mean_score_rule(phi + 0.05, phi + 0.3)  # violated below lower bound
     err = grad_check(model, [rule], ds, np.arange(24), step=1e-5)
@@ -543,7 +543,7 @@ def test_grad_check_quadratic_region():
 
 def test_grad_check_linear_one_sided_region():
     ds, model = tiny_setup(n=24, seed=3)
-    out = forward_batch(model, ds, np.arange(24))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(24))
     phi = float(out.probs[:, 1].mean())
     rule = mean_score_rule(phi + 0.2, INF, sided="lower")
     err = grad_check(model, [rule], ds, np.arange(24), step=1e-5)
@@ -552,7 +552,7 @@ def test_grad_check_linear_one_sided_region():
 
 def test_grad_check_surrogate_f1_rule():
     ds, model = tiny_setup(n=40, seed=4)
-    out = forward_batch(model, ds, np.arange(40))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(40))
     from quantrules.statistics import literal_cells
     from scalar_oracle import surrogate_f1_grad
     ante, _ = literal_cells(Literal("flag"), batch_table(ds, out), np.arange(40))
@@ -567,7 +567,7 @@ def test_grad_check_surrogate_f1_rule():
 
 def test_grad_check_flat_at_clip_plateau():
     ds, model = tiny_setup(n=24, seed=5)
-    out = forward_batch(model, ds, np.arange(24))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(24))
     phi = float(out.probs[:, 1].mean())
     rule = mean_score_rule(phi + 2.0, phi + 3.0)  # loss pinned at the clip
     assert loss_grad([rule], ds, out)[0] == 1.0
@@ -577,7 +577,7 @@ def test_grad_check_flat_at_clip_plateau():
 
 def test_grad_check_per_sample_score_rule():
     ds, model = tiny_setup(n=24, seed=6)
-    out = forward_batch(model, ds, np.arange(24))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(24))
     top = float(out.probs[:, 1].max())
     rule = ConcreteRule(rule=AbstractRule(kind="conditional", statistic="score_b"),
                         lo=top + 0.05, hi=top + 0.35, delta=0.02)
@@ -611,7 +611,7 @@ def test_adapt_zero_loss_leaves_parameters_unchanged():
 
 def test_adapt_zero_learning_rate_records_losses():
     ds, model = tiny_setup()
-    out = forward_batch(model, ds, np.arange(16))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(16))
     phi = float(out.probs[:, 1].mean())
     rules = [mean_score_rule(phi + 0.1, phi + 0.4)]
     adapted, trace = adapt(model, rules, ds,
@@ -624,7 +624,7 @@ def test_adapt_zero_learning_rate_records_losses():
 
 def test_adapt_preserves_frozen_parameters_and_reduces_loss():
     ds, model = tiny_setup(n=64, seed=9, spread=3.0)
-    out = forward_batch(model, ds, np.arange(64))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(64))
     phi = float(out.probs[:, 1].mean())
     rules = [mean_score_rule(phi + 0.05, phi + 0.15)]
     adapted, trace = adapt(model, rules, ds,
@@ -637,7 +637,7 @@ def test_adapt_preserves_frozen_parameters_and_reduces_loss():
 
 def test_adapt_is_deterministic():
     ds, model = tiny_setup(n=32, seed=10)
-    out = forward_batch(model, ds, np.arange(32))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(32))
     phi = float(out.probs[:, 1].mean())
     rules = [mean_score_rule(phi + 0.05, phi + 0.3)]
     cfg = AdaptationConfig(iterations=50, batch_size=16, learning_rate=0.02, seed=3)
@@ -656,7 +656,7 @@ def test_adapt_divergence_keeps_partial_trace():
     })
     model = SoftmaxModel(["x0", "x1"], ["a", "b"], np.ones(2) * 1e-120, np.zeros(2),
                          np.array([[0.8, -0.8], [-0.5, 0.5]]), np.zeros(2))
-    out = forward_batch(model, ds, np.arange(8))
+    out = forward_batch(model, model.feature_matrix(ds), np.arange(8))
     phi = float(out.probs[:, 1].mean())
     rules = [mean_score_rule(phi + 0.1, phi + 0.3)]
     with pytest.raises(DivergenceError) as excinfo:

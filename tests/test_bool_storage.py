@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from conftest import make_dataset, write_csv
 from quantrules.dataset import (BOOLEAN, LABEL, NUMERIC, FeatureSpec, bucket_edges,
-                                load_table)
+                                load_table, split)
 from quantrules.rule_eval import Cells, LogicTable, score_logic_rules
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import Statistic, StatisticRegistry, sample_values_aligned
@@ -118,6 +118,20 @@ def test_load_table_stores_flags_and_indicators_as_bool(tmp_path):
     assert ds.values("x__b0").flags.c_contiguous and ds.values("x__b1").flags.c_contiguous
     assert ds.missing("x__b0") is ds.missing("x__b1")
     assert ds.missing("x__b0").tolist() == [False, False, True, False]
+
+
+def test_take_and_split_keep_one_missing_mask_per_shared_mask(tmp_path):
+    """The indicators of one source keep sharing one missing mask through
+    ``take`` and ``split``; columns with masks of their own keep their own."""
+    path = write_csv(tmp_path / "t.csv", ["flag", "x"],
+                     [[1, 0.5], ["", 2.5], [0, ""], [1, 4.0], [0, 1.0], [1, 3.0]])
+    ds = load_table(path, [FeatureSpec("flag"), FeatureSpec("x", 3)])
+    for part in (ds.take([0, 1, 2]), *split(ds, (0.5, 0.25, 0.25), seed=3)):
+        assert part.missing("x__b0") is part.missing("x__b1") is part.missing("x__b2")
+        assert part.missing("flag") is not part.missing("x__b0")
+    taken = ds.take([0, 1, 2])
+    assert taken.missing("x__b0").tolist() == [False, False, True]
+    assert taken.missing("flag").tolist() == [False, True, False]
 
 
 @pytest.mark.parametrize("cells", [[True, False, True], [1, 0, 1], [1.0, -0.0, 1.0],

@@ -615,7 +615,7 @@ def test_adapt_divergence_exits_3_with_partial_trace(tmp_path, capsys):
     from quantrules.dataset import load_table
     from quantrules.adaptation import forward_batch
     test_ds = load_table(tmp_path / "test.csv")
-    out = forward_batch(model, test_ds, np.arange(n))
+    out = forward_batch(model, model.feature_matrix(test_ds), np.arange(n))
     phi = float(out.probs[:, 1].mean())
     rule = ConcreteRule(
         rule=AbstractRule(kind="conditional", statistic="mean(score_b)"),

@@ -15,7 +15,8 @@ from conftest import make_dataset
 from quantrules import rule_eval, violations
 from quantrules.bounds import BoundJob, Interval, collect_statistics, learn_and_select
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
-from quantrules.errors import EmptyStatisticError, QuantrulesError, TypeMismatchError
+from quantrules.errors import (EmptyStatisticError, QuantrulesError, ResolutionError,
+                               TypeMismatchError)
 from quantrules.rule_eval import Cells, LogicTable, score_logic_rules
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, rule_signature
 from quantrules.statistics import StatisticRegistry, match_class, sample_values_aligned
@@ -200,11 +201,13 @@ literal_lists = st.lists(st.builds(Literal, st.sampled_from(["A", "B", "C"]), st
 
 @settings(max_examples=250, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 5),
-       st.integers(1, 16), st.sampled_from(["y", "flag"]),
+       # sizes past one word, at a word's end and one cell into a tail word
+       st.integers(1, 16) | st.sampled_from([63, 64, 65, 129]),
+       st.sampled_from(["y", "flag"]),
        st.lists(st.tuples(literal_lists, st.integers(0, 2)), max_size=12),
        st.sampled_from([1, 50, 200, 2**18]))
 def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_column, drawn,
-                                               chunk_cells):
+                                               chunk_words):
     rng = np.random.default_rng(seed)
     ds = logic_dataset(rng, n)
     registry = StatisticRegistry.from_dataset(ds)
@@ -214,8 +217,8 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
     rules = [logic_rule(lits, cls) for lits, cls in FIXED_RULES]
     rules += [logic_rule(lits, classes[c]) for lits, c in drawn]
 
-    # small chunk budgets split the batches into chunks of one or more
-    with mock.patch.object(rule_eval, "_CHUNK_CELLS", chunk_cells):
+    # small chunk budgets split the rules into chunks of one or more
+    with mock.patch.object(rule_eval, "_CHUNK_WORDS", chunk_words):
         value, valued, errors = score_logic_rules(LogicTable(rules), ds, rows, label_column)
         listed = Cells(ds, rows, label_column, registry, LogicTable(rules))
     unlisted = Cells(ds, rows, label_column, registry)
@@ -271,6 +274,18 @@ def test_kernel_runs_once_per_batch_set():
         assert sorted(calls) == [(2, (6, 2)), (2, (6, 3))]
 
 
+def test_evaluate_without_a_table_for_a_size_fails_at_its_first_logic_rule():
+    """Logic rules counted in blocks fail as ``Cells.values`` fails on a rule
+    its reader has no table for: at the first such rule, naming it."""
+    test = logic_dataset(np.random.default_rng(4), 40)
+    crules = concrete([(AbstractRule(kind="conditional", statistic="v"), None),
+                       (logic_rule([A], "a"), None), (logic_rule([NOT_A], "b"), None)],
+                      0.1, 0.9)
+    with pytest.raises(ValueError, match=re.escape(f"rule {crules[1].signature}: not among "
+                                                   "the logic rules")):
+        violations.evaluate(crules, test, batching=(4, 3, 0), label_column="y", tables={})
+
+
 def test_learn_and_select_shares_one_table_per_batch_size():
     """One ``learn_and_select`` call builds one LogicTable per batch size, of
     that size's logic rules, and the train and valid readers of the size both
@@ -307,7 +322,7 @@ def test_learn_and_select_shares_one_table_per_batch_size():
 
 def test_logic_table_pads_ids_on_the_left_with_the_always_true_literal():
     """A rule's literal ids keep its literal order, padded on the left with
-    the always-true id; rules that share all ids but the last form a group."""
+    the always-true id."""
     B = Literal("B")
     rules = [logic_rule([A], "b"), logic_rule([B, NOT_A, A], "a"), logic_rule([NOT_A, B], "b"),
              logic_rule([NOT_A, A], "b")]
@@ -316,10 +331,6 @@ def test_logic_table_pads_ids_on_the_left_with_the_always_true_literal():
     assert table.ids.tolist() == [[3, 3, 0], [2, 1, 0], [3, 1, 2], [3, 1, 0]]
     assert table.consequents == ["b", "a"] and table.consequent.tolist() == [0, 1, 0, 0]
     assert table.row == {rule: r for r, rule in enumerate(rules)}
-    # (prefix, rows, last ids as the span and places give them, consequents)
-    assert sorted((p.tolist(), r.tolist(), np.arange(4)[span][at].tolist(), cls.tolist())
-                  for p, r, span, at, cls in table.groups) == [
-        ([], [0], [0], [0]), ([1], [2, 3], [2, 0], [0, 0]), ([2, 1], [1], [0], [1])]
     ds = logic_dataset(np.random.default_rng(2), 6)
     rows = np.array([[0, 1, 2], [3, 4, 5]])
     holds, present, errors = table.read(ds, rows)
@@ -329,6 +340,12 @@ def test_logic_table_pads_ids_on_the_left_with_the_always_true_literal():
         truth, want_present = oracle.float_literal_cells(lit, ds, rows)
         assert holds[j].tolist() == (want_present & (truth == 1.0)).tolist()
         assert present[j].tolist() == want_present.tolist()
+    # packed into one uint64 word per batch, bit r for row r, higher bits 0
+    packed = table.words(ds, rows)
+    assert packed[2] == errors
+    for words, masks in zip(packed[:2], (holds, present)):
+        assert words.dtype == np.uint64 and words.shape == (4, 2, 1)
+        assert words[..., 0].tolist() == (masks << np.arange(3)).sum(axis=-1).tolist()
 
 
 def select_alone(rules, train, valid, job, label_column, log):
@@ -495,3 +512,122 @@ def test_numeric_literal_column_in_valid_raises_at_its_rule():
         learn_and_select(rules, train, valid, job, label_column="y", log=log)
     assert log == expect_log
     assert [e["event"] for e in log][-1] == "skipped" and len(log) == 3
+
+
+# -- logic rules selected and charged in blocks -------------------------------------
+
+def block_datasets(rng, sizes):
+    """Train, valid and test tables of ``logic_dataset`` of ``sizes`` rows,
+    with a boolean D that is numeric in valid and test, and a boolean E with
+    no present cell in train and absent from test. No table has a column Z."""
+    tables = []
+    for side, n in enumerate(sizes):
+        ds = logic_dataset(rng, n)
+        cells = {name: (ds.kind(name), ds.values(name)) for name in ds.names}
+        missing = {name: ds.missing(name) for name in ds.names}
+        cells["D"] = ((NUMERIC, rng.normal(0.0, 1.0, n)) if side
+                      else (BOOLEAN, (rng.random(n) < 0.5).astype(float)))
+        if side < 2:
+            cells["E"] = (BOOLEAN, (rng.random(n) < 0.5).astype(float))
+            missing["E"] = np.ones(n, dtype=bool) if side == 0 else rng.random(n) < 0.25
+        tables.append(make_dataset(cells, missing=missing))
+    return tables
+
+
+def evaluate_one_by_one(crules, test, batching, label_column):
+    """``violations.evaluate`` one rule at a time: each rule's values through
+    ``Cells.values`` on its reader, its violated positions or batches charged
+    to their rows with one ``np.add.at`` of its own. Returns (per_rule,
+    per_sample, unevaluable) or raises the first error."""
+    registry = StatisticRegistry.from_dataset(test)
+    fallback, count, seed = batching
+    size_of = lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
+    reader = rule_eval.batch_sets(test, violations.logic_tables_at(crules, fallback), size_of,
+                                  count, seed, label_column, registry)
+    everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
+    counts, per_rule, unevaluable = np.zeros(test.n_rows, dtype=np.int64), [], []
+    for crule in crules:
+        rule = crule.rule
+        try:
+            at_each = (rule.kind != "logic"
+                       and rule_eval.reads(registry.resolve(rule.statistic))[1])
+            cells = everywhere if at_each else reader(rule)
+            values, mask = cells.values(rule, (crule.s1_lo, crule.s1_hi))
+            violated = mask & rule_eval.outside(values, crule.lo, crule.hi)
+            np.add.at(counts, cells.rows[violated], 1)
+            size = 1 if at_each else cells.rows.shape[1]
+            per_rule.append((crule.signature, int(violated.sum()) * size,
+                             int(mask.sum()) * size))
+        except (ResolutionError, EmptyStatisticError):
+            per_rule.append((crule.signature, 0, 0))
+            unevaluable.append(crule.signature)
+    return per_rule, counts.tolist(), unevaluable
+
+
+# literals on columns every table reads, and rarely on D, E or Z
+block_features = st.sampled_from(["A", "B", "C"] * 4 + ["D", "E", "Z"])
+block_literals = st.lists(st.builds(Literal, block_features, st.booleans()),
+                          min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.tuples(*[st.integers(1, 30)] * 3),
+       st.integers(1, 4), st.integers(1, 4), st.tuples(st.integers(1, 8), st.integers(1, 8)),
+       st.floats(0.05, 0.95),
+       st.lists(st.tuples(block_literals, st.integers(0, 2),
+                          st.sampled_from(["two", "lower", "upper"])), max_size=12),
+       st.floats(0.05, 0.6), st.floats(0.0, 0.6), st.sampled_from([1, 7, 2**15]),
+       st.sampled_from(["y", "Q"]))
+def test_logic_blocks_match_rules_read_one_by_one(seed, n_rows, n_tb, n_vb, sizes, epsilon,
+                                                   drawn, lo, width, chunk_cells, test_label):
+    """Logic rules selected and charged in blocks against the rules read one
+    at a time: the same rules, bounds, events and counts, or the same error
+    after the same events. Literals on D fail to read on valid and test (a
+    read error mid-list); those on E have no value on train (skipped) and
+    are unevaluable on test, and those on Z are read on no table. Each
+    logic rule comes twice, at two sidednesses. Row 0 misses every cell, so some
+    batches have no usable row; small chunk budgets split the blocks. Test
+    tables are read with the label column y, or with Q, which no table has:
+    a rule's class then fails to read though its batches have usable rows."""
+    rng = np.random.default_rng(seed)
+    train, valid, test = block_datasets(rng, n_rows)
+    rules = mixed_rules(drawn, sizes)
+    # each logic rule again with the next sidedness: equal value counts at
+    # other quantile levels, in the same block
+    turn = {"two": "lower", "lower": "upper", "upper": "two"}
+    rules += [replace(rule, sided=turn[rule.sided]) for rule in rules if rule.kind == "logic"]
+    # no value on train, then a read error on valid: skipped, valid unread
+    rules.insert(len(drawn) // 2, replace(logic_rule([Literal("E"), Literal("D")], "a"),
+                                          batch_size=sizes[0]))
+    job = BoundJob(n_train_batches=n_tb, n_valid_batches=n_vb, epsilon=epsilon,
+                   train_seed=seed % 7, valid_seed=seed % 5)
+    runs = []
+    with mock.patch("quantrules.bounds._CHUNK_CELLS", chunk_cells):
+        for select in (lambda log: learn_and_select(rules, train, valid, job,
+                                                    label_column="y", log=log),
+                       lambda log: select_alone(rules, train, valid, job, "y", log)):
+            log = []
+            try:
+                runs.append((select(log), log))
+            except QuantrulesError as exc:
+                runs.append((exc, log))
+    (got, log), (want, want_log) = runs
+    assert hexed(log) == hexed(want_log)
+    if isinstance(want, QuantrulesError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want
+        assert [(c.lo.hex(), c.hi.hex()) for c in got] == [(c.lo.hex(), c.hi.hex())
+                                                           for c in want]
+
+    crules = concrete([(rule, None) for rule in rules], lo, lo + width)
+    batching = (sizes[0], n_tb, seed % 3)
+    try:
+        want = evaluate_one_by_one(crules, test, batching, test_label)
+    except QuantrulesError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            violations.evaluate(crules, test, batching, label_column=test_label)
+        return
+    with mock.patch.object(violations, "_CHUNK_CELLS", chunk_cells):
+        report = violations.evaluate(crules, test, batching, label_column=test_label)
+    assert (report.per_rule, report.per_sample.tolist(), report.unevaluable) == want

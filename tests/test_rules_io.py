@@ -107,3 +107,6 @@ def test_each_distinct_literal_is_one_object(tmp_path):
     loaded, _ = load_rules(path)
     assert [c.rule for c in loaded] == rules
     assert _one_object_per_literal([c.rule for c in loaded])
+    # equal literals made apart hash alike, and so do the rules holding them
+    assert {lit for c in loaded for lit in c.rule.literals} == set(literals)
+    assert {c.rule for c in loaded} == set(rules)
