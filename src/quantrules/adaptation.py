@@ -33,7 +33,8 @@ mean, a std, the surrogate F1's sums) stay 1-d reductions over its own
 compacted values, and the losses and d loss / d probs are summed in rule
 order, so the result is bit-equal to evaluating the rules one by one. The
 passes need the softened scores and their derivatives on each iteration's
-batch, so they stay apart from the count kernel, which counts hard cells.
+batch, so they stay apart from the count kernel, which counts hard cells;
+the logic pass takes its antecedents with the kernel's ``rule_eval.conjoin``.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .dataset import checked_rows
 from .errors import DivergenceError, ResolutionError, TypeMismatchError
-from .rule_eval import Cells, LogicTable, applies, outside, reads
+from .rule_eval import Cells, LogicTable, applies, conjoin, outside, reads
 from .schema import LOGIC, PAIRED
 from .statistics import StatisticRegistry, f1_from_counts, soften_grad, summarize
 
@@ -321,10 +322,9 @@ class RuleGroups:
         rule's usable positions, where a is the antecedent and c the softened
         consequent score. It tends to the exact F1 of the thresholded scores
         as the temperature tends to 0."""
-        # (rules, literals, m) cells at the batch rows; a literal holds only if present
-        cells = (self._logic.ids[:, :, None], out.rows)
-        antecedent = self._holds[cells].all(axis=1)
-        usable = self._present[cells].all(axis=1)
+        # each literal's cells at the batch rows; a literal holds only if present
+        antecedent, usable = conjoin(self._holds[:, out.rows], self._present[:, out.rows],
+                                     self._logic.ids)
         consequent = (pred == self._classes[:, None])[self._logic.consequent]
         n_predicted = antecedent.sum(axis=1)
         f1 = f1_from_counts((antecedent & consequent).sum(axis=1), n_predicted,

@@ -3,18 +3,19 @@
 For each abstract rule, statistics are collected over seeded minibatches of
 the training and validation sets, quantile bounds are taken on each side,
 and the rule is kept only when the two bound intervals overlap strongly
-under the interval Jaccard index. Every rule's values are read on the
-reader of the rule's batch size (``rule_eval.batch_sets``): a logic rule's
-from the count kernel's matrices, which ``_select_logic`` reads for all
-logic rules of a size at once, and any other rule's by
-``collect_statistics`` through ``rule_eval.Cells.values``.
+under the interval Jaccard index.
 
-``learn_and_select`` selects a whole rule list over arrays: it stacks the
-values of the rules with equal value counts and quantile levels into
-(R, n) matrices, one per batch set, sorts each row, and takes the
-linear-interpolation percentiles (``interval_rows``) and the interval
-Jaccard index (``jaccard_rows``) element-wise on whole columns. A rule's
-bounds and score do not depend on the rules stacked with it.
+``learn_and_select`` reads and selects a whole rule list in blocks: the
+rules of one batch size and one value shape (per sample or per batch) are
+read together on the train and the valid reader of that size
+(``rule_eval.batch_sets``) by ``rule_eval.Cells.block``, logic rules from
+the count kernel's matrices and every other rule through
+``Cells.values``. It stacks the values of the rules with equal value counts
+and quantile levels into (R, n) matrices, one per batch set, sorts each
+row, and takes the linear-interpolation percentiles (``interval_rows``)
+and the interval Jaccard index (``jaccard_rows``) element-wise on whole
+columns. A rule's bounds and score do not depend on the rules stacked with
+it. ``collect_statistics`` reads one rule's values the same way.
 """
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ import numpy as np
 from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import sorted_percentiles
 from .errors import EmptyStatisticError, QuantrulesError
-from .rule_eval import Cells, applies, batch_sets, logic_tables
-from .schema import LOGIC, LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
+from . import rule_eval
+from .rule_eval import Cells, applies, at_each, batch_sets, logic_tables
+from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import StatisticRegistry
 
 INF = float("inf")
@@ -108,23 +110,9 @@ def collect_statistics(rule, cells, s1_interval=None):
 
 
 def _empty(signature):
-    """The reason a rule with no statistic values on a batch set is skipped."""
-    return f"rule {signature}: no statistic values collected"
-
-
-def _collect(signature, per_set):
-    """One rule's statistic values of each batch set, drawn from ``per_set``
-    one set at a time, so a later set is not evaluated after an empty one.
-
-    Raises EmptyStatisticError naming the rule's ``signature`` when a set
-    yields no value.
-    """
-    collected = []
-    for values in per_set:
-        if values.size == 0:
-            raise EmptyStatisticError(_empty(signature))
-        collected.append(values)
-    return collected
+    """The error of a rule with no statistic values on a batch set: it is
+    skipped."""
+    return EmptyStatisticError(f"rule {signature}: no statistic values collected")
 
 
 def quantile_levels(delta, sided):
@@ -139,6 +127,14 @@ def quantile_levels(delta, sided):
     if sided == UPPER:
         return None, 1.0 - delta
     raise ValueError(f"unknown sidedness {sided!r}")
+
+
+def _levels(delta, sided):
+    """``quantile_levels``, or the ValueError it raises."""
+    try:
+        return quantile_levels(delta, sided)
+    except ValueError as exc:
+        return exc
 
 
 def interval_rows(rows, levels):
@@ -217,115 +213,61 @@ def _select_rows(t_vals, v_vals, levels):
     return bounds[0][0], bounds[0][1], score, errors
 
 
-# value cells per matrix of stacked rules, 256 KiB of float64, however many
-# rules share a shape. Matrices of 1 MiB raised the peak RSS of a process that
-# mines and evaluates cardio20k repeatedly by 1.9 MB (see CHANGES.md).
-_CHUNK_CELLS = 2**15
+def _select_block(rules, part, readers, per_sample, s1_intervals, level, levels, outcome,
+                  bounds):
+    """Read and select the rules at positions ``part`` of ``rules``, all of
+    one batch size and all ``per_sample`` or not, from one block read
+    (``Cells.block``) on the train and on the valid reader (``readers``).
 
-
-class _Selection:
-    """Bounds and Jaccard scores of rules computed over arrays: rules added
-    one at a time with equal counts of train and valid values and equal
-    quantile levels are stacked into (R, n) matrices, computed before they
-    would pass _CHUNK_CELLS cells; ``store`` takes such matrices whole.
+    Each rule's outcome goes in by position: its train bounds and Jaccard
+    score into the (3, n) array ``bounds``, or its error into ``outcome``,
+    an EmptyStatisticError if it is skipped. The checks run per rule in this
+    order: a train read error, no train value, a valid read error, no valid
+    value, a ``quantile_levels`` error (rule k's levels, or their error, are
+    ``levels[level[k]]``), then ``_select_rows``'. A reader
+    is made at the first rule that reaches it, and an error in making it
+    fails that rule. Rules with equal train and valid value counts and
+    levels are selected as one matrix.
     """
-
-    def __init__(self, n_rules):
-        self.lo, self.hi, self.score = np.empty(n_rules), np.empty(n_rules), np.empty(n_rules)
-        self.errors = {}  # rule position -> the ValueError raised at it
-        self.values = {}  # (n_t, n_v, levels) -> (positions, train values, valid values)
-        self.held = 0
-
-    def add(self, i, t_vals, v_vals, levels):
-        if self.held + t_vals.size + v_vals.size > _CHUNK_CELLS:
-            self.compute()
-        positions, ts, vs = self.values.setdefault((t_vals.size, v_vals.size, levels),
-                                                   ([], [], []))
-        positions.append(i)
-        ts.append(t_vals)
-        vs.append(v_vals)
-        self.held += t_vals.size + v_vals.size
-
-    def compute(self):
-        """``store`` the rules held."""
-        for (_, _, levels), (positions, ts, vs) in self.values.items():
-            self.store(positions, np.stack(ts), np.stack(vs), levels)
-        self.values, self.held = {}, 0
-
-    def store(self, positions, t_vals, v_vals, levels):
-        """Store the train bounds and Jaccard score of the rule at each of
-        ``positions``, whose values are the rows of the (R, n_t) train and
-        (R, n_v) valid matrices, or the error it raises, at its position."""
-        lo, hi, score, errors = _select_rows(t_vals, v_vals, levels)
-        self.lo[positions], self.hi[positions], self.score[positions] = lo, hi, score
-        self.errors.update((int(positions[k]), exc) for k, exc in errors.items())
-
-
-def _select_logic(rules, positions, readers, delta_of, selection, skipped, failed):
-    """Read and select the logic rules at ``positions`` of ``rules``, all of
-    one batch size, as ``learn_and_select`` would one at a time, from the
-    count kernel's matrices of the train and the valid reader (``readers``).
-
-    Each rule is skipped (its reason into ``skipped``), fails (its error into
-    ``failed``) or is stored in ``selection``, by position: a train read
-    error, then no train value, then a valid read error, then no valid
-    value, then a ``quantile_levels`` error. A reader is made at the first
-    rule that reaches it, and an error in making it fails that rule. Rules
-    with equal train and valid value counts and levels are stored as blocks
-    of at most _CHUNK_CELLS batch cells.
-    """
-    block = [rules[i] for i in positions]
-    positions = np.asarray(positions)
+    block = [rules[i] for i in part.tolist()]
+    s1 = [s1_intervals.get(i) for i in part.tolist()]
     go = np.ones(len(block), dtype=bool)
-    scores = []
+    read = []
     for reader in readers:
         if not go.any():
             return
+        first = go.argmax()
         try:
-            cells = reader(block[go.argmax()])
+            cells = reader(block[first])
         except (QuantrulesError, ValueError) as exc:
-            failed[int(positions[go.argmax()])] = exc
+            outcome[int(part[first])] = exc
             return
-        value, valued, at, errors = cells.logic_scores(block)
-        bad = go & np.not_equal(errors, None)
-        failed.update((int(positions[k]), errors[k]) for k in np.flatnonzero(bad))
-        count = valued.sum(axis=1)[at]
-        empty = go & ~bad & (count == 0)
-        skipped.update((int(positions[k]), _empty(block[k].signature))
-                       for k in np.flatnonzero(empty))
-        go &= ~bad & ~empty
-        scores.append((value, valued, at, count))
-
-    # the levels of each distinct (delta, sidedness), or the error they raise
-    levels, level_of = [], {}
-    level = np.zeros(len(block), dtype=int)
+        values, masks, errors = cells.block(block, s1, per_sample)
+        count = masks.reshape(len(block), -1).sum(axis=1)
+        for k in np.flatnonzero(go & (np.not_equal(errors, None) | (count == 0))):
+            outcome[int(part[k])] = _empty(block[k].signature) if errors[k] is None \
+                else errors[k]
+        go &= np.equal(errors, None) & (count > 0)
+        read.append((values, masks, count))
     for k in np.flatnonzero(go):
-        key = (delta_of(block[k]), block[k].sided)
-        if key not in level_of:
-            try:
-                levels.append(quantile_levels(*key))
-                level_of[key] = len(levels) - 1
-            except ValueError as exc:
-                level_of[key] = exc
-        if isinstance(level_of[key], ValueError):
-            failed[int(positions[k])], go[k] = level_of[key], False
-        else:
-            level[k] = level_of[key]
+        if isinstance(levels[level[k]], ValueError):
+            outcome[int(part[k])], go[k] = levels[level[k]], False
+    if not go.any():
+        return
 
-    # blocks of equal (train count, valid count, levels), in chunks of rows
-    (t_value, t_valued, t_at, n_t), (v_value, v_valued, v_at, n_v) = scores
+    # one matrix per distinct (train count, valid count, levels)
+    (t_values, t_masks, n_t), (v_values, v_masks, n_v) = read
     ks = np.flatnonzero(go)
     ks = ks[np.lexsort((level[ks], n_v[ks], n_t[ks]))]
     key = np.column_stack([n_t[ks], n_v[ks], level[ks]])
     cuts = np.flatnonzero((np.diff(key, axis=0) != 0).any(axis=1)) + 1
-    step = max(1, _CHUNK_CELLS // (t_value.shape[1] + v_value.shape[1]))
-    for group in np.split(ks, cuts):
-        for part in (group[s:s + step] for s in range(0, len(group), step)):
-            t, v, k = t_at[part], v_at[part], part[0]
-            selection.store(positions[part],
-                            t_value[t][t_valued[t]].reshape(len(part), n_t[k]),
-                            v_value[v][v_valued[v]].reshape(len(part), n_v[k]),
-                            levels[level[k]])
+    for same in np.split(ks, cuts):
+        k = same[0]
+        lo, hi, score, errors = _select_rows(
+            t_values[same][t_masks[same]].reshape(len(same), n_t[k]),
+            v_values[same][v_masks[same]].reshape(len(same), n_v[k]), levels[level[k]])
+        bounds[:, part[same]] = lo, hi, score
+        outcome.update((int(part[same[j]]), exc) for j, exc in errors.items())
 
 
 def learn_and_select(rules, train, valid, job, *, registry=None,
@@ -337,15 +279,14 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     collapses to nothing are skipped and reported through ``log`` (a list
     receiving dict entries), never raised. Output preserves input order.
 
-    A rule's values are read through the readers of its batch size. Each
-    other rule is read on its own, through ``collect_statistics``; the logic
-    rules of a size are read and selected together, at the first of them,
-    from the matrices of the count kernel, which each reader runs once
-    (``_select_logic``). Bounds and scores are computed over arrays
-    (``_Selection``). Events and rules come out in input order.
-    A read error, or an error of a rule's checks (a NaN value, an infinite
-    bound), is raised at its own rule, after the events of the rules before
-    it are logged. A selected rule records the batch size and delta its
+    The rules are grouped by batch size and by whether they are read at
+    each position (``rule_eval.at_each``); each group is read and selected
+    whole, ``rule_eval.CHUNK_CELLS`` value cells at a time
+    (``_select_block``), and each rule's outcome is kept by position. Events
+    and rules come out in input order. A read error, or an error of a rule's
+    checks (a NaN value, an infinite bound), is raised at its own rule,
+    after the events of the rules before it are logged; the rules after it
+    have been read too. A selected rule records the batch size and delta its
     bounds were learned at, the job's where it sets them.
     """
     if registry is None:
@@ -354,68 +295,28 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
         label_column = train.label_column
     if not rules:
         return []
-    size_of = lambda rule: job.batch_size or rule.batch_size
-    tables = logic_tables(rules, size_of)  # shared by train and valid
-    readers = [batch_sets(dataset, tables, size_of, count, seed, label_column, registry)
-               for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
-                                            (valid, job.n_valid_batches, job.valid_seed))]
+    # the readers and their kernel matrices are gone before the rules are made
+    outcome, bounds, s1_intervals = _read_and_select(rules, train, valid, job, registry,
+                                                     label_column)
+    lo, hi, score = bounds.tolist()
     provenance = {"train": train.origin or "", "train_seed": job.train_seed,
                   "valid_seed": job.valid_seed}
-    everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
-    delta_of = lambda rule: job.delta if job.delta is not None else rule.delta
-    logic = {}  # batch size -> positions of its logic rules, until they are selected
-    for i, rule in enumerate(rules):
-        if rule.kind == LOGIC:
-            logic.setdefault(size_of(rule), []).append(i)
-    s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
-    s1_intervals = {}  # paired rule position -> its learned s1 interval
-    skipped = {}  # rule position -> reason
-    failed = {}  # logic rule position -> the error raised at it
-    selection = _Selection(len(rules))
-    read, error = len(rules), None
-    for i, rule in enumerate(rules):
-        try:
-            if rule.kind == LOGIC:  # with all of its size, at the first
-                if size_of(rule) in logic:
-                    _select_logic(rules, logic.pop(size_of(rule)), readers, delta_of,
-                                  selection, skipped, failed)
-                if i in failed:
-                    raise failed[i]
-                continue
-            s1_interval = None
-            if rule.kind == PAIRED:
-                key = (rule.guard, rule.s1, rule.s1_bucket_count)
-                if key not in s1_edges:
-                    s1_edges[key] = s1_bucket_edges(rule, everywhere)
-                s1_interval = s1_intervals[i] = s1_bucket_interval(rule, s1_edges[key])
-            t_vals, v_vals = _collect(rule.signature, (
-                collect_statistics(rule, reader(rule), s1_interval) for reader in readers))
-            selection.add(i, t_vals, v_vals, quantile_levels(delta_of(rule), rule.sided))
-        except EmptyStatisticError as exc:
-            skipped[i] = str(exc)
-        except (QuantrulesError, ValueError) as exc:  # raised after the earlier rules' events
-            read, error = i, exc
-            break
-    selection.compute()
-    lo, hi, score = selection.lo.tolist(), selection.hi.tolist(), selection.score.tolist()
-
     selected = []
-    for i in range(read):
-        rule = rules[i]
-        if i in skipped:
+    for i, rule in enumerate(rules):
+        if i in outcome:
+            if not isinstance(outcome[i], EmptyStatisticError):
+                raise outcome[i]
             if log is not None:
                 log.append({"event": "skipped", "signature": rule.signature,
-                            "reason": skipped[i]})
+                            "reason": str(outcome[i])})
             continue
-        if i in selection.errors:
-            raise selection.errors[i]
         if score[i] <= 1.0 - job.epsilon:
             if log is not None:
                 log.append({"event": "rejected", "signature": rule.signature,
                             "jaccard": score[i]})
             continue
         s1_interval = s1_intervals.get(i)
-        delta = delta_of(rule)
+        delta = job.delta if job.delta is not None else rule.delta
         size = job.batch_size or rule.batch_size
         if (size, delta) != (rule.batch_size, rule.delta):  # a copy only where the job overrides
             rule = replace(rule, batch_size=size, delta=delta)
@@ -427,6 +328,58 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
         ))
         if log is not None:
             log.append({"event": "selected", "signature": rule.signature, "jaccard": score[i]})
-    if error is not None:
-        raise error
     return selected
+
+
+def _read_and_select(rules, train, valid, job, registry, label_column):
+    """(outcome, bounds, s1_intervals) of ``learn_and_select``: each rule's
+    error by position, an EmptyStatisticError if it is skipped; the (3, n)
+    train lo, train hi and Jaccard score of the others; and each paired
+    rule's learned s1 interval by position."""
+    size_of = lambda rule: job.batch_size or rule.batch_size
+    delta_of = lambda rule: job.delta if job.delta is not None else rule.delta
+    tables = logic_tables(rules, size_of)  # shared by train and valid
+    readers = [batch_sets(dataset, tables, size_of, count, seed, label_column, registry)
+               for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
+                                            (valid, job.n_valid_batches, job.valid_seed))]
+    everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
+    s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
+    s1_intervals = {}  # paired rule position -> its learned s1 interval
+    outcome = {}  # rule position -> the error raised at it, EmptyStatisticError if skipped
+    groups, level_of = {}, {}  # (batch size, per sample), (delta, sidedness) -> index
+    facts = {}  # (kind, statistic, batch size, delta, sidedness) -> index into shapes
+    shapes = [(-1, 0)]  # (group, level) of each key of facts; 0: the outcome is known
+    codes = []  # each rule's index into shapes
+    for i, rule in enumerate(rules):
+        if rule.kind == PAIRED:
+            try:
+                key = (rule.guard, rule.s1, rule.s1_bucket_count)
+                if key not in s1_edges:
+                    s1_edges[key] = s1_bucket_edges(rule, everywhere)
+                s1_intervals[i] = s1_bucket_interval(rule, s1_edges[key])
+            except (QuantrulesError, ValueError) as exc:
+                outcome[i] = exc
+                codes.append(0)
+                continue
+        key = (rule.kind, rule.statistic, rule.batch_size, rule.delta, rule.sided)
+        if key not in facts:
+            try:
+                per_sample = at_each(rule, registry)
+            except QuantrulesError:  # raised again at the rule's read
+                per_sample = False
+            facts[key] = len(shapes)
+            shapes.append((groups.setdefault((size_of(rule), per_sample), len(groups)),
+                           level_of.setdefault((delta_of(rule), rule.sided), len(level_of))))
+        codes.append(facts[key])
+    group, level = np.array(shapes).T[:, codes]
+    levels = [_levels(*key) for key in level_of]
+
+    bounds = np.empty((3, len(rules)))  # train lo, train hi, Jaccard score
+    for g, (size, per_sample) in enumerate(groups):
+        positions = np.flatnonzero(group == g)
+        cells = (job.n_train_batches + job.n_valid_batches) * (size if per_sample else 1)
+        step = max(1, rule_eval.CHUNK_CELLS // cells)
+        for s in range(0, len(positions), step):
+            _select_block(rules, positions[s:s + step], readers, per_sample, s1_intervals,
+                          level[positions[s:s + step]], levels, outcome, bounds)
+    return outcome, bounds, s1_intervals

@@ -3,7 +3,7 @@
 All commands read a YAML config (see README for the full schema) and never
 mutate their inputs; flags override config keys. Log output is line
 oriented ``key=value`` so scripts can scrape counts. Exit codes: 0 success,
-2 config or parse error, 3 runtime numeric failure.
+2 config, parse or data type error, 3 runtime numeric failure.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ import yaml
 
 from . import adaptation, bounds, rules_io, violations
 from .dataset import FeatureSpec, load_table
-from .errors import (DivergenceError, ParseError, QuantrulesError, ResolutionError, is_int,
-                     is_number)
+from .errors import (DivergenceError, ParseError, QuantrulesError, ResolutionError,
+                     TypeMismatchError, is_int, is_number)
 from .model import SoftmaxModel
 from .schema import enumerate_abstract_rules, parse_schema
 from .statistics import StatisticRegistry, load_boxes
@@ -381,8 +381,8 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args)
         return cmd_adapt(cfg, args)
-    except (ParseError, ResolutionError, ValueError, KeyError, FileNotFoundError,
-            yaml.YAMLError) as exc:
+    except (ParseError, ResolutionError, TypeMismatchError, ValueError, KeyError,
+            FileNotFoundError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

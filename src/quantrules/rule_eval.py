@@ -9,30 +9,32 @@ learning, violation counting and the adaptation loss agree on which rows a
 rule covers and how it is read.
 
 ``Cells`` reads the cells of one (table, rows) set: each distinct statistic
-and guard class once, however many rules read it. ``Cells.values`` reads
-any rule: its values and the mask of the positions, or batches, it applies
-to; a summary rule's through ``batch_values``, a logic rule's from the count
-kernel. ``batch_sets`` makes the reader of each minibatch size. Mining and
-violation counting read every other rule this way, one rule at a time, and
-the logic rules of a batch set all at once, through ``Cells.logic_scores``.
+and guard class once, however many rules read it. ``Cells.block`` reads a
+block of rules of one value shape, all read at each position or all once
+per batch (``at_each``): their stacked values and masks and each rule's read
+error. Logic rows come from the count kernel's matrices, and every other
+rule's through ``Cells.values``, which reads one rule. ``batch_sets`` makes
+the reader of each minibatch size. Mining and violation counting read every
+rule through ``Cells.block``, ``CHUNK_CELLS`` value cells at a time.
 
 Logic rules, almost all of the rules mining learns, are encoded once as
 literal and consequent ids by a ``LogicTable``, one per batch size
 (``logic_tables``), which the readers of every batch set of that size
 share. A reader runs the count kernel ``score_logic_rules`` on its table
 when it is made. The kernel packs each literal's cells of each batch into
-uint64 words, 64 rows a word, ANDs a rule's words and counts set bits:
-every rule's integer counts, a fixed budget of words at a time. The
-adaptation loss (``adaptation.RuleGroups``) reads its literals through a
-``LogicTable`` too, unpacked, its statistics with a ``Cells`` of the whole
-test table, and masks and counts with ``applies`` and ``outside``.
+uint64 words, 64 rows a word, ANDs a rule's words (``conjoin``) and counts
+set bits: every rule's integer counts, a fixed budget of words at a time.
+The adaptation loss (``adaptation.RuleGroups``) reads its literals through
+a ``LogicTable`` too, unpacked, and joins them with ``conjoin``; it reads
+its statistics with a ``Cells`` of the whole test table, and masks and
+counts with ``applies`` and ``outside``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .dataset import sample_minibatches
-from .errors import ResolutionError, TypeMismatchError
+from .errors import QuantrulesError, ResolutionError, TypeMismatchError
 from .schema import LOGIC, PAIRED
 from .statistics import (PER_SAMPLE, f1_from_counts, literal_cells, match_class,
                          sample_values_aligned, summarize)
@@ -90,30 +92,6 @@ class Cells:
             self._value, self._valued, self._errors = score_logic_rules(
                 logic, dataset, self.rows, label_column)
 
-    def logic_scores(self, rules):
-        """The count kernel's view of the logic ``rules``, for all at once:
-        the (R, B) value and valued matrices of the reader's table, each
-        rule's row in them, and, as an object array, the error ``values``
-        raises for each rule (its read error, or a ValueError naming a rule
-        not in the table) or None. The row of a rule with an error is 0, and
-        what it holds means nothing; a reader without a table has one such
-        row."""
-        table = self.logic
-        row = {} if table is None else table.row
-        at = np.fromiter((row.get(rule, -1) for rule in rules), dtype=int, count=len(rules))
-        errors = np.full(len(rules), None, dtype=object)
-        if table is None:
-            value = np.zeros((1, len(self.rows)))
-            valued = value.astype(bool)
-        else:
-            value, valued = self._value, self._valued
-            errors[at >= 0] = self._errors[at[at >= 0]]
-        for k in np.flatnonzero(at < 0):
-            at[k] = 0
-            errors[k] = ValueError(f"rule {rules[k].signature}: not among the logic "
-                                   f"rules this reader was made with")
-        return value, valued, at, errors
-
     def statistic(self, name):
         """(values, present) of the per-sample statistic ``name``; missing
         cells hold 0."""
@@ -134,15 +112,14 @@ class Cells:
         """A rule's (values, mask): a per-sample rule's values at each
         position and the positions it applies to, or a summary or logic
         rule's value on each batch of the (B, m) batch matrix and the batches
-        with a usable row. A logic rule's row comes from the count kernel,
-        which raises the rule's read error instead if it has one; a logic
-        rule not in the reader's table raises ValueError naming it. A paired
-        rule needs its learned first-statistic interval."""
+        with a usable row. A logic rule's row is ``block``'s, which raises the
+        rule's read error instead if it has one. A paired rule needs its
+        learned first-statistic interval."""
         if rule.kind == LOGIC:
-            value, valued, at, errors = self.logic_scores([rule])
+            values, masks, errors = self.block([rule], [s1_interval], False)
             if errors[0] is not None:
                 raise errors[0]
-            return value[at[0]], valued[at[0]]
+            return values[0], masks[0]
         stat = self.registry.resolve(rule.statistic)
         column, at_each = reads(stat)
         s1 = ()
@@ -154,6 +131,52 @@ class Cells:
         values, present = self.statistic(column)
         mask = applies(guard, present, *s1)
         return (values, mask) if at_each else batch_values(stat, values, mask)
+
+    def block(self, rules, s1_intervals, at_each):
+        """(values, masks, errors) of ``rules``, all read at each position
+        (``at_each``) or all once per batch, as ``values`` reads each: their
+        values and masks stacked into (R, ...) arrays, and each rule's read
+        error or None, whose mask is all False. ``s1_intervals[k]`` is rule
+        k's learned s1 interval, or None. A logic rule's rows come from the
+        count kernel's matrices, and a logic rule not in the reader's table
+        fails with ValueError naming it; any other rule's rows come through
+        ``values``. A block of one such rule holds views of its arrays, which
+        the caller must not write: a per-sample rule on a whole table fills a
+        chunk alone, and copying it was about a sixth of boxes' ``evaluate``."""
+        errors = np.full(len(rules), None, dtype=object)
+        row = {} if self.logic is None else self.logic.row
+        at = np.fromiter((row.get(rule, -1) for rule in rules), dtype=int, count=len(rules))
+        listed = at >= 0
+        read = {}  # position -> (values, mask) of a rule read through ``values``
+        for k in np.flatnonzero(~listed).tolist():
+            rule = rules[k]
+            try:
+                if rule.kind == LOGIC:
+                    raise ValueError(f"rule {rule.signature}: not among the logic rules "
+                                     f"this reader was made with")
+                read[k] = self.values(rule, s1_intervals[k])
+            except (QuantrulesError, ValueError) as exc:
+                errors[k] = exc
+        if len(read) == len(rules) == 1:  # one rule's own arrays, not copied
+            return read[0][0][None], read[0][1][None], errors
+        shape = self.rows.shape if at_each else self.rows.shape[:-1]
+        values = np.zeros((len(rules), *shape))
+        masks = np.zeros(values.shape, dtype=bool)
+        if listed.any():
+            values[listed], masks[listed] = self._value[at[listed]], self._valued[at[listed]]
+            errors[listed] = self._errors[at[listed]]
+        for k, (value, mask) in read.items():
+            values[k], masks[k] = value, mask
+        masks[np.not_equal(errors, None)] = False
+        return values, masks, errors
+
+
+def at_each(rule, registry):
+    """Whether ``rule`` is read at each position (a rule on a per-sample
+    statistic) or once per batch (a summary or logic rule). Raises the error
+    ``Cells.values`` raises first for a rule whose statistic cannot be
+    resolved or read per minibatch."""
+    return rule.kind != LOGIC and reads(registry.resolve(rule.statistic))[1]
 
 
 def logic_tables(rules, size_of):
@@ -268,9 +291,23 @@ def _count(words):
     return total
 
 
-# words per chunk array of the count kernel, 256 KiB, however many rules and
-# batches: memory follows this, not the rule count
-_CHUNK_WORDS = 2**15
+# eight-byte cells (uint64 words, float64 values) per chunk array, 256 KiB,
+# however many rules share a reader: the count kernel, selection and violation
+# counting take their rules this many cells at a time, so memory follows this,
+# not the rule count. Chunks of 1 MiB raised the peak RSS of a process that
+# mines and evaluates cardio20k repeatedly by 1.9 MB (see CHANGES.md).
+CHUNK_CELLS = 2**15
+
+
+def conjoin(holds, present, ids):
+    """(antecedent, usable) of each row of ``ids``: the AND of the ``holds``
+    rows of its literal ids, and of their ``present`` rows. The rows may be
+    bool masks or packed uint64 words (``pack_words``)."""
+    antecedent, usable = holds[ids[:, 0]], present[ids[:, 0]]
+    for j in ids.T[1:]:
+        antecedent &= holds[j]
+        usable &= present[j]
+    return antecedent, usable
 
 
 def score_logic_rules(table, dataset, rows, label_column):
@@ -308,14 +345,10 @@ def score_logic_rules(table, dataset, rows, label_column):
 
     value = np.zeros((len(table.ids), len(rows)))
     valued = np.zeros(value.shape, dtype=bool)
-    step = max(1, _CHUNK_WORDS // max(y.size, 1))
+    step = max(1, CHUNK_CELLS // max(y.size, 1))
     for s in range(0, len(table.ids), step):
-        ids, cls = table.ids[s:s + step], table.consequent[s:s + step]
-        antecedent, usable = holds[ids[:, 0]], present[ids[:, 0]]
-        for j in ids.T[1:]:
-            antecedent &= holds[j]
-            usable &= present[j]
-        label = classes[cls]
+        antecedent, usable = conjoin(holds, present, table.ids[s:s + step])
+        label = classes[table.consequent[s:s + step]]
         value[s:s + step] = f1_from_counts(_count(antecedent & label), _count(antecedent & y),
                                            _count(usable & label))
         valued[s:s + step] = _count(usable & y) > 0

@@ -157,13 +157,14 @@ def literal_cells(lit, dataset, rows):
     for a negated literal, their complement, and the mask of its present
     cells. A missing cell's truth is meaningless.
 
-    Raises ResolutionError for an absent column and TypeMismatchError for a
-    column that is not boolean.
+    Raises ResolutionError for an absent column and TypeMismatchError, naming
+    the dataset's file, for a column that is not boolean.
     """
     _require_column(dataset, lit.feature)
     if dataset.kind(lit.feature) != ds_mod.BOOLEAN:
+        where = f"{dataset.origin}: " if dataset.origin else ""
         raise TypeMismatchError(
-            f"literal {lit.feature!r} refers to a non-boolean column")
+            f"{where}literal {lit.feature!r} refers to a non-boolean column")
     vals = dataset.values(lit.feature)[rows]
     return ~vals if lit.negated else vals, ~dataset.missing(lit.feature)[rows]
 

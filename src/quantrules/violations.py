@@ -1,14 +1,14 @@
 """Rule violation counting over a test set.
 
 Learned intervals are closed, so a statistic exactly at a bound satisfies
-its rule. Every rule is read by ``rule_eval.Cells.values``: a per-sample rule
-on every applicable row, by one ``Cells`` of the whole table, and a minibatch
-rule on each of its seeded batches, by the reader of its batch size
-(``rule_eval.batch_sets``). A violated position charges one violation to its
-row, and a violated batch one to every member row, so the per-rule and
-per-sample margins both sum to the same total. The logic rules of a batch
-set are counted together, from the count kernel's matrices, and each batch
-is charged its violated rules with one add for the set (``_charge_logic``).
+its rule. Rules are read in blocks by ``rule_eval.Cells.block``: the
+per-sample rules on every applicable row, by one ``Cells`` of the whole
+table, and the minibatch rules on their seeded batches, by the reader of
+their batch size (``rule_eval.batch_sets``), logic rules from the count
+kernel's matrices. A violated position charges one violation to its row,
+and a violated batch one to every member row, so the per-rule and
+per-sample margins both sum to the same total. Each block is charged with
+one add (``_charge_block``).
 """
 from __future__ import annotations
 
@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (INT64_MAX, EmptyStatisticError, ParseError, ResolutionError,
-                     check_count, check_fields)
-from .rule_eval import Cells, batch_sets, logic_tables, outside, reads
-from .schema import LOGIC
+from . import rule_eval
+from .errors import (INT64_MAX, EmptyStatisticError, ParseError, QuantrulesError,
+                     ResolutionError, check_count, check_fields)
+from .rule_eval import Cells, at_each, batch_sets, logic_tables, outside
 from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
@@ -79,51 +79,26 @@ def logic_tables_at(rules, batch_size):
     return logic_tables([c.rule for c in rules], _size_of(batch_size))
 
 
-def _charge(cells, crule, sample_counts):
-    """The (violations, evaluations) of the concrete rule ``crule`` read on
-    ``cells``, its violations charged into ``sample_counts``: a violated
-    position charges its row, a violated batch each of its rows, and a batch
-    counts as many evaluations as it has rows."""
-    values, mask = cells.values(crule.rule, (crule.s1_lo, crule.s1_hi))
-    violated = mask & outside(values, crule.lo, crule.hi)
-    np.add.at(sample_counts, cells.rows[violated], 1)
-    size = math.prod(cells.rows.shape[mask.ndim:])
-    return int(violated.sum()) * size, int(mask.sum()) * size
-
-
-# batch cells per chunk of logic rules that ``_charge_logic`` reads, 256 KiB
-# of float64, however many rules share the batch set
-_CHUNK_CELLS = 2**15
-
-
-def _charge_logic(rules, positions, batch_set, sample_counts, counted):
-    """Count the violations of the concrete logic rules at ``positions`` of
-    ``rules``, all of one batch size, on the batch set ``batch_set`` reads
-    them on, from the count kernel's matrices, as ``_charge`` counts a rule
-    on its own. Each batch's violations are charged to each of its rows with
-    one add for the whole set, into ``sample_counts``. Each rule's
-    (violations, evaluations), or the error reading it raises, goes into
-    ``counted`` at its position. An error in making the reader is raised.
+def _charge_block(crules, cells, per_sample, sample_counts):
+    """Count the violations of the concrete rules ``crules``, all read at
+    each position (``per_sample``) or all once per batch, with one block read
+    on ``cells`` (``Cells.block``), and charge them into ``sample_counts``
+    with one add: a violated position charges its row, a violated batch each
+    of its rows. Returns each rule's violations and evaluations, a batch
+    counting as many evaluations as it has rows, and its read error or None.
     """
-    block = [rules[i].rule for i in positions]
-    cells = batch_set(block[0])
-    value, valued, at, errors = cells.logic_scores(block)
-    ok = np.equal(errors, None)
-    lo = np.array([rules[i].lo for i in positions], dtype=float)[:, None]
-    hi = np.array([rules[i].hi for i in positions], dtype=float)[:, None]
-    size = cells.rows.shape[1]
-    per_batch = np.zeros(len(cells.rows), dtype=np.int64)
-    counts = np.zeros((2, len(block)), dtype=np.int64)  # violated, valued batches
-    step = max(1, _CHUNK_CELLS // max(len(cells.rows), 1))
-    for s in range(0, len(block), step):
-        part = slice(s, s + step)
-        mask = valued[at[part]] & ok[part, None]
-        violated = mask & outside(value[at[part]], lo[part], hi[part])
-        per_batch += violated.sum(axis=0)
-        counts[:, part] = violated.sum(axis=1), mask.sum(axis=1)
-    np.add.at(sample_counts, cells.rows, per_batch[:, None])
-    for i, v, n, good, error in zip(positions, *(counts * size).tolist(), ok, errors):
-        counted[i] = (v, n) if good else error
+    values, masks, errors = cells.block([c.rule for c in crules],
+                                        [(c.s1_lo, c.s1_hi) for c in crules], per_sample)
+    ends = np.array([(c.lo, c.hi) for c in crules], dtype=float).reshape(
+        len(crules), 2, *[1] * (values.ndim - 1))
+    violated = masks & outside(values, ends[:, 0], ends[:, 1])
+    # the rows of each violated position or batch, for every rule
+    np.add.at(sample_counts, np.broadcast_to(cells.rows, (len(crules), *cells.rows.shape))[
+        violated], 1)
+    size = math.prod(cells.rows.shape[values.ndim - 1:])  # rows per value
+    counts = np.stack([violated.reshape(len(crules), -1).sum(axis=1),
+                       masks.reshape(len(crules), -1).sum(axis=1)]) * size
+    return counts, errors
 
 
 def evaluate(rules, test, batching=None, *, label_column=None, registry=None,
@@ -137,43 +112,63 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None,
     run; their signatures are kept in the report's ``unevaluable`` list.
     ``tables`` are ``logic_tables_at(rules, batch_size)``, made here when
     None; a caller that evaluates the rules more than once makes them once.
+
+    The rules are grouped by reader: one ``Cells`` of the whole table for
+    the per-sample rules, the batch set of each size for the others. Each
+    group is counted whole, ``rule_eval.CHUNK_CELLS`` value cells at a time
+    (``_charge_block``). Any other error is raised at its own rule, once
+    every rule has been read.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(test)
     if label_column is None:
         label_column = test.label_column
     sample_counts = np.zeros(test.n_rows, dtype=np.int64)
-    per_rule, unevaluable = [], []
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
-    logic = {}  # batch size -> positions of its logic rules, until they are counted
-    counted = {}  # logic rule position -> its (violations, evaluations) or error
     if batching is not None:
         fallback, count, seed = batching
         size_of = _size_of(fallback)
         if tables is None:
             tables = logic_tables_at(rules, fallback)
         batch_set = batch_sets(test, tables, size_of, count, seed, label_column, registry)
-        for i, crule in enumerate(rules):
-            if crule.rule.kind == LOGIC:
-                logic.setdefault(size_of(crule.rule), []).append(i)
-
+    outcome = {}  # rule position -> the error raised at it
+    groups = {}  # None for the whole table, else a batch size -> index
+    group = np.full(len(rules), -1)
     for i, crule in enumerate(rules):
-        rule = crule.rule
         try:
-            if rule.kind != LOGIC and reads(registry.resolve(rule.statistic))[1]:  # per sample
-                v, n = _charge(everywhere, crule, sample_counts)
+            if at_each(crule.rule, registry):
+                key = None
             elif batching is None:
                 raise ValueError("minibatch rules need a (batch_size, count, seed) batching")
-            elif rule.kind == LOGIC:  # with all of its size, at the first
-                if size_of(rule) in logic:
-                    _charge_logic(rules, logic.pop(size_of(rule)), batch_set, sample_counts,
-                                  counted)
-                if isinstance(counted[i], Exception):
-                    raise counted[i]
-                v, n = counted[i]
             else:
-                v, n = _charge(batch_set(rule), crule, sample_counts)
-        except (ResolutionError, EmptyStatisticError):
+                key = size_of(crule.rule)
+        except (QuantrulesError, ValueError) as exc:
+            outcome[i] = exc
+            continue
+        group[i] = groups.setdefault(key, len(groups))
+
+    counted = np.zeros((2, len(rules)), dtype=np.int64)  # violations, evaluations
+    for g, key in enumerate(groups):
+        positions = np.flatnonzero(group == g)
+        try:
+            cells = everywhere if key is None else batch_set(rules[positions[0]].rule)
+        except (QuantrulesError, ValueError) as exc:
+            outcome[int(positions[0])] = exc
+            continue
+        shape = cells.rows.shape if key is None else cells.rows.shape[:-1]
+        step = max(1, rule_eval.CHUNK_CELLS // max(math.prod(shape), 1))
+        for s in range(0, len(positions), step):
+            part = positions[s:s + step]
+            counted[:, part], errors = _charge_block([rules[i] for i in part.tolist()], cells,
+                                                    key is None, sample_counts)
+            outcome.update((int(part[k]), errors[k])
+                           for k in np.flatnonzero(np.not_equal(errors, None)))
+
+    per_rule, unevaluable = [], []
+    for i, (crule, v, n) in enumerate(zip(rules, *counted.tolist())):
+        if i in outcome:
+            if not isinstance(outcome[i], (ResolutionError, EmptyStatisticError)):
+                raise outcome[i]
             v, n = 0, 0  # rule not evaluable on this dataset; recorded as skipped
             unevaluable.append(crule.signature)
         per_rule.append((crule.signature, v, n))

@@ -931,6 +931,64 @@ def test_adapt_unevaluable_rule_exits_2_before_any_report(tmp_path, capsys, rule
     assert not (tmp_path / "before.json").exists()
 
 
+def _drift_flag(path):
+    """Rewrite the first data row's boolean ``flag`` cell of the table at
+    ``path`` to 2, so the column reads as numeric."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "2"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+DRIFT = "literal 'flag' refers to a non-boolean column"
+
+
+def test_mine_type_drift_in_valid_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    _drift_flag(tmp_path / "valid.csv")
+    assert main(["mine", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'valid.csv'}: {DRIFT}" in err and "Traceback" not in err
+    assert not (tmp_path / "rules.jsonl").exists()
+
+
+def _save_flag_rules(root):
+    """A rules file of a conditional rule and a logic rule on ``flag``."""
+    save_rules(root / "rules.jsonl", [
+        ConcreteRule(rule=AbstractRule(kind="conditional", statistic="x0"),
+                     lo=-1e9, hi=1e9, delta=0.02),
+        ConcreteRule(rule=AbstractRule(kind="logic", statistic="f1", literals=(Literal("flag"),),
+                                       consequent="b", batch_size=64),
+                     lo=0.1, hi=0.9, delta=0.02)])
+
+
+def test_evaluate_type_drift_in_test_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    _save_flag_rules(tmp_path)
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    _drift_flag(tmp_path / "test.csv")
+    (tmp_path / "report.json").unlink()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'test.csv'}: {DRIFT}" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_adapt_type_drift_in_test_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    _write_model(tmp_path)
+    _save_flag_rules(tmp_path)
+    _drift_flag(tmp_path / "test.csv")
+    _add_adapt_section(cfg, tmp_path)
+    assert main(["adapt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'rules.jsonl'}: rule " in err
+    assert f"{tmp_path / 'test.csv'}: {DRIFT}" in err and "Traceback" not in err
+    assert not (tmp_path / "before.json").exists()
+
+
 def test_adapt_logs_zero_loss_iterations(tmp_path, capsys):
     cfg = write_workspace(tmp_path)
     _write_model(tmp_path)

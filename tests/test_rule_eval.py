@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from conftest import make_dataset
 from quantrules import rule_eval, violations
-from quantrules.bounds import BoundJob, Interval, collect_statistics, learn_and_select
+from quantrules.bounds import (BoundJob, Interval, collect_statistics, learn_and_select,
+                               s1_bucket_edges, s1_bucket_interval)
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
 from quantrules.errors import (EmptyStatisticError, QuantrulesError, ResolutionError,
                                TypeMismatchError)
@@ -218,7 +219,7 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
     rules += [logic_rule(lits, classes[c]) for lits, c in drawn]
 
     # small chunk budgets split the rules into chunks of one or more
-    with mock.patch.object(rule_eval, "_CHUNK_WORDS", chunk_words):
+    with mock.patch.object(rule_eval, "CHUNK_CELLS", chunk_words):
         value, valued, errors = score_logic_rules(LogicTable(rules), ds, rows, label_column)
         listed = Cells(ds, rows, label_column, registry, LogicTable(rules))
     unlisted = Cells(ds, rows, label_column, registry)
@@ -269,7 +270,8 @@ def test_kernel_runs_once_per_batch_set():
                          label_column="y")
         assert sorted(calls) == [(2, (4, 2)), (2, (4, 3)), (2, (5, 2)), (2, (5, 3))]
         calls.clear()
-        violations.evaluate(concrete([(rule, None) for rule in rules], -1.0, 1.0), test,
+        violations.evaluate(concrete([(rule, (0.0, 1.0) if rule.kind == "paired" else None)
+                                      for rule in rules], -1.0, 1.0), test,
                             batching=(2, 6, 0), label_column="y")
         assert sorted(calls) == [(2, (6, 2)), (2, (6, 3))]
 
@@ -350,9 +352,11 @@ def test_logic_table_pads_ids_on_the_left_with_the_always_true_literal():
 
 def select_alone(rules, train, valid, job, label_column, log):
     """``learn_and_select`` one rule at a time through ``compute_bounds`` and
-    ``jaccard``, each rule read and scored on its own. A selected rule
-    records the batch size and delta its bounds were learned at."""
+    ``jaccard``, each rule read and scored on its own; a paired rule on both
+    sides in the s1 interval learned on train. A selected rule records the
+    batch size and delta its bounds were learned at."""
     registry = StatisticRegistry.from_dataset(train)
+    everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
     selected = []
     for rule in rules:
         size = job.batch_size or rule.batch_size
@@ -360,8 +364,11 @@ def select_alone(rules, train, valid, job, label_column, log):
         sets = [(train, sample_minibatches(train, size, job.n_train_batches, job.train_seed)),
                 (valid, sample_minibatches(valid, size, job.n_valid_batches, job.valid_seed))]
         try:
+            s1 = None
+            if rule.kind == "paired":
+                s1 = s1_bucket_interval(rule, s1_bucket_edges(rule, everywhere))
             t_int, v_int = (compute_bounds(rule, ds, rows, delta, registry=registry,
-                                           label_column=label_column)
+                                           label_column=label_column, s1_interval=s1)
                             for ds, rows in sets)
         except EmptyStatisticError as exc:
             log.append({"event": "skipped", "signature": rule_signature(rule),
@@ -369,7 +376,7 @@ def select_alone(rules, train, valid, job, label_column, log):
             continue
         logic = LogicTable([rule]) if rule.kind == "logic" else None
         pooled = np.concatenate([collect_statistics(rule, Cells(ds, rows, label_column,
-                                                                registry, logic))
+                                                                registry, logic), s1)
                                  for ds, rows in sets])
         score = jaccard(t_int, v_int, Interval(float(pooled.min()), float(pooled.max())))
         if score <= 1.0 - job.epsilon:
@@ -378,7 +385,7 @@ def select_alone(rules, train, valid, job, label_column, log):
             continue
         selected.append(ConcreteRule(
             rule=replace(rule, batch_size=size, delta=delta), lo=t_int.lo, hi=t_int.hi,
-            delta=delta,
+            delta=delta, s1_lo=None if s1 is None else s1[0], s1_hi=None if s1 is None else s1[1],
             provenance={"train": train.origin or "", "train_seed": job.train_seed,
                         "valid_seed": job.valid_seed}))
         log.append({"event": "selected", "signature": rule_signature(rule),
@@ -387,13 +394,23 @@ def select_alone(rules, train, valid, job, label_column, log):
 
 
 def mixed_rules(drawn, sizes):
-    """Logic rules of two batch sizes, with conditional rules among them."""
+    """Logic rules of two batch sizes, with per-sample, summary and paired
+    rules of both sizes among them."""
     rules = [AbstractRule(kind="logic", statistic="f1", literals=tuple(lits),
                           consequent="abc"[c], batch_size=sizes[i % 2], sided=sided)
              for i, (lits, c, sided) in enumerate(drawn)]
     rules.insert(len(rules) // 2, AbstractRule(kind="conditional", guard="a",
                                                statistic="mean(v)", batch_size=sizes[0]))
     rules.insert(1, AbstractRule(kind="conditional", statistic="v", batch_size=sizes[1]))
+    rules.insert(len(rules) // 3, AbstractRule(kind="conditional", guard="b",
+                                               statistic="std(v)", batch_size=sizes[1]))
+    rules.insert(2 * len(rules) // 3, AbstractRule(kind="conditional", guard="c",
+                                                   statistic="A", batch_size=sizes[0]))
+    rules.insert(len(rules) // 4, AbstractRule(kind="paired", guard="a", statistic="mean(v)",
+                                               s1="v", s1_bucket=1, s1_bucket_count=2,
+                                               batch_size=sizes[0]))
+    rules.append(AbstractRule(kind="paired", guard="b", statistic="A", s1="v", s1_bucket=0,
+                              s1_bucket_count=3, batch_size=sizes[1]))
     return rules
 
 
@@ -577,32 +594,43 @@ block_literals = st.lists(st.builds(Literal, block_features, st.booleans()),
        st.lists(st.tuples(block_literals, st.integers(0, 2),
                           st.sampled_from(["two", "lower", "upper"])), max_size=12),
        st.floats(0.05, 0.6), st.floats(0.0, 0.6), st.sampled_from([1, 7, 2**15]),
-       st.sampled_from(["y", "Q"]))
+       st.sampled_from(["y", "Q"]), st.none() | st.integers(0, 30))
 def test_logic_blocks_match_rules_read_one_by_one(seed, n_rows, n_tb, n_vb, sizes, epsilon,
-                                                   drawn, lo, width, chunk_cells, test_label):
-    """Logic rules selected and charged in blocks against the rules read one
-    at a time: the same rules, bounds, events and counts, or the same error
-    after the same events. Literals on D fail to read on valid and test (a
-    read error mid-list); those on E have no value on train (skipped) and
-    are unevaluable on test, and those on Z are read on no table. Each
-    logic rule comes twice, at two sidednesses. Row 0 misses every cell, so some
+                                                   drawn, lo, width, chunk_cells, test_label,
+                                                   absent):
+    """Rules of every kind selected and charged in blocks against the rules
+    read one at a time: the same rules, bounds, events and counts, or the
+    same error after the same events. Literals on D fail to read on valid
+    and test (a read error mid-list); those on E have no value on train
+    (skipped) and are unevaluable on test, and those on Z are read on no
+    table. Each rule comes twice, at two sidednesses. Per-sample, summary
+    and paired rules of both batch sizes sit among the logic rules; a
+    paired rule on E has no s1 value on train (skipped), and with
+    ``absent`` a rule on the absent column Z sits at that position (a read
+    error in mining, unevaluable on test). Row 0 misses every cell, so some
     batches have no usable row; small chunk budgets split the blocks. Test
     tables are read with the label column y, or with Q, which no table has:
     a rule's class then fails to read though its batches have usable rows."""
     rng = np.random.default_rng(seed)
     train, valid, test = block_datasets(rng, n_rows)
     rules = mixed_rules(drawn, sizes)
-    # each logic rule again with the next sidedness: equal value counts at
-    # other quantile levels, in the same block
+    # each rule again with the next sidedness: equal value counts at other
+    # quantile levels, in the same block
     turn = {"two": "lower", "lower": "upper", "upper": "two"}
-    rules += [replace(rule, sided=turn[rule.sided]) for rule in rules if rule.kind == "logic"]
+    rules += [replace(rule, sided=turn[rule.sided]) for rule in rules]
     # no value on train, then a read error on valid: skipped, valid unread
     rules.insert(len(drawn) // 2, replace(logic_rule([Literal("E"), Literal("D")], "a"),
                                           batch_size=sizes[0]))
+    rules.insert(len(rules) // 2, AbstractRule(kind="paired", guard="a", statistic="v",
+                                               s1="E", s1_bucket=0, s1_bucket_count=2,
+                                               batch_size=sizes[1]))
+    if absent is not None:
+        rules.insert(absent, AbstractRule(kind="conditional", statistic="Z",
+                                          batch_size=sizes[absent % 2]))
     job = BoundJob(n_train_batches=n_tb, n_valid_batches=n_vb, epsilon=epsilon,
                    train_seed=seed % 7, valid_seed=seed % 5)
     runs = []
-    with mock.patch("quantrules.bounds._CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(rule_eval, "CHUNK_CELLS", chunk_cells):
         for select in (lambda log: learn_and_select(rules, train, valid, job,
                                                     label_column="y", log=log),
                        lambda log: select_alone(rules, train, valid, job, "y", log)):
@@ -620,7 +648,18 @@ def test_logic_blocks_match_rules_read_one_by_one(seed, n_rows, n_tb, n_vb, size
         assert [(c.lo.hex(), c.hi.hex()) for c in got] == [(c.lo.hex(), c.hi.hex())
                                                            for c in want]
 
-    crules = concrete([(rule, None) for rule in rules], lo, lo + width)
+    # each paired rule in the s1 interval learned on train, if it has one
+    everywhere = Cells(train, np.arange(train.n_rows), "y", StatisticRegistry.from_dataset(train))
+    shapes = []
+    for rule in rules:
+        s1 = None
+        if rule.kind == "paired":
+            try:
+                s1 = s1_bucket_interval(rule, s1_bucket_edges(rule, everywhere))
+            except EmptyStatisticError:
+                s1 = (0.0, 1.0)
+        shapes.append((rule, s1))
+    crules = concrete(shapes, lo, lo + width)
     batching = (sizes[0], n_tb, seed % 3)
     try:
         want = evaluate_one_by_one(crules, test, batching, test_label)
@@ -628,6 +667,6 @@ def test_logic_blocks_match_rules_read_one_by_one(seed, n_rows, n_tb, n_vb, size
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             violations.evaluate(crules, test, batching, label_column=test_label)
         return
-    with mock.patch.object(violations, "_CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(rule_eval, "CHUNK_CELLS", chunk_cells):
         report = violations.evaluate(crules, test, batching, label_column=test_label)
     assert (report.per_rule, report.per_sample.tolist(), report.unevaluable) == want
