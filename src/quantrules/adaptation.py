@@ -17,9 +17,9 @@ else once per run. It rejects a test table that already holds a model
 output column, resolves the rules' statistics from the table's columns
 and the model's outputs, and keeps the rules in two tables: statistic
 rules (per-sample, paired and summary rules) and logic rules. Every data
-cell is read once, on the whole test table: each distinct statistic by
-``rule_eval.Cells``, and each distinct literal through the logic rules'
-``rule_eval.LogicTable``, whose literal ids the count kernel reads too.
+cell is read once, on the whole test table, by one ``rule_eval.Cells``:
+each distinct statistic, and each distinct literal, whose packed words the
+groups unpack and index by the rules' literal ids (``Cells.literal_ids``).
 Each batch gathers these stacks by its rows. Only the model outputs change
 from batch to batch: the score columns ``probs[:, j]`` and the predicted
 class, which is the guard.
@@ -47,7 +47,7 @@ import numpy as np
 
 from .dataset import checked_rows
 from .errors import DivergenceError, ResolutionError, TypeMismatchError
-from .rule_eval import Cells, LogicTable, applies, conjoin, outside, reads
+from .rule_eval import Cells, applies, conjoin, outside, reads, unpack_words
 from .schema import LOGIC, PAIRED
 from .statistics import StatisticRegistry, f1_from_counts, soften_grad, summarize
 
@@ -163,11 +163,13 @@ class RuleGroups:
         self.rules = list(rules)
         classes = list(model.class_names)
         self._n_classes = len(classes)
-        # logic rules: literal stacks in the table's id order, which its ids index
+        # logic rules: literal stacks in the reader's id order, which the ids index
         self._logic_at = [r for r, crule in enumerate(self.rules) if crule.rule.kind == LOGIC]
         if self._logic_at:
-            self._logic = LogicTable([self.rules[r].rule for r in self._logic_at])
-            self._holds, self._present, failed = self._logic.read(table, cells.rows)
+            self._ids = cells.literal_ids([self.rules[r].rule for r in self._logic_at])
+            self._holds, self._present = (unpack_words(words, table.n_rows)
+                                          for words in (cells.holds, cells.present))
+            logic_ids = iter(self._ids)  # each logic rule's, in rule order
             self._logic_lo = np.array([self.rules[r].lo for r in self._logic_at])
             self._logic_hi = np.array([self.rules[r].hi for r in self._logic_at])
         # stack rows in the order first read: the value pool of a batch is its
@@ -190,8 +192,8 @@ class RuleGroups:
                         raise ResolutionError(
                             f"consequent {rule.consequent!r} is not a model class; "
                             f"classes: {', '.join(classes)}")
-                    ids = self._logic.ids[self._logic.row[rule]]
-                    error = next((failed[j] for j in ids if failed[j] is not None), None)
+                    failed = [cells.literal_errors[j] for j in next(logic_ids)]
+                    error = next((exc for exc in failed if exc is not None), None)
                     if error is not None:  # the rule's first literal that cannot be read
                         raise error
                     continue
@@ -225,8 +227,10 @@ class RuleGroups:
             self._s1_bucket = (s1_lo[:, None], s1_hi[:, None]) if paired.any() else None
             # the per-sample rules' bounds as (rules, 1) columns
             self._lo, self._hi = lo[:len(sample), None], hi[:len(sample), None]
-        if self._logic_at:  # the table's consequents as model classes
-            self._classes = np.array([classes.index(c) for c in self._logic.consequents])
+        if self._logic_at:  # each distinct consequent's model class, and each rule's
+            self._classes, self._consequent = np.unique(
+                [classes.index(self.rules[r].rule.consequent) for r in self._logic_at],
+                return_inverse=True)
 
     # -- one batch ---------------------------------------------------------------
 
@@ -324,8 +328,8 @@ class RuleGroups:
         as the temperature tends to 0."""
         # each literal's cells at the batch rows; a literal holds only if present
         antecedent, usable = conjoin(self._holds[:, out.rows], self._present[:, out.rows],
-                                     self._logic.ids)
-        consequent = (pred == self._classes[:, None])[self._logic.consequent]
+                                     self._ids)
+        consequent = (pred == self._classes[:, None])[self._consequent]
         n_predicted = antecedent.sum(axis=1)
         f1 = f1_from_counts((antecedent & consequent).sum(axis=1), n_predicted,
                             (consequent & usable).sum(axis=1))
@@ -334,7 +338,7 @@ class RuleGroups:
             valued & outside(f1, self._logic_lo, self._logic_hi)))
         # softened consequent scores and d soft / d score, once per class
         soft, dsoft = soften_grad(out.probs.T[self._classes], temperature)
-        soft, dsoft = soft[self._logic.consequent], dsoft[self._logic.consequent]
+        soft, dsoft = soft[self._consequent], dsoft[self._consequent]
         hits = antecedent * soft
         for k in np.flatnonzero(valued):
             r, keep = self._logic_at[k], usable[k]
@@ -345,7 +349,7 @@ class RuleGroups:
                 continue
             dvalue = None if denom == 0.0 else np.where(
                 keep, ((2.0 * antecedent[k] - value) / denom) * dsoft[k], 0.0)
-            batch.append((r, value, self._classes[self._logic.consequent[k]], dvalue))
+            batch.append((r, value, self._classes[self._consequent[k]], dvalue))
         return violations
 
 

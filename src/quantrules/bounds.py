@@ -8,14 +8,14 @@ under the interval Jaccard index.
 ``learn_and_select`` reads and selects a whole rule list in blocks: the
 rules of one batch size and one value shape (per sample or per batch) are
 read together on the train and the valid reader of that size
-(``rule_eval.batch_sets``) by ``rule_eval.Cells.block``, logic rules from
-the count kernel's matrices and every other rule through
+(``rule_eval.batch_sets``) by ``rule_eval.Cells.block``, the logic rules
+of a block by one count kernel call and every other rule through
 ``Cells.values``. It stacks the values of the rules with equal value counts
 and quantile levels into (R, n) matrices, one per batch set, sorts each
 row, and takes the linear-interpolation percentiles (``interval_rows``)
 and the interval Jaccard index (``jaccard_rows``) element-wise on whole
 columns. A rule's bounds and score do not depend on the rules stacked with
-it. ``collect_statistics`` reads one rule's values the same way.
+it.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import sorted_percentiles
 from .errors import EmptyStatisticError, QuantrulesError
 from . import rule_eval
-from .rule_eval import Cells, applies, at_each, batch_sets, logic_tables
+from .rule_eval import Cells, applies, at_each, batch_sets
 from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import StatisticRegistry
 
@@ -98,15 +98,6 @@ def s1_bucket_interval(rule, edges):
     lo = -INF if rule.s1_bucket == 0 else edges[rule.s1_bucket - 1]
     hi = INF if rule.s1_bucket == rule.s1_bucket_count - 1 else edges[rule.s1_bucket]
     return float(lo), float(hi)
-
-
-def collect_statistics(rule, cells, s1_interval=None):
-    """A rule's statistic values over the minibatches ``cells`` reads, a
-    (count, size) row matrix: per-sample values pooled across batches in
-    row-major order, or one value per batch with a usable row, as
-    ``Cells.values`` reads the rule."""
-    values, mask = cells.values(rule, s1_interval)
-    return values[mask]
 
 
 def _empty(signature):
@@ -338,8 +329,7 @@ def _read_and_select(rules, train, valid, job, registry, label_column):
     rule's learned s1 interval by position."""
     size_of = lambda rule: job.batch_size or rule.batch_size
     delta_of = lambda rule: job.delta if job.delta is not None else rule.delta
-    tables = logic_tables(rules, size_of)  # shared by train and valid
-    readers = [batch_sets(dataset, tables, size_of, count, seed, label_column, registry)
+    readers = [batch_sets(dataset, size_of, count, seed, label_column, registry)
                for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
                                             (valid, job.n_valid_batches, job.valid_seed))]
     everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)

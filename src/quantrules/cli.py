@@ -233,10 +233,9 @@ def cmd_evaluate(cfg, args) -> int:
     log = _Logger(eval_cfg.get("log_out"))
     totals = []
     primary = None
-    tables = violations.logic_tables_at(rules, batch)  # one set for every seed
     for seed in seeds:
         report = violations.evaluate(rules, test, (batch, count, seed),
-                                     label_column=label_column, tables=tables)
+                                     label_column=label_column)
         totals.append(report.total_violations)
         if primary is None:
             primary = report
@@ -289,11 +288,9 @@ def cmd_adapt(cfg, args) -> int:
     eval_batch = adapt_cfg.get("eval_batch_size", batch_size)
     eval_count = adapt_cfg.get("eval_n_batches", 50)
     batching = (eval_batch, eval_count, seed)
-    tables = violations.logic_tables_at(rules, eval_batch)  # before and after
 
     before_ds = test.with_columns(model.predict_columns(test))
-    before = violations.evaluate(rules, before_ds, batching, label_column="pred",
-                                 tables=tables)
+    before = violations.evaluate(rules, before_ds, batching, label_column="pred")
     if adapt_cfg.get("report_before"):
         violations.write_report(before, adapt_cfg["report_before"], fmt=args.format)
 
@@ -312,8 +309,7 @@ def cmd_adapt(cfg, args) -> int:
         adapted.save(adapt_cfg["model_out"])
 
     after_ds = test.with_columns(adapted.predict_columns(test))
-    after = violations.evaluate(rules, after_ds, batching, label_column="pred",
-                                tables=tables)
+    after = violations.evaluate(rules, after_ds, batching, label_column="pred")
     if adapt_cfg.get("report_after"):
         violations.write_report(after, adapt_cfg["report_after"], fmt=args.format)
 

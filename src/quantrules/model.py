@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds_mod
-from .errors import ParseError
+from .errors import ParseError, TypeMismatchError
 
 ADAPTABLE = ("scale", "shift")
 
@@ -99,11 +99,21 @@ class SoftmaxModel:
 
     def feature_matrix(self, dataset):
         """The (rows, features) float64 matrix of the model's feature columns
-        of ``dataset``; boolean columns read as 0/1."""
+        of ``dataset``; boolean columns read as 0/1. Raises, naming the
+        dataset's file and the column, ValueError for an absent column or a
+        missing cell, with the first such row (rows count from 0), and
+        TypeMismatchError for a column that holds text."""
+        where = f"{dataset.origin}: " if dataset.origin else ""
         cols = []
         for name in self.feature_names:
             if not dataset.has_column(name):
-                raise ValueError(f"model feature {name!r} not in dataset")
+                raise ValueError(f"{where}model feature {name!r} not in dataset")
+            if dataset.kind(name) == ds_mod.LABEL:
+                raise TypeMismatchError(f"{where}model feature {name!r} holds text")
+            missing = np.flatnonzero(dataset.missing(name))
+            if missing.size:
+                raise ValueError(f"{where}model feature {name!r} has a missing cell, "
+                                 f"first in row {missing[0]} (rows count from 0)")
             cols.append(dataset.values(name))
         return np.stack(cols, axis=1).astype(float, copy=False)
 

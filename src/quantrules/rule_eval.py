@@ -8,28 +8,28 @@ is read at each position, a summary or logic rule once per batch
 learning, violation counting and the adaptation loss agree on which rows a
 rule covers and how it is read.
 
-``Cells`` reads the cells of one (table, rows) set: each distinct statistic
-and guard class once, however many rules read it. ``Cells.block`` reads a
-block of rules of one value shape, all read at each position or all once
-per batch (``at_each``): their stacked values and masks and each rule's read
-error. Logic rows come from the count kernel's matrices, and every other
-rule's through ``Cells.values``, which reads one rule. ``batch_sets`` makes
-the reader of each minibatch size. Mining and violation counting read every
-rule through ``Cells.block``, ``CHUNK_CELLS`` value cells at a time.
+``Cells`` reads the cells of one (table, rows) set: each distinct
+statistic, guard class and literal once, on first use, however many rules
+read it, and whichever rules it is asked for. ``Cells.block`` reads a block
+of rules of one value shape, all read at each position or all once per
+batch (``at_each``): their stacked values and masks and each rule's read
+error. ``batch_sets`` makes the reader of each minibatch size. Mining and
+violation counting read every rule through ``Cells.block``, ``CHUNK_CELLS``
+value cells at a time, so memory follows the block, not the rule count.
 
-Logic rules, almost all of the rules mining learns, are encoded once as
-literal and consequent ids by a ``LogicTable``, one per batch size
-(``logic_tables``), which the readers of every batch set of that size
-share. A reader runs the count kernel ``score_logic_rules`` on its table
-when it is made. The kernel packs each literal's cells of each batch into
-uint64 words, 64 rows a word, ANDs a rule's words (``conjoin``) and counts
-set bits: every rule's integer counts, a fixed budget of words at a time.
-The adaptation loss (``adaptation.RuleGroups``) reads its literals through
-a ``LogicTable`` too, unpacked, and joins them with ``conjoin``; it reads
-its statistics with a ``Cells`` of the whole test table, and masks and
-counts with ``applies`` and ``outside``.
+Logic rules, almost all of the rules mining learns, go through the count
+kernel ``score_logic_rules``, once per block, on that block's logic rules.
+The reader keeps each literal it has read packed into uint64 words, 64 rows
+a word, with its id (``Cells.literal_ids``); the kernel ANDs a rule's words
+(``conjoin``) and counts set bits, a fixed budget of words at a time. The
+adaptation loss (``adaptation.RuleGroups``) reads its statistics and
+literals with a ``Cells`` of the whole test table, unpacks the literals
+(``unpack_words``) and joins them with ``conjoin``; it masks and counts
+with ``applies`` and ``outside``.
 """
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -74,23 +74,27 @@ class Cells:
     a whole table, one minibatch, or a (count, m) matrix of minibatches as
     ``sample_minibatches`` draws them. Rows may repeat.
 
-    Each distinct per-sample statistic (values and present mask) and guard
-    class (mask) is read once, on first use, and kept. Guard classes are
-    read from ``label_column`` with ``match_class``, so a numeric class
-    column compares numbers. ``registry`` resolves statistic names. Read
-    errors are raised, never kept. The count kernel scores the rules of the
-    ``LogicTable`` ``logic`` on a (B, m) batch matrix when the reader is made.
+    Each distinct per-sample statistic (values and present mask), guard
+    class (mask) and literal is read once, on first use, and kept, however
+    many rules read it. Guard classes are read from ``label_column`` with
+    ``match_class``, so a numeric class column compares numbers.
+    ``registry`` resolves statistic names. Statistic and guard read errors
+    are raised, never kept; a literal's or a consequent class's is kept, for
+    the count kernel to give each rule its own (``score_logic_rules``).
     """
 
-    def __init__(self, dataset, rows, label_column, registry, logic=None):
+    def __init__(self, dataset, rows, label_column, registry):
         self.dataset, self.rows = dataset, np.asarray(rows, dtype=int)
         self.label_column, self.registry = label_column, registry
         self.statistics = {}  # name -> (values, present)
         self._guards = {}  # class -> mask
-        self.logic = logic
-        if logic is not None:
-            self._value, self._valued, self._errors = score_logic_rules(
-                logic, dataset, self.rows, label_column)
+        self._classes = {}  # class -> (words, error), see ``class_words``
+        # literal -> id: its row of ``holds``, ``present`` and ``literal_errors``;
+        # id 0 is the always-true literal, which pads a rule's ids
+        self.literals = {}
+        self.holds = pack_words(np.ones((1, *self.rows.shape), dtype=bool))
+        self.present = self.holds.copy()
+        self.literal_errors = [None]
 
     def statistic(self, name):
         """(values, present) of the per-sample statistic ``name``; missing
@@ -107,6 +111,58 @@ class Cells:
                                  else match_class(self.dataset, self.rows,
                                                   self.label_column, cls))
         return self._guards[cls]
+
+    def class_words(self, cls):
+        """(words, error) of the consequent class ``cls``: the rows of its
+        guard mask whose label is present, every such row when ``cls`` is
+        None, packed into words (``pack_words``), and None; or no row and
+        the error reading the class raised. Read once per class."""
+        if cls not in self._classes:
+            labelled = ~self.dataset.missing(self.label_column)[self.rows]
+            try:
+                mask, error = self.guard(cls) & labelled, None
+            except (ResolutionError, TypeMismatchError) as exc:
+                mask, error = np.zeros(self.rows.shape, dtype=bool), exc
+            self._classes[cls] = pack_words(mask), error
+        return self._classes[cls]
+
+    def literal_ids(self, rules):
+        """Each logic rule's literal ids in rule order, left-padded with the
+        always-true id 0, as an (R, k) array. A literal is read on first
+        use with ``literal_cells``: its masks of true present cells
+        (``holds``) and of present cells (``present``) packed into words
+        (``pack_words``), and None in ``literal_errors``; or no cell and its
+        read error."""
+        literals = [rule.literals for rule in rules]
+        lengths = np.fromiter(map(len, literals), dtype=int, count=len(literals))
+        ids = np.zeros((len(rules), lengths.max()), dtype=int)
+        # each row's last lengths[r] places, which row-major order fills in turn
+        ids[np.arange(ids.shape[1]) >= ids.shape[1] - lengths[:, None]] = self._ids(
+            list(chain.from_iterable(literals)))
+        return ids
+
+    def _ids(self, literals):
+        """The id of each of ``literals``, one lookup each; the literals not
+        read yet are read first."""
+        try:
+            return np.fromiter(map(self.literals.__getitem__, literals), dtype=int,
+                               count=len(literals))
+        except KeyError:  # a literal not read yet: read each new one, then look again
+            pass
+        new = [lit for lit in dict.fromkeys(literals) if lit not in self.literals]
+        holds = np.zeros((len(new), *self.rows.shape), dtype=bool)
+        present = holds.copy()
+        for j, lit in enumerate(new):
+            self.literals[lit] = len(self.literal_errors)
+            try:
+                truth, cells = literal_cells(lit, self.dataset, self.rows)
+                holds[j], present[j] = cells & truth, cells
+                self.literal_errors.append(None)
+            except (ResolutionError, TypeMismatchError) as exc:
+                self.literal_errors.append(exc)
+        self.holds = np.concatenate([self.holds, pack_words(holds)])
+        self.present = np.concatenate([self.present, pack_words(present)])
+        return self._ids(literals)
 
     def values(self, rule, s1_interval=None):
         """A rule's (values, mask): a per-sample rule's values at each
@@ -137,24 +193,21 @@ class Cells:
         (``at_each``) or all once per batch, as ``values`` reads each: their
         values and masks stacked into (R, ...) arrays, and each rule's read
         error or None, whose mask is all False. ``s1_intervals[k]`` is rule
-        k's learned s1 interval, or None. A logic rule's rows come from the
-        count kernel's matrices, and a logic rule not in the reader's table
-        fails with ValueError naming it; any other rule's rows come through
-        ``values``. A block of one such rule holds views of its arrays, which
-        the caller must not write: a per-sample rule on a whole table fills a
-        chunk alone, and copying it was about a sixth of boxes' ``evaluate``."""
+        k's learned s1 interval, or None. The logic rules' rows come from
+        one count kernel call on them (``score_logic_rules``); any other
+        rule's through ``values``. A block of one such rule holds views of
+        its arrays, which the caller must not write: a per-sample rule on a
+        whole table fills a chunk alone, and copying it was about a sixth of
+        boxes' ``evaluate``."""
+        logic = np.fromiter((rule.kind == LOGIC for rule in rules), dtype=bool,
+                            count=len(rules))
+        if logic.all():  # the kernel's own arrays, not copied
+            return score_logic_rules(self, rules)
         errors = np.full(len(rules), None, dtype=object)
-        row = {} if self.logic is None else self.logic.row
-        at = np.fromiter((row.get(rule, -1) for rule in rules), dtype=int, count=len(rules))
-        listed = at >= 0
         read = {}  # position -> (values, mask) of a rule read through ``values``
-        for k in np.flatnonzero(~listed).tolist():
-            rule = rules[k]
+        for k in np.flatnonzero(~logic).tolist():
             try:
-                if rule.kind == LOGIC:
-                    raise ValueError(f"rule {rule.signature}: not among the logic rules "
-                                     f"this reader was made with")
-                read[k] = self.values(rule, s1_intervals[k])
+                read[k] = self.values(rules[k], s1_intervals[k])
             except (QuantrulesError, ValueError) as exc:
                 errors[k] = exc
         if len(read) == len(rules) == 1:  # one rule's own arrays, not copied
@@ -162,12 +215,12 @@ class Cells:
         shape = self.rows.shape if at_each else self.rows.shape[:-1]
         values = np.zeros((len(rules), *shape))
         masks = np.zeros(values.shape, dtype=bool)
-        if listed.any():
-            values[listed], masks[listed] = self._value[at[listed]], self._valued[at[listed]]
-            errors[listed] = self._errors[at[listed]]
+        if logic.any():
+            at = np.flatnonzero(logic)
+            values[at], masks[at], errors[at] = score_logic_rules(
+                self, [rules[k] for k in at.tolist()])
         for k, (value, mask) in read.items():
             values[k], masks[k] = value, mask
-        masks[np.not_equal(errors, None)] = False
         return values, masks, errors
 
 
@@ -179,28 +232,17 @@ def at_each(rule, registry):
     return rule.kind != LOGIC and reads(registry.resolve(rule.statistic))[1]
 
 
-def logic_tables(rules, size_of):
-    """A ``LogicTable`` of the logic rules among ``rules`` for each minibatch
-    size ``size_of(rule)``, keyed by the size."""
-    by_size = {}
-    for rule in rules:
-        if rule.kind == LOGIC:
-            by_size.setdefault(size_of(rule), []).append(rule)
-    return {size: LogicTable(group) for size, group in by_size.items()}
-
-
-def batch_sets(dataset, tables, size_of, count, seed, label_column, registry):
+def batch_sets(dataset, size_of, count, seed, label_column, registry):
     """A function from a rule to the reader of its minibatch set: ``count``
     minibatches of ``dataset`` of the rule's size ``size_of(rule)``, drawn
-    with ``seed``. The reader of a size is made on first use, with that
-    size's table of ``tables`` (``logic_tables``)."""
+    with ``seed``. The reader of a size is made on first use."""
     readers = {}
 
     def reader(rule):
         size = size_of(rule)
         if size not in readers:
             readers[size] = Cells(dataset, sample_minibatches(dataset, size, count, seed),
-                                  label_column, registry, tables.get(size))
+                                  label_column, registry)
         return readers[size]
     return reader
 
@@ -219,59 +261,6 @@ def batch_values(stat, values, mask):
     return value, valued
 
 
-class LogicTable:
-    """The logic rules of a non-empty rule list as literal and consequent ids.
-
-    ``literals`` are the rules' distinct literals, sorted; id
-    ``len(literals)`` is the always-true literal. Row r of ``ids`` holds rule
-    r's literal ids in rule order, left-padded with the always-true id.
-    ``consequent[r]`` is the position of rule r's class in ``consequents``,
-    and ``row`` maps a rule to its row.
-    """
-
-    def __init__(self, rules):
-        every = [lit for rule in rules for lit in rule.literals]
-        self.literals = sorted(set(every))
-        index = {lit: j for j, lit in enumerate(self.literals)}
-        lengths = np.array([len(rule.literals) for rule in rules])
-        self.ids = np.full((len(rules), lengths.max()), len(self.literals))
-        # each row's last lengths[r] places, which row-major order fills in turn
-        self.ids[np.arange(lengths.max()) >= lengths.max() - lengths[:, None]] = np.fromiter(
-            map(index.__getitem__, every), dtype=int, count=len(every))
-        classes = {}
-        self.consequent = np.array([classes.setdefault(rule.consequent, len(classes))
-                                    for rule in rules])
-        self.consequents = list(classes)
-        # keyed by the rule: a lookup with the same object skips __eq__
-        self.row = {rule: r for r, rule in enumerate(rules)}
-
-    def read(self, dataset, rows):
-        """(holds, present, errors): each literal's masks of true, present cells
-        and of present cells at ``rows``, in id order, then the always-true
-        row; and each row's read error or None. A failed literal has no cell."""
-        return self._read(dataset, rows, np.asarray)
-
-    def words(self, dataset, rows):
-        """``read``, with each mask packed along the last axis of ``rows``
-        into uint64 words (``pack_words``)."""
-        return self._read(dataset, rows, pack_words)
-
-    def _read(self, dataset, rows, pack):
-        rows = np.asarray(rows, dtype=int)
-        ones = pack(np.ones(rows.shape, dtype=bool))
-        holds = np.empty((len(self.literals) + 1, *ones.shape), dtype=ones.dtype)
-        holds[-1] = ones
-        present = holds.copy()
-        errors = [None] * len(holds)
-        for j, lit in enumerate(self.literals):
-            try:
-                truth, cells = literal_cells(lit, dataset, rows)
-                holds[j], present[j] = pack(cells & truth), pack(cells)
-            except (ResolutionError, TypeMismatchError) as exc:
-                holds[j], present[j], errors[j] = 0, 0, exc
-        return holds, present, errors
-
-
 def pack_words(masks):
     """Bool ``masks`` packed along their last axis into uint64 words, 64 cells
     a word; the bits past the last cell are 0, so they count nowhere."""
@@ -279,6 +268,13 @@ def pack_words(masks):
     packed = np.zeros((*masks.shape[:-1], -(-n_bytes // 8) * 8), dtype=np.uint8)
     packed[..., :n_bytes] = np.packbits(masks, axis=-1, bitorder="little")
     return packed.view(np.uint64)
+
+
+def unpack_words(words, count):
+    """The bool masks of ``count`` cells that ``pack_words`` packed into
+    ``words`` along their last axis."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=count,
+                         bitorder="little").view(bool)
 
 
 def _count(words):
@@ -310,46 +306,46 @@ def conjoin(holds, present, ids):
     return antecedent, usable
 
 
-def score_logic_rules(table, dataset, rows, label_column):
-    """(value, valued, errors) of every rule of the ``LogicTable`` ``table``
-    on the (B, m) row matrix ``rows``, with consequent classes read from
-    ``label_column``: each rule's F1 on each batch, as an (R, B) matrix,
-    whether the batch has a usable row (the F1 is 0 where it has none), and
-    the read error each rule raises first, its literals' in rule order, then
-    its consequent's, or None.
+def score_logic_rules(cells, rules):
+    """(value, valued, errors) of the logic ``rules`` on the (B, m) row
+    matrix of the reader ``cells``, with consequent classes read from its
+    label column: each rule's F1 on each batch, as an (R, B) matrix, whether
+    the batch has a usable row (the F1 is 0 where it has none), and the read
+    error each rule raises first, its literals' in rule order, then its
+    consequent's, or None. A rule with an error has no usable batch.
 
-    Each literal's holds and present masks, the label's present mask ``y``
-    and each class's mask within ``y`` are packed into words per batch
-    (``LogicTable.words``). A rule's antecedent is the AND of its literals'
-    holds words, its usable cells the AND of their present words, and its
-    counts are set bits: true positives (antecedent and class), predicted
-    positives (antecedent and y), actual positives (usable and class) and
-    usable rows (usable and y). The counts are exact integers, so the F1 does
-    not depend on how rules or words are chunked.
+    The reader keeps each literal's holds and present masks, the label's
+    present mask ``y`` and each class's mask within ``y`` packed into words
+    per batch (``Cells.literal_ids``, ``Cells.class_words``). A rule's
+    antecedent is the AND of its literals' holds words, its usable cells the
+    AND of their present words, and its counts are set bits: true positives
+    (antecedent and class), predicted positives (antecedent and y), actual
+    positives (usable and class) and usable rows (usable and y). The counts
+    are exact integers, so the F1 does not depend on how rules or words are
+    chunked, or on which rules are scored together.
     """
-    rows = np.asarray(rows, dtype=int)
-    holds, present, failed = table.words(dataset, rows)
-    y_mask = ~dataset.missing(label_column)[rows]
-    y = pack_words(y_mask)
-    classes, class_failed = np.zeros((len(table.consequents), *y.shape), y.dtype), []
-    for c, cls in enumerate(table.consequents):
-        try:
-            classes[c] = pack_words(match_class(dataset, rows, label_column, cls) & y_mask)
-            class_failed.append(None)
-        except (ResolutionError, TypeMismatchError) as exc:
-            class_failed.append(exc)
+    ids = cells.literal_ids(rules)
+    classes = {}
+    consequent = np.array([classes.setdefault(rule.consequent, len(classes))
+                           for rule in rules])
+    y = cells.class_words(None)[0]
+    labels, class_failed = zip(*map(cells.class_words, classes))
+    labels = np.stack(labels)
     # each rule's first error: its literals' in rule order, then its class's
-    keyed = np.array(failed + class_failed, dtype=object)[
-        np.column_stack([table.ids, len(failed) + table.consequent])]
-    errors = keyed[np.arange(len(keyed)), np.not_equal(keyed, None).argmax(axis=1)]
+    failed = np.array(cells.literal_errors + list(class_failed), dtype=object)
+    keys = np.column_stack([ids, len(cells.literal_errors) + consequent])
+    bad = np.not_equal(failed, None)[keys]
+    broken = bad.any(axis=1)
+    errors = np.where(broken, failed[keys[np.arange(len(keys)), bad.argmax(axis=1)]], None)
 
-    value = np.zeros((len(table.ids), len(rows)))
+    value = np.zeros((len(rules), len(cells.rows)))
     valued = np.zeros(value.shape, dtype=bool)
     step = max(1, CHUNK_CELLS // max(y.size, 1))
-    for s in range(0, len(table.ids), step):
-        antecedent, usable = conjoin(holds, present, table.ids[s:s + step])
-        label = classes[table.consequent[s:s + step]]
+    for s in range(0, len(rules), step):
+        antecedent, usable = conjoin(cells.holds, cells.present, ids[s:s + step])
+        label = labels[consequent[s:s + step]]
         value[s:s + step] = f1_from_counts(_count(antecedent & label), _count(antecedent & y),
                                            _count(usable & label))
         valued[s:s + step] = _count(usable & y) > 0
+    valued[broken] = False
     return value, valued, errors

@@ -74,7 +74,7 @@ class Literal:
     negated: bool = False
 
     def __post_init__(self):
-        # hashed once: tables and rule hashes look literals up by the million,
+        # hashed once: readers and rule hashes look literals up by the million,
         # and the generated hash would build a tuple of the fields each time
         self.__dict__["_hash"] = hash((self.feature, self.negated))
 

@@ -4,11 +4,13 @@ Learned intervals are closed, so a statistic exactly at a bound satisfies
 its rule. Rules are read in blocks by ``rule_eval.Cells.block``: the
 per-sample rules on every applicable row, by one ``Cells`` of the whole
 table, and the minibatch rules on their seeded batches, by the reader of
-their batch size (``rule_eval.batch_sets``), logic rules from the count
-kernel's matrices. A violated position charges one violation to its row,
-and a violated batch one to every member row, so the per-rule and
-per-sample margins both sum to the same total. Each block is charged with
-one add (``_charge_block``).
+their batch size (``rule_eval.batch_sets``), the logic rules of each block
+by one count kernel call. Each ``evaluate`` makes its own readers, which
+read only what its rules need, so nothing is prepared for it or kept
+between calls. A violated position charges one violation to its row, and a
+violated batch one to every member row, so the per-rule and per-sample
+margins both sum to the same total. Each block is charged with one add
+(``_charge_block``).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 from . import rule_eval
 from .errors import (INT64_MAX, EmptyStatisticError, ParseError, QuantrulesError,
                      ResolutionError, check_count, check_fields)
-from .rule_eval import Cells, at_each, batch_sets, logic_tables, outside
+from .rule_eval import Cells, at_each, batch_sets, outside
 from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
@@ -66,19 +68,6 @@ class ViolationReport:
                 raise AssertionError(f"rule {sig}: count {v} outside [0, {n}]")
 
 
-def _size_of(fallback):
-    """A rule's minibatch size: its own, or ``fallback`` when it carries none."""
-    return lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
-
-
-def logic_tables_at(rules, batch_size):
-    """The logic tables (``rule_eval.logic_tables``) ``evaluate`` reads the
-    concrete ``rules`` with at the fallback ``batch_size``. They do not depend
-    on the test set or the seed, so one set serves every evaluation of these
-    rules at this batch size."""
-    return logic_tables([c.rule for c in rules], _size_of(batch_size))
-
-
 def _charge_block(crules, cells, per_sample, sample_counts):
     """Count the violations of the concrete rules ``crules``, all read at
     each position (``per_sample``) or all once per batch, with one block read
@@ -101,8 +90,8 @@ def _charge_block(crules, cells, per_sample, sample_counts):
     return counts, errors
 
 
-def evaluate(rules, test, batching=None, *, label_column=None, registry=None,
-             tables=None) -> ViolationReport:
+def evaluate(rules, test, batching=None, *, label_column=None,
+             registry=None) -> ViolationReport:
     """Count violations of every rule over a test dataset.
 
     ``batching`` is (batch_size, count, seed) for minibatch rules; the
@@ -110,14 +99,13 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None,
     are checked on every row, the others on each batch. Rules whose columns
     are absent are skipped with zero evaluations rather than failing the
     run; their signatures are kept in the report's ``unevaluable`` list.
-    ``tables`` are ``logic_tables_at(rules, batch_size)``, made here when
-    None; a caller that evaluates the rules more than once makes them once.
 
     The rules are grouped by reader: one ``Cells`` of the whole table for
-    the per-sample rules, the batch set of each size for the others. Each
-    group is counted whole, ``rule_eval.CHUNK_CELLS`` value cells at a time
-    (``_charge_block``). Any other error is raised at its own rule, once
-    every rule has been read.
+    the per-sample rules, the batch set of each size for the others, each
+    made here. Each group is counted whole, ``rule_eval.CHUNK_CELLS`` value
+    cells at a time (``_charge_block``), so memory follows the chunk, not
+    the rule count. Any other error is raised at its own rule, once every
+    rule has been read.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(test)
@@ -127,10 +115,9 @@ def evaluate(rules, test, batching=None, *, label_column=None, registry=None,
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
     if batching is not None:
         fallback, count, seed = batching
-        size_of = _size_of(fallback)
-        if tables is None:
-            tables = logic_tables_at(rules, fallback)
-        batch_set = batch_sets(test, tables, size_of, count, seed, label_column, registry)
+        # a rule's own minibatch size, or the fallback when it carries none
+        size_of = lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
+        batch_set = batch_sets(test, size_of, count, seed, label_column, registry)
     outcome = {}  # rule position -> the error raised at it
     groups = {}  # None for the whole table, else a batch size -> index
     group = np.full(len(rules), -1)

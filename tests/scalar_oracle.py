@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quantrules import bounds
 from quantrules.bounds import Interval, quantile_levels, s1_bucket_edges, s1_bucket_interval
 from quantrules.dataset import BOOLEAN, LABEL, checked_rows
 from quantrules.errors import (DivergenceError, EmptyStatisticError, ResolutionError,
                                TypeMismatchError)
-from quantrules.rule_eval import Cells, LogicTable
+from quantrules.rule_eval import Cells
 from quantrules.schema import LOGIC, PAIRED, rule_signature
 from quantrules.statistics import (PER_SAMPLE, Statistic, StatisticRegistry,
                                    match_class, sample_values_aligned, soften_scores)
@@ -414,9 +413,8 @@ def compute_bounds(rule, dataset, rows, delta=None, sided=None, *, registry=None
     if rule.kind == PAIRED and s1_interval is None:
         everywhere = Cells(dataset, np.arange(dataset.n_rows), label_column, registry)
         s1_interval = s1_bucket_interval(rule, s1_bucket_edges(rule, everywhere))
-    cells = Cells(dataset, rows, label_column, registry,
-                  LogicTable([rule]) if rule.kind == LOGIC else None)
-    values = bounds.collect_statistics(rule, cells, s1_interval)
+    values, mask = Cells(dataset, rows, label_column, registry).values(rule, s1_interval)
+    values = values[mask]
     if values.size == 0:
         raise EmptyStatisticError(f"rule {rule_signature(rule)}: no statistic values collected")
     return interval_from_values(values, rule.delta if delta is None else delta,

@@ -10,7 +10,7 @@ import scalar_oracle as oracle
 from conftest import make_dataset, write_csv
 from quantrules.dataset import (BOOLEAN, LABEL, NUMERIC, FeatureSpec, bucket_edges,
                                 load_table, split)
-from quantrules.rule_eval import Cells, LogicTable, score_logic_rules
+from quantrules.rule_eval import Cells, score_logic_rules, unpack_words
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import Statistic, StatisticRegistry, sample_values_aligned
 
@@ -72,8 +72,7 @@ def test_bool_storage_matches_float_storage(tmp_path_factory, table, seed, n_bat
              for cls in ("a", "b")
              for lits in [(lit,) for lit in literals] + [(Literal("p"), Literal("x__b0", True)),
                                                          (Literal("q", True), Literal("x__b1"))]]
-    logic = LogicTable(rules)
-    cells_of = Cells(ds, rows, "y", registry, logic)
+    cells_of = Cells(ds, rows, "y", registry)
 
     for name in flags:
         got, valid = sample_values_aligned(Statistic(name, "sample", "column", column=name),
@@ -88,13 +87,14 @@ def test_bool_storage_matches_float_storage(tmp_path_factory, table, seed, n_bat
             assert valued.tolist() == [w is not None for w in want], (name, summary)
             assert value.tolist() == [0.0 if w is None else w for w in want], (name, summary)
 
-    holds, present, errors = logic.read(ds, rows)
-    want_holds, want_present = oracle.float_literal_read(logic.literals, ft, rows)
-    assert errors == [None] * (len(logic.literals) + 1)
-    assert np.array_equal(holds[:-1], want_holds) and np.array_equal(present[:-1], want_present)
-    assert holds[-1].all() and present[-1].all()  # the always-true literal
+    cells_of.literal_ids(rules)
+    holds, present = (unpack_words(words, size) for words in (cells_of.holds, cells_of.present))
+    want_holds, want_present = oracle.float_literal_read(list(cells_of.literals), ft, rows)
+    assert cells_of.literal_errors == [None] * (len(cells_of.literals) + 1)
+    assert np.array_equal(holds[1:], want_holds) and np.array_equal(present[1:], want_present)
+    assert holds[0].all() and present[0].all()  # the always-true literal
 
-    value, valued, errors = score_logic_rules(logic, ds, rows, "y")
+    value, valued, errors = score_logic_rules(cells_of, rules)
     assert errors.tolist() == [None] * len(rules)
     for r, rule in enumerate(rules):
         want = oracle.float_f1(rule, ft, rows, "y")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from quantrules import cli, rule_eval, rules_io, schema
+from quantrules import cli, rules_io, schema
 from quantrules.cli import _load_config, main
 from quantrules.model import SoftmaxModel
 from quantrules.rules_io import load_rules, save_rules
@@ -166,9 +166,9 @@ def test_evaluate_roundtrip_and_seeds(tmp_path, capsys):
     assert totals["violations"] == sum(r["violations"] for r in report["per_rule"])
 
 
-def test_evaluate_seeds_builds_one_logic_table_per_batch_size(tmp_path, capsys, monkeypatch):
-    """``evaluate --seeds 8,9,10`` builds one LogicTable per batch size for all
-    three seeds, and logs the totals that one evaluate per seed gives."""
+def test_evaluate_seeds_logs_the_totals_of_each_seed_alone(tmp_path, capsys):
+    """``evaluate --seeds 8,9,10`` logs the totals that one evaluate per seed
+    gives, on logic rules of two batch sizes."""
     cfg = write_workspace(tmp_path)
     rules = [ConcreteRule(rule=AbstractRule(kind="logic", statistic="f1", consequent=cls,
                                             literals=(Literal("flag", neg),), batch_size=size),
@@ -182,19 +182,8 @@ def test_evaluate_seeds_builds_one_logic_table_per_batch_size(tmp_path, capsys, 
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg), "--seed", seed]) == 0
         totals.append(int(re.search(r" total_violations=(\d+) ", capsys.readouterr().out)[1]))
-    tables, make = [], rule_eval.LogicTable
-
-    def built(logic_rules):
-        tables.append(make(logic_rules))
-        return tables[-1]
-
-    monkeypatch.setattr(rule_eval, "LogicTable", built)
     assert main(["evaluate", "--config", str(cfg), "--seeds", "8,9,10"]) == 0
     out = capsys.readouterr().out
-    assert len(tables) == 2  # one per batch size, of that size's logic rules
-    assert {frozenset(rule.signature for rule in t.row) for t in tables} == {
-        frozenset(c.signature for c in rules[:-1] if c.rule.batch_size == size)
-        for size in (32, 64)}
     assert min(totals) > 0
     assert f" total_violations_mean={float(np.mean(totals))} " in out
     assert f" total_violations_std={float(np.std(totals))} " in out
@@ -986,6 +975,67 @@ def test_adapt_type_drift_in_test_exits_2_naming_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'rules.jsonl'}: rule " in err
     assert f"{tmp_path / 'test.csv'}: {DRIFT}" in err and "Traceback" not in err
+    assert not (tmp_path / "before.json").exists()
+
+
+# a model feature cell the model cannot read: (column, cell, the error)
+FEATURE_FAULTS = {
+    "text": (0, "abc", "model feature 'x0' holds text"),
+    "missing": (1, "", "model feature 'x1' has a missing cell, first in row 3 (rows count "
+                       "from 0)"),
+}
+
+
+def _feature_fault(root, table, fault, command):
+    """A workspace whose model reads x0 and x1, with ``fault`` in data row 3
+    of ``table`` and a rules file of one logic rule on ``flag``, set up for
+    ``command`` to read the model; returns the config path and the error."""
+    cfg = write_workspace(root)
+    _write_model(root)
+    save_rules(root / "rules.jsonl", [ConcreteRule(
+        rule=AbstractRule(kind="logic", statistic="f1", literals=(Literal("flag"),),
+                          consequent="b", batch_size=64), lo=0.1, hi=0.9, delta=0.02)])
+    if command == "adapt":
+        _add_adapt_section(cfg, root)
+    else:
+        config = yaml.safe_load(cfg.read_text(encoding="utf-8"))
+        config[command]["model_in"] = str(root / "model.json")
+        cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+    column, cell, message = FEATURE_FAULTS[fault]
+    lines = (root / table).read_text(encoding="utf-8").splitlines()
+    cells = lines[4].split(",")
+    cells[column] = cell
+    lines[4] = ",".join(cells)
+    (root / table).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cfg, f"{root / table}: {message}"
+
+
+@pytest.mark.parametrize("fault", sorted(FEATURE_FAULTS))
+def test_mine_model_feature_fault_in_valid_exits_2_naming_the_file(tmp_path, capsys, fault):
+    cfg, message = _feature_fault(tmp_path, "valid.csv", fault, "mine")
+    (tmp_path / "rules.jsonl").unlink()
+    assert main(["mine", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "rules.jsonl").exists()
+
+
+@pytest.mark.parametrize("fault", sorted(FEATURE_FAULTS))
+def test_evaluate_model_feature_fault_in_test_exits_2_naming_the_file(tmp_path, capsys,
+                                                                      fault):
+    cfg, message = _feature_fault(tmp_path, "test.csv", fault, "evaluate")
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("fault", sorted(FEATURE_FAULTS))
+def test_adapt_model_feature_fault_in_test_exits_2_naming_the_file(tmp_path, capsys, fault):
+    cfg, message = _feature_fault(tmp_path, "test.csv", fault, "adapt")
+    assert main(["adapt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "before.json").exists()
 
 

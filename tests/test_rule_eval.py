@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from conftest import make_dataset
 from quantrules import rule_eval, violations
-from quantrules.bounds import (BoundJob, Interval, collect_statistics, learn_and_select,
-                               s1_bucket_edges, s1_bucket_interval)
+from quantrules.bounds import (BoundJob, Interval, learn_and_select, s1_bucket_edges,
+                               s1_bucket_interval)
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, sample_minibatches
 from quantrules.errors import (EmptyStatisticError, QuantrulesError, ResolutionError,
                                TypeMismatchError)
-from quantrules.rule_eval import Cells, LogicTable, score_logic_rules
+from quantrules.rule_eval import Cells, score_logic_rules, unpack_words
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, rule_signature
-from quantrules.statistics import StatisticRegistry, match_class, sample_values_aligned
+from quantrules.statistics import (StatisticRegistry, literal_cells, match_class,
+                                   sample_values_aligned)
 from scalar_oracle import compute_bounds, jaccard
 
 
@@ -65,6 +66,14 @@ def rule_shapes(s1_interval, classes=CLASSES["y"]):
     return [(rule, s1_interval if rule.kind == "paired" else None) for rule in rules]
 
 
+def read_values(rule, cells, s1_interval=None):
+    """A rule's values that ``cells`` reads where its mask holds: per-sample
+    values pooled across batches in row-major order, or one value per batch
+    with a usable row."""
+    values, mask = cells.values(rule, s1_interval)
+    return values[mask]
+
+
 def concrete(shapes, lo, hi):
     return [ConcreteRule(rule=rule, lo=lo, hi=hi, delta=0.02,
                          s1_lo=None if s1 is None else s1[0],
@@ -95,10 +104,9 @@ def test_batch_matrix_matches_per_batch_oracle(seed, n, count, size, lo, width,
     rows = np.vstack([rng.integers(0, n, (count, size)), np.zeros((1, size), dtype=int)])
     shapes = rule_shapes((s1_lo, s1_lo + s1_width), CLASSES[label_column])
 
-    cells = Cells(ds, rows, label_column, registry,  # shared by every rule
-                  LogicTable([rule for rule, _ in shapes if rule.kind == "logic"]))
+    cells = Cells(ds, rows, label_column, registry)  # shared by every rule
     for rule, s1_interval in shapes:
-        got = collect_statistics(rule, cells, s1_interval)
+        got = read_values(rule, cells, s1_interval)
         expect = oracle.collect_statistics(rule, ds, rows, registry, label_column,
                                            s1_interval)
         assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), rule
@@ -219,34 +227,34 @@ def test_logic_kernel_matches_per_batch_oracle(seed, n, count, size, label_colum
     rules += [logic_rule(lits, classes[c]) for lits, c in drawn]
 
     # small chunk budgets split the rules into chunks of one or more
+    listed = Cells(ds, rows, label_column, registry)  # every rule scored at once
     with mock.patch.object(rule_eval, "CHUNK_CELLS", chunk_words):
-        value, valued, errors = score_logic_rules(LogicTable(rules), ds, rows, label_column)
-        listed = Cells(ds, rows, label_column, registry, LogicTable(rules))
+        value, valued, errors = score_logic_rules(listed, rules)
+    # a reader asked for one rule at a time, reading new literals as they come
     unlisted = Cells(ds, rows, label_column, registry)
-    with pytest.raises(ValueError, match=re.escape(f"rule {rule_signature(rules[0])}: "
-                                                   "not among the logic rules")):
-        unlisted.values(rules[0])
     assert value.shape == valued.shape == (len(rules), count + 1)
     assert errors.shape == (len(rules),)
     for r, rule in enumerate(rules):
-        alone = score_logic_rules(LogicTable([rule]), ds, rows, label_column)
+        alone = score_logic_rules(Cells(ds, rows, label_column, registry), [rule])
         try:
             batches = [oracle.evaluate_batch(rule, ds, b, label_column, registry).value
                        for b in rows]
         except QuantrulesError as exc:
             for error in (errors[r], alone[2][0]):
                 assert type(error) is type(exc) and str(error) == str(exc), rule
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                listed.values(rule)
+            for cells in (listed, unlisted):
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    cells.values(rule)
             continue
         assert errors[r] is None, rule
         assert valued[r].tolist() == [v is not None for v in batches], rule
         expect = np.array([0.0 if v is None else v for v in batches])
         assert value[r].tobytes() == expect.tobytes(), rule
-        got_value, got_valued = listed.values(rule)
-        assert got_value.tobytes() == alone[0][0].tobytes(), rule
-        assert got_valued.tobytes() == alone[1][0].tobytes(), rule
-        got = collect_statistics(rule, listed)
+        for cells in (listed, unlisted):
+            got_value, got_valued = cells.values(rule)
+            assert got_value.tobytes() == alone[0][0].tobytes(), rule
+            assert got_valued.tobytes() == alone[1][0].tobytes(), rule
+        got = read_values(rule, listed)
         want = oracle.collect_statistics(rule, ds, rows, registry, label_column)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule
 
@@ -261,9 +269,9 @@ def test_kernel_runs_once_per_batch_set():
     rules = mixed_rules(drawn, (2, 3))  # two logic rules of each batch size
     calls, score = [], rule_eval.score_logic_rules
 
-    def counted(table, dataset, rows, label_column):
-        calls.append((len(table.ids), rows.shape))
-        return score(table, dataset, rows, label_column)
+    def counted(cells, logic_rules):
+        calls.append((len(logic_rules), cells.rows.shape))
+        return score(cells, logic_rules)
 
     with mock.patch.object(rule_eval, "score_logic_rules", counted):
         learn_and_select(rules, train, valid, BoundJob(n_train_batches=5, n_valid_batches=4),
@@ -276,76 +284,88 @@ def test_kernel_runs_once_per_batch_set():
         assert sorted(calls) == [(2, (6, 2)), (2, (6, 3))]
 
 
-def test_evaluate_without_a_table_for_a_size_fails_at_its_first_logic_rule():
-    """Logic rules counted in blocks fail as ``Cells.values`` fails on a rule
-    its reader has no table for: at the first such rule, naming it."""
-    test = logic_dataset(np.random.default_rng(4), 40)
-    crules = concrete([(AbstractRule(kind="conditional", statistic="v"), None),
-                       (logic_rule([A], "a"), None), (logic_rule([NOT_A], "b"), None)],
-                      0.1, 0.9)
-    with pytest.raises(ValueError, match=re.escape(f"rule {crules[1].signature}: not among "
-                                                   "the logic rules")):
-        violations.evaluate(crules, test, batching=(4, 3, 0), label_column="y", tables={})
-
-
-def test_learn_and_select_shares_one_table_per_batch_size():
-    """One ``learn_and_select`` call builds one LogicTable per batch size, of
-    that size's logic rules, and the train and valid readers of the size both
-    score that table."""
+@pytest.mark.parametrize("chunk_cells", [1, 2**15])
+def test_readers_read_each_literal_and_class_once(chunk_cells):
+    """Each reader of ``learn_and_select`` and ``evaluate`` reads each
+    distinct literal and each class at most once, however its rules are
+    split into blocks (one rule a block with a budget of 1), and reads the
+    literals of its own batch size's logic rules."""
     rng = np.random.default_rng(1)
-    train, valid = (logic_dataset(rng, 40) for _ in range(2))
+    train, valid, test = (logic_dataset(rng, 40) for _ in range(3))
+    C = Literal("C")
     drawn = [([A], 0, "two"), ([A, Literal("B")], 1, "lower"), ([NOT_A], 1, "upper"),
-             ([Literal("C")], 0, "two"), ([Literal("B")], 2, "two")]
+             ([C], 0, "two"), ([Literal("B"), NOT_A, C], 2, "two"), ([C, A], 2, "lower")]
     rules = mixed_rules(drawn, (2, 3))
-    tables, scored = [], []
-    make, score = rule_eval.LogicTable, rule_eval.score_logic_rules
+    literals, classes = Counter(), Counter()
 
-    def built(logic_rules):
-        tables.append(make(logic_rules))
-        return tables[-1]
+    def read_literal(lit, dataset, rows):
+        literals[lit, id(dataset), rows.shape] += 1
+        return literal_cells(lit, dataset, rows)
 
-    def counted(table, dataset, rows, label_column):
-        scored.append((table, dataset, rows.shape))
-        return score(table, dataset, rows, label_column)
+    def read_class(dataset, rows, column, cls):
+        classes[cls, id(dataset), rows.shape] += 1
+        return match_class(dataset, rows, column, cls)
 
-    with mock.patch.object(rule_eval, "LogicTable", built), \
-            mock.patch.object(rule_eval, "score_logic_rules", counted):
+    with mock.patch.object(rule_eval, "CHUNK_CELLS", chunk_cells), \
+            mock.patch.object(rule_eval, "literal_cells", read_literal), \
+            mock.patch.object(rule_eval, "match_class", read_class):
         learn_and_select(rules, train, valid, BoundJob(n_train_batches=5, n_valid_batches=4),
                          label_column="y")
+        violations.evaluate(concrete([(rule, (0.0, 1.0) if rule.kind == "paired" else None)
+                                      for rule in rules], -1.0, 1.0), test,
+                            batching=(2, 6, 0), label_column="y")
     logic = [rule for rule in rules if rule.kind == "logic"]
-    assert sorted([list(t.row) for t in tables], key=len) == [
-        [rule for rule in logic if rule.batch_size == size] for size in (3, 2)]
-    for table in tables:
-        size = next(iter(table.row)).batch_size
-        assert sorted(((d is valid, shape) for t, d, shape in scored if t is table)) == [
-            (False, (5, size)), (True, (4, size))]
-    assert len(scored) == 4
+    assert set(literals) == {(lit, id(ds), (count, rule.batch_size))
+                             for ds, count in ((train, 5), (valid, 4), (test, 6))
+                             for rule in logic for lit in rule.literals}
+    assert set(literals.values()) == {1}
+    assert {(rule.consequent, id(ds), (count, rule.batch_size))
+            for ds, count in ((train, 5), (valid, 4), (test, 6)) for rule in logic} <= set(classes)
+    assert set(classes.values()) == {1}
 
 
-def test_logic_table_pads_ids_on_the_left_with_the_always_true_literal():
+def test_a_reader_scores_any_logic_rule_it_is_asked_for():
+    """A reader made with no rules scores whichever logic rules it is then
+    asked for, a block at a time, with new literals read as they come, the
+    same as a reader that scores them all at once; its literal ids name each
+    literal once."""
+    ds = logic_dataset(np.random.default_rng(6), 30)
+    registry = StatisticRegistry.from_dataset(ds)
+    rows = sample_minibatches(ds, 5, 4, 0)
+    B, C = Literal("B"), Literal("C")
+    rules = [logic_rule([A], "a"), logic_rule([B, NOT_A], "b"), logic_rule([C], "c"),
+             logic_rule([NOT_A, C, Literal("B", negated=True)], "a"), logic_rule([A, B], "c")]
+    whole = score_logic_rules(Cells(ds, rows, "y", registry), rules)
+    cells = Cells(ds, rows, "y", registry)
+    parts = [score_logic_rules(cells, part) for part in (rules[:1], rules[1:3], rules[3:])]
+    for got, want in zip(zip(*parts), whole):
+        assert np.concatenate(got).tobytes() == want.tobytes()
+    assert list(cells.literals.values()) == list(range(1, 6))
+    assert len(cells.holds) == len(cells.present) == len(cells.literal_errors) == 6
+
+
+def test_literal_ids_pad_on_the_left_with_the_always_true_literal():
     """A rule's literal ids keep its literal order, padded on the left with
-    the always-true id."""
+    the always-true id 0; a reader numbers literals in the order it first
+    reads them."""
     B = Literal("B")
     rules = [logic_rule([A], "b"), logic_rule([B, NOT_A, A], "a"), logic_rule([NOT_A, B], "b"),
              logic_rule([NOT_A, A], "b")]
-    table = LogicTable(rules)
-    assert table.literals == [A, NOT_A, B]
-    assert table.ids.tolist() == [[3, 3, 0], [2, 1, 0], [3, 1, 2], [3, 1, 0]]
-    assert table.consequents == ["b", "a"] and table.consequent.tolist() == [0, 1, 0, 0]
-    assert table.row == {rule: r for r, rule in enumerate(rules)}
     ds = logic_dataset(np.random.default_rng(2), 6)
     rows = np.array([[0, 1, 2], [3, 4, 5]])
-    holds, present, errors = table.read(ds, rows)
-    assert holds.shape == present.shape == (4, 2, 3) and errors == [None] * 4
-    assert holds[3].all() and present[3].all()
-    for j, lit in enumerate(table.literals):
+    cells = Cells(ds, rows, "y", StatisticRegistry.from_dataset(ds))
+    assert cells.literal_ids(rules).tolist() == [[0, 0, 1], [2, 3, 1], [0, 3, 2], [0, 3, 1]]
+    assert cells.literals == {A: 1, B: 2, NOT_A: 3}
+    assert cells.literal_errors == [None] * 4
+    holds, present = (unpack_words(words, 3) for words in (cells.holds, cells.present))
+    assert holds.shape == present.shape == (4, 2, 3)
+    assert holds[0].all() and present[0].all()
+    for lit, j in cells.literals.items():
         truth, want_present = oracle.float_literal_cells(lit, ds, rows)
         assert holds[j].tolist() == (want_present & (truth == 1.0)).tolist()
         assert present[j].tolist() == want_present.tolist()
     # packed into one uint64 word per batch, bit r for row r, higher bits 0
-    packed = table.words(ds, rows)
-    assert packed[2] == errors
-    for words, masks in zip(packed[:2], (holds, present)):
+    for words, masks in zip((cells.holds, cells.present), (holds, present)):
         assert words.dtype == np.uint64 and words.shape == (4, 2, 1)
         assert words[..., 0].tolist() == (masks << np.arange(3)).sum(axis=-1).tolist()
 
@@ -374,9 +394,7 @@ def select_alone(rules, train, valid, job, label_column, log):
             log.append({"event": "skipped", "signature": rule_signature(rule),
                         "reason": str(exc)})
             continue
-        logic = LogicTable([rule]) if rule.kind == "logic" else None
-        pooled = np.concatenate([collect_statistics(rule, Cells(ds, rows, label_column,
-                                                                registry, logic), s1)
+        pooled = np.concatenate([read_values(rule, Cells(ds, rows, label_column, registry), s1)
                                  for ds, rows in sets])
         score = jaccard(t_int, v_int, Interval(float(pooled.min()), float(pooled.max())))
         if score <= 1.0 - job.epsilon:
@@ -468,8 +486,9 @@ def check_selected_alone(seed, n_train, n_valid, n_tb, n_vb, sizes, delta, epsil
     assert [(c.lo.hex(), c.hi.hex()) for c in got] == [(c.lo.hex(), c.hi.hex()) for c in want]
 
     rows = {size: sample_minibatches(train, size, n_tb, job.train_seed) for size in sizes}
-    valued = [score_logic_rules(LogicTable([rule]), train, rows[rule.batch_size], "y")[1][0]
-              for rule in rules if rule.kind == "logic"]
+    registry = StatisticRegistry.from_dataset(train)
+    valued = [score_logic_rules(Cells(train, rows[rule.batch_size], "y", registry),
+                                [rule])[1][0] for rule in rules if rule.kind == "logic"]
     return sum(0 < v.sum() < v.size for v in valued), None
 
 
@@ -559,8 +578,7 @@ def evaluate_one_by_one(crules, test, batching, label_column):
     registry = StatisticRegistry.from_dataset(test)
     fallback, count, seed = batching
     size_of = lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
-    reader = rule_eval.batch_sets(test, violations.logic_tables_at(crules, fallback), size_of,
-                                  count, seed, label_column, registry)
+    reader = rule_eval.batch_sets(test, size_of, count, seed, label_column, registry)
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
     counts, per_rule, unevaluable = np.zeros(test.n_rows, dtype=np.int64), [], []
     for crule in crules:

@@ -9,7 +9,7 @@ from conftest import make_dataset
 from quantrules.dataset import BOOLEAN, LABEL, NUMERIC
 from quantrules.errors import (EmptyStatisticError, ParseError, ResolutionError,
                                TypeMismatchError)
-from quantrules.rule_eval import Cells, LogicTable
+from quantrules.rule_eval import Cells
 from quantrules.schema import AbstractRule, Literal
 from quantrules.statistics import (BOX_COLUMNS, Statistic, StatisticRegistry,
                                    load_boxes, sigmoid, soften_grad, soften_scores)
@@ -40,7 +40,7 @@ def evaluated(ds, statistic, rows, registry=None):
 
 def f1_of(rule, ds, n, label_column):
     value, valued = Cells(ds, np.arange(n)[None], label_column,
-                          StatisticRegistry.from_dataset(ds), LogicTable([rule])).values(rule)
+                          StatisticRegistry.from_dataset(ds)).values(rule)
     (value,) = value[valued]
     return float(value)
 
