@@ -109,11 +109,18 @@ def _load_config(path, command):
             raise ParseError(f"{path}: unknown section {name!r}; "
                              f"known sections: {', '.join(_CONFIG_KEYS)}")
         _check_keys(path, f"section {name!r}", section, _CONFIG_KEYS[name])
+    # two entries for one column make the same columns unless one of them is bucketed
+    entries = {}
     for i, entry in enumerate(cfg.get("data", {}).get("features") or []):
         where = f"section 'data': features[{i}]"
         _check_keys(path, where, entry, _FEATURE_KEYS)
         if "column" not in entry:
             raise ParseError(f"{path}: {where}: missing key 'column'")
+        key = (entry["column"], entry.get("buckets") is None)
+        if key in entries:
+            raise ParseError(f"{path}: {where}: column {entry['column']!r} is "
+                             f"already read by features[{entries[key]}]")
+        entries[key] = i
     adapt_cfg = cfg.get("adapt") or {}
     if "iterations" in adapt_cfg and "epochs" in adapt_cfg:
         raise ParseError(f"{path}: section 'adapt': keys 'iterations' and 'epochs' are "

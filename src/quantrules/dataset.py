@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -218,23 +219,95 @@ def bucket_indicators(values, edges, count) -> np.ndarray:
     return bucket_index(values, edges) == np.arange(count)[:, None]
 
 
-def _infer_kind(cells):
-    """(kind, float array or None): numeric unless a cell fails to parse,
-    boolean when all values are 0/1."""
+def _is_number(cell):
+    """True when numpy parses ``cell`` as a float, as it parses a block."""
     try:
-        parsed = np.array(cells, dtype=float)
+        np.array([cell], dtype=float)
     except ValueError:
-        return LABEL, None
-    # not np.isin, for the reason given in Dataset
-    if ((parsed == 0.0) | (parsed == 1.0)).all():
-        return BOOLEAN, parsed
-    return NUMERIC, parsed
+        return False
+    return True
 
 
-# the plain reader reads a table in blocks of whole lines of about this many
-# characters, so no buffer holds the whole file. A block stays below malloc's
-# default mmap threshold (128 KiB): freeing a larger one raises the threshold,
-# after which later arrays stay on the heap and the peak RSS grows
+def _joined(parts, dtype):
+    """One array of the parts, in order; the part itself when there is one."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+class _Column:
+    """One source column of a table, parsed block by block as it is read:
+    a float64 part (0 at an empty cell) and a present mask per block while
+    every cell is a number or empty, the stripped cells once one is not.
+    Faults are held, not raised, so that a record fault later in the file
+    is raised first."""
+
+    def __init__(self, text=False):
+        self.values, self.present = [], []
+        self.text = [] if text else None
+        self.reread = False  # it held numbers before its first text block
+        self.non_number = None  # (row, cell) of the first cell that is not a number
+        self.non_finite = None  # (row, cell) of the first nan or inf
+
+    def add(self, cells, row):
+        """Parse the cells of rows ``row``, ``row`` + 1, ... of the column."""
+        if self.text is None:
+            # float() ignores surrounding whitespace and rejects an empty
+            # cell, so a block that parses unstripped has every cell present
+            try:
+                values = np.array(cells, dtype=float)
+            except ValueError:
+                pass
+            else:
+                self._add_numbers(values, np.ones(len(cells), dtype=bool), cells, row)
+                return
+        cells = list(map(str.strip, cells))
+        present = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+        if self.text is None:
+            try:
+                parsed = np.array(list(filter(None, cells)), dtype=float)
+            except ValueError:
+                i = next(i for i, c in enumerate(cells) if c and not _is_number(c))
+                self.non_number = (row + i, cells[i])
+                self.reread = bool(self.values)
+                self.text = []
+            else:
+                values = np.zeros(len(cells))
+                values[present] = parsed
+                self._add_numbers(values, present, cells, row)
+                return
+        self.text.append(np.array(cells, dtype=str))
+        self.present.append(present)
+
+    def _add_numbers(self, values, present, cells, row):
+        if self.non_finite is None:
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                self.non_finite = (row + int(bad[0]), cells[bad[0]].strip())
+        self.values.append(values)
+        self.present.append(present)
+
+    def join(self):
+        """(kind, values, present) of the whole column: label with its
+        stripped cells, else boolean when every present value is 0/1 and
+        numeric otherwise, with float64 values. Each list of parts becomes
+        its one joined part."""
+        self.present = [_joined(self.present, bool)]
+        if self.text is not None:
+            self.text = [_joined(self.text, str)]
+            return LABEL, self.text[0], self.present[0]
+        self.values = [_joined(self.values, float)]
+        values = self.values[0]
+        # not np.isin, for the reason given in Dataset
+        kind = BOOLEAN if ((values == 0.0) | (values == 1.0)).all() else NUMERIC
+        return kind, values, self.present[0]
+
+
+# both readers hand on a table in blocks of whole records of about this many
+# characters, so no buffer holds the whole file and each block's cells are
+# freed once it is parsed. A block stays below malloc's default mmap
+# threshold (128 KiB): freeing a larger one raises the threshold, after which
+# later arrays stay on the heap and the peak RSS grows
 _BLOCK_CHARS = 1 << 16
 
 
@@ -258,28 +331,33 @@ def _check_record(path, fields, width, lineno, limit):
                          line=lineno)
 
 
-def _split_plain(path, limit):
-    """(header, per-column cell lists) of a file in which csv.reader ends every
-    record at a newline and every field at a comma; None when the file holds
-    a quote or a CR."""
+class _NotPlain(Exception):
+    """The file holds a quote or a CR, where csv.reader and ``str`` methods
+    may split it differently."""
+
+
+def _plain_blocks(path, limit):
+    """The header's fields, then (row count, the cells in row order) of each
+    block, of a file in which csv.reader ends every record at a newline and
+    every field at a comma; raises _NotPlain on the first quote or CR."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             header = fh.readline()
             if not header:
                 raise ParseError(f"{path}: empty file, expected a header row")
             if '"' in header or "\r" in header:
-                return None
+                raise _NotPlain
             header = header.removesuffix("\n")
             header = header.split(",") if header else []  # a blank line has no fields
             width = len(header)
             _check_record(path, header, width, 1, limit)
-            columns = [[] for _ in header]
+            yield header
             lineno, rest = 2, ""
             while True:
                 chunk = fh.read(_BLOCK_CHARS)
                 text = rest + chunk
                 if '"' in text or "\r" in text:
-                    return None
+                    raise _NotPlain
                 if chunk:  # hold back the last line, which may go on in the next chunk
                     end = text.rfind("\n")
                     if end < 0:
@@ -287,44 +365,115 @@ def _split_plain(path, limit):
                         continue
                     text, rest = text[:end], text[end + 1:]
                 elif not text:
-                    break
+                    return
                 lines = text.split("\n")
                 if (list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines)
                         or "" in lines or max(map(len, lines)) > limit):
                     for i, line in enumerate(lines):
                         _check_record(path, line.split(",") if line else [], width,
                                       lineno + i, limit)
-                lineno += len(lines)
-                flat = text.replace("\n", ",").split(",")
-                for j, column in enumerate(columns):
-                    column.extend(flat[j::width])
+                n = len(lines)
+                del lines
+                lineno += n
+                yield n, text.replace("\n", ",").split(",")
                 if not chunk:
-                    break
+                    return
     except UnicodeDecodeError:
         _raise_not_utf8(path)
         raise
-    return header, columns
 
 
-def _split_quoted(path, limit):
-    """(header, per-column cell lists) of any table, through csv.reader."""
+def _quoted_blocks(path, limit):
+    """The header's fields, then (row count, the cells in row order) of each
+    block of records of about _BLOCK_CHARS characters, of any table, through
+    csv.reader."""
     lineno = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader)  # the plain reader saw that the file is not empty
             lineno = 1
-            columns = [[] for _ in header]
+            yield header
+            width = len(header)
+            rows, chars = [], 0
             for lineno, row in enumerate(reader, start=2):
-                _check_record(path, row, len(header), lineno, limit)
-                for column, cell in zip(columns, row):
-                    column.append(cell)
+                _check_record(path, row, width, lineno, limit)
+                rows.append(row)
+                chars += sum(map(len, row)) + width
+                if chars >= _BLOCK_CHARS:
+                    yield len(rows), list(chain.from_iterable(rows))
+                    rows, chars = [], 0
+            if rows:
+                yield len(rows), list(chain.from_iterable(rows))
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}", line=lineno + 1) from None
     except UnicodeDecodeError:
         _raise_not_utf8(path)
         raise
+
+
+def _parse(blocks, pick, text):
+    """(stripped header, {column index: _Column}) of the header and blocks
+    that ``blocks`` yields (see _read)."""
+    header = [h.strip() for h in next(blocks)]
+    width = len(header)
+    columns = {j: _Column(j in text) for j in pick(header)}
+    row = 0
+    for n, cells in blocks:
+        for j, column in columns.items():
+            column.add(cells[j::width], row)
+        row += n
+        del cells  # before the next block is split
     return header, columns
+
+
+def _read(path, pick, text=()):
+    """(stripped header, {column index: _Column}) of a table, parsed block by
+    block as it is read: the columns at the indices that ``pick(header)``
+    gives, those in ``text`` as text from the first block. Records and fields
+    are read as csv.reader reads them; a file with no quote and no CR is
+    split with ``str`` methods, which give the same cells."""
+    limit = csv.field_size_limit()
+    try:
+        header, columns = _parse(_plain_blocks(path, limit), pick, text)
+    except _NotPlain:
+        header, columns = _parse(_quoted_blocks(path, limit), pick, text)
+    reread = [j for j, column in columns.items() if column.reread]
+    if reread:  # these columns' cells before their first text block are gone
+        again = _read(path, lambda header: reread, reread)[1]
+        for j in reread:
+            columns[j].text, columns[j].present = again[j].text, again[j].present
+    return header, columns
+
+
+def _maker(spec):
+    """How ``spec`` makes its columns, for an error message."""
+    if spec.buckets is None:
+        return f"column {spec.source!r}"
+    return f"bucketing column {spec.source!r}"
+
+
+def _checked_specs(path, header, specs):
+    """``specs``, or one spec per column of ``header`` when it is None;
+    ParseError names the file and the column when a spec's column is not in
+    the header or is in it twice, or when two specs make the same column."""
+    if specs is None:
+        specs = [FeatureSpec(name) for name in header]
+    counts = Counter(header)
+    for spec in specs:
+        if spec.source not in counts:
+            raise ParseError(f"{path}: column {spec.source!r} not in header")
+        if counts[spec.source] > 1:
+            raise ParseError(f"{path}: column {spec.source!r} appears "
+                             f"{counts[spec.source]} times in the header")
+    made = {}
+    for spec in specs:
+        for name in spec.derived_names():
+            if name in made:
+                raise ParseError(f"{path}: duplicate column {name!r}, made by "
+                                 f"{_maker(made[name])} and by {_maker(spec)}")
+            made[name] = spec
+    return specs
 
 
 def load_table(path, specs=None, edges=None) -> Dataset:
@@ -334,60 +483,37 @@ def load_table(path, specs=None, edges=None) -> Dataset:
     Empty cells are missing; a cell of a numeric, boolean or bucketed column
     that parses to nan or +-inf is rejected. ``edges`` supplies pre-fitted
     bucket edges (e.g. from the training set) keyed by source column;
-    without them edges are fitted on the file's own values. Records and
-    fields are read as ``csv.reader`` reads them; a file with no quote and
-    no CR is split with ``str`` methods, which give the same cells.
+    without them edges are fitted on the file's own values. The file is
+    read and parsed in blocks of about ``_BLOCK_CHARS`` characters
+    (``_read``), so the memory it takes follows the table it returns. A
+    record fault anywhere in the file is raised before any cell fault, and
+    cell faults in the order of ``specs``.
     """
     path = Path(path)
-    limit = csv.field_size_limit()
-    header, raw = _split_plain(path, limit) or _split_quoted(path, limit)
-    header = [h.strip() for h in header]
-
-    if specs is None:
-        specs = [FeatureSpec(name) for name in header]
-    for spec in specs:
-        if spec.source not in header:
-            raise ParseError(f"{path}: column {spec.source!r} not in header")
-
-    col_idx = {name: i for i, name in enumerate(header)}
-    last_use = {spec.source: k for k, spec in enumerate(specs)}
+    wanted = None if specs is None else {spec.source for spec in specs}
+    header, read = _read(path, lambda header: [j for j, name in enumerate(header)
+                                               if wanted is None or name in wanted])
+    specs = _checked_specs(path, header, specs)
+    col_idx = {name: j for j, name in enumerate(header)}
 
     columns, values, missing, fitted, sources = [], {}, {}, {}, {}
-    for k, spec in enumerate(specs):
-        cells = raw[col_idx[spec.source]]
-        if last_use[spec.source] == k:
-            raw[col_idx[spec.source]] = None  # drop each cell list after its last use
-        # float() ignores surrounding whitespace and rejects an empty cell, so
-        # a column that parses unstripped has every cell present and numeric
-        kind, parsed = _infer_kind(cells)
-        if kind == LABEL:
-            cells = list(map(str.strip, cells))
-            present = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
-            kind, parsed = _infer_kind(list(filter(None, cells)))
-        else:
-            present = np.ones(len(cells), dtype=bool)
+    for spec in specs:
+        column = read[col_idx[spec.source]]
+        kind, arr, present = column.join()
         if kind == LABEL:
             if spec.buckets is not None:
-                i = next(i for i, c in enumerate(cells)
-                         if c != "" and _infer_kind([c])[0] == LABEL)
-                raise ParseError(f"{path}: non-numeric value {cells[i]!r} in bucketed "
-                                 f"column {spec.source!r}", line=i + 2)
-            arr = np.array(cells, dtype=str)
-        else:
-            bad = np.flatnonzero(~np.isfinite(parsed))
-            if bad.size:
-                i = int(np.flatnonzero(present)[bad[0]])
-                raise ParseError(f"{path}: non-finite value {cells[i].strip()!r} in "
-                                 f"column {spec.source!r}", line=i + 2)
-            # a boolean column is stored as bool; a bucketed one is read as numbers
-            arr = np.zeros(len(cells), dtype=bool if kind == BOOLEAN
-                           and spec.buckets is None else float)
-            arr[present] = parsed
-        del cells
+                row, cell = column.non_number
+                raise ParseError(f"{path}: non-numeric value {cell!r} in bucketed "
+                                 f"column {spec.source!r}", line=row + 2)
+        elif column.non_finite is not None:
+            row, cell = column.non_finite
+            raise ParseError(f"{path}: non-finite value {cell!r} in "
+                             f"column {spec.source!r}", line=row + 2)
 
         if spec.buckets is None:
             columns.append((spec.source, kind))
-            values[spec.source] = arr
+            # a boolean column is stored as bool; a bucketed one is read as numbers
+            values[spec.source] = arr == 1.0 if kind == BOOLEAN else arr
             if not present.all():
                 missing[spec.source] = ~present
             continue
@@ -398,7 +524,7 @@ def load_table(path, specs=None, edges=None) -> Dataset:
             if not present.any():
                 raise ParseError(f"{path}: cannot fit bucket edges for column "
                                  f"{spec.source!r}: every cell is empty")
-            col_edges = bucket_edges(parsed, spec.buckets)
+            col_edges = bucket_edges(arr[present], spec.buckets)
         fitted[spec.source] = col_edges
         indicators = bucket_indicators(arr, col_edges, spec.buckets)
         indicators &= present

@@ -19,6 +19,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -172,26 +174,43 @@ def evaluate(rules, test, batching=None, *, label_column=None,
     return report
 
 
-# one per_sample entry as json.dumps(..., indent=2) lays it out at depth 2
+# one per_rule and one per_sample entry as json.dumps(..., indent=2) lays
+# them out at depth 2
+_RULE_ENTRY = ('    {\n      "signature": %s,\n      "violations": %d,\n'
+               '      "evaluations": %d\n    }')
 _SAMPLE_ENTRY = '    {\n      "sample": %d,\n      "violations": %d\n    }'
-_EMPTY_PER_SAMPLE = '\n  "per_sample": []'
+# the most list entries that one piece of _report_pieces formats
+_ENTRIES_PER_PIECE = 1 << 12
 
 
-def report_to_json(report: ViolationReport) -> str:
-    """The report.json document: format_version, per_rule, per_sample as
-    {"sample": i, "violations": count} entries, and totals, as
-    ``json.dumps(document, indent=2) + "\\n"`` writes it, byte for byte.
+def _list_pieces(key, template, n, values):
+    """The top-level list ``key`` of n entries as json.dumps(..., indent=2)
+    lays it out after the previous key's comma, in pieces of at most
+    _ENTRIES_PER_PIECE entries. ``values(start, stop)`` is the tuple of the
+    values that fill ``template`` for entries start to stop - 1, in order."""
+    if not n:
+        yield f'\n  "{key}": []'
+        return
+    yield f'\n  "{key}": [\n'
+    for start in range(0, n, _ENTRIES_PER_PIECE):
+        stop = min(start + _ENTRIES_PER_PIECE, n)
+        entries = ",\n".join([template] * (stop - start)) % values(start, stop)
+        yield f",\n{entries}" if start else entries
+    yield "\n  ]"
 
-    json.dumps writes everything but the per-sample entries, so string
-    escapes and float repr are its own; the entries fill copies of one
-    fixed template with the (index, count) pairs of the count array. The
-    empty per_sample list is a safe splice point: an encoded string holds
-    no raw newline, so ``_EMPTY_PER_SAMPLE`` occurs only as the top-level key.
+
+def _report_pieces(report):
+    """The report.json document in pieces of text, each made only when it
+    is asked for (see report_to_json).
+
+    json.dumps writes the document with both lists empty, so the totals'
+    float repr is its own; the empty lists are safe splice points, as the
+    document holds no other string. Each list's entries fill copies of one
+    fixed template, a signature encoded as json.dumps encodes a string.
     """
     text = json.dumps({
         "format_version": REPORT_FORMAT_VERSION,
-        "per_rule": [{"signature": s, "violations": v, "evaluations": n}
-                     for s, v, n in report.per_rule],
+        "per_rule": [],
         "per_sample": [],
         "totals": {
             "violations": report.total_violations,
@@ -201,13 +220,29 @@ def report_to_json(report: ViolationReport) -> str:
             "samples": len(report.per_sample),
         },
     }, indent=2)
-    n = len(report.per_sample)
-    if n:
-        head, tail = text.split(_EMPTY_PER_SAMPLE)
-        pairs = np.column_stack((np.arange(n), report.per_sample)).ravel().tolist()
-        entries = ",\n".join([_SAMPLE_ENTRY] * n) % tuple(pairs)
-        text = f'{head}\n  "per_sample": [\n{entries}\n  ]{tail}'
-    return text + "\n"
+    head, rest = text.split('\n  "per_rule": []')
+    between, tail = rest.split('\n  "per_sample": []')
+
+    def rules(start, stop):
+        return tuple(chain.from_iterable((encode_basestring_ascii(s), v, n)
+                                         for s, v, n in report.per_rule[start:stop]))
+
+    def samples(start, stop):
+        pairs = np.column_stack((np.arange(start, stop), report.per_sample[start:stop]))
+        return tuple(pairs.ravel().tolist())
+
+    yield head
+    yield from _list_pieces("per_rule", _RULE_ENTRY, len(report.per_rule), rules)
+    yield between
+    yield from _list_pieces("per_sample", _SAMPLE_ENTRY, len(report.per_sample), samples)
+    yield tail + "\n"
+
+
+def report_to_json(report: ViolationReport) -> str:
+    """The report.json document: format_version, per_rule, per_sample as
+    {"sample": i, "violations": count} entries, and totals, as
+    ``json.dumps(document, indent=2) + "\\n"`` writes it, byte for byte."""
+    return "".join(_report_pieces(report))
 
 
 def _number(obj, key, where):
@@ -295,14 +330,14 @@ def write_report(report: ViolationReport, path, fmt="json"):
     """Serialize a report; JSON key order and float text are stable."""
     path = Path(path)
     if fmt == "json":
-        payload = report_to_json(report)
+        pieces = _report_pieces(report)  # each piece is written as it is made
     elif fmt == "csv":
-        payload = report_to_csv(report)
+        pieces = [report_to_csv(report)]
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(pieces)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

@@ -691,6 +691,28 @@ def test_evaluate_test_table_with_model_output_column_exits_2(tmp_path, capsys):
     assert f"{test_csv}: data already carries model output column 'pred'" in err
 
 
+def test_duplicate_header_column_exits_2_naming_table_and_column(tmp_path, capsys):
+    cfg_path = write_workspace(tmp_path)
+    train = tmp_path / "train.csv"
+    text = train.read_text(encoding="utf-8")
+    train.write_text(text.replace("x0,x1,flag,", "x0,x1, x0 ,", 1), encoding="utf-8")
+    assert main(["mine", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{train}: column 'x0' appears 2 times in the header" in err
+
+
+def test_duplicate_features_entry_exits_2_naming_config_and_entry(tmp_path, capsys):
+    cfg_path = write_workspace(tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    cfg["data"]["features"] = [{"column": "x0", "buckets": 2}, {"column": "x0"},
+                               {"column": "label"}, {"column": "x0", "buckets": 3}]
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["mine", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{cfg_path}: section 'data': features[3]: column 'x0' is already read "
+            f"by features[0]") in err
+
+
 def readme_config():
     """The YAML config example in README.md."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

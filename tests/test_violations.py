@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from quantrules.dataset import BOOLEAN, LABEL, NUMERIC, load_table
 from quantrules.errors import ParseError
 from quantrules.rule_eval import Cells
 from quantrules.schema import AbstractRule, ConcreteRule, Literal
+from quantrules import violations
 from quantrules.statistics import StatisticRegistry
 from quantrules.violations import (ViolationReport, evaluate, read_report,
-                                   report_from_obj, write_report)
+                                   report_from_obj, report_to_json, write_report)
 from scalar_oracle import report_to_obj
 
 
@@ -269,6 +271,21 @@ def test_report_json_equals_json_dumps_and_round_trips(tmp_path_factory, report)
     expect = json.dumps(report_to_obj(report), indent=2) + "\n"
     assert path.read_bytes() == expect.encode("utf-8")
     assert read_report(path) == report
+
+
+@pytest.mark.parametrize("per_piece", [1, 2, 3, 7])
+def test_report_json_in_pieces_equals_json_dumps(tmp_path, per_piece):
+    """Lists that end inside, at and after a piece's last entry."""
+    per_rule = [(sig, 5 if j == 0 else 0, 9) for j, sig in enumerate(_TRICKY_SIGNATURES)]
+    report = ViolationReport(per_rule=per_rule, per_sample=np.array([1, 0, 2, 0, 1, 1, 0]),
+                             total_violations=5, per_sample_mean=5 / 7, per_sample_std=0.7)
+    path = tmp_path / "report.json"
+    with mock.patch.object(violations, "_ENTRIES_PER_PIECE", per_piece):
+        write_report(report, path)
+        text = report_to_json(report)
+    expect = json.dumps(report_to_obj(report), indent=2) + "\n"
+    assert text == expect
+    assert path.read_bytes() == expect.encode("utf-8")
 
 
 def _good_report_obj():
