@@ -5,17 +5,14 @@ the training and validation sets, quantile bounds are taken on each side,
 and the rule is kept only when the two bound intervals overlap strongly
 under the interval Jaccard index.
 
-``learn_and_select`` reads and selects a whole rule list in blocks: the
-rules of one batch size and one value shape (per sample or per batch) are
-read together on the train and the valid reader of that size
-(``rule_eval.batch_sets``) by ``rule_eval.Cells.block``, the logic rules
-of a block by one count kernel call and every other rule through
-``Cells.values``. It stacks the values of the rules with equal value counts
-and quantile levels into (R, n) matrices, one per batch set, sorts each
-row, and takes the linear-interpolation percentiles (``interval_rows``)
-and the interval Jaccard index (``jaccard_rows``) element-wise on whole
-columns. A rule's bounds and score do not depend on the rules stacked with
-it.
+``learn_and_select`` reads and selects a whole rule list in the blocks of
+``rule_eval.blocks``: rules of one batch size and one value shape, read by
+one ``rule_eval.Cells.block`` call on the train and one on the valid reader
+of that size. It stacks the values of the rules with equal value counts and
+quantile levels into (R, n) matrices, one per batch set, sorts each row,
+and takes the linear-interpolation percentiles (``interval_rows``) and the
+interval Jaccard index (``jaccard_rows``) element-wise on whole columns. A
+rule's bounds and score do not depend on the rules stacked with it.
 """
 from __future__ import annotations
 
@@ -28,7 +25,7 @@ from .dataset import bucket_edges as fit_bucket_edges
 from .dataset import sorted_percentiles
 from .errors import EmptyStatisticError, QuantrulesError
 from . import rule_eval
-from .rule_eval import Cells, applies, at_each, batch_sets
+from .rule_eval import Cells, applies
 from .schema import LOWER, PAIRED, TWO_SIDED, UPPER, ConcreteRule
 from .statistics import StatisticRegistry
 
@@ -204,36 +201,28 @@ def _select_rows(t_vals, v_vals, levels):
     return bounds[0][0], bounds[0][1], score, errors
 
 
-def _select_block(rules, part, readers, per_sample, s1_intervals, level, levels, outcome,
+def _select_block(rules, part, readers, at_each, s1_intervals, level, levels, outcome,
                   bounds):
-    """Read and select the rules at positions ``part`` of ``rules``, all of
-    one batch size and all ``per_sample`` or not, from one block read
-    (``Cells.block``) on the train and on the valid reader (``readers``).
+    """Read and select the rules at positions ``part`` of ``rules``, a block
+    of ``rule_eval.blocks``, with one ``Cells.block`` read on the train and
+    one on the valid reader (``readers``).
 
     Each rule's outcome goes in by position: its train bounds and Jaccard
     score into the (3, n) array ``bounds``, or its error into ``outcome``,
     an EmptyStatisticError if it is skipped. The checks run per rule in this
     order: a train read error, no train value, a valid read error, no valid
     value, a ``quantile_levels`` error (rule k's levels, or their error, are
-    ``levels[level[k]]``), then ``_select_rows``'. A reader
-    is made at the first rule that reaches it, and an error in making it
-    fails that rule. Rules with equal train and valid value counts and
-    levels are selected as one matrix.
+    ``levels[level[k]]``), then ``_select_rows``'. Rules with equal train
+    and valid value counts and levels are selected as one matrix.
     """
     block = [rules[i] for i in part.tolist()]
     s1 = [s1_intervals.get(i) for i in part.tolist()]
     go = np.ones(len(block), dtype=bool)
     read = []
-    for reader in readers:
+    for cells in readers:
         if not go.any():
             return
-        first = go.argmax()
-        try:
-            cells = reader(block[first])
-        except (QuantrulesError, ValueError) as exc:
-            outcome[int(part[first])] = exc
-            return
-        values, masks, errors = cells.block(block, s1, per_sample)
+        values, masks, errors = cells.block(block, s1, at_each)
         count = masks.reshape(len(block), -1).sum(axis=1)
         for k in np.flatnonzero(go & (np.not_equal(errors, None) | (count == 0))):
             outcome[int(part[k])] = _empty(block[k].signature) if errors[k] is None \
@@ -270,9 +259,7 @@ def learn_and_select(rules, train, valid, job, *, registry=None,
     collapses to nothing are skipped and reported through ``log`` (a list
     receiving dict entries), never raised. Output preserves input order.
 
-    The rules are grouped by batch size and by whether they are read at
-    each position (``rule_eval.at_each``); each group is read and selected
-    whole, ``rule_eval.CHUNK_CELLS`` value cells at a time
+    The rules are read and selected in the blocks of ``rule_eval.blocks``
     (``_select_block``), and each rule's outcome is kept by position. Events
     and rules come out in input order. A read error, or an error of a rule's
     checks (a NaN value, an infinite bound), is raised at its own rule,
@@ -327,19 +314,10 @@ def _read_and_select(rules, train, valid, job, registry, label_column):
     error by position, an EmptyStatisticError if it is skipped; the (3, n)
     train lo, train hi and Jaccard score of the others; and each paired
     rule's learned s1 interval by position."""
-    size_of = lambda rule: job.batch_size or rule.batch_size
-    delta_of = lambda rule: job.delta if job.delta is not None else rule.delta
-    readers = [batch_sets(dataset, size_of, count, seed, label_column, registry)
-               for dataset, count, seed in ((train, job.n_train_batches, job.train_seed),
-                                            (valid, job.n_valid_batches, job.valid_seed))]
     everywhere = Cells(train, np.arange(train.n_rows), label_column, registry)
     s1_edges = {}  # (guard, s1, s1_bucket_count) -> edges, fitted once per key
     s1_intervals = {}  # paired rule position -> its learned s1 interval
     outcome = {}  # rule position -> the error raised at it, EmptyStatisticError if skipped
-    groups, level_of = {}, {}  # (batch size, per sample), (delta, sidedness) -> index
-    facts = {}  # (kind, statistic, batch size, delta, sidedness) -> index into shapes
-    shapes = [(-1, 0)]  # (group, level) of each key of facts; 0: the outcome is known
-    codes = []  # each rule's index into shapes
     for i, rule in enumerate(rules):
         if rule.kind == PAIRED:
             try:
@@ -349,27 +327,18 @@ def _read_and_select(rules, train, valid, job, registry, label_column):
                 s1_intervals[i] = s1_bucket_interval(rule, s1_edges[key])
             except (QuantrulesError, ValueError) as exc:
                 outcome[i] = exc
-                codes.append(0)
-                continue
-        key = (rule.kind, rule.statistic, rule.batch_size, rule.delta, rule.sided)
-        if key not in facts:
-            try:
-                per_sample = at_each(rule, registry)
-            except QuantrulesError:  # raised again at the rule's read
-                per_sample = False
-            facts[key] = len(shapes)
-            shapes.append((groups.setdefault((size_of(rule), per_sample), len(groups)),
-                           level_of.setdefault((delta_of(rule), rule.sided), len(level_of))))
-        codes.append(facts[key])
-    group, level = np.array(shapes).T[:, codes]
+    level_of = {}  # (delta, sidedness) -> index into levels
+    level = np.array([level_of.setdefault(
+        (job.delta if job.delta is not None else rule.delta, rule.sided), len(level_of))
+        for rule in rules])
     levels = [_levels(*key) for key in level_of]
 
     bounds = np.empty((3, len(rules)))  # train lo, train hi, Jaccard score
-    for g, (size, per_sample) in enumerate(groups):
-        positions = np.flatnonzero(group == g)
-        cells = (job.n_train_batches + job.n_valid_batches) * (size if per_sample else 1)
-        step = max(1, rule_eval.CHUNK_CELLS // cells)
-        for s in range(0, len(positions), step):
-            _select_block(rules, positions[s:s + step], readers, per_sample, s1_intervals,
-                          level[positions[s:s + step]], levels, outcome, bounds)
+    sets = ((train, job.n_train_batches, job.train_seed),
+            (valid, job.n_valid_batches, job.valid_seed))
+    for part, readers, at_each in rule_eval.blocks(
+            rules, outcome, lambda rule, at_each: job.batch_size or rule.batch_size, sets,
+            label_column, registry):
+        _select_block(rules, part, readers, at_each, s1_intervals, level[part], levels,
+                      outcome, bounds)
     return outcome, bounds, s1_intervals

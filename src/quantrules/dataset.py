@@ -570,7 +570,8 @@ def sample_minibatches(dataset, batch_size, count, seed):
     if batch_size < 1 or count < 1:
         raise ValueError("batch_size and count must be positive")
     if dataset.n_rows == 0:
-        raise ValueError("cannot sample from an empty dataset")
+        where = f"{dataset.origin}: " if dataset.origin else ""
+        raise ValueError(f"{where}cannot sample from an empty dataset")
     rng = np.random.default_rng(seed)
     replace = batch_size > dataset.n_rows
     return np.stack([rng.choice(dataset.n_rows, size=batch_size, replace=replace)

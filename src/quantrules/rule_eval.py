@@ -11,24 +11,28 @@ rule covers and how it is read.
 ``Cells`` reads the cells of one (table, rows) set: each distinct
 statistic, guard class and literal once, on first use, however many rules
 read it, and whichever rules it is asked for. ``Cells.block`` reads a block
-of rules of one value shape, all read at each position or all once per
-batch (``at_each``): their stacked values and masks and each rule's read
-error. ``batch_sets`` makes the reader of each minibatch size. Mining and
-violation counting read every rule through ``Cells.block``, ``CHUNK_CELLS``
-value cells at a time, so memory follows the block, not the rule count.
+of rules of one value shape: all logic rules, or all others read at each
+position or all once per batch (``at_each``), giving their stacked values
+and masks and each rule's read error. Mining and violation counting take
+their blocks from one driver, ``blocks``: it groups a rule list by batch
+size and value shape, makes each size's readers once, one per table, cuts
+each group into blocks of ``CHUNK_CELLS`` value cells, and records each
+rule's resolution or reader error by position, so memory follows the
+block, not the rule count.
 
 Logic rules, almost all of the rules mining learns, go through the count
-kernel ``score_logic_rules``, once per block, on that block's logic rules.
-The reader keeps each literal it has read packed into uint64 words, 64 rows
-a word, with its id (``Cells.literal_ids``); the kernel ANDs a rule's words
-(``conjoin``) and counts set bits, a fixed budget of words at a time. The
-adaptation loss (``adaptation.RuleGroups``) reads its statistics and
-literals with a ``Cells`` of the whole test table, unpacks the literals
-(``unpack_words``) and joins them with ``conjoin``; it masks and counts
-with ``applies`` and ``outside``.
+kernel ``score_logic_rules``, one call per block. The reader keeps each
+literal it has read packed into uint64 words, 64 rows a word, with its id
+(``Cells.literal_ids``); the kernel ANDs a rule's words (``conjoin``) and
+counts set bits, a fixed budget of words at a time. The adaptation loss
+(``adaptation.RuleGroups``) reads its statistics and literals with a
+``Cells`` of the whole test table, unpacks the literals (``unpack_words``)
+and joins them with ``conjoin``; it masks and counts with ``applies`` and
+``outside``.
 """
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -168,11 +172,12 @@ class Cells:
         """A rule's (values, mask): a per-sample rule's values at each
         position and the positions it applies to, or a summary or logic
         rule's value on each batch of the (B, m) batch matrix and the batches
-        with a usable row. A logic rule's row is ``block``'s, which raises the
-        rule's read error instead if it has one. A paired rule needs its
-        learned first-statistic interval."""
+        with a usable row. A logic rule's row is the count kernel's
+        (``score_logic_rules``), which raises the rule's read error instead
+        if it has one. A paired rule needs its learned first-statistic
+        interval."""
         if rule.kind == LOGIC:
-            values, masks, errors = self.block([rule], [s1_interval], False)
+            values, masks, errors = score_logic_rules(self, [rule])
             if errors[0] is not None:
                 raise errors[0]
             return values[0], masks[0]
@@ -189,25 +194,23 @@ class Cells:
         return (values, mask) if at_each else batch_values(stat, values, mask)
 
     def block(self, rules, s1_intervals, at_each):
-        """(values, masks, errors) of ``rules``, all read at each position
-        (``at_each``) or all once per batch, as ``values`` reads each: their
-        values and masks stacked into (R, ...) arrays, and each rule's read
-        error or None, whose mask is all False. ``s1_intervals[k]`` is rule
-        k's learned s1 interval, or None. The logic rules' rows come from
-        one count kernel call on them (``score_logic_rules``); any other
-        rule's through ``values``. A block of one such rule holds views of
-        its arrays, which the caller must not write: a per-sample rule on a
-        whole table fills a chunk alone, and copying it was about a sixth of
-        boxes' ``evaluate``."""
-        logic = np.fromiter((rule.kind == LOGIC for rule in rules), dtype=bool,
-                            count=len(rules))
-        if logic.all():  # the kernel's own arrays, not copied
+        """(values, masks, errors) of ``rules``: all logic rules, or all
+        other rules read at each position (``at_each``) or all once per
+        batch. Their values and masks are stacked into (R, ...) arrays, with
+        each rule's read error or None, whose mask is all False.
+        ``s1_intervals[k]`` is rule k's learned s1 interval, or None. Logic
+        rules take one count kernel call (``score_logic_rules``), any other
+        rule one ``values`` read. A block of one such rule holds views of its
+        arrays, which the caller must not write: a per-sample rule on a whole
+        table fills a chunk alone, and copying it was about a sixth of boxes'
+        ``evaluate``."""
+        if rules[0].kind == LOGIC:  # the kernel's own arrays, not copied
             return score_logic_rules(self, rules)
         errors = np.full(len(rules), None, dtype=object)
         read = {}  # position -> (values, mask) of a rule read through ``values``
-        for k in np.flatnonzero(~logic).tolist():
+        for k, (rule, s1_interval) in enumerate(zip(rules, s1_intervals)):
             try:
-                read[k] = self.values(rules[k], s1_intervals[k])
+                read[k] = self.values(rule, s1_interval)
             except (QuantrulesError, ValueError) as exc:
                 errors[k] = exc
         if len(read) == len(rules) == 1:  # one rule's own arrays, not copied
@@ -215,36 +218,62 @@ class Cells:
         shape = self.rows.shape if at_each else self.rows.shape[:-1]
         values = np.zeros((len(rules), *shape))
         masks = np.zeros(values.shape, dtype=bool)
-        if logic.any():
-            at = np.flatnonzero(logic)
-            values[at], masks[at], errors[at] = score_logic_rules(
-                self, [rules[k] for k in at.tolist()])
         for k, (value, mask) in read.items():
             values[k], masks[k] = value, mask
         return values, masks, errors
 
 
-def at_each(rule, registry):
-    """Whether ``rule`` is read at each position (a rule on a per-sample
-    statistic) or once per batch (a summary or logic rule). Raises the error
-    ``Cells.values`` raises first for a rule whose statistic cannot be
-    resolved or read per minibatch."""
-    return rule.kind != LOGIC and reads(registry.resolve(rule.statistic))[1]
+def blocks(rules, outcome, size_of, sets, label_column, registry):
+    """The blocks in which to read ``rules``, as (positions, readers,
+    at_each): the positions of rules of one batch size and one value shape,
+    the readers of that size, one ``Cells`` per (dataset, count, seed) of
+    ``sets``, and whether the rules are read at each position.
 
+    The three shapes are rules read at each position (on a per-sample
+    statistic), rules read once per batch (on a summary of a column) and
+    logic rules, so each block is one ``Cells.block`` read.
+    ``size_of(rule, at_each)`` is a rule's batch size, or None for the whole
+    table. A size's readers are made once: ``count`` minibatches of the size
+    drawn with ``seed`` (``sample_minibatches``), or every row. A block
+    holds at most ``CHUNK_CELLS`` value cells, summed over its readers, or
+    one rule; the rules of a size and shape come in input order.
 
-def batch_sets(dataset, size_of, count, seed, label_column, registry):
-    """A function from a rule to the reader of its minibatch set: ``count``
-    minibatches of ``dataset`` of the rule's size ``size_of(rule)``, drawn
-    with ``seed``. The reader of a size is made on first use."""
-    readers = {}
-
-    def reader(rule):
-        size = size_of(rule)
+    Errors go into ``outcome`` by position, and the rules already there are
+    left out. An error resolving a rule's statistic (``reads``) or its size
+    goes to that rule; an error making a size's readers goes to every rule
+    of that size, and none of them is read.
+    """
+    groups = {}  # (size, logic, at_each) -> positions
+    for i, rule in enumerate(rules):
+        if i in outcome:
+            continue
+        try:
+            logic = rule.kind == LOGIC
+            each = not logic and reads(registry.resolve(rule.statistic))[1]
+            key = size_of(rule, each), logic, each
+        except (QuantrulesError, ValueError) as exc:
+            outcome[i] = exc
+            continue
+        groups.setdefault(key, []).append(i)
+    readers = {}  # size -> its readers, or the error raised making them
+    for (size, _, each), positions in groups.items():
         if size not in readers:
-            readers[size] = Cells(dataset, sample_minibatches(dataset, size, count, seed),
-                                  label_column, registry)
-        return readers[size]
-    return reader
+            try:
+                readers[size] = [Cells(dataset, np.arange(dataset.n_rows) if size is None
+                                       else sample_minibatches(dataset, size, count, seed),
+                                       label_column, registry)
+                                 for dataset, count, seed in sets]
+            except (QuantrulesError, ValueError) as exc:
+                readers[size] = exc
+        if isinstance(readers[size], Exception):
+            outcome.update(dict.fromkeys(positions, readers[size]))
+            continue
+        cells = sum(math.prod(r.rows.shape if each else r.rows.shape[:-1])
+                    for r in readers[size])
+        step = max(1, CHUNK_CELLS // max(cells, 1))
+        positions = np.array(positions)
+        for s in range(0, len(positions), step):
+            yield positions[s:s + step], readers[size], each
 
 
 def batch_values(stat, values, mask):
@@ -288,10 +317,11 @@ def _count(words):
 
 
 # eight-byte cells (uint64 words, float64 values) per chunk array, 256 KiB,
-# however many rules share a reader: the count kernel, selection and violation
-# counting take their rules this many cells at a time, so memory follows this,
-# not the rule count. Chunks of 1 MiB raised the peak RSS of a process that
-# mines and evaluates cardio20k repeatedly by 1.9 MB (see CHANGES.md).
+# however many rules share a reader: ``blocks`` cuts the rules of selection and
+# violation counting, and the count kernel its words, this many cells at a
+# time, so memory follows this, not the rule count. Chunks of 1 MiB raised the
+# peak RSS of a process that mines and evaluates cardio20k repeatedly by 1.9 MB
+# (see CHANGES.md).
 CHUNK_CELLS = 2**15
 
 

@@ -74,8 +74,8 @@ class Literal:
     negated: bool = False
 
     def __post_init__(self):
-        # hashed once: readers and rule hashes look literals up by the million,
-        # and the generated hash would build a tuple of the fields each time
+        # hashed once: readers look literals up by the million, and the
+        # generated hash would build a tuple of the fields each time
         self.__dict__["_hash"] = hash((self.feature, self.negated))
 
     def __hash__(self):
@@ -109,18 +109,8 @@ class AbstractRule:
     batch_size: int = 1
 
     def __post_init__(self):
-        # rules key dicts in mining and counting; the generated hash would
-        # rehash every field, literals included, on each lookup. The hash and
-        # the signature are written to __dict__ directly, which is cheaper than
-        # object.__setattr__; the hash first, so rule_signature may hash the rule
-        self.__dict__["_hash"] = hash((
-            self.kind, self.sided, self.guard, self.statistic, self.literals,
-            self.consequent, self.s1, self.s1_bucket, self.s1_bucket_count,
-            self.delta, self.batch_size))
+        # written to __dict__ directly, which is cheaper than object.__setattr__
         self.__dict__["signature"] = rule_signature(self)
-
-    def __hash__(self):
-        return self._hash
 
 
 @dataclass(frozen=True)

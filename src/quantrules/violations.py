@@ -1,16 +1,15 @@
 """Rule violation counting over a test set.
 
 Learned intervals are closed, so a statistic exactly at a bound satisfies
-its rule. Rules are read in blocks by ``rule_eval.Cells.block``: the
-per-sample rules on every applicable row, by one ``Cells`` of the whole
-table, and the minibatch rules on their seeded batches, by the reader of
-their batch size (``rule_eval.batch_sets``), the logic rules of each block
-by one count kernel call. Each ``evaluate`` makes its own readers, which
-read only what its rules need, so nothing is prepared for it or kept
-between calls. A violated position charges one violation to its row, and a
-violated batch one to every member row, so the per-rule and per-sample
-margins both sum to the same total. Each block is charged with one add
-(``_charge_block``).
+its rule. Rules are read in the blocks of ``rule_eval.blocks``, each by one
+``rule_eval.Cells.block`` call: the per-sample rules on every applicable
+row, by one ``Cells`` of the whole table, and the minibatch rules on their
+seeded batches, by the reader of their batch size. Each ``evaluate`` makes
+its own readers, which read only what its rules need, so nothing is
+prepared for it or kept between calls. A violated position charges one
+violation to its row, and a violated batch one to every member row, so the
+per-rule and per-sample margins both sum to the same total. Each block is
+charged with one add (``_charge_block``).
 """
 from __future__ import annotations
 
@@ -26,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import rule_eval
-from .errors import (INT64_MAX, EmptyStatisticError, ParseError, QuantrulesError,
-                     ResolutionError, check_count, check_fields)
-from .rule_eval import Cells, at_each, batch_sets, outside
+from .errors import (INT64_MAX, EmptyStatisticError, ParseError, ResolutionError,
+                     check_count, check_fields)
+from .rule_eval import outside
 from .statistics import StatisticRegistry
 
 REPORT_FORMAT_VERSION = 1
@@ -102,56 +101,36 @@ def evaluate(rules, test, batching=None, *, label_column=None,
     are absent are skipped with zero evaluations rather than failing the
     run; their signatures are kept in the report's ``unevaluable`` list.
 
-    The rules are grouped by reader: one ``Cells`` of the whole table for
-    the per-sample rules, the batch set of each size for the others, each
-    made here. Each group is counted whole, ``rule_eval.CHUNK_CELLS`` value
-    cells at a time (``_charge_block``), so memory follows the chunk, not
-    the rule count. Any other error is raised at its own rule, once every
-    rule has been read.
+    The rules are counted in the blocks of ``rule_eval.blocks``
+    (``_charge_block``): the per-sample rules on one reader of the whole
+    table, the others on the batch set of each size, each made here. Any
+    other error is raised at its own rule, once every rule has been read.
     """
     if registry is None:
         registry = StatisticRegistry.from_dataset(test)
     if label_column is None:
         label_column = test.label_column
-    sample_counts = np.zeros(test.n_rows, dtype=np.int64)
-    everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
-    if batching is not None:
-        fallback, count, seed = batching
-        # a rule's own minibatch size, or the fallback when it carries none
-        size_of = lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
-        batch_set = batch_sets(test, size_of, count, seed, label_column, registry)
-    outcome = {}  # rule position -> the error raised at it
-    groups = {}  # None for the whole table, else a batch size -> index
-    group = np.full(len(rules), -1)
-    for i, crule in enumerate(rules):
-        try:
-            if at_each(crule.rule, registry):
-                key = None
-            elif batching is None:
-                raise ValueError("minibatch rules need a (batch_size, count, seed) batching")
-            else:
-                key = size_of(crule.rule)
-        except (QuantrulesError, ValueError) as exc:
-            outcome[i] = exc
-            continue
-        group[i] = groups.setdefault(key, len(groups))
+    fallback, count, seed = batching or (None, None, None)
 
+    def size_of(rule, at_each):
+        """None, the whole table, for a per-sample rule; else the rule's own
+        minibatch size, or the fallback when it carries none."""
+        if at_each:
+            return None
+        if batching is None:
+            raise ValueError("minibatch rules need a (batch_size, count, seed) batching")
+        return rule.batch_size if rule.batch_size > 1 else fallback
+
+    sample_counts = np.zeros(test.n_rows, dtype=np.int64)
+    outcome = {}  # rule position -> the error raised at it
     counted = np.zeros((2, len(rules)), dtype=np.int64)  # violations, evaluations
-    for g, key in enumerate(groups):
-        positions = np.flatnonzero(group == g)
-        try:
-            cells = everywhere if key is None else batch_set(rules[positions[0]].rule)
-        except (QuantrulesError, ValueError) as exc:
-            outcome[int(positions[0])] = exc
-            continue
-        shape = cells.rows.shape if key is None else cells.rows.shape[:-1]
-        step = max(1, rule_eval.CHUNK_CELLS // max(math.prod(shape), 1))
-        for s in range(0, len(positions), step):
-            part = positions[s:s + step]
-            counted[:, part], errors = _charge_block([rules[i] for i in part.tolist()], cells,
-                                                    key is None, sample_counts)
-            outcome.update((int(part[k]), errors[k])
-                           for k in np.flatnonzero(np.not_equal(errors, None)))
+    for part, (cells,), at_each in rule_eval.blocks(
+            [crule.rule for crule in rules], outcome, size_of, ((test, count, seed),),
+            label_column, registry):
+        counted[:, part], errors = _charge_block([rules[i] for i in part.tolist()], cells,
+                                                at_each, sample_counts)
+        outcome.update((int(part[k]), errors[k])
+                       for k in np.flatnonzero(np.not_equal(errors, None)))
 
     per_rule, unevaluable = [], []
     for i, (crule, v, n) in enumerate(zip(rules, *counted.tolist())):

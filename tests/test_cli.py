@@ -1000,6 +1000,46 @@ def test_adapt_type_drift_in_test_exits_2_naming_the_file(tmp_path, capsys):
     assert not (tmp_path / "before.json").exists()
 
 
+def _cut_to_header(path):
+    """Rewrite the table at ``path`` as its header line alone."""
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(header + "\n", encoding="utf-8")
+
+
+EMPTY = "cannot sample from an empty dataset"
+
+
+def test_mine_empty_valid_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    _cut_to_header(tmp_path / "valid.csv")
+    assert main(["mine", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'valid.csv'}: {EMPTY}" in err and "Traceback" not in err
+    assert not (tmp_path / "rules.jsonl").exists()
+
+
+def test_evaluate_empty_test_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    _save_flag_rules(tmp_path)
+    _cut_to_header(tmp_path / "test.csv")
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'test.csv'}: {EMPTY}" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_adapt_empty_test_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = write_workspace(tmp_path)
+    _write_model(tmp_path)
+    _save_flag_rules(tmp_path)
+    _cut_to_header(tmp_path / "test.csv")
+    _add_adapt_section(cfg, tmp_path)
+    assert main(["adapt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'test.csv'}: {EMPTY}" in err and "Traceback" not in err
+    assert not (tmp_path / "before.json").exists()
+
+
 # a model feature cell the model cannot read: (column, cell, the error)
 FEATURE_FAULTS = {
     "text": (0, "abc", "model feature 'x0' holds text"),

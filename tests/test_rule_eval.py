@@ -285,6 +285,42 @@ def test_kernel_runs_once_per_batch_set():
 
 
 @pytest.mark.parametrize("chunk_cells", [1, 2**15])
+def test_blocks_hold_one_shape_and_draw_each_batch_set_once(chunk_cells):
+    """No ``Cells.block`` call of ``learn_and_select`` or ``evaluate`` gets
+    both logic and other rules, whatever the chunk budget, and each call
+    draws the minibatches of each (table, batch size) once."""
+    rng = np.random.default_rng(1)
+    train, valid, test = (logic_dataset(rng, 40) for _ in range(3))
+    drawn = [([A], 0, "two"), ([A, Literal("B")], 1, "lower"), ([NOT_A], 1, "upper"),
+             ([Literal("C")], 0, "two")]
+    rules = mixed_rules(drawn, (2, 3))
+    kinds, draws = [], Counter()
+    block, draw = Cells.block, rule_eval.sample_minibatches
+
+    def read_block(cells, block_rules, *args):
+        kinds.append({rule.kind == "logic" for rule in block_rules})
+        return block(cells, block_rules, *args)
+
+    def counted_draw(dataset, size, count, seed):
+        draws[id(dataset), size] += 1
+        return draw(dataset, size, count, seed)
+
+    with mock.patch.object(rule_eval, "CHUNK_CELLS", chunk_cells), \
+            mock.patch.object(Cells, "block", read_block), \
+            mock.patch.object(rule_eval, "sample_minibatches", counted_draw):
+        learn_and_select(rules, train, valid, BoundJob(n_train_batches=5, n_valid_batches=4),
+                         label_column="y")
+        assert draws == {(id(ds), size): 1 for ds in (train, valid) for size in (2, 3)}
+        draws.clear()
+        violations.evaluate(concrete([(rule, (0.0, 1.0) if rule.kind == "paired" else None)
+                                      for rule in rules], -1.0, 1.0), test,
+                            batching=(2, 6, 0), label_column="y")
+        assert draws == {(id(test), size): 1 for size in (2, 3)}
+    assert {True} in kinds and {False} in kinds
+    assert all(len(kind) == 1 for kind in kinds)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 2**15])
 def test_readers_read_each_literal_and_class_once(chunk_cells):
     """Each reader of ``learn_and_select`` and ``evaluate`` reads each
     distinct literal and each class at most once, however its rules are
@@ -577,8 +613,15 @@ def evaluate_one_by_one(crules, test, batching, label_column):
     per_sample, unevaluable) or raises the first error."""
     registry = StatisticRegistry.from_dataset(test)
     fallback, count, seed = batching
-    size_of = lambda rule: rule.batch_size if rule.batch_size > 1 else fallback
-    reader = rule_eval.batch_sets(test, size_of, count, seed, label_column, registry)
+    readers = {}  # batch size -> the reader of its batch set
+
+    def reader(rule):
+        size = rule.batch_size if rule.batch_size > 1 else fallback
+        if size not in readers:
+            readers[size] = Cells(test, sample_minibatches(test, size, count, seed),
+                                  label_column, registry)
+        return readers[size]
+
     everywhere = Cells(test, np.arange(test.n_rows), label_column, registry)
     counts, per_rule, unevaluable = np.zeros(test.n_rows, dtype=np.int64), [], []
     for crule in crules:
