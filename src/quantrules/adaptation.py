@@ -145,8 +145,9 @@ class RuleGroups:
     ``table`` supplies the data columns and must not hold a model output
     column (``score_<class>`` or ``pred``): those come from each batch's
     probabilities. ``table``'s columns and the model's outputs resolve the
-    rules' statistics. Raises ValueError, naming ``table``'s file and the
-    column, for a model output column in ``table``, and ResolutionError,
+    rules' statistics. Raises ValueError, naming ``table``'s file, for a
+    table with no row, which no batch can be drawn from, and, naming the
+    column too, for a model output column in ``table``; and ResolutionError,
     naming the rule and the reason, for a rule that cannot be evaluated on
     these columns.
     """
@@ -154,6 +155,9 @@ class RuleGroups:
     def __init__(self, rules, model, table):
         if not rules:
             raise ValueError("the adaptation loss needs at least one rule")
+        if table.n_rows == 0:
+            where = f"{table.origin}: " if table.origin else ""
+            raise ValueError(f"{where}cannot sample from an empty dataset")
         model.check_outputs_absent(table)
         # names and kinds only: the table's columns and the outputs, no rows
         no_rows = table.take(np.arange(0)).with_columns(

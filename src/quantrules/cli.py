@@ -101,7 +101,8 @@ def _load_config(path, command):
     """Read a YAML config whose sections and keys are all in _CONFIG_KEYS and
     which holds every key that ``command`` needs (_NEEDED_KEYS)."""
     with open(path, encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+        # libyaml's parser where PyYAML was built with it: the same dicts, faster
+        cfg = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(cfg, dict):
         raise ParseError(f"{path}: config must be a mapping of sections")
     for name, section in cfg.items():

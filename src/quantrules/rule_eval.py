@@ -20,6 +20,11 @@ each group into blocks of ``CHUNK_CELLS`` value cells, and records each
 rule's resolution or reader error by position, so memory follows the
 block, not the rule count.
 
+A summary rule's value on each batch (``batch_values``) is taken for all
+batches at once: one reduction per distinct usable-row count over the
+batches of that count, each value bit-equal to the batch's summary taken
+alone.
+
 Logic rules, almost all of the rules mining learns, go through the count
 kernel ``score_logic_rules``, one call per block. The reader keeps each
 literal it has read packed into uint64 words, 64 rows a word, with its id
@@ -41,7 +46,7 @@ from .dataset import sample_minibatches
 from .errors import QuantrulesError, ResolutionError, TypeMismatchError
 from .schema import LOGIC, PAIRED
 from .statistics import (PER_SAMPLE, f1_from_counts, literal_cells, match_class,
-                         sample_values_aligned, summarize)
+                         sample_values_aligned)
 
 
 def reads(stat):
@@ -277,17 +282,34 @@ def blocks(rules, outcome, size_of, sets, label_column, registry):
 
 
 def batch_values(stat, values, mask):
-    """A summary statistic of each batch (the last axis) over its masked
-    values, and whether the batch has any; the value is 0 where it has none.
+    """A summary statistic (mean or std) of each batch (the last axis) over
+    its masked values, and whether the batch has any; the value is 0 where it
+    has none. Any leading shape is kept, a single 1-d batch's included.
+
+    The batches are sorted by usable-row count (stable) and their masked
+    values compacted once, so the batches of one count k lie in one (n_k, k)
+    matrix, which one reduction along its last axis summarizes.
     """
-    valued = mask.any(-1)
-    value = np.zeros(mask.shape[:-1])
-    # one reduction per batch over its compacted values: a masked reduction
-    # over the whole matrix would sum in another order
-    for b in np.ndindex(value.shape):
-        if valued[b]:
-            value[b] = summarize(stat, values[b][mask[b]])
-    return value, valued
+    shape = mask.shape[:-1]
+    mask = mask.reshape(math.prod(shape), mask.shape[-1])
+    counts = np.count_nonzero(mask, axis=-1)
+    order = np.argsort(counts, kind="stable")
+    sorted_counts = counts[order]
+    packed = values.reshape(mask.shape)[order][mask[order]]
+    ends = np.cumsum(sorted_counts)  # where each sorted batch's values end in packed
+    firsts = np.flatnonzero(np.diff(sorted_counts, prepend=-1))  # each count's first
+    value = np.zeros(len(counts))
+    # each row of a group holds one batch's values in order, and numpy reduces
+    # each row of a C-contiguous matrix with the pairwise sum that reduces
+    # the row alone, so a group's values equal those of its batches taken one
+    # by one. A reduction of the zero-filled masked matrix would not: its
+    # pairwise sum splits the full rows, not the usable values
+    for lo, hi in zip(firsts, [*firsts[1:], len(counts)]):
+        k = sorted_counts[lo]
+        if k:
+            group = packed[ends[lo] - k:ends[hi - 1]].reshape(hi - lo, k)
+            value[order[lo:hi]] = group.mean(-1) if stat.summary == "mean" else group.std(-1)
+    return value.reshape(shape), (counts > 0).reshape(shape)
 
 
 def pack_words(masks):

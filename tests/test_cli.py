@@ -1040,6 +1040,34 @@ def test_adapt_empty_test_exits_2_naming_the_file(tmp_path, capsys):
     assert not (tmp_path / "before.json").exists()
 
 
+def test_adapt_empty_test_with_per_sample_rules_only_exits_2_naming_the_file(tmp_path,
+                                                                          capsys):
+    """Counting per-sample rules draws no batch, so the empty test table is
+    refused before the report before adaptation is written, not when the
+    first training batch is drawn."""
+    cfg = write_workspace(tmp_path)
+    _write_model(tmp_path)
+    save_rules(tmp_path / "rules.jsonl", [
+        ConcreteRule(rule=AbstractRule(kind="conditional", statistic="x0"),
+                     lo=-1e9, hi=1e9, delta=0.02)])
+    _cut_to_header(tmp_path / "test.csv")
+    _add_adapt_section(cfg, tmp_path)
+    assert main(["adapt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'test.csv'}: {EMPTY}" in err and "Traceback" not in err
+    for name in ("before.json", "after.json", "adapted.json", "trace.csv"):
+        assert not (tmp_path / name).exists(), name
+
+
+def test_malformed_config_exits_2_naming_the_file_and_line(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("data:\n  train: [train.csv, valid.csv\nmine:\n  seed: 1\n",
+                      encoding="utf-8")
+    assert main(["mine", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f'"{config}", line 2' in err and "Traceback" not in err
+
+
 # a model feature cell the model cannot read: (column, cell, the error)
 FEATURE_FAULTS = {
     "text": (0, "abc", "model feature 'x0' holds text"),

@@ -20,8 +20,8 @@ from quantrules.errors import (EmptyStatisticError, QuantrulesError, ResolutionE
                                TypeMismatchError)
 from quantrules.rule_eval import Cells, score_logic_rules, unpack_words
 from quantrules.schema import AbstractRule, ConcreteRule, Literal, rule_signature
-from quantrules.statistics import (StatisticRegistry, literal_cells, match_class,
-                                   sample_values_aligned)
+from quantrules.statistics import (PER_BATCH, Statistic, StatisticRegistry, literal_cells,
+                                   match_class, sample_values_aligned, summarize)
 from scalar_oracle import compute_bounds, jaccard
 
 
@@ -91,9 +91,13 @@ NUMERIC_LITERAL = (AbstractRule(kind="logic", statistic="f1", consequent="a",
                                 literals=(Literal("v"),)), None)
 
 
+# batch sizes past 128, where numpy's pairwise sum splits a row recursively
+SIZES = st.one_of(st.integers(1, 16), st.sampled_from([127, 128, 129, 256, 300]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 5),
-       st.integers(1, 16), st.floats(-1.0, 1.0), st.floats(0.0, 1.5),
+       SIZES, st.floats(-1.0, 1.0), st.floats(0.0, 1.5),
        st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.sampled_from(["y", "A"]))
 def test_batch_matrix_matches_per_batch_oracle(seed, n, count, size, lo, width,
                                                s1_lo, s1_width, label_column):
@@ -131,6 +135,49 @@ def test_batch_matrix_matches_per_batch_oracle(seed, n, count, size, lo, width,
     with batched, pytest.raises(TypeMismatchError, match=re.escape(str(want.value))):
         violations.evaluate(crules, ds, batching=(size, count + 1, seed),
                             label_column=label_column, registry=registry)
+
+
+def summary_masks(rng, counts, size):
+    """A (len(counts), size) mask whose row b holds counts[b] usable cells at
+    random positions."""
+    ranks = rng.random((len(counts), size)).argsort(axis=-1).argsort(axis=-1)
+    return ranks < np.asarray(counts)[:, None]
+
+
+def batch_value_cases():
+    """(values, mask) inputs that ``batch_values`` groups in each of its
+    ways, by name, with values over twenty orders of magnitude, so any change
+    in the order of a sum shows in its last bits."""
+    rng = np.random.default_rng(11)
+    masks = {
+        "one-count": summary_masks(rng, [200] * 40, 300),
+        "distinct-counts": summary_masks(rng, rng.permutation(np.arange(1, 51)) * 5, 256),
+        # rows with no usable cell among counts that repeat and counts alone
+        "no-usable-row": summary_masks(rng, [0, 129, 0, 7, 129, 0, 300, 0], 300),
+        "leading-shape": summary_masks(rng, rng.integers(0, 130, 15), 130).reshape(3, 5, 130),
+        "1-d": summary_masks(rng, [277], 300)[0],
+        "1-d-no-usable-row": np.zeros(300, dtype=bool),
+    }
+    return {name: (rng.normal(0.0, 1.0, mask.shape) * 10.0 ** rng.integers(-10, 11, mask.shape),
+                   mask) for name, mask in masks.items()}
+
+
+BATCH_VALUE_CASES = batch_value_cases()
+
+
+@pytest.mark.parametrize("summary", ["mean", "std"])
+@pytest.mark.parametrize("case", list(BATCH_VALUE_CASES))
+def test_batch_values_match_summarizing_each_batch_alone(case, summary):
+    values, mask = BATCH_VALUE_CASES[case]
+    stat = Statistic(f"{summary}(v)", PER_BATCH, "summary", column="v", summary=summary)
+    expect = np.zeros(mask.shape[:-1])
+    for b in np.ndindex(expect.shape):
+        if mask[b].any():
+            expect[b] = summarize(stat, values[b][mask[b]])
+    value, valued = rule_eval.batch_values(stat, values, mask)
+    assert value.shape == expect.shape and value.dtype == expect.dtype
+    assert value.tobytes() == expect.tobytes()
+    assert np.array_equal(valued, mask.any(-1)) and np.shape(valued) == expect.shape
 
 
 def test_evaluate_reads_each_statistic_and_class_once():
